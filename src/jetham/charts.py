@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ChartInverseError, DimensionError, RegularityError
-from .expr import Coord, Expr, Point, Var, compose, esum
+from .expr import Coord, Expr, Point, Var, check_vars, compose, esum
 from .report import CheckRecord, Report
 
 __all__ = [
@@ -38,13 +38,6 @@ __all__ = [
 
 REGULARITY_EPS = 1e-12
 INVERSE_CHECK_TOL = 1e-9
-
-
-def _check_vars(e: Expr, allowed: set[Var], what: str):
-    extra = e.free_vars() - allowed
-    if extra:
-        names = ", ".join(sorted(v.name for v in extra))
-        raise DimensionError(f"{what} may not depend on {names}")
 
 
 @dataclass(frozen=True)
@@ -67,11 +60,11 @@ class CoordChange:
             raise DimensionError(f"need {self.n} spatial components")
         t_only = {Var.time()}
         x_only = {Var.space(i) for i in range(self.n)}
-        _check_vars(self.t_fwd, t_only, "t_fwd")
-        _check_vars(self.t_inv, t_only, "t_inv")
+        check_vars(self.t_fwd, t_only, "t_fwd")
+        check_vars(self.t_inv, t_only, "t_inv")
         for i in range(self.n):
-            _check_vars(self.x_fwd[i], x_only, f"x_fwd[{i}]")
-            _check_vars(self.x_inv[i], x_only, f"x_inv[{i}]")
+            check_vars(self.x_fwd[i], x_only, f"x_fwd[{i}]")
+            check_vars(self.x_inv[i], x_only, f"x_inv[{i}]")
 
     def inverse(self) -> "CoordChange":
         return CoordChange(self.n, self.t_inv, self.t_fwd, self.x_inv, self.x_fwd)

@@ -49,7 +49,7 @@ from .nlconn import (
     verify_connection_law,
 )
 from .problem import Problem, load_problem
-from .report import CheckRecord, Report, report_to_json, residual
+from .report import CheckRecord, Report, report_to_json, residual, worst_residual
 from .spray import (
     MomentumSemispray,
     canonical_spatial,
@@ -137,13 +137,15 @@ def _connection_family(problem: Problem, corrupt: bool = False) -> Report:
     # produced-by-semispray consistency, chart-independent
     N_from_G = connection_from_spray(G, g)
     for q in problem.points:
-        worst = 0.0
-        for a, b in zip(N.evaluate_temporal(q), N_from_G.evaluate_temporal(q)):
-            worst = max(worst, residual(float(a), float(b)))
-        for a, b in zip(
-            N.evaluate_spatial(q).ravel(), N_from_G.evaluate_spatial(q).ravel()
-        ):
-            worst = max(worst, residual(float(a), float(b)))
+        pairs = (
+            (N.evaluate_temporal(q), N_from_G.evaluate_temporal(q)),
+            (N.evaluate_spatial(q), N_from_G.evaluate_spatial(q)),
+        )
+        worst = worst_residual(
+            residual(float(a), float(b))
+            for got, want in pairs
+            for a, b in zip(got.ravel(), want.ravel())
+        )
         records.append(
             CheckRecord("connection.canonical_consistency", "", q.flat(), worst, worst <= tol)
         )

@@ -17,15 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .charts import CoordChange, TransitionData, induced_point, transition
 from .errors import SignatureMismatchError
-from .expr import Expr, Point, Var, const, pvar
+from .expr import Expr, Point, Program, Var, const, pvar
 from .metrics import SpaceMetric, TimeMetric, inverse_space, inverse_time
-from .report import CheckRecord, Report, residual
+from .report import CheckRecord, Report, residual, worst_residual
 
 __all__ = [
     "IndexKind",
@@ -76,8 +77,12 @@ class DTensor:
                 f"components of shape {comps.shape} do not match signature {self.signature}"
             )
 
+    @cached_property
+    def _program(self) -> Program:
+        return Program(self.comps.ravel())
+
     def evaluate(self, q: Point) -> np.ndarray:
-        flat = [e.eval(q) for e in self.comps.ravel()]
+        flat = self._program.run(q)
         return np.array(flat, dtype=float).reshape(self.comps.shape)
 
 
@@ -142,13 +147,13 @@ def verify_dtensor(
         image = induced_point(c, q)
         pushed = push_forward(T_old, c, q)
         expected = T_new.evaluate(image)
-        worst = 0.0
-        for got, want in zip(pushed.ravel(), expected.ravel()):
-            worst = max(worst, residual(float(got), float(want)))
         pulled = push_forward(T_new, inverse, image)
         back = T_old.evaluate(q)
-        for got, want in zip(pulled.ravel(), back.ravel()):
-            worst = max(worst, residual(float(got), float(want)))
+        worst = worst_residual(
+            residual(float(a), float(b))
+            for got, want in ((pushed, expected), (pulled, back))
+            for a, b in zip(got.ravel(), want.ravel())
+        )
         records.append(
             CheckRecord(check_id, "", q.flat(), worst, worst <= tol)
         )

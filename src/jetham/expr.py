@@ -7,6 +7,12 @@ cos, negation) is closed under differentiation, so every derivative an
 operation needs is again a tree of the same kind and carries no
 differentiation error.
 
+Objects built from one another share subtrees by object identity, so the
+trees are really DAGs.  Differentiation and substitution rebuild each node
+object once per call, and a compiled ``Program`` evaluates each one once
+per point; none of the three recurses, so depth is not limited by the
+interpreter's stack.  The recursive ``Expr.eval`` stays as their reference.
+
 Construction goes through smart constructors that fold the 0/1 identities
 (x+0, x*1, x*0, x^1, ...).  No further simplification is attempted:
 correctness is defined by evaluation, not by canonical form.
@@ -42,6 +48,7 @@ __all__ = [
     "diff",
     "evaluate",
     "compose",
+    "Program",
 ]
 
 
@@ -164,18 +171,39 @@ class Expr:
     def __neg__(self):
         return _neg(self)
 
-    # -- core operations (overridden per node) ------------------------------
+    # -- core operations ----------------------------------------------------
     def diff(self, v: Var) -> "Expr":
-        raise NotImplementedError
+        return diff(self, v)
 
     def eval(self, q: Point) -> float:
+        """Recursive evaluation, kept as the reference for ``Program``."""
         raise NotImplementedError
 
     def substitute(self, mapping: Mapping[Var, "Expr"]) -> "Expr":
-        """Simultaneous substitution; variables absent from the map are kept."""
-        raise NotImplementedError
+        """Simultaneous substitution; variables absent from the map are kept.
+        Memoized by node identity, so shared subtrees stay shared."""
+        return _rebuild(self, lambda node, done: node._substituted(done, mapping))
 
     def free_vars(self) -> frozenset[Var]:
+        found = set()
+        seen = set()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if type(node) is Coord:
+                found.add(node.var)
+            else:
+                stack.extend(_operands(node))
+        return frozenset(found)
+
+    # -- per-node rules, given d[id(operand)] for every operand ---------------
+    def _derivative(self, d: dict[int, "Expr"], v: Var) -> "Expr":
+        raise NotImplementedError
+
+    def _substituted(self, s: dict[int, "Expr"], mapping: Mapping[Var, "Expr"]) -> "Expr":
         raise NotImplementedError
 
 
@@ -183,17 +211,14 @@ class Expr:
 class Const(Expr):
     value: float
 
-    def diff(self, v):
+    def _derivative(self, d, v):
         return ZERO
 
     def eval(self, q):
         return self.value
 
-    def substitute(self, mapping):
+    def _substituted(self, s, mapping):
         return self
-
-    def free_vars(self):
-        return frozenset()
 
     def __str__(self):
         return _fmt_number(self.value)
@@ -203,17 +228,14 @@ class Const(Expr):
 class Coord(Expr):
     var: Var
 
-    def diff(self, v):
+    def _derivative(self, d, v):
         return ONE if self.var == v else ZERO
 
     def eval(self, q):
         return q.coord(self.var)
 
-    def substitute(self, mapping):
+    def _substituted(self, s, mapping):
         return mapping.get(self.var, self)
-
-    def free_vars(self):
-        return frozenset((self.var,))
 
     def __str__(self):
         return self.var.name
@@ -224,17 +246,14 @@ class Add(Expr):
     left: Expr
     right: Expr
 
-    def diff(self, v):
-        return _add(self.left.diff(v), self.right.diff(v))
+    def _derivative(self, d, v):
+        return _add(d[id(self.left)], d[id(self.right)])
 
     def eval(self, q):
         return self.left.eval(q) + self.right.eval(q)
 
-    def substitute(self, mapping):
-        return _add(self.left.substitute(mapping), self.right.substitute(mapping))
-
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
+    def _substituted(self, s, mapping):
+        return _add(s[id(self.left)], s[id(self.right)])
 
     def __str__(self):
         # right operand keeps its parentheses at equal precedence so the
@@ -247,17 +266,14 @@ class Sub(Expr):
     left: Expr
     right: Expr
 
-    def diff(self, v):
-        return _sub(self.left.diff(v), self.right.diff(v))
+    def _derivative(self, d, v):
+        return _sub(d[id(self.left)], d[id(self.right)])
 
     def eval(self, q):
         return self.left.eval(q) - self.right.eval(q)
 
-    def substitute(self, mapping):
-        return _sub(self.left.substitute(mapping), self.right.substitute(mapping))
-
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
+    def _substituted(self, s, mapping):
+        return _sub(s[id(self.left)], s[id(self.right)])
 
     def __str__(self):
         return f"{_paren(self.left, 1)} - {_paren(self.right, 2)}"
@@ -268,20 +284,17 @@ class Mul(Expr):
     left: Expr
     right: Expr
 
-    def diff(self, v):
+    def _derivative(self, d, v):
         return _add(
-            _mul(self.left.diff(v), self.right),
-            _mul(self.left, self.right.diff(v)),
+            _mul(d[id(self.left)], self.right),
+            _mul(self.left, d[id(self.right)]),
         )
 
     def eval(self, q):
         return self.left.eval(q) * self.right.eval(q)
 
-    def substitute(self, mapping):
-        return _mul(self.left.substitute(mapping), self.right.substitute(mapping))
-
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
+    def _substituted(self, s, mapping):
+        return _mul(s[id(self.left)], s[id(self.right)])
 
     def __str__(self):
         return f"{_paren(self.left, 2)} * {_paren(self.right, 3)}"
@@ -292,10 +305,10 @@ class Div(Expr):
     left: Expr
     right: Expr
 
-    def diff(self, v):
+    def _derivative(self, d, v):
         num = _sub(
-            _mul(self.left.diff(v), self.right),
-            _mul(self.left, self.right.diff(v)),
+            _mul(d[id(self.left)], self.right),
+            _mul(self.left, d[id(self.right)]),
         )
         return _div(num, _pow(self.right, Fraction(2)))
 
@@ -305,11 +318,8 @@ class Div(Expr):
             raise DomainError("division by zero", self)
         return self.left.eval(q) / denom
 
-    def substitute(self, mapping):
-        return _div(self.left.substitute(mapping), self.right.substitute(mapping))
-
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
+    def _substituted(self, s, mapping):
+        return _div(s[id(self.left)], s[id(self.right)])
 
     def __str__(self):
         return f"{_paren(self.left, 2)} / {_paren(self.right, 3)}"
@@ -326,11 +336,11 @@ class Pow(Expr):
     base: Expr
     exponent: Fraction
 
-    def diff(self, v):
+    def _derivative(self, d, v):
         r = self.exponent
         return _mul(
             _mul(Const(float(r)), _pow(self.base, r - 1)),
-            self.base.diff(v),
+            d[id(self.base)],
         )
 
     def eval(self, q):
@@ -351,11 +361,8 @@ class Pow(Expr):
         except OverflowError:
             raise DomainError("overflow in power", self) from None
 
-    def substitute(self, mapping):
-        return _pow(self.base.substitute(mapping), self.exponent)
-
-    def free_vars(self):
-        return self.base.free_vars()
+    def _substituted(self, s, mapping):
+        return _pow(s[id(self.base)], self.exponent)
 
     def __str__(self):
         r = self.exponent
@@ -367,17 +374,14 @@ class Pow(Expr):
 class Neg(Expr):
     arg: Expr
 
-    def diff(self, v):
-        return _neg(self.arg.diff(v))
+    def _derivative(self, d, v):
+        return _neg(d[id(self.arg)])
 
     def eval(self, q):
         return -self.arg.eval(q)
 
-    def substitute(self, mapping):
-        return _neg(self.arg.substitute(mapping))
-
-    def free_vars(self):
-        return self.arg.free_vars()
+    def _substituted(self, s, mapping):
+        return _neg(s[id(self.arg)])
 
     def __str__(self):
         return f"-{_paren(self.arg, 4)}"
@@ -387,8 +391,8 @@ class Neg(Expr):
 class Exp(Expr):
     arg: Expr
 
-    def diff(self, v):
-        return _mul(self, self.arg.diff(v))
+    def _derivative(self, d, v):
+        return _mul(self, d[id(self.arg)])
 
     def eval(self, q):
         try:
@@ -396,11 +400,8 @@ class Exp(Expr):
         except OverflowError:
             raise DomainError("overflow in exp", self) from None
 
-    def substitute(self, mapping):
-        return Exp(self.arg.substitute(mapping))
-
-    def free_vars(self):
-        return self.arg.free_vars()
+    def _substituted(self, s, mapping):
+        return Exp(s[id(self.arg)])
 
     def __str__(self):
         return f"exp({self.arg})"
@@ -410,8 +411,8 @@ class Exp(Expr):
 class Log(Expr):
     arg: Expr
 
-    def diff(self, v):
-        return _div(self.arg.diff(v), self.arg)
+    def _derivative(self, d, v):
+        return _div(d[id(self.arg)], self.arg)
 
     def eval(self, q):
         value = self.arg.eval(q)
@@ -419,11 +420,8 @@ class Log(Expr):
             raise DomainError("log of a non-positive value", self)
         return math.log(value)
 
-    def substitute(self, mapping):
-        return Log(self.arg.substitute(mapping))
-
-    def free_vars(self):
-        return self.arg.free_vars()
+    def _substituted(self, s, mapping):
+        return Log(s[id(self.arg)])
 
     def __str__(self):
         return f"log({self.arg})"
@@ -433,17 +431,14 @@ class Log(Expr):
 class Sin(Expr):
     arg: Expr
 
-    def diff(self, v):
-        return _mul(Cos(self.arg), self.arg.diff(v))
+    def _derivative(self, d, v):
+        return _mul(Cos(self.arg), d[id(self.arg)])
 
     def eval(self, q):
-        return math.sin(self.arg.eval(q))
+        return _trig(math.sin, self.arg.eval(q), self)
 
-    def substitute(self, mapping):
-        return Sin(self.arg.substitute(mapping))
-
-    def free_vars(self):
-        return self.arg.free_vars()
+    def _substituted(self, s, mapping):
+        return Sin(s[id(self.arg)])
 
     def __str__(self):
         return f"sin({self.arg})"
@@ -453,17 +448,14 @@ class Sin(Expr):
 class Cos(Expr):
     arg: Expr
 
-    def diff(self, v):
-        return _neg(_mul(Sin(self.arg), self.arg.diff(v)))
+    def _derivative(self, d, v):
+        return _neg(_mul(Sin(self.arg), d[id(self.arg)]))
 
     def eval(self, q):
-        return math.cos(self.arg.eval(q))
+        return _trig(math.cos, self.arg.eval(q), self)
 
-    def substitute(self, mapping):
-        return Cos(self.arg.substitute(mapping))
-
-    def free_vars(self):
-        return self.arg.free_vars()
+    def _substituted(self, s, mapping):
+        return Cos(s[id(self.arg)])
 
     def __str__(self):
         return f"cos({self.arg})"
@@ -471,6 +463,28 @@ class Cos(Expr):
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
+
+_BINARY = (Add, Sub, Mul, Div)
+_LEAVES = (Const, Coord)
+
+
+def _operands(e: Expr) -> tuple[Expr, ...]:
+    cls = type(e)
+    if cls in _BINARY:
+        return (e.left, e.right)
+    if cls is Pow:
+        return (e.base,)
+    if cls in _LEAVES:
+        return ()
+    return (e.arg,)
+
+
+def _trig(fn, value: float, node: Expr) -> float:
+    try:
+        return fn(value)
+    except ValueError:  # math.sin and math.cos raise on +-inf
+        raise DomainError(f"{fn.__name__} of an infinite value", node) from None
+
 
 _FUNCS = {"exp": Exp, "log": Log, "sin": Sin, "cos": Cos}
 
@@ -587,13 +601,56 @@ def esum(terms: Iterable[Expr]) -> Expr:
 # ---------------------------------------------------------------------------
 
 def diff(e: Expr, v: Var) -> Expr:
-    """Exact algebraic derivative of e with respect to the variable v."""
-    return e.diff(v)
+    """Exact algebraic derivative of e with respect to the variable v.
+
+    The walk is iterative and memoized by node identity for the length of
+    the call: a subtree shared by several parents is differentiated once,
+    and its derivative is shared in turn.  The rules and smart constructors
+    are the recursive ones, so the result equals the recursive derivative
+    node for node and differs only in sharing.
+    """
+    return _rebuild(e, lambda node, done: node._derivative(done, v))
+
+
+def _rebuild(e: Expr, rule) -> Expr:
+    """The image of e under a per-node rule, built bottom-up without
+    recursion.  rule(node, done) returns the image of node given
+    done[id(operand)] for each of its operands; every node object is
+    visited once, however many parents share it."""
+    done: dict[int, Expr] = {}
+    stack = [(e, False)]
+    while stack:
+        node, expanded = stack.pop()
+        key = id(node)
+        if expanded:
+            done[key] = rule(node, done)
+        elif key not in done:
+            if type(node) in _LEAVES:
+                done[key] = rule(node, done)
+                continue
+            stack.append((node, True))
+            for k in _operands(node):
+                if id(k) in done:
+                    continue
+                if type(k) in _LEAVES:  # settled here, never stacked
+                    done[id(k)] = rule(k, done)
+                else:
+                    stack.append((k, False))
+    return done[id(e)]
 
 
 def evaluate(e: Expr, q: Point) -> float:
-    """IEEE double value of e at q; raises DomainError outside the domain."""
-    return e.eval(q)
+    """IEEE double value of e at q; raises DomainError outside the domain
+    and on a non-finite value anywhere in e."""
+    return Program((e,)).run(q)[0]
+
+
+def check_vars(e: Expr, allowed: set[Var], what: str) -> None:
+    """Raise DimensionError when e depends on a variable outside allowed."""
+    extra = e.free_vars() - allowed
+    if extra:
+        names = ", ".join(sorted(v.name for v in extra))
+        raise DimensionError(f"{what} may not depend on {names}")
 
 
 def compose(e: Expr, subst: Mapping[Var, Expr]) -> Expr:
@@ -603,6 +660,178 @@ def compose(e: Expr, subst: Mapping[Var, Expr]) -> Expr:
         names = ", ".join(sorted(v.name for v in missing))
         raise MissingSubstitutionError(f"no substitution for variable(s) {names}")
     return e.substitute(subst)
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation: each distinct node object once per point
+# ---------------------------------------------------------------------------
+
+# opcodes, in the order Program.run tests them (most frequent first)
+(
+    _MUL, _ADD, _POW, _SUB, _NEG, _CHECK, _DIV, _NPOW, _FPOW,
+    _EXP, _LOG, _SIN, _COS, _LOAD,
+) = range(14)
+
+_OPCODES = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV, Neg: _NEG,
+            Exp: _EXP, Log: _LOG, Sin: _SIN, Cos: _COS}
+
+
+class Program:
+    """A list of root expressions compiled to one straight-line program.
+
+    There is one value slot per distinct node object (and one per
+    coordinate variable), filled in the order the recursive ``eval`` first
+    reaches the node, so a subtree shared by many parents or many roots is
+    evaluated once per point.  Every node keeps its float operation and
+    its domain checks, so values are bit-identical to ``eval``, and the
+    first DomainError is the one ``eval`` raises: a ``Div`` tests its
+    denominator before its numerator is evaluated, as ``eval`` does.
+
+    Unlike ``eval``, ``run`` also rejects non-finite values: a NaN or an
+    infinity in any slot raises DomainError naming the first node that
+    produced one.  Compilation and ``run`` both work without recursion.
+    """
+
+    __slots__ = ("_code", "_template", "_nodes", "_roots")
+
+    def __init__(self, roots: Iterable[Expr]):
+        roots = tuple(roots)
+        slots: dict[int, int] = {}  # id(node) -> slot
+        loads: dict[Var, int] = {}  # coordinate variable -> slot
+        template: list[float] = []  # constants in place, 0.0 elsewhere
+        nodes: list[Expr] = []  # slot -> first node computing it
+        # instruction k is (ops[k], dsts[k], lhs[k], rhs[k]); four flat
+        # lists hold a large program in less memory than one tuple each
+        ops: list[int] = []
+        dsts: list = []
+        lhs: list = []
+        rhs: list = []
+
+        def emit(op, dst, a, b):
+            ops.append(op)
+            dsts.append(dst)
+            lhs.append(a)
+            rhs.append(b)
+
+        for root in roots:
+            # (node, step): 0 visits the node, 1 emits its instruction once
+            # its operands have slots, 2 tests a Div's denominator before
+            # its numerator is visited
+            stack = [(root, 0)]
+            while stack:
+                node, step = stack.pop()
+                cls = type(node)
+                if step == 1:
+                    slots[id(node)] = slot = len(template)
+                    template.append(0.0)
+                    nodes.append(node)
+                    if cls is Pow:
+                        emit(*_power(node.exponent, slot, slots[id(node.base)]))
+                    elif cls in _BINARY:
+                        emit(_OPCODES[cls], slot, slots[id(node.left)], slots[id(node.right)])
+                    else:
+                        emit(_OPCODES[cls], slot, slots[id(node.arg)], 0)
+                elif step == 2:
+                    # a check carries its Div node where others carry a slot
+                    emit(_CHECK, node, slots[id(node.right)], 0)
+                elif id(node) in slots:
+                    continue
+                elif cls is Const:
+                    slots[id(node)] = len(template)
+                    template.append(node.value)
+                    nodes.append(node)
+                elif cls is Coord:
+                    slot = loads.get(node.var)
+                    if slot is None:
+                        loads[node.var] = slot = len(template)
+                        template.append(0.0)
+                        nodes.append(node)
+                        emit(_LOAD, slot, node.var, 0)
+                    slots[id(node)] = slot
+                elif cls is Div:
+                    stack += ((node, 1), (node.left, 0), (node, 2), (node.right, 0))
+                elif cls in _BINARY:
+                    stack += ((node, 1), (node.right, 0), (node.left, 0))
+                else:
+                    stack += ((node, 1), (node.base if cls is Pow else node.arg, 0))
+        self._code = (ops, dsts, lhs, rhs)
+        self._template = template
+        self._nodes = nodes
+        self._roots = [slots[id(r)] for r in roots]
+
+    def __len__(self) -> int:
+        """Number of value slots: distinct nodes, coordinates merged."""
+        return len(self._template)
+
+    def run(self, q: Point) -> list[float]:
+        """Values of the roots at q, in root order."""
+        v = self._template.copy()
+        for op, dst, a, b in zip(*self._code):
+            if op == _MUL:
+                v[dst] = v[a] * v[b]
+            elif op == _ADD:
+                v[dst] = v[a] + v[b]
+            elif op == _POW:  # non-negative integer exponent b
+                try:
+                    v[dst] = v[a] ** b
+                except OverflowError:
+                    raise DomainError("overflow in power", self._nodes[dst]) from None
+            elif op == _SUB:
+                v[dst] = v[a] - v[b]
+            elif op == _NEG:
+                v[dst] = -v[a]
+            elif op == _CHECK:
+                if v[a] == 0.0:
+                    raise DomainError("division by zero", dst)
+            elif op == _DIV:
+                v[dst] = v[a] / v[b]
+            elif op == _NPOW:  # negative integer exponent b
+                if v[a] == 0.0:
+                    raise DomainError("zero raised to a negative power", self._nodes[dst])
+                try:
+                    v[dst] = v[a] ** b
+                except OverflowError:
+                    raise DomainError("overflow in power", self._nodes[dst]) from None
+            elif op == _FPOW:  # fractional exponent, as a float b
+                if v[a] <= 0.0:
+                    raise DomainError(
+                        "fractional power of a non-positive base", self._nodes[dst]
+                    )
+                try:
+                    v[dst] = v[a] ** b
+                except OverflowError:
+                    raise DomainError("overflow in power", self._nodes[dst]) from None
+            elif op == _EXP:
+                try:
+                    v[dst] = math.exp(v[a])
+                except OverflowError:
+                    raise DomainError("overflow in exp", self._nodes[dst]) from None
+            elif op == _LOG:
+                if v[a] <= 0.0:
+                    raise DomainError("log of a non-positive value", self._nodes[dst])
+                v[dst] = math.log(v[a])
+            elif op == _SIN:
+                v[dst] = _trig(math.sin, v[a], self._nodes[dst])
+            elif op == _COS:
+                v[dst] = _trig(math.cos, v[a], self._nodes[dst])
+            else:  # _LOAD of coordinate a
+                v[dst] = q.coord(a)
+        if not math.isfinite(sum(v)):
+            self._raise_non_finite(v)
+        return [v[i] for i in self._roots]
+
+    def _raise_non_finite(self, v: list[float]):
+        # a finite sum can overflow; only a non-finite slot is an error
+        for slot, value in enumerate(v):
+            if not math.isfinite(value):
+                raise DomainError(f"non-finite value {value!r}", self._nodes[slot])
+
+
+def _power(r: Fraction, slot: int, base: int) -> tuple[int, int, int, int | float]:
+    if r.denominator != 1:
+        return (_FPOW, slot, base, float(r))
+    e = int(r)
+    return (_POW if e >= 0 else _NPOW, slot, base, e)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ horizontal/vertical splitting) reduces to finite linear algebra at a point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ from .charts import (
     transition,
 )
 from .errors import DimensionError, PreconditionError
-from .expr import Expr, Point, const, esum
+from .expr import Expr, Point, Program, const, esum
 from .nlconn import NonlinearConnection, verify_connection_law
 from .report import CheckRecord, Report
 
@@ -42,10 +43,6 @@ _ZERO = const(0)
 _ONE = const(1)
 
 
-def _eval_matrix(rows: tuple[tuple[Expr, ...], ...], q: Point) -> np.ndarray:
-    return np.array([[e.eval(q) for e in row] for row in rows])
-
-
 @dataclass(frozen=True)
 class AdaptedFrame:
     """rows[a][b]: natural-frame component b of adapted vector a, vectors
@@ -56,8 +53,13 @@ class AdaptedFrame:
     n: int
     rows: tuple[tuple[Expr, ...], ...]
 
+    @cached_property
+    def _program(self) -> Program:
+        return Program(e for row in self.rows for e in row)
+
     def evaluate(self, q: Point) -> np.ndarray:
-        return _eval_matrix(self.rows, q)
+        size = len(self.rows)
+        return np.array(self._program.run(q)).reshape(size, size)
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,13 @@ class AdaptedCoframe:
     n: int
     rows: tuple[tuple[Expr, ...], ...]
 
+    @cached_property
+    def _program(self) -> Program:
+        return Program(e for row in self.rows for e in row)
+
     def evaluate(self, q: Point) -> np.ndarray:
-        return _eval_matrix(self.rows, q)
+        size = len(self.rows)
+        return np.array(self._program.run(q)).reshape(size, size)
 
 
 def adapted_frame(N: NonlinearConnection) -> AdaptedFrame:

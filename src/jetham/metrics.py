@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .charts import CoordChange
 from .errors import DimensionError
-from .expr import Expr, Point, Var, const, esum
+from .expr import Expr, Point, Var, check_vars, const, esum
 
 __all__ = [
     "TimeMetric",
@@ -34,13 +34,6 @@ __all__ = [
 MAX_DIM = 4
 
 
-def _check_depends(e: Expr, allowed: set[Var], what: str):
-    extra = e.free_vars() - allowed
-    if extra:
-        names = ", ".join(sorted(v.name for v in extra))
-        raise DimensionError(f"{what} may not depend on {names}")
-
-
 @dataclass(frozen=True)
 class TimeMetric:
     """One-component metric h_11 on the time axis, a function of t alone."""
@@ -48,7 +41,7 @@ class TimeMetric:
     h11: Expr
 
     def __post_init__(self):
-        _check_depends(self.h11, {Var.time()}, "time metric")
+        check_vars(self.h11, {Var.time()}, "time metric")
 
 
 @dataclass(frozen=True)
@@ -64,7 +57,7 @@ class SpaceMetric:
         allowed = {Var.space(i) for i in range(self.n)}
         for i, row in enumerate(self.g):
             for j, entry in enumerate(row):
-                _check_depends(entry, allowed, f"space metric entry [{i}][{j}]")
+                check_vars(entry, allowed, f"space metric entry [{i}][{j}]")
                 if entry != self.g[j][i]:
                     raise DimensionError(
                         f"space metric entries [{i}][{j}] and [{j}][{i}] differ; "

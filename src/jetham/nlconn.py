@@ -14,13 +14,14 @@ semisprays (Euler's homogeneity theorem is what closes that loop).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .charts import CoordChange, induced_point, transition
 from .errors import DimensionError
-from .expr import Expr, Point, Var, const, esum, pvar
+from .expr import Expr, Point, Program, Var, const, esum, pvar
 from .metrics import (
     SpaceMetric,
     TimeMetric,
@@ -28,7 +29,7 @@ from .metrics import (
     christoffel_time,
     inverse_space,
 )
-from .report import CheckRecord, Report, residual
+from .report import CheckRecord, Report, residual, worst_residual
 from .spray import MomentumSemispray, SpatialSemispray, TemporalSemispray
 
 __all__ = [
@@ -54,11 +55,19 @@ class NonlinearConnection:
         if len(self.spatial) != self.n or any(len(r) != self.n for r in self.spatial):
             raise DimensionError(f"spatial part must be {self.n}x{self.n}")
 
+    @cached_property
+    def _temporal_program(self) -> Program:
+        return Program(self.temporal)
+
+    @cached_property
+    def _spatial_program(self) -> Program:
+        return Program(e for row in self.spatial for e in row)
+
     def evaluate_temporal(self, q: Point) -> np.ndarray:
-        return np.array([e.eval(q) for e in self.temporal])
+        return np.array(self._temporal_program.run(q))
 
     def evaluate_spatial(self, q: Point) -> np.ndarray:
-        return np.array([[e.eval(q) for e in row] for row in self.spatial])
+        return np.array(self._spatial_program.run(q)).reshape(self.n, self.n)
 
 
 def canonical_connection(h: TimeMetric, g: SpaceMetric) -> NonlinearConnection:
@@ -141,23 +150,26 @@ def verify_connection_law(
         new_t = N_new.evaluate_temporal(image)
         new_s = N_new.evaluate_spatial(image)
 
-        worst = 0.0
-        for j in range(n):
-            rhs = float(old_t @ td.jac_inv[:, j]) - td.dt_dt_tilde * float(
-                td.dp_tilde_dt[j]
+        worst = worst_residual(
+            residual(
+                float(new_t[j]),
+                float(old_t @ td.jac_inv[:, j]) - td.dt_dt_tilde * float(td.dp_tilde_dt[j]),
             )
-            worst = max(worst, residual(float(new_t[j]), rhs))
+            for j in range(n)
+        )
         records.append(
             CheckRecord("connection.temporal", "", q.flat(), worst, worst <= tol)
         )
 
-        worst = 0.0
-        for j in range(n):
-            for r in range(n):
-                rhs = td.dt_tilde_dt * float(
-                    td.jac_inv[:, j] @ old_s @ td.jac_inv[:, r]
-                ) - float(td.dp_tilde_dx[j] @ td.jac_inv[:, r])
-                worst = max(worst, residual(float(new_s[j, r]), rhs))
+        worst = worst_residual(
+            residual(
+                float(new_s[j, r]),
+                td.dt_tilde_dt * float(td.jac_inv[:, j] @ old_s @ td.jac_inv[:, r])
+                - float(td.dp_tilde_dx[j] @ td.jac_inv[:, r]),
+            )
+            for j in range(n)
+            for r in range(n)
+        )
         records.append(
             CheckRecord("connection.spatial", "", q.flat(), worst, worst <= tol)
         )

@@ -9,10 +9,11 @@ metrics, where relative error is undefined) and relative otherwise.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-__all__ = ["residual", "CheckRecord", "Report", "report_to_json"]
+__all__ = ["residual", "worst_residual", "CheckRecord", "Report", "report_to_json"]
 
 ABS_FLOOR = 1e-6  # below this magnitude the residual is absolute
 
@@ -24,6 +25,19 @@ def residual(got: float, want: float) -> float:
     if scale < ABS_FLOOR:
         return err
     return err / scale
+
+
+def worst_residual(residuals: Iterable[float]) -> float:
+    """The largest residual (0.0 for none), or NaN as soon as one is NaN:
+    max() keeps its running value against a NaN, which would let a check
+    whose values were not numbers pass."""
+    worst = 0.0
+    for r in residuals:
+        if r > worst:
+            worst = r
+        elif r != r:
+            return math.nan
+    return worst
 
 
 @dataclass(frozen=True)
@@ -52,13 +66,13 @@ class Report:
 
     @property
     def max_residual(self) -> float:
-        return max((r.residual for r in self.records), default=0.0)
+        return worst_residual(r.residual for r in self.records)
 
     def max_residual_by_family(self) -> dict[str, float]:
-        out: dict[str, float] = {}
+        families: dict[str, list[float]] = {}
         for r in self.records:
-            out[r.check_id] = max(out.get(r.check_id, 0.0), r.residual)
-        return out
+            families.setdefault(r.check_id, []).append(r.residual)
+        return {family: worst_residual(values) for family, values in families.items()}
 
     def failures(self) -> tuple[CheckRecord, ...]:
         return tuple(r for r in self.records if not r.passed)

@@ -11,15 +11,16 @@ the time Christoffel symbol, the spatial one from the Levi-Civita symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .charts import CoordChange, induced_point, transition
 from .errors import DimensionError
-from .expr import Expr, Point, const, esum, pvar
+from .expr import Expr, Point, Program, const, esum, pvar
 from .metrics import SpaceMetric, TimeMetric, christoffel_space, christoffel_time
-from .report import CheckRecord, Report, residual
+from .report import CheckRecord, Report, residual, worst_residual
 
 __all__ = [
     "TemporalSemispray",
@@ -43,8 +44,12 @@ class TemporalSemispray:
         if len(self.coeffs) != self.n or any(len(r) != self.n for r in self.coeffs):
             raise DimensionError(f"temporal semispray must be {self.n}x{self.n}")
 
+    @cached_property
+    def _program(self) -> Program:
+        return Program(e for row in self.coeffs for e in row)
+
     def evaluate(self, q: Point) -> np.ndarray:
-        return np.array([[e.eval(q) for e in row] for row in self.coeffs])
+        return np.array(self._program.run(q)).reshape(self.n, self.n)
 
 
 @dataclass(frozen=True)
@@ -58,8 +63,12 @@ class SpatialSemispray:
         if len(self.coeffs) != self.n or any(len(r) != self.n for r in self.coeffs):
             raise DimensionError(f"spatial semispray must be {self.n}x{self.n}")
 
+    @cached_property
+    def _program(self) -> Program:
+        return Program(e for row in self.coeffs for e in row)
+
     def evaluate(self, q: Point) -> np.ndarray:
-        return np.array([[e.eval(q) for e in row] for row in self.coeffs])
+        return np.array(self._program.run(q)).reshape(self.n, self.n)
 
 
 @dataclass(frozen=True)
@@ -122,15 +131,15 @@ def _verify_semispray_law(
         old = old_eval(q)
         new = new_eval(image)
         inhom = inhomogeneous(td, q)
-        worst = 0.0
-        for k in range(n):
-            for r in range(n):
-                homogeneous = 2.0 * float(
-                    td.dt_tilde_dt * (td.jac_inv[:, k] @ old @ td.jac_inv[:, r])
-                )
-                lhs = 2.0 * float(new[k, r])
-                rhs = homogeneous - float(inhom[k, r])
-                worst = max(worst, residual(lhs, rhs))
+        worst = worst_residual(
+            residual(
+                2.0 * float(new[k, r]),
+                2.0 * float(td.dt_tilde_dt * (td.jac_inv[:, k] @ old @ td.jac_inv[:, r]))
+                - float(inhom[k, r]),
+            )
+            for k in range(n)
+            for r in range(n)
+        )
         records.append(CheckRecord(check_id, "", q.flat(), worst, worst <= tol))
     return Report.of(records)
 

@@ -119,6 +119,30 @@ class TestVerify:
         assert result.exit_code == 3
         assert "time_metric" in result.stderr
 
+    @pytest.mark.parametrize(
+        "hamiltonian, message",
+        [
+            # exp(380)^2 overflows to inf, and inf - inf is NaN: this used to
+            # pass with residual 0
+            (
+                "p1^2*(1 + exp(200*x1)*exp(200*x1) - exp(200*x1)*exp(200*x1)) + p2^2",
+                "non-finite value inf in 'exp(200 * x1) * exp(200 * x1)'",
+            ),
+            # math.cos raises ValueError on inf: this used to exit 1 with a
+            # traceback
+            ("p1^2*cos(exp(300*x1)*exp(300*x1)) + p2^2", "cos of an infinite value"),
+        ],
+    )
+    def test_non_finite_value_exits_3(self, runner, tmp_path, hamiltonian, message):
+        doc = small_doc(
+            hamiltonian=hamiltonian, sample={"points": [[1.2, 1.9, 1.1, 0.7, -1.3]]}
+        )
+        result = runner.invoke(main, ["verify", "--problem", write_problem(tmp_path, doc)])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert message in result.stderr
+        assert "PASS" not in result.output
+
     def test_n5_dimension_error_exit_3(self, runner, tmp_path):
         doc = {
             "n": 5,

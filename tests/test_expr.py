@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,20 @@ from jetham.errors import (
     MissingSubstitutionError,
 )
 from jetham.expr import (
+    Add,
+    Const,
     Coord,
+    Cos,
+    Div,
+    Exp,
+    Log,
+    Mul,
+    Neg,
     Point,
     Pow,
+    Program,
+    Sin,
+    Sub,
     Var,
     compose,
     const,
@@ -297,3 +309,118 @@ class TestImmutability:
         e2 = base + 2
         assert e1 != e2
         assert evaluate(base, q_of(x=(4.0,))) == 4.0
+
+
+# -- compiled programs ---------------------------------------------------------
+
+_LEAVES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -1.5, 2.0, 300.0, 1e200]).map(Const),
+    st.sampled_from([Var.time(), Var.space(0), Var.space(1), Var.momentum(0)]).map(Coord),
+)
+_UNARY = (Neg, Exp, Log, Sin, Cos)
+_BINARY = (Add, Sub, Mul, Div)
+_EXPONENTS = [Fraction(e) for e in (0, 1, 2, 3, -1, -2)] + [Fraction(1, 2), Fraction(-1, 3)]
+
+
+@st.composite
+def shared_dags(draw):
+    """Root lists over a pool in which every new node takes its operands
+    from the earlier nodes, so subtrees are shared within and across roots.
+    Raw constructors keep the shapes the smart ones fold (x/0, x^0, ...)."""
+    pool = draw(st.lists(_LEAVES, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(1, 12))):
+        pick = st.sampled_from(pool)
+        cls = draw(st.sampled_from(_UNARY + _BINARY + (Pow,)))
+        if cls is Pow:
+            pool.append(Pow(draw(pick), draw(st.sampled_from(_EXPONENTS))))
+        elif cls in _BINARY:
+            pool.append(cls(draw(pick), draw(pick)))
+        else:
+            pool.append(cls(draw(pick)))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+
+
+_COORDS = st.sampled_from([0.0, -0.0, 0.5, -1.0, 1.3, 2.0, 400.0])
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+class TestProgram:
+    @settings(max_examples=400, deadline=None)
+    @given(shared_dags(), _COORDS, _COORDS, _COORDS, _COORDS)
+    def test_matches_recursive_eval_bit_for_bit(self, roots, t, x1, x2, p1):
+        q = Point.make(t, [x1, x2], [p1, 0.0])
+        try:
+            want = [r.eval(q) for r in roots]
+        except DomainError as ref:
+            with pytest.raises(DomainError) as err:
+                Program(roots).run(q)
+            assert str(err.value) == str(ref)
+            return
+        try:
+            got = Program(roots).run(q)
+        except DomainError as err:
+            # eval lets a NaN or an infinity through; the program names it
+            assert "non-finite value" in str(err)
+            assert not math.isfinite(err.subexpr.eval(q))
+            return
+        assert _bits(got) == _bits(want)
+
+    def test_shared_node_has_one_slot(self):
+        s = parse("x1*p1 + t", 1)  # x1, p1, *, t, +
+        e = s * s + s  # two more nodes; s counts once
+        prog = Program([e, s, s])
+        assert len(prog) == 7
+        q = q_of(t=0.5, x=(1.5,), p=(2.0,))
+        assert prog.run(q) == [e.eval(q), s.eval(q), s.eval(q)]
+
+    def test_deep_chain_without_recursion(self):
+        x = xvar(0)
+        e = x
+        for _ in range(2500):
+            e = (e + x) * 0.5  # left-deep: 5,000 operator nodes
+        q = q_of(x=(1.0,))
+        assert evaluate(e, q) == 1.0
+        assert evaluate(diff(e, Var.space(0)), q) == 1.0
+        assert e.free_vars() == {Var.space(0)}
+        assert evaluate(e.substitute({Var.space(0): const(1.0)}), q) == 1.0
+
+    def test_non_finite_value_names_first_node(self):
+        e = parse("1 + exp(200*x1)*exp(200*x1) - exp(200*x1)*exp(200*x1)", 1)
+        with pytest.raises(DomainError, match=r"non-finite value inf in 'exp\(200 \* x1\) \* exp"):
+            evaluate(e, q_of(x=(1.9,)))
+
+    @pytest.mark.parametrize("fn", ["sin", "cos"])
+    def test_sin_and_cos_of_infinity(self, fn):
+        e = parse(f"{fn}(exp(300*x1)*exp(300*x1))", 1)
+        q = q_of(x=(1.9,))
+        with pytest.raises(DomainError, match=f"{fn} of an infinite value"):
+            evaluate(e, q)
+        with pytest.raises(DomainError, match=f"{fn} of an infinite value"):
+            e.eval(q)
+
+    def test_denominator_is_checked_before_numerator(self):
+        # eval reads the denominator first, so the division error wins
+        e = Div(Log(Const(-1.0)), Sub(xvar(0), xvar(0)))
+        with pytest.raises(DomainError, match="division by zero"):
+            e.eval(Q1)
+        with pytest.raises(DomainError, match="division by zero"):
+            evaluate(e, Q1)
+
+    def test_overflowing_sum_of_finite_values_is_not_an_error(self):
+        assert Program([const(1e308), const(1e308)]).run(Q1) == [1e308, 1e308]
+
+
+class TestSharing:
+    def test_diff_shares_the_derivative_of_a_shared_subtree(self):
+        s = parse("sin(x1*p1)", 1)
+        d = diff(s * s, Var.space(0))  # ds*s + s*ds
+        assert d.left.left is d.right.right
+
+    def test_substitute_keeps_shared_subtrees_shared(self):
+        s = parse("exp(x1) + t", 1)
+        r = (s * s).substitute({Var.space(0): parse("2*x1", 1)})
+        assert r.left is r.right
+        assert r == parse("(exp(2*x1) + t) * (exp(2*x1) + t)", 1)
