@@ -10,6 +10,8 @@ byte-identical JSON.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import click
@@ -17,6 +19,7 @@ import numpy as np
 
 from .charts import scalar_to_new_chart
 from .dtensor import (
+    DTensor,
     Hamiltonian,
     h_normalization,
     liouville,
@@ -34,10 +37,10 @@ from .frames import (
     verify_adapted_tensoriality,
 )
 from .metrics import (
-    christoffel_space,
+    SpaceMetric,
+    TimeMetric,
     christoffel_time,
     compatibility_residual,
-    inverse_space,
     inverse_time,
     transform_space_metric,
     transform_time_metric,
@@ -52,6 +55,8 @@ from .problem import Problem, load_problem
 from .report import CheckRecord, Report, report_to_json, residual, worst_residual
 from .spray import (
     MomentumSemispray,
+    SpatialSemispray,
+    TemporalSemispray,
     canonical_spatial,
     canonical_temporal,
     verify_spatial_law,
@@ -75,67 +80,102 @@ EXIT_VERIFICATION_FAILED = 2
 EXIT_CONFIG_ERROR = 3
 
 
-def _hamiltonian_of(problem: Problem) -> Hamiltonian:
-    if problem.hamiltonian is not None:
-        return problem.hamiltonian
-    return metric_hamiltonian(problem.time_metric, problem.space_metric)
+class _Chart:
+    """A problem's canonical objects in one chart, each built on first use.
+    A new chart refers to its origin, the problem's own chart, never the
+    reverse, so a verdict's objects hold no reference cycle."""
+
+    def __init__(self, problem: Problem, origin: "_Chart | None" = None, change=None):
+        self.n, self.problem, self.origin, self.change = problem.n, problem, origin, change
+
+    @cached_property
+    def h(self) -> TimeMetric:
+        h = self.problem.time_metric
+        return h if self.change is None else transform_time_metric(h, self.change)
+
+    @cached_property
+    def g(self) -> SpaceMetric:
+        g = self.problem.space_metric
+        return g if self.change is None else transform_space_metric(g, self.change)
+
+    @cached_property
+    def hamiltonian(self) -> Hamiltonian:
+        if self.origin is None:
+            return self.problem.hamiltonian or metric_hamiltonian(self.h, self.g)
+        return Hamiltonian(self.n, scalar_to_new_chart(self.origin.hamiltonian.expr, self.change))
+
+    @cached_property
+    def vertical_metrical(self) -> DTensor:
+        return vertical_metrical(self.hamiltonian)
+
+    @cached_property
+    def liouville(self) -> DTensor:
+        return liouville(self.n)
+
+    @cached_property
+    def momentum_liouville(self) -> DTensor:
+        return momentum_liouville(self.h, self.n)
+
+    @cached_property
+    def h_normalization(self) -> DTensor:
+        return h_normalization(self.h, self.n)
+
+    @cached_property
+    def temporal(self) -> TemporalSemispray:
+        return canonical_temporal(self.h, self.n)
+
+    @cached_property
+    def spatial(self) -> SpatialSemispray:
+        return canonical_spatial(self.g)
+
+    @cached_property
+    def connection(self) -> NonlinearConnection:
+        return canonical_connection(self.h, self.g)
 
 
-def _canonical_objects(problem: Problem):
-    h, g = problem.time_metric, problem.space_metric
-    G = MomentumSemispray(canonical_temporal(h, problem.n), canonical_spatial(g))
-    N = canonical_connection(h, g)
-    return G, N
+def _charts(problem: Problem) -> dict[str, _Chart]:
+    """A verdict's charts by name; "" is the problem's own chart."""
+    charts = {"": _Chart(problem)}
+    for spec in problem.charts:
+        charts[spec.name] = _Chart(problem, charts[""], spec.change)
+    return charts
+
+
+_DTENSORS = ("vertical_metrical", "liouville", "momentum_liouville", "h_normalization")
 
 
 # ---------------------------------------------------------------------------
 # Verification families
 # ---------------------------------------------------------------------------
 
-def _dtensor_family(problem: Problem) -> Report:
-    n, tol = problem.n, problem.tolerance
-    h = problem.time_metric
-    ham = _hamiltonian_of(problem)
-    records = []
+def _dtensor_family(problem: Problem, charts: dict[str, _Chart]) -> Report:
+    origin, records = charts[""], []
     for spec in problem.charts:
-        c = spec.change
-        h_new = transform_time_metric(h, c)
-        ham_new = Hamiltonian(n, scalar_to_new_chart(ham.expr, c))
-        pairs = (
-            ("dtensor.vertical_metrical", vertical_metrical(ham), vertical_metrical(ham_new)),
-            ("dtensor.liouville", liouville(n), liouville(n)),
-            ("dtensor.momentum_liouville", momentum_liouville(h, n), momentum_liouville(h_new, n)),
-            ("dtensor.h_normalization", h_normalization(h, n), h_normalization(h_new, n)),
-        )
-        for check_id, t_old, t_new in pairs:
-            rep = verify_dtensor(t_old, t_new, c, problem.points, tol, check_id)
+        for name in _DTENSORS:
+            rep = verify_dtensor(
+                getattr(origin, name), getattr(charts[spec.name], name), spec.change,
+                problem.points, problem.tolerance, f"dtensor.{name}",
+            )
             records.extend(r.with_chart(spec.name) for r in rep.records)
     return Report.of(records)
 
 
-def _spray_family(problem: Problem) -> Report:
-    n, tol = problem.n, problem.tolerance
-    h, g = problem.time_metric, problem.space_metric
-    records = []
+def _spray_family(problem: Problem, charts: dict[str, _Chart]) -> Report:
+    tol, origin, records = problem.tolerance, charts[""], []
     for spec in problem.charts:
-        c = spec.change
-        temporal_new = canonical_temporal(transform_time_metric(h, c), n)
-        spatial_new = canonical_spatial(transform_space_metric(g, c))
-        rep_t = verify_temporal_law(canonical_temporal(h, n), temporal_new, c, problem.points, tol)
-        rep_s = verify_spatial_law(canonical_spatial(g), spatial_new, c, problem.points, tol)
-        records.extend(r.with_chart(spec.name) for r in rep_t.records)
-        records.extend(r.with_chart(spec.name) for r in rep_s.records)
+        c, new = spec.change, charts[spec.name]
+        rep_t = verify_temporal_law(origin.temporal, new.temporal, c, problem.points, tol)
+        rep_s = verify_spatial_law(origin.spatial, new.spatial, c, problem.points, tol)
+        records.extend(r.with_chart(spec.name) for r in rep_t.records + rep_s.records)
     return Report.of(records)
 
 
-def _connection_family(problem: Problem, corrupt: bool = False) -> Report:
-    tol = problem.tolerance
-    h, g = problem.time_metric, problem.space_metric
-    G, N = _canonical_objects(problem)
-    records = []
+def _connection_family(problem: Problem, charts: dict[str, _Chart], corrupt: bool) -> Report:
+    tol, origin, records = problem.tolerance, charts[""], []
+    N = origin.connection
 
     # produced-by-semispray consistency, chart-independent
-    N_from_G = connection_from_spray(G, g)
+    N_from_G = connection_from_spray(MomentumSemispray(origin.temporal, origin.spatial), origin.g)
     for q in problem.points:
         pairs = (
             (N.evaluate_temporal(q), N_from_G.evaluate_temporal(q)),
@@ -151,25 +191,16 @@ def _connection_family(problem: Problem, corrupt: bool = False) -> Report:
         )
 
     for spec in problem.charts:
-        c = spec.change
-        N_new = canonical_connection(
-            transform_time_metric(h, c), transform_space_metric(g, c)
-        )
+        N_new = charts[spec.name].connection
         if corrupt:
-            N_new = NonlinearConnection(
-                N_new.n,
-                (N_new.temporal[0] + 1, *N_new.temporal[1:]),
-                N_new.spatial,
-            )
-        rep = verify_connection_law(N, N_new, c, problem.points, tol)
+            N_new = replace(N_new, temporal=(N_new.temporal[0] + 1, *N_new.temporal[1:]))
+        rep = verify_connection_law(N, N_new, spec.change, problem.points, tol)
         records.extend(r.with_chart(spec.name) for r in rep.records)
     return Report.of(records)
 
 
-def _frames_family(problem: Problem) -> Report:
-    tol = problem.tolerance
-    h, g = problem.time_metric, problem.space_metric
-    _, N = _canonical_objects(problem)
+def _frames_family(problem: Problem, charts: dict[str, _Chart]) -> Report:
+    tol, N = problem.tolerance, charts[""].connection
     F, C = adapted_frame(N), adapted_coframe(N)
     size = 2 * problem.n + 1
     records = []
@@ -179,10 +210,7 @@ def _frames_family(problem: Problem) -> Report:
             CheckRecord("frames.duality", "", q.flat(), dev, dev <= DUALITY_TOL)
         )
     for spec in problem.charts:
-        c = spec.change
-        N_new = canonical_connection(
-            transform_time_metric(h, c), transform_space_metric(g, c)
-        )
+        c, N_new = spec.change, charts[spec.name].connection
         # the tensoriality claim presumes the connection law; when the law
         # fails at the configured tolerance, report those residuals instead
         # of raising, so the failure surfaces through the exit-2 path
@@ -194,9 +222,7 @@ def _frames_family(problem: Problem) -> Report:
             records.extend(r.with_chart(spec.name) for r in rep.records)
         else:
             records.extend(
-                CheckRecord(
-                    "frames.connection_precondition", spec.name, r.point, r.residual, r.passed
-                )
+                replace(r, check_id="frames.connection_precondition", chart=spec.name)
                 for r in law.records
             )
     return Report.of(records)
@@ -211,35 +237,31 @@ def cmd_christoffel(problem: Problem) -> Report:
     n, tol = problem.n, problem.tolerance
     h, g = problem.time_metric, problem.space_metric
     H = christoffel_time(h)
-    gamma = christoffel_space(g)
+    gamma = g.christoffel
 
     click.echo(f"time metric      h11 = {h.h11}")
     click.echo(f"time christoffel H_11^1 = {H.H111}")
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                entry = gamma.gamma[i][j][k]
-                if str(entry) != "0":
-                    click.echo(f"gamma^{i + 1}_{j + 1}{k + 1} = {entry}")
+    entries = [
+        (f"gamma^{i + 1}_{j + 1}{k + 1}", gamma.gamma[i][j][k])
+        for i in range(n)
+        for j in range(n)
+        for k in range(j, n)
+    ]
+    nonzero = [(label, entry) for label, entry in entries if str(entry) != "0"]
+    for label, entry in nonzero:
+        click.echo(f"{label} = {entry}")
     click.echo("values at sample points:")
     for q in problem.points[:3]:
-        gvals = [
-            f"gamma^{i + 1}_{j + 1}{k + 1}={gamma.gamma[i][j][k].eval(q):.6g}"
-            for i in range(n)
-            for j in range(n)
-            for k in range(j, n)
-            if str(gamma.gamma[i][j][k]) != "0"
-        ]
+        gvals = [f"{label}={entry.eval(q):.6g}" for label, entry in nonzero]
         click.echo(f"  t={q.t:.4g} x={q.x}: H={H.H111.eval(q):.6g} " + " ".join(gvals))
 
     hinv = inverse_time(h)
-    ginv = inverse_space(g)
     records = []
     for q in problem.points:
         r = residual(h.h11.eval(q) * hinv.eval(q), 1.0)
         records.append(CheckRecord("metrics.inverse_time", "", q.flat(), r, r <= tol))
         gmat = np.array([[e.eval(q) for e in row] for row in g.g])
-        gimat = np.array([[e.eval(q) for e in row] for row in ginv])
+        gimat = np.array([[e.eval(q) for e in row] for row in g.inverse])
         r = float(np.max(np.abs(gmat @ gimat - np.eye(n))))
         records.append(CheckRecord("metrics.inverse_space", "", q.flat(), r, r <= tol))
         r = compatibility_residual(g, gamma, q)
@@ -249,16 +271,15 @@ def cmd_christoffel(problem: Problem) -> Report:
 
 def cmd_canonical(problem: Problem) -> Report:
     """Print canonical semisprays and connection; check their consistency."""
-    n = problem.n
-    G, N = _canonical_objects(problem)
-    click.echo("canonical temporal semispray:")
-    for j in range(n):
-        for k in range(n):
-            click.echo(f"  G1_({j + 1}){k + 1} = {G.temporal.coeffs[j][k]}")
-    click.echo("canonical spatial semispray:")
-    for j in range(n):
-        for k in range(n):
-            click.echo(f"  G2_({j + 1}){k + 1} = {G.spatial.coeffs[j][k]}")
+    n, charts = problem.n, _charts(problem)
+    origin = charts[""]
+    sprays = (("temporal", "G1", origin.temporal), ("spatial", "G2", origin.spatial))
+    N = origin.connection
+    for kind, tag, G in sprays:
+        click.echo(f"canonical {kind} semispray:")
+        for j in range(n):
+            for k in range(n):
+                click.echo(f"  {tag}_({j + 1}){k + 1} = {G.coeffs[j][k]}")
     click.echo("canonical nonlinear connection:")
     for j in range(n):
         click.echo(f"  N1_({j + 1}) = {N.temporal[j]}")
@@ -267,11 +288,11 @@ def cmd_canonical(problem: Problem) -> Report:
             click.echo(f"  N2_({j + 1}){i + 1} = {N.spatial[j][i]}")
     q = problem.points[0]
     click.echo(f"at {q.flat()}:")
-    click.echo(f"  G1 = {G.temporal.evaluate(q).tolist()}")
-    click.echo(f"  G2 = {G.spatial.evaluate(q).tolist()}")
+    for _, tag, G in sprays:
+        click.echo(f"  {tag} = {G.evaluate(q).tolist()}")
     click.echo(f"  N1 = {N.evaluate_temporal(q).tolist()}")
     click.echo(f"  N2 = {N.evaluate_spatial(q).tolist()}")
-    return _connection_family(problem)
+    return _connection_family(problem, charts, corrupt=False)
 
 
 def cmd_verify(problem: Problem, suite=("all",), corrupt_connection: bool = False) -> Report:
@@ -290,67 +311,45 @@ def cmd_verify(problem: Problem, suite=("all",), corrupt_connection: bool = Fals
     if "all" in chosen:
         chosen = {"dtensor", "spray", "connection", "frames"}
 
+    charts = _charts(problem)
     report = Report.of(())
     if "dtensor" in chosen:
-        report = report.merged_with(_dtensor_family(problem))
+        report = report.merged_with(_dtensor_family(problem, charts))
     if "spray" in chosen:
-        report = report.merged_with(_spray_family(problem))
+        report = report.merged_with(_spray_family(problem, charts))
     if "connection" in chosen:
-        report = report.merged_with(_connection_family(problem, corrupt=corrupt_connection))
+        report = report.merged_with(_connection_family(problem, charts, corrupt_connection))
     if "frames" in chosen:
-        report = report.merged_with(_frames_family(problem))
+        report = report.merged_with(_frames_family(problem, charts))
     return report
 
 
-_EVAL_OBJECTS = (
-    "vertical_metrical",
-    "liouville",
-    "momentum_liouville",
-    "h_normalization",
-    "temporal_spray",
-    "spatial_spray",
-    "connection",
-    "frame",
-    "coframe",
-    "pairing",
-)
+# object name -> its components at a point, read from the problem's own chart
+_EVAL_OBJECTS = {
+    **{name: (lambda o, q, name=name: getattr(o, name).evaluate(q)) for name in _DTENSORS},
+    "temporal_spray": lambda o, q: o.temporal.evaluate(q),
+    "spatial_spray": lambda o, q: o.spatial.evaluate(q),
+    "connection": lambda o, q: (
+        o.connection.evaluate_temporal(q), o.connection.evaluate_spatial(q)
+    ),
+    "frame": lambda o, q: adapted_frame(o.connection).evaluate(q),
+    "coframe": lambda o, q: adapted_coframe(o.connection).evaluate(q),
+    "pairing": lambda o, q: pairing(adapted_frame(o.connection), adapted_coframe(o.connection), q),
+}
 
 
 def cmd_eval(problem: Problem, object_name: str, at: Point) -> None:
     """Print the numeric components of a built object at one point."""
     if at.n != problem.n:
         raise JethamError(f"point has n={at.n}, problem has n={problem.n}")
-    n = problem.n
-    h, g = problem.time_metric, problem.space_metric
-    if object_name == "vertical_metrical":
-        values = vertical_metrical(_hamiltonian_of(problem)).evaluate(at)
-    elif object_name == "liouville":
-        values = liouville(n).evaluate(at)
-    elif object_name == "momentum_liouville":
-        values = momentum_liouville(h, n).evaluate(at)
-    elif object_name == "h_normalization":
-        values = h_normalization(h, n).evaluate(at)
-    elif object_name == "temporal_spray":
-        values = canonical_temporal(h, n).evaluate(at)
-    elif object_name == "spatial_spray":
-        values = canonical_spatial(g).evaluate(at)
-    elif object_name == "connection":
-        N = canonical_connection(h, g)
-        click.echo(f"N1 = {N.evaluate_temporal(at).tolist()}")
-        click.echo(f"N2 = {N.evaluate_spatial(at).tolist()}")
-        return
-    elif object_name == "frame":
-        values = adapted_frame(canonical_connection(h, g)).evaluate(at)
-    elif object_name == "coframe":
-        values = adapted_coframe(canonical_connection(h, g)).evaluate(at)
-    elif object_name == "pairing":
-        N = canonical_connection(h, g)
-        values = pairing(adapted_frame(N), adapted_coframe(N), at)
+    if object_name not in _EVAL_OBJECTS:
+        raise JethamError(f"unknown object {object_name!r}; choose from {tuple(_EVAL_OBJECTS)}")
+    values = _EVAL_OBJECTS[object_name](_Chart(problem), at)
+    if object_name == "connection":
+        click.echo(f"N1 = {values[0].tolist()}")
+        click.echo(f"N2 = {values[1].tolist()}")
     else:
-        raise JethamError(
-            f"unknown object {object_name!r}; choose from {_EVAL_OBJECTS}"
-        )
-    click.echo(f"{object_name} = {np.asarray(values).tolist()}")
+        click.echo(f"{object_name} = {np.asarray(values).tolist()}")
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +372,6 @@ def _finish(report: Report, json_path: str | None):
         sys.exit(EXIT_VERIFICATION_FAILED)
 
 
-def _load(problem_path: str) -> Problem:
-    try:
-        return load_problem(problem_path)
-    except JethamError as ex:
-        click.echo(f"error: {ex}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
-
-
 @click.group()
 def main():
     """Canonical geometry of a time-dependent metric pair on the momentum
@@ -392,8 +383,8 @@ def main():
 @click.option("--json", "json_path", default=None, type=click.Path())
 def christoffel(problem_path, json_path):
     """Print Christoffel symbols and check metric invertibility."""
-    report = _run_guarded(cmd_christoffel, _load(problem_path))
-    _finish(report, json_path)
+    problem = _run_guarded(load_problem, problem_path)
+    _finish(_run_guarded(cmd_christoffel, problem), json_path)
 
 
 @main.command()
@@ -401,8 +392,8 @@ def christoffel(problem_path, json_path):
 @click.option("--json", "json_path", default=None, type=click.Path())
 def canonical(problem_path, json_path):
     """Print canonical semisprays and connection; check consistency."""
-    report = _run_guarded(cmd_canonical, _load(problem_path))
-    _finish(report, json_path)
+    problem = _run_guarded(load_problem, problem_path)
+    _finish(_run_guarded(cmd_canonical, problem), json_path)
 
 
 @main.command()
@@ -418,7 +409,7 @@ def canonical(problem_path, json_path):
 @click.option("--corrupt-connection", is_flag=True, hidden=True)
 def verify(problem_path, suite, json_path, corrupt_connection):
     """Run transformation-law verification over all charts and points."""
-    problem = _load(problem_path)
+    problem = _run_guarded(load_problem, problem_path)
     report = _run_guarded(
         cmd_verify, problem, suite, corrupt_connection=corrupt_connection
     )
@@ -431,7 +422,7 @@ def verify(problem_path, suite, json_path, corrupt_connection):
 @click.option("--at", "at_text", required=True, help="comma-separated t,x...,p...")
 def eval_command(problem_path, object_name, at_text):
     """Evaluate a built object at a point."""
-    problem = _load(problem_path)
+    problem = _run_guarded(load_problem, problem_path)
     try:
         values = [float(v) for v in at_text.split(",")]
         at = Point.from_flat(values, problem.n)

@@ -25,7 +25,7 @@ import numpy as np
 from .charts import CoordChange, TransitionData, induced_point, transition
 from .errors import SignatureMismatchError
 from .expr import Expr, Point, Program, Var, const, pvar
-from .metrics import SpaceMetric, TimeMetric, inverse_space, inverse_time
+from .metrics import SpaceMetric, TimeMetric, inverse_time
 from .report import CheckRecord, Report, residual, worst_residual
 
 __all__ = [
@@ -112,10 +112,13 @@ def transform_factor(kind: IndexKind, td: TransitionData):
 
 def push_forward(T: DTensor, c: CoordChange, q: Point) -> np.ndarray:
     """Numeric components of T in the tilde frame at the image of q."""
-    td = transition(c, q)
-    values = T.evaluate(q)
+    return _apply_factors(T.signature, transition(c, q), T.evaluate(q))
+
+
+def _apply_factors(signature, td: TransitionData, values: np.ndarray) -> np.ndarray:
+    """Contract component values with one transform factor per slot."""
     axis = 0
-    for kind in T.signature:
+    for kind in signature:
         factor = transform_factor(kind, td)
         if kind.has_axis:
             values = np.moveaxis(np.tensordot(factor, values, axes=(1, axis)), 0, axis)
@@ -145,13 +148,14 @@ def verify_dtensor(
     records = []
     for q in points:
         image = induced_point(c, q)
-        pushed = push_forward(T_old, c, q)
-        expected = T_new.evaluate(image)
-        pulled = push_forward(T_new, inverse, image)
-        back = T_old.evaluate(q)
+        td = transition(c, q)
+        old = T_old.evaluate(q)
+        new = T_new.evaluate(image)
+        pushed = _apply_factors(T_old.signature, td, old)
+        pulled = _apply_factors(T_new.signature, transition(inverse, image), new)
         worst = worst_residual(
             residual(float(a), float(b))
-            for got, want in ((pushed, expected), (pulled, back))
+            for got, want in ((pushed, new), (pulled, old))
             for a, b in zip(got.ravel(), want.ravel())
         )
         records.append(
@@ -208,7 +212,7 @@ def metric_hamiltonian(h: TimeMetric, g: SpaceMetric) -> Hamiltonian:
     """The kinetic-energy Hamiltonian h^11 g^ij p_i p_j of a metric pair."""
     n = g.n
     hinv = inverse_time(h)
-    ginv = inverse_space(g)
+    ginv = g.inverse
     total = const(0)
     for i in range(n):
         for j in range(n):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .charts import CoordChange
 from .errors import DimensionError
@@ -63,6 +64,15 @@ class SpaceMetric:
                         f"space metric entries [{i}][{j}] and [{j}][{i}] differ; "
                         "use identical expressions"
                     )
+
+    # built once per metric object and shared by everything built from it
+    @cached_property
+    def inverse(self) -> tuple[tuple[Expr, ...], ...]:
+        return inverse_space(self)
+
+    @cached_property
+    def christoffel(self) -> "ChristoffelSpace":
+        return christoffel_space(self)
 
     @classmethod
     def diagonal(cls, entries: tuple[Expr, ...]) -> "SpaceMetric":
@@ -164,7 +174,7 @@ def christoffel_space(g: SpaceMetric) -> ChristoffelSpace:
     n = g.n
     if n > MAX_DIM:
         raise DimensionError(f"Christoffel symbols limited to n <= {MAX_DIM}, got n={n}")
-    ginv = inverse_space(g)
+    ginv = g.inverse
     dg = [
         [[g.g[i][j].diff(Var.space(k)) for k in range(n)] for j in range(n)]
         for i in range(n)

@@ -22,13 +22,7 @@ import numpy as np
 from .charts import CoordChange, induced_point, transition
 from .errors import DimensionError
 from .expr import Expr, Point, Program, Var, const, esum, pvar
-from .metrics import (
-    SpaceMetric,
-    TimeMetric,
-    christoffel_space,
-    christoffel_time,
-    inverse_space,
-)
+from .metrics import SpaceMetric, TimeMetric, christoffel_time
 from .report import CheckRecord, Report, residual, worst_residual
 from .spray import MomentumSemispray, SpatialSemispray, TemporalSemispray
 
@@ -75,7 +69,7 @@ def canonical_connection(h: TimeMetric, g: SpaceMetric) -> NonlinearConnection:
     canonical connection, also produced by its canonical semisprays)."""
     n = g.n
     H = christoffel_time(h).H111
-    gamma = christoffel_space(g).gamma
+    gamma = g.christoffel.gamma
     temporal = tuple(H * pvar(j) for j in range(n))
     spatial = tuple(
         tuple(-esum(gamma[k][j][i] * pvar(k) for k in range(n)) for i in range(n))
@@ -89,7 +83,7 @@ def connection_from_spray(G: MomentumSemispray, g: SpaceMetric) -> NonlinearConn
     n = G.n
     if g.n != n:
         raise DimensionError("semispray and metric dimensions differ")
-    ginv = inverse_space(g)
+    ginv = g.inverse
     dG = [
         [
             [G.temporal.coeffs[j][k].diff(Var.momentum(i)) for i in range(n)]

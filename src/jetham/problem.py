@@ -10,6 +10,7 @@ actual sample points, never silently skipped).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from .dtensor import Hamiltonian
 from .errors import JethamError, ProblemFormatError
 from .expr import Expr, Point, parse
 from .metrics import SpaceMetric, TimeMetric, space_metric_det
-from .report import residual
+from .report import residual, worst_residual
 from .sampling import Box, sample_points
 
 __all__ = ["ChartSpec", "Problem", "load_problem", "problem_from_dict"]
@@ -153,12 +154,13 @@ def _load_chart(doc, n: int, index: int) -> ChartSpec:
 def _validate_on_points(problem: Problem):
     h = problem.time_metric.h11
     det_g = space_metric_det(problem.space_metric)
+    # negated tests, so that NaN (false under every comparison) is rejected
     for q in problem.points:
         hv = h.eval(q)
-        if abs(hv) <= INVERTIBILITY_EPS:
+        if not INVERTIBILITY_EPS < abs(hv) < math.inf:
             raise ProblemFormatError(f"time metric is singular at t={q.t}: h11={hv}")
         dv = det_g.eval(q)
-        if abs(dv) <= INVERTIBILITY_EPS:
+        if not INVERTIBILITY_EPS < abs(dv) < math.inf:
             raise ProblemFormatError(f"space metric is singular at x={q.x}: det={dv}")
     for spec in problem.charts:
         c = spec.change
@@ -166,7 +168,7 @@ def _validate_on_points(problem: Problem):
             t_round = c.t_inv.eval(
                 Point(c.t_fwd.eval(q), q.x, q.p)
             )
-            if residual(t_round, q.t) > ROUND_TRIP_TOL:
+            if not residual(t_round, q.t) <= ROUND_TRIP_TOL:
                 raise ProblemFormatError(
                     f"chart {spec.name!r}: t_inv(t_fwd(t)) = {t_round} != t = {q.t}"
                 )
@@ -174,8 +176,7 @@ def _validate_on_points(problem: Problem):
             x_round = [
                 e.eval(Point(q.t, image_x, q.p)) for e in c.x_inv
             ]
-            worst = max(residual(a, b) for a, b in zip(x_round, q.x))
-            if worst > ROUND_TRIP_TOL:
+            if not worst_residual(map(residual, x_round, q.x)) <= ROUND_TRIP_TOL:
                 raise ProblemFormatError(
                     f"chart {spec.name!r}: x_inv(x_fwd(x)) != x at x={q.x}"
                 )

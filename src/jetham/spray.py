@@ -19,7 +19,7 @@ import numpy as np
 from .charts import CoordChange, induced_point, transition
 from .errors import DimensionError
 from .expr import Expr, Point, Program, const, esum, pvar
-from .metrics import SpaceMetric, TimeMetric, christoffel_space, christoffel_time
+from .metrics import SpaceMetric, TimeMetric, christoffel_time
 from .report import CheckRecord, Report, residual, worst_residual
 
 __all__ = [
@@ -102,7 +102,7 @@ def canonical_temporal(h: TimeMetric, n: int) -> TemporalSemispray:
 
 def canonical_spatial(g: SpaceMetric) -> SpatialSemispray:
     """G_(j)k = -(1/2) gamma^i_jk p_i, linear in the momenta."""
-    gamma = christoffel_space(g).gamma
+    gamma = g.christoffel.gamma
     n = g.n
     half = const(0.5)
     rows: list[list[Expr]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]

@@ -1,12 +1,20 @@
 """End-to-end CLI behaviour: commands, exit codes, report files."""
 
+import gc
 import json
+import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from jetham.cli import main
+import jetham.cli
+import jetham.dtensor
+import jetham.metrics
+import jetham.nlconn
+from jetham.cli import cmd_verify, main
+from jetham.problem import load_problem
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "problems" / "example.json"
 
@@ -253,3 +261,90 @@ class TestEval:
             main, ["eval", "--problem", str(EXAMPLE), "--object", "liouville", "--at", "1,2"]
         )
         assert result.exit_code == 3
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name under every name a jetham module holds it by, as the
+    benchmark's tracer does, and return the list of first arguments seen."""
+    original = getattr(module, name)
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(args[0])
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("jetham"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return seen
+
+
+class TestBuildOnce:
+    """One verdict builds each canonical object once (example: 2 charts, so
+    3 metric pairs)."""
+
+    def _counts(self, monkeypatch, suite):
+        seen = {
+            name: _count_calls(monkeypatch, module, name)
+            for module, name in (
+                (jetham.nlconn, "canonical_connection"),
+                (jetham.dtensor, "vertical_metrical"),
+                (jetham.metrics, "christoffel_space"),
+            )
+        }
+        report = cmd_verify(load_problem(EXAMPLE), suite)
+        assert report.passed
+        return seen
+
+    def test_all_suites(self, monkeypatch):
+        seen = self._counts(monkeypatch, ("all",))
+        assert len(seen["canonical_connection"]) == 3
+        assert len(seen["vertical_metrical"]) == 3
+        metrics = seen["christoffel_space"]
+        assert len(metrics) == 3
+        assert len({id(g) for g in metrics}) == 3
+
+    def test_dtensor_suite_builds_no_connection(self, monkeypatch):
+        seen = self._counts(monkeypatch, ("dtensor",))
+        assert seen["canonical_connection"] == []
+        assert seen["christoffel_space"] == []
+        assert len(seen["vertical_metrical"]) == 3
+
+    def test_objects_freed_without_gc(self, monkeypatch):
+        # the verdict's objects hold no reference cycle, so dropping them
+        # frees them at once
+        refs = []
+        build = jetham.cli.canonical_connection
+
+        def tracked(*args):
+            N = build(*args)
+            refs.append(weakref.ref(N))
+            return N
+
+        monkeypatch.setattr(jetham.cli, "canonical_connection", tracked)
+        problem = load_problem(EXAMPLE)
+        gc.disable()
+        try:
+            cmd_verify(problem)
+            assert len(refs) == 3
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+
+def test_corrupt_connection_stays_local_to_connection_family():
+    # the +1 perturbation must not reach the frames family, which shares the
+    # new-chart connections with the connection family
+    problem = load_problem(EXAMPLE)
+    report = cmd_verify(problem, corrupt_connection=True)
+    failing = sorted((r.check_id, r.chart, r.point) for r in report.failures())
+    expected = sorted(
+        ("connection.temporal", spec.name, q.flat())
+        for spec in problem.charts
+        for q in problem.points
+    )
+    assert failing == expected
+    frames = [r for r in report.records if r.check_id.startswith("frames.")]
+    assert frames and all(r.passed for r in frames)

@@ -1,11 +1,24 @@
 """Problem file parsing, validation, and load-time sanity checks."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from jetham.errors import ProblemFormatError
 from jetham.problem import load_problem, problem_from_dict
+
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "problems" / "example.json"
+
+
+def nan_example():
+    """The bundled example, sampled at the single point (t, x, p) =
+    (1.2, 1.9, 1.1, 0.7, -1.3), where exp(400*t)^2 and exp(400*x2)^2
+    overflow to inf."""
+    doc = json.loads(EXAMPLE.read_text())
+    doc["sample"] = {"points": [[1.2, 1.9, 1.1, 0.7, -1.3]]}
+    return doc
 
 
 def base_doc():
@@ -115,14 +128,26 @@ class TestRejection:
         doc = base_doc()
         doc["space_metric"] = [["1", "0"], ["0", "x1^2"]]
         doc["sample"] = {"points": [[1.0, 0.0, 1.0, 1.0, 1.0]]}  # x1 = 0
-        with pytest.raises(ProblemFormatError, match="singular"):
-            problem_from_dict(doc)
+        # h11 = NaN at the point: exp(480)^2 overflows, and inf - inf is NaN
+        nan_h11 = nan_example()
+        nan_h11["time_metric"] = (
+            "exp(2*t) + (exp(400*t)*exp(400*t) - exp(400*t)*exp(400*t))"
+        )
+        for d, message in ((doc, "singular"), (nan_h11, "time metric is singular")):
+            with pytest.raises(ProblemFormatError, match=message):
+                problem_from_dict(d)
 
     def test_wrong_chart_inverse_caught_at_load(self):
         doc = base_doc()
         doc["charts"][0]["x_inv"] = ["x1 - x2^2", "x2"]  # wrong inverse
-        with pytest.raises(ProblemFormatError, match="x_inv"):
-            problem_from_dict(doc)
+        # a round trip that is NaN at the point
+        nan_round_trip = nan_example()
+        nan_round_trip["charts"][0]["x_inv"][0] = (
+            "x1 - x2^3 + (exp(400*x2)*exp(400*x2) - exp(400*x2)*exp(400*x2))"
+        )
+        for d, message in ((doc, "x_inv"), (nan_round_trip, "chart 'shear': x_inv")):
+            with pytest.raises(ProblemFormatError, match=message):
+                problem_from_dict(d)
 
     def test_bad_point_arity(self):
         doc = base_doc()
