@@ -10,17 +10,23 @@ so this is a relativistic-time phase space: reparametrizing time rescales
 momenta.  All transition factors, including the inhomogeneous ones
 (dp~/dt needs the second derivative of t~), come from exact symbolic
 differentiation of the composed momentum expression.
+
+Each change compiles the expressions a transition evaluates into five
+``Program`` stages and keeps, per point, the image and the transition data
+it computed, so the laws that all contract with the same factors evaluate
+them once per (change, point).
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ChartInverseError, DimensionError, RegularityError
-from .expr import Coord, Expr, Point, Var, check_vars, compose, esum
+from .expr import Coord, Expr, Point, Program, Var, check_vars, compose, esum
 from .report import CheckRecord, Report
 
 __all__ = [
@@ -46,7 +52,12 @@ class CoordChange:
 
     Inverse expressions are written in the same variable names, read as the
     tilde coordinates.  Inverses are cross-checked numerically at every
-    point a transition is computed at.
+    point a transition is computed at, the first time it is computed there.
+
+    The change memoizes its results per point, keyed on the exact float
+    bits of the point (so -0.0 and 0.0 are different keys), for as long as
+    the change lives.  Only successes are kept; a point that raised is
+    evaluated again on the next call.
     """
 
     n: int
@@ -67,6 +78,13 @@ class CoordChange:
             check_vars(self.x_inv[i], x_only, f"x_inv[{i}]")
 
     def inverse(self) -> "CoordChange":
+        """The reverse change: the same object on every call, so its cached
+        derivatives, programs and memo are kept.  It holds no reference
+        back to this change."""
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "CoordChange":
         return CoordChange(self.n, self.t_inv, self.t_fwd, self.x_inv, self.x_fwd)
 
     # -- cached symbolic derivatives ----------------------------------------
@@ -120,6 +138,43 @@ class CoordChange:
             for e in self.momentum_map
         )
 
+    # -- compiled evaluation stages, in the order a transition runs them ----
+
+    @cached_property
+    def _dt_program(self) -> Program:
+        return Program([self.dt_fwd])
+
+    @cached_property
+    def _jac_program(self) -> Program:
+        return Program(_flat(self.jac_fwd))
+
+    @cached_property
+    def _image_program(self) -> Program:
+        return Program((self.t_fwd, *self.x_fwd, *self.momentum_map))
+
+    @cached_property
+    def _inverse_factor_program(self) -> Program:
+        """dt/dt~ and dx/dx~, run at the image point."""
+        return Program((self.dt_inv, *_flat(self.jac_inv)))
+
+    @cached_property
+    def _momentum_derivative_program(self) -> Program:
+        return Program((*self.dmomentum_dt, *_flat(self.dmomentum_dx)))
+
+    # -- per-point memo -----------------------------------------------------
+
+    @cached_property
+    def _point_key(self) -> struct.Struct:
+        return struct.Struct(f"{2 * self.n + 1}d")
+
+    @cached_property
+    def _visits(self) -> dict[bytes, "_Visit"]:
+        return {}
+
+
+def _flat(rows: tuple[tuple[Expr, ...], ...]) -> list[Expr]:
+    return [e for row in rows for e in row]
+
 
 def identity_change(n: int) -> CoordChange:
     xs = tuple(Coord(Var.space(i)) for i in range(n))
@@ -145,13 +200,15 @@ def compose_changes(outer: CoordChange, inner: CoordChange) -> CoordChange:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransitionData:
     """All transition factors of a change, evaluated at one point.
 
     jac[i][j] = dx~^i/dx^j at x(q); jac_inv[i][j] = dx^i/dx~^j at x~(x(q));
     dp_tilde_dt[k] = dp~_k/dt and dp_tilde_dx[k][i] = dp~_k/dx^i, both taken
     from the composed momentum expression at fixed remaining coordinates.
+    One object is shared by every caller at the same (change, point), so
+    its arrays are read-only.
     """
 
     dt_tilde_dt: float
@@ -162,61 +219,90 @@ class TransitionData:
     dp_tilde_dx: np.ndarray
 
 
+class _Visit:
+    """What a change has computed at one point: the image and the regular
+    forward factors, then the transition data once a transition succeeded."""
+
+    __slots__ = ("image", "dt", "jac", "data")
+
+    def __init__(self, image: Point, dt: float, jac: np.ndarray):
+        self.image, self.dt, self.jac = image, dt, jac
+        self.data: TransitionData | None = None
+
+
+def _read_only(values: list[float], shape: tuple[int, ...]) -> np.ndarray:
+    a = np.array(values).reshape(shape)
+    a.flags.writeable = False
+    return a
+
+
 def _require_regular(c: CoordChange, q: Point) -> tuple[float, np.ndarray]:
-    dt = c.dt_fwd.eval(q)
-    if abs(dt) <= REGULARITY_EPS:
+    # negated tests, so that NaN (false under every comparison) is rejected
+    (dt,) = c._dt_program.run(q)
+    if not abs(dt) > REGULARITY_EPS:
         raise RegularityError(f"dt~/dt = {dt} at t = {q.t}")
-    jac = np.array(
-        [[c.jac_fwd[i][j].eval(q) for j in range(c.n)] for i in range(c.n)]
-    )
+    jac = _read_only(c._jac_program.run(q), (c.n, c.n))
     det = float(np.linalg.det(jac))
-    if abs(det) <= REGULARITY_EPS:
+    if not abs(det) > REGULARITY_EPS:
         raise RegularityError(f"det(dx~/dx) = {det} at x = {q.x}")
     return dt, jac
+
+
+def _visit(c: CoordChange, q: Point) -> _Visit:
+    """c's memo entry for q; a miss checks regularity and maps q."""
+    key = c._point_key.pack(q.t, *q.x, *q.p)
+    visit = c._visits.get(key)
+    if visit is None:
+        dt, jac = _require_regular(c, q)
+        values = c._image_program.run(q)
+        n = c.n
+        image = Point(values[0], tuple(values[1 : n + 1]), tuple(values[n + 1 :]))
+        visit = c._visits[key] = _Visit(image, dt, jac)
+    return visit
 
 
 def induced_point(c: CoordChange, q: Point) -> Point:
     """Image of q under the induced change on the dual 1-jet space."""
     if q.n != c.n:
         raise DimensionError(f"point has n={q.n}, change has n={c.n}")
-    _require_regular(c, q)
-    return Point(
-        c.t_fwd.eval(q),
-        tuple(e.eval(q) for e in c.x_fwd),
-        tuple(e.eval(q) for e in c.momentum_map),
-    )
+    return _visit(c, q).image
 
 
 def transition(c: CoordChange, q: Point) -> TransitionData:
     """Evaluate every transition factor of c at q (with inverse cross-checks)."""
     if q.n != c.n:
         raise DimensionError(f"point has n={q.n}, change has n={c.n}")
-    n = c.n
-    dt, jac = _require_regular(c, q)
-
     image = induced_point(c, q)
-    dt_inv = c.dt_inv.eval(image)
-    jac_inv = np.array(
-        [[c.jac_inv[i][j].eval(image) for j in range(n)] for i in range(n)]
-    )
+    visit = _visit(c, q)
+    if visit.data is None:
+        visit.data = _transition_data(c, q, image, visit.dt, visit.jac)
+    return visit.data
 
-    # user-supplied inverses are cross-checked, not trusted
-    if abs(dt * dt_inv - 1.0) > INVERSE_CHECK_TOL:
+
+def _transition_data(
+    c: CoordChange, q: Point, image: Point, dt: float, jac: np.ndarray
+) -> TransitionData:
+    n = c.n
+    dt_inv, *inverse_jac = c._inverse_factor_program.run(image)
+    jac_inv = _read_only(inverse_jac, (n, n))
+
+    # user-supplied inverses are cross-checked, not trusted; the tests are
+    # negated, so that NaN (false under every comparison) is rejected
+    if not abs(dt * dt_inv - 1.0) <= INVERSE_CHECK_TOL:
         raise ChartInverseError(
             f"t_inv is not the inverse of t_fwd at t={q.t}: dt~/dt * dt/dt~ = {dt * dt_inv}"
         )
-    if np.max(np.abs(jac @ jac_inv - np.eye(n))) > INVERSE_CHECK_TOL:
+    if not np.max(np.abs(jac @ jac_inv - np.eye(n))) <= INVERSE_CHECK_TOL:
         raise ChartInverseError(f"x_inv is not the inverse of x_fwd at x={q.x}")
 
+    dp = c._momentum_derivative_program.run(q)
     return TransitionData(
         dt_tilde_dt=dt,
         dt_dt_tilde=dt_inv,
         jac=jac,
         jac_inv=jac_inv,
-        dp_tilde_dt=np.array([e.eval(q) for e in c.dmomentum_dt]),
-        dp_tilde_dx=np.array(
-            [[c.dmomentum_dx[k][i].eval(q) for i in range(n)] for k in range(n)]
-        ),
+        dp_tilde_dt=_read_only(dp[:n], (n,)),
+        dp_tilde_dx=_read_only(dp[n:], (n, n)),
     )
 
 

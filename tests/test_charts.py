@@ -1,12 +1,20 @@
 """Coordinate changes, induced momenta, transition factors, frame rules."""
 
+import dataclasses
+import gc
+import math
+import struct
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jetham.charts
 from jetham.charts import (
     CoordChange,
+    TransitionData,
     compose_changes,
     identity_change,
     induced_point,
@@ -17,7 +25,7 @@ from jetham.charts import (
 from jetham.errors import ChartInverseError, DimensionError, RegularityError
 from jetham.expr import Point, evaluate, parse
 
-from helpers import chart, charts_for, nonlinear_charts_for, sampled_points
+from helpers import CARDANO_X1, chart, charts_for, nonlinear_charts_for, sampled_points
 
 
 def simple_chart_1d(t_fwd, t_inv, x_fwd, x_inv):
@@ -150,6 +158,220 @@ class TestTransition:
         c = simple_chart_1d("t", "t", "2*x1", "x1/3")
         with pytest.raises(ChartInverseError):
             transition(c, Point.make(1.0, [1.0], [1.0]))
+
+
+def eval_reference(c: CoordChange, q: Point) -> tuple[Point, TransitionData]:
+    """The image and the transition factors through the recursive Expr.eval."""
+    image = Point(
+        c.t_fwd.eval(q),
+        tuple(e.eval(q) for e in c.x_fwd),
+        tuple(e.eval(q) for e in c.momentum_map),
+    )
+    td = TransitionData(
+        dt_tilde_dt=c.dt_fwd.eval(q),
+        dt_dt_tilde=c.dt_inv.eval(image),
+        jac=np.array([[e.eval(q) for e in row] for row in c.jac_fwd]),
+        jac_inv=np.array([[e.eval(image) for e in row] for row in c.jac_inv]),
+        dp_tilde_dt=np.array([e.eval(q) for e in c.dmomentum_dt]),
+        dp_tilde_dx=np.array([[e.eval(q) for e in row] for row in c.dmomentum_dx]),
+    )
+    return image, td
+
+
+def bits(image: Point, td: TransitionData) -> tuple[bytes, ...]:
+    """Exact float bits, so that -0.0 and 0.0 differ."""
+    flat = image.flat() + (td.dt_tilde_dt, td.dt_dt_tilde)
+    arrays = (td.jac, td.jac_inv, td.dp_tilde_dt, td.dp_tilde_dx)
+    return (struct.pack(f"{len(flat)}d", *flat),) + tuple(
+        np.asarray(a, dtype=np.float64).tobytes() for a in arrays
+    )
+
+
+# invertible pieces with closed-form inverses, regular for t, x in [0.5, 2];
+# {a} is a coefficient in [0.5, 2]
+TIME_MAPS = [
+    ("{a}*t", "t/{a}"),
+    ("{a}*t^3", "(t/{a})^(1/3)"),
+    ("exp({a}*t)", "log(t)/{a}"),
+    ("t^2 + {a}*t", "(t + {a}^2/4)^(1/2) - {a}/2"),
+]
+SPACE_MAPS = {
+    1: [
+        (["{a}*x1 + 1"], ["(x1 - 1)/{a}"]),
+        (["exp({a}*x1)"], ["log(x1)/{a}"]),
+        (["x1 + x1^3"], [CARDANO_X1]),
+    ],
+    2: [
+        (["{a}*x1", "x2/{a}"], ["x1/{a}", "{a}*x2"]),
+        (["x1 + {a}*x2^3", "x2"], ["x1 - {a}*x2^3", "x2"]),
+        (["{a}*x1", "x1*x2"], ["x1/{a}", "{a}*x2/x1"]),
+        (["x1*exp({a}*x2)", "x2"], ["x1/exp({a}*x2)", "x2"]),
+    ],
+}
+# well-conditioned on any image of the pieces above
+OUTER_SPACE_MAPS = {1: SPACE_MAPS[1][:1], 2: SPACE_MAPS[2][:2]}
+coefficients = st.floats(min_value=0.5, max_value=2.0)
+
+
+@st.composite
+def random_charts(draw):
+    n = draw(st.sampled_from([1, 2]))
+    t_fwd, t_inv = draw(st.sampled_from(TIME_MAPS))
+    x_fwd, x_inv = draw(st.sampled_from(SPACE_MAPS[n]))
+    a, b = draw(coefficients), draw(coefficients)
+    c = chart(
+        n,
+        t_fwd.format(a=a),
+        t_inv.format(a=a),
+        [s.format(a=b) for s in x_fwd],
+        [s.format(a=b) for s in x_inv],
+    )
+    if draw(st.booleans()):  # deeper trees: a second change on top
+        x2_fwd, x2_inv = draw(st.sampled_from(OUTER_SPACE_MAPS[n]))
+        d = draw(coefficients)
+        outer = chart(
+            n, "t", "t", [s.format(a=d) for s in x2_fwd], [s.format(a=d) for s in x2_inv]
+        )
+        c = compose_changes(outer, c)
+    return c
+
+
+@st.composite
+def random_points(draw, n):
+    box = st.floats(min_value=0.5, max_value=2.0)
+    # zero momenta keep their sign through the linear momentum map
+    momenta = st.one_of(st.floats(min_value=-3.0, max_value=3.0), st.just(0.0))
+    return Point(draw(box), tuple(draw(box) for _ in range(n)), tuple(draw(momenta) for _ in range(n)))
+
+
+def negative_zeros(q: Point) -> Point:
+    return Point(q.t, q.x, tuple(-0.0 if v == 0.0 else v for v in q.p))
+
+
+class TestCompiledTransition:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), c=random_charts(), image_first=st.booleans())
+    def test_matches_recursive_eval_bit_for_bit(self, data, c, image_first):
+        q = data.draw(random_points(c.n))
+        for point in (q, negative_zeros(q)):
+            image, td = eval_reference(c, point)
+            want = bits(image, td)
+            if image_first:
+                first = (induced_point(c, point), transition(c, point))
+            else:
+                td_first = transition(c, point)
+                first = (induced_point(c, point), td_first)
+            assert bits(*first) == want
+            # repeated calls hit the memo and return the stored objects
+            again = (induced_point(c, point), transition(c, point))
+            assert again[0] is first[0] and again[1] is first[1]
+            assert bits(*again) == want
+        assert c.inverse() is c.inverse()
+        back = induced_point(c, q)
+        assert bits(induced_point(c.inverse(), back), transition(c.inverse(), back)) == bits(
+            *eval_reference(c.inverse(), back)
+        )
+
+    def test_negative_zero_is_its_own_point(self):
+        c = simple_chart_1d("2*t", "t/2", "3*x1", "x1/3")
+        q = Point(0.0, (1.0,), (0.0,))
+        q_neg = Point(-0.0, (1.0,), (-0.0,))
+        image, image_neg = induced_point(c, q), induced_point(c, q_neg)
+        assert image == image_neg  # equal values ...
+        assert math.copysign(1.0, image.t) == 1.0 and math.copysign(1.0, image.p[0]) == 1.0
+        assert math.copysign(1.0, image_neg.t) == -1.0
+        assert math.copysign(1.0, image_neg.p[0]) == -1.0  # ... different bits
+
+    def test_regularity_checked_once_per_point(self, monkeypatch):
+        calls = []
+        original = jetham.charts._require_regular
+
+        def counted(c, q):
+            calls.append(q)
+            return original(c, q)
+
+        monkeypatch.setattr(jetham.charts, "_require_regular", counted)
+        c = nonlinear_charts_for(2)["stretch"]
+        q = Point.make(0.8, [1.1, 1.6], [2.0, -1.0])
+        for _ in range(3):
+            transition(c, q)
+            induced_point(c, q)
+        assert calls == [q]
+
+    def test_returned_arrays_are_read_only(self):
+        td = transition(nonlinear_charts_for(2)["stretch"], Point.make(0.8, [1.1, 1.6], [2.0, -1.0]))
+        for name in ("jac", "jac_inv", "dp_tilde_dt", "dp_tilde_dx"):
+            with pytest.raises(ValueError):
+                getattr(td, name)[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            td.jac = np.eye(2)
+
+    def test_failures_are_not_stored(self):
+        # the image is stored, the failed transition is computed again
+        c = simple_chart_1d("2*t", "t/3", "x1", "x1")  # t_inv is wrong
+        q = Point.make(1.0, [1.0], [1.0])
+        for _ in range(2):
+            with pytest.raises(ChartInverseError):
+                transition(c, q)
+        assert induced_point(c, q) == Point.make(2.0, [1.0], [2.0])
+
+    def test_change_freed_without_gc(self):
+        # a change, its cached inverse and its memo hold no reference cycle,
+        # so dropping the change frees them at once
+        gc.disable()
+        try:
+            c = chart(2, "exp(t)", "log(t)", ["2*x1", "x1*x2"], ["x1/2", "2*x2/x1"])
+            q = Point.make(0.8, [1.1, 1.6], [2.0, -1.0])
+            inv = c.inverse()
+            image = induced_point(c, q)
+            kept = [c, inv, image, transition(c, q), transition(inv, image)]
+            refs = [weakref.ref(obj) for obj in kept]
+            del c, inv, image, kept
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+
+class _Stage:
+    """Stands in for a compiled stage whose output no chart can produce."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def run(self, q):
+        return list(self.values)
+
+
+def with_stage(c: CoordChange, name: str, values) -> CoordChange:
+    vars(c)[name] = _Stage(values)
+    return c
+
+
+class TestNonFiniteChecks:
+    """Every check rejects NaN (false under every comparison).  Compiled
+    stages never return a non-finite value, so one is patched in."""
+
+    q = Point.make(1.0, [1.0, 1.0], [1.0, 1.0])
+
+    def test_time_inverse_check(self):
+        c = with_stage(identity_change(2), "_inverse_factor_program", [math.nan, 1.0, 0.0, 0.0, 1.0])
+        with pytest.raises(ChartInverseError, match="t_inv"):
+            transition(c, self.q)
+
+    def test_space_inverse_check(self):
+        c = with_stage(identity_change(2), "_inverse_factor_program", [1.0, math.nan, 0.0, 0.0, 1.0])
+        with pytest.raises(ChartInverseError, match="x_inv"):
+            transition(c, self.q)
+
+    def test_time_regularity(self):
+        c = with_stage(identity_change(2), "_dt_program", [math.nan])
+        with pytest.raises(RegularityError):
+            induced_point(c, self.q)
+
+    def test_jacobian_regularity(self):
+        c = with_stage(identity_change(2), "_jac_program", [math.nan, 0.0, 0.0, 1.0])
+        with pytest.raises(RegularityError):
+            induced_point(c, self.q)
 
 
 class TestFrameRules:

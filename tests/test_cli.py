@@ -151,6 +151,27 @@ class TestVerify:
         assert message in result.stderr
         assert "PASS" not in result.output
 
+    @pytest.mark.parametrize("suite", ["all", "dtensor"])
+    def test_non_finite_transition_factor_exits_3(self, runner, tmp_path, suite):
+        # at t = 0.0069, t~ = 1e-300*exp(1e5*t) is 0.46 and dt~/dt is 4.6e4,
+        # so the chart loads, but d2t~/dt2 (in dp~/dt) overflows to inf.
+        # This used to exit 2 with a NaN residual, or pass with --suite
+        # dtensor, whose laws never read dp~/dt
+        chart = {
+            "name": "steep_time",
+            "t_fwd": "1e-300*exp(100000*t)",
+            "t_inv": "(log(t) + 300*log(10))/100000",
+            "x_fwd": ["x1", "x2"],
+            "x_inv": ["x1", "x2"],
+        }
+        doc = small_doc(charts=[chart], sample={"points": [[0.0069, 1.9, 1.1, 0.7, -1.3]]})
+        path = write_problem(tmp_path, doc)
+        result = runner.invoke(main, ["verify", "--problem", path, "--suite", suite])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "non-finite value inf in 'exp(100000 * t) * 100000 * 100000'" in result.stderr
+        assert "PASS" not in result.output
+
     def test_n5_dimension_error_exit_3(self, runner, tmp_path):
         doc = {
             "n": 5,
