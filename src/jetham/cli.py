@@ -29,7 +29,7 @@ from .dtensor import (
     vertical_metrical,
 )
 from .errors import JethamError
-from .expr import Point
+from .expr import Point, Program
 from .frames import (
     adapted_coframe,
     adapted_frame,
@@ -251,17 +251,20 @@ def cmd_christoffel(problem: Problem) -> Report:
     for label, entry in nonzero:
         click.echo(f"{label} = {entry}")
     click.echo("values at sample points:")
+    shown = Program([*(entry for _, entry in nonzero), H.H111])
     for q in problem.points[:3]:
-        gvals = [f"{label}={entry.eval(q):.6g}" for label, entry in nonzero]
-        click.echo(f"  t={q.t:.4g} x={q.x}: H={H.H111.eval(q):.6g} " + " ".join(gvals))
+        *values, Hv = shown.run(q)
+        gvals = [f"{label}={v:.6g}" for (label, _), v in zip(nonzero, values)]
+        click.echo(f"  t={q.t:.4g} x={q.x}: H={Hv:.6g} " + " ".join(gvals))
 
-    hinv = inverse_time(h)
+    matrices = (e for m in (g.g, g.inverse) for row in m for e in row)
+    inverses = Program([h.h11, inverse_time(h), *matrices])
     records = []
     for q in problem.points:
-        r = residual(h.h11.eval(q) * hinv.eval(q), 1.0)
+        hv, hinv, *matrix_values = inverses.run(q)
+        r = residual(hv * hinv, 1.0)
         records.append(CheckRecord("metrics.inverse_time", "", q.flat(), r, r <= tol))
-        gmat = np.array([[e.eval(q) for e in row] for row in g.g])
-        gimat = np.array([[e.eval(q) for e in row] for row in g.inverse])
+        gmat, gimat = np.array(matrix_values).reshape(2, n, n)
         r = float(np.max(np.abs(gmat @ gimat - np.eye(n))))
         records.append(CheckRecord("metrics.inverse_space", "", q.flat(), r, r <= tol))
         r = compatibility_residual(g, gamma, q)

@@ -10,8 +10,9 @@ differentiation error.
 Objects built from one another share subtrees by object identity, so the
 trees are really DAGs.  Differentiation and substitution rebuild each node
 object once per call, and a compiled ``Program`` evaluates each one once
-per point; none of the three recurses, so depth is not limited by the
-interpreter's stack.  The recursive ``Expr.eval`` stays as their reference.
+per point; it is the only evaluator.  None of these, nor printing,
+recurses, so depth is not limited by the interpreter's stack; the parser
+caps nesting at ``MAX_NESTING`` levels instead.
 
 Construction goes through smart constructors that fold the 0/1 identities
 (x+0, x*1, x*0, x^1, ...).  No further simplification is attempted:
@@ -136,7 +137,9 @@ Number = Union[int, float]
 
 
 class Expr:
-    """Base class; all nodes are immutable and hash/compare structurally."""
+    """Base class; all nodes are immutable and hash/compare structurally.
+    Structural ``==`` and ``hash`` recurse, so the engine compares printed
+    text (``str``) where a tree may be deep."""
 
     __slots__ = ()
 
@@ -175,9 +178,8 @@ class Expr:
     def diff(self, v: Var) -> "Expr":
         return diff(self, v)
 
-    def eval(self, q: Point) -> float:
-        """Recursive evaluation, kept as the reference for ``Program``."""
-        raise NotImplementedError
+    def __str__(self) -> str:
+        return _to_text(self)
 
     def substitute(self, mapping: Mapping[Var, "Expr"]) -> "Expr":
         """Simultaneous substitution; variables absent from the map are kept.
@@ -214,14 +216,8 @@ class Const(Expr):
     def _derivative(self, d, v):
         return ZERO
 
-    def eval(self, q):
-        return self.value
-
     def _substituted(self, s, mapping):
         return self
-
-    def __str__(self):
-        return _fmt_number(self.value)
 
 
 @dataclass(frozen=True)
@@ -231,14 +227,8 @@ class Coord(Expr):
     def _derivative(self, d, v):
         return ONE if self.var == v else ZERO
 
-    def eval(self, q):
-        return q.coord(self.var)
-
     def _substituted(self, s, mapping):
         return mapping.get(self.var, self)
-
-    def __str__(self):
-        return self.var.name
 
 
 @dataclass(frozen=True)
@@ -249,16 +239,8 @@ class Add(Expr):
     def _derivative(self, d, v):
         return _add(d[id(self.left)], d[id(self.right)])
 
-    def eval(self, q):
-        return self.left.eval(q) + self.right.eval(q)
-
     def _substituted(self, s, mapping):
         return _add(s[id(self.left)], s[id(self.right)])
-
-    def __str__(self):
-        # right operand keeps its parentheses at equal precedence so the
-        # reparsed association (and hence float evaluation) is identical
-        return f"{_paren(self.left, 1)} + {_paren(self.right, 2)}"
 
 
 @dataclass(frozen=True)
@@ -269,14 +251,8 @@ class Sub(Expr):
     def _derivative(self, d, v):
         return _sub(d[id(self.left)], d[id(self.right)])
 
-    def eval(self, q):
-        return self.left.eval(q) - self.right.eval(q)
-
     def _substituted(self, s, mapping):
         return _sub(s[id(self.left)], s[id(self.right)])
-
-    def __str__(self):
-        return f"{_paren(self.left, 1)} - {_paren(self.right, 2)}"
 
 
 @dataclass(frozen=True)
@@ -290,14 +266,8 @@ class Mul(Expr):
             _mul(self.left, d[id(self.right)]),
         )
 
-    def eval(self, q):
-        return self.left.eval(q) * self.right.eval(q)
-
     def _substituted(self, s, mapping):
         return _mul(s[id(self.left)], s[id(self.right)])
-
-    def __str__(self):
-        return f"{_paren(self.left, 2)} * {_paren(self.right, 3)}"
 
 
 @dataclass(frozen=True)
@@ -312,17 +282,8 @@ class Div(Expr):
         )
         return _div(num, _pow(self.right, Fraction(2)))
 
-    def eval(self, q):
-        denom = self.right.eval(q)
-        if denom == 0.0:
-            raise DomainError("division by zero", self)
-        return self.left.eval(q) / denom
-
     def _substituted(self, s, mapping):
         return _div(s[id(self.left)], s[id(self.right)])
-
-    def __str__(self):
-        return f"{_paren(self.left, 2)} / {_paren(self.right, 3)}"
 
 
 @dataclass(frozen=True)
@@ -343,31 +304,8 @@ class Pow(Expr):
             d[id(self.base)],
         )
 
-    def eval(self, q):
-        b = self.base.eval(q)
-        r = self.exponent
-        if r.denominator == 1:
-            e = int(r)
-            if b == 0.0 and e < 0:
-                raise DomainError("zero raised to a negative power", self)
-            try:
-                return b**e
-            except OverflowError:
-                raise DomainError("overflow in power", self) from None
-        if b <= 0.0:
-            raise DomainError("fractional power of a non-positive base", self)
-        try:
-            return b ** float(r)
-        except OverflowError:
-            raise DomainError("overflow in power", self) from None
-
     def _substituted(self, s, mapping):
         return _pow(s[id(self.base)], self.exponent)
-
-    def __str__(self):
-        r = self.exponent
-        exp_txt = f"^{r.numerator}" if r.denominator == 1 else f"^({r.numerator}/{r.denominator})"
-        return f"{_paren(self.base, 4)}{exp_txt}"
 
 
 @dataclass(frozen=True)
@@ -377,14 +315,8 @@ class Neg(Expr):
     def _derivative(self, d, v):
         return _neg(d[id(self.arg)])
 
-    def eval(self, q):
-        return -self.arg.eval(q)
-
     def _substituted(self, s, mapping):
         return _neg(s[id(self.arg)])
-
-    def __str__(self):
-        return f"-{_paren(self.arg, 4)}"
 
 
 @dataclass(frozen=True)
@@ -394,17 +326,8 @@ class Exp(Expr):
     def _derivative(self, d, v):
         return _mul(self, d[id(self.arg)])
 
-    def eval(self, q):
-        try:
-            return math.exp(self.arg.eval(q))
-        except OverflowError:
-            raise DomainError("overflow in exp", self) from None
-
     def _substituted(self, s, mapping):
         return Exp(s[id(self.arg)])
-
-    def __str__(self):
-        return f"exp({self.arg})"
 
 
 @dataclass(frozen=True)
@@ -414,17 +337,8 @@ class Log(Expr):
     def _derivative(self, d, v):
         return _div(d[id(self.arg)], self.arg)
 
-    def eval(self, q):
-        value = self.arg.eval(q)
-        if value <= 0.0:
-            raise DomainError("log of a non-positive value", self)
-        return math.log(value)
-
     def _substituted(self, s, mapping):
         return Log(s[id(self.arg)])
-
-    def __str__(self):
-        return f"log({self.arg})"
 
 
 @dataclass(frozen=True)
@@ -434,14 +348,8 @@ class Sin(Expr):
     def _derivative(self, d, v):
         return _mul(Cos(self.arg), d[id(self.arg)])
 
-    def eval(self, q):
-        return _trig(math.sin, self.arg.eval(q), self)
-
     def _substituted(self, s, mapping):
         return Sin(s[id(self.arg)])
-
-    def __str__(self):
-        return f"sin({self.arg})"
 
 
 @dataclass(frozen=True)
@@ -451,14 +359,8 @@ class Cos(Expr):
     def _derivative(self, d, v):
         return _neg(_mul(Sin(self.arg), d[id(self.arg)]))
 
-    def eval(self, q):
-        return _trig(math.cos, self.arg.eval(q), self)
-
     def _substituted(self, s, mapping):
         return Cos(s[id(self.arg)])
-
-    def __str__(self):
-        return f"cos({self.arg})"
 
 
 ZERO = Const(0.0)
@@ -605,9 +507,9 @@ def diff(e: Expr, v: Var) -> Expr:
 
     The walk is iterative and memoized by node identity for the length of
     the call: a subtree shared by several parents is differentiated once,
-    and its derivative is shared in turn.  The rules and smart constructors
-    are the recursive ones, so the result equals the recursive derivative
-    node for node and differs only in sharing.
+    and its derivative is shared in turn.  Each node's rule and the smart
+    constructors decide the result, so it equals a node-by-node recursive
+    derivative and differs only in sharing.
     """
     return _rebuild(e, lambda node, done: node._derivative(done, v))
 
@@ -680,16 +582,16 @@ class Program:
     """A list of root expressions compiled to one straight-line program.
 
     There is one value slot per distinct node object (and one per
-    coordinate variable), filled in the order the recursive ``eval`` first
-    reaches the node, so a subtree shared by many parents or many roots is
-    evaluated once per point.  Every node keeps its float operation and
-    its domain checks, so values are bit-identical to ``eval``, and the
-    first DomainError is the one ``eval`` raises: a ``Div`` tests its
-    denominator before its numerator is evaluated, as ``eval`` does.
+    coordinate variable), so a subtree shared by many parents or many
+    roots is evaluated once per point.  Slots are filled in the order of a
+    depth-first walk, operands left to right, except that a ``Div`` tests
+    its denominator for zero before its numerator is visited; that order
+    decides which DomainError is raised first.  Each node has one IEEE
+    double operation and its domain checks.
 
-    Unlike ``eval``, ``run`` also rejects non-finite values: a NaN or an
-    infinity in any slot raises DomainError naming the first node that
-    produced one.  Compilation and ``run`` both work without recursion.
+    ``run`` also rejects non-finite values: a NaN or an infinity in any
+    slot raises DomainError naming the first node that produced one.
+    Compilation and ``run`` both work without recursion.
     """
 
     __slots__ = ("_code", "_template", "_nodes", "_roots")
@@ -854,9 +756,49 @@ def _prec(e: Expr) -> int:
     return _PRECEDENCE.get(type(e), 4)
 
 
-def _paren(e: Expr, at_least: int) -> str:
-    text = str(e)
-    return f"({text})" if _prec(e) < at_least else text
+_SYMBOLS = {Add: " + ", Sub: " - ", Mul: " * ", Div: " / "}
+_FUNC_NAMES = {cls: name for name, cls in _FUNCS.items()}
+
+
+def _to_text(e: Expr) -> str:
+    """Surface syntax of e; parsing it back gives the same tree.
+
+    The left operand of a binary node is parenthesized below the node's
+    precedence and the right one at or below it, so the reparsed
+    association (and hence float evaluation) is identical.  The walk keeps
+    its own stack of pending text and (node, least precedence) pairs, so
+    depth is not limited by the interpreter's stack.
+    """
+    out: list[str] = []
+    stack: list = [(e, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, at_least = item
+        cls = type(node)
+        if _prec(node) < at_least:
+            out.append("(")
+            stack.append(")")
+        if cls is Const:
+            out.append(_fmt_number(node.value))
+        elif cls is Coord:
+            out.append(node.var.name)
+        elif cls in _BINARY:
+            prec = _PRECEDENCE[cls]
+            stack += ((node.right, prec + 1), _SYMBOLS[cls], (node.left, prec))
+        elif cls is Pow:
+            r = node.exponent
+            stack.append(f"^{r}" if r.denominator == 1 else f"^({r})")
+            stack.append((node.base, 4))
+        elif cls is Neg:
+            out.append("-")
+            stack.append((node.arg, 4))
+        else:
+            out.append(f"{_FUNC_NAMES[cls]}(")
+            stack += (")", (node.arg, 0))
+    return "".join(out)
 
 
 def _fmt_number(value: float) -> str:
@@ -873,7 +815,12 @@ def _fmt_number(value: float) -> str:
 #   factor := base ("^" rational)?
 #   base   := number | ident | "(" expr ")" | func "(" expr ")" | "-" base
 #   ident  := "t" | "x" digits | "p" digits      (1-based indices)
+#
+# Parentheses, function calls and unary minus signs nest at most
+# MAX_NESTING deep.
 # ---------------------------------------------------------------------------
+
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(
     r"""
@@ -893,6 +840,7 @@ class _Parser:
         self.tokens: list[tuple[str, str, int]] = []  # (kind, text, offset)
         self._lex()
         self.pos = 0
+        self.depth = 0  # open parentheses, calls and unary minus signs
 
     def _lex(self):
         i = 0
@@ -952,9 +900,9 @@ class _Parser:
     def base(self) -> Expr:
         kind, text, offset = self._next()
         if text == "-":
-            return _neg(self.base())
+            return _neg(self._nested(self.base, offset))
         if text == "(":
-            e = self.expr()
+            e = self._nested(self.expr, offset)
             self._expect(")")
             return e
         if kind == "number":
@@ -962,11 +910,20 @@ class _Parser:
         if kind == "ident":
             if text in _FUNCS:
                 self._expect("(")
-                arg = self.expr()
+                arg = self._nested(self.expr, offset)
                 self._expect(")")
                 return _FUNCS[text](arg)
             return Coord(self._resolve_var(text, offset))
         raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}", offset)
+
+    def _nested(self, rule, offset: int) -> Expr:
+        # each level costs a few interpreter frames, so depth is capped
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", offset)
+        self.depth += 1
+        e = rule()
+        self.depth -= 1
+        return e
 
     def _resolve_var(self, text: str, offset: int) -> Var:
         if text == "t":

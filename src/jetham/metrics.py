@@ -13,9 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .charts import CoordChange
 from .errors import DimensionError
-from .expr import Expr, Point, Var, check_vars, const, esum
+from .expr import Expr, Point, Program, Var, check_vars, const, esum
+from .report import worst_residual
 
 __all__ = [
     "TimeMetric",
@@ -59,7 +62,9 @@ class SpaceMetric:
         for i, row in enumerate(self.g):
             for j, entry in enumerate(row):
                 check_vars(entry, allowed, f"space metric entry [{i}][{j}]")
-                if entry != self.g[j][i]:
+                mirror = self.g[j][i]
+                # printed text, not the recursive structural ==
+                if j > i and entry is not mirror and str(entry) != str(mirror):
                     raise DimensionError(
                         f"space metric entries [{i}][{j}] and [{j}][{i}] differ; "
                         "use identical expressions"
@@ -199,18 +204,25 @@ def christoffel_space(g: SpaceMetric) -> ChristoffelSpace:
 
 def compatibility_residual(g: SpaceMetric, chr_space: ChristoffelSpace, q: Point) -> float:
     """Max |dg_ij/dx^k - gamma^l_ki g_lj - gamma^l_kj g_il| at q (zero for
-    the Levi-Civita connection)."""
-    n = g.n
-    worst = 0.0
+    the Levi-Civita connection; NaN when a difference is not a number)."""
+    n, m = g.n, g.n**3
+    dg = [g.g[i][j].diff(Var.space(k)) for i in range(n) for j in range(n) for k in range(n)]
+    gamma = [e for plane in chr_space.gamma for row in plane for e in row]
+    entries = [e for row in g.g for e in row]
+    values = np.array(Program(dg + gamma + entries).run(q))
+    dg_q = values[:m].reshape(n, n, n).tolist()
+    gamma_q = values[m : 2 * m].reshape(n, n, n).tolist()
+    g_q = values[2 * m :].reshape(n, n).tolist()
+    residuals = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                value = g.g[i][j].diff(Var.space(k)).eval(q)
+                value = dg_q[i][j][k]
                 for l in range(n):
-                    value -= chr_space.gamma[l][k][i].eval(q) * g.g[l][j].eval(q)
-                    value -= chr_space.gamma[l][k][j].eval(q) * g.g[i][l].eval(q)
-                worst = max(worst, abs(value))
-    return worst
+                    value -= gamma_q[l][k][i] * g_q[l][j]
+                    value -= gamma_q[l][k][j] * g_q[i][l]
+                residuals.append(abs(value))
+    return worst_residual(residuals)
 
 
 def transform_time_metric(h: TimeMetric, c: CoordChange) -> TimeMetric:

@@ -16,8 +16,8 @@ from pathlib import Path
 
 from .charts import CoordChange
 from .dtensor import Hamiltonian
-from .errors import JethamError, ProblemFormatError
-from .expr import Expr, Point, parse
+from .errors import DomainError, JethamError, ProblemFormatError
+from .expr import Expr, Point, Program, parse
 from .metrics import SpaceMetric, TimeMetric, space_metric_det
 from .report import residual, worst_residual
 from .sampling import Box, sample_points
@@ -151,35 +151,41 @@ def _load_chart(doc, n: int, index: int) -> ChartSpec:
     return ChartSpec(name, change)
 
 
+def _run_checked(program: Program, q: Point, prefix: str) -> list[float]:
+    try:
+        return program.run(q)
+    except DomainError as ex:
+        raise ProblemFormatError(f"{prefix}: {ex}") from ex
+
+
 def _validate_on_points(problem: Problem):
-    h = problem.time_metric.h11
-    det_g = space_metric_det(problem.space_metric)
+    h = Program((problem.time_metric.h11,))
+    det_g = Program((space_metric_det(problem.space_metric),))
     # negated tests, so that NaN (false under every comparison) is rejected
     for q in problem.points:
-        hv = h.eval(q)
+        singular = f"time metric is singular at t={q.t}"
+        [hv] = _run_checked(h, q, singular)
         if not INVERTIBILITY_EPS < abs(hv) < math.inf:
-            raise ProblemFormatError(f"time metric is singular at t={q.t}: h11={hv}")
-        dv = det_g.eval(q)
+            raise ProblemFormatError(f"{singular}: h11={hv}")
+        singular = f"space metric is singular at x={q.x}"
+        [dv] = _run_checked(det_g, q, singular)
         if not INVERTIBILITY_EPS < abs(dv) < math.inf:
-            raise ProblemFormatError(f"space metric is singular at x={q.x}: det={dv}")
+            raise ProblemFormatError(f"{singular}: det={dv}")
     for spec in problem.charts:
         c = spec.change
+        t_fwd, t_inv = Program((c.t_fwd,)), Program((c.t_inv,))
+        x_fwd, x_inv = Program(c.x_fwd), Program(c.x_inv)
+        t_trip = f"chart {spec.name!r}: t_inv(t_fwd(t))"
+        x_trip = f"chart {spec.name!r}: x_inv(x_fwd(x))"
         for q in problem.points:
-            t_round = c.t_inv.eval(
-                Point(c.t_fwd.eval(q), q.x, q.p)
-            )
+            [t_image] = _run_checked(t_fwd, q, t_trip)
+            [t_round] = _run_checked(t_inv, Point(t_image, q.x, q.p), t_trip)
             if not residual(t_round, q.t) <= ROUND_TRIP_TOL:
-                raise ProblemFormatError(
-                    f"chart {spec.name!r}: t_inv(t_fwd(t)) = {t_round} != t = {q.t}"
-                )
-            image_x = tuple(e.eval(q) for e in c.x_fwd)
-            x_round = [
-                e.eval(Point(q.t, image_x, q.p)) for e in c.x_inv
-            ]
+                raise ProblemFormatError(f"{t_trip} = {t_round} != t = {q.t}")
+            image_x = tuple(_run_checked(x_fwd, q, x_trip))
+            x_round = _run_checked(x_inv, Point(q.t, image_x, q.p), x_trip)
             if not worst_residual(map(residual, x_round, q.x)) <= ROUND_TRIP_TOL:
-                raise ProblemFormatError(
-                    f"chart {spec.name!r}: x_inv(x_fwd(x)) != x at x={q.x}"
-                )
+                raise ProblemFormatError(f"{x_trip} != x at x={q.x}")
 
 
 def problem_from_dict(doc) -> Problem:
@@ -245,12 +251,7 @@ def problem_from_dict(doc) -> Problem:
         points=points,
         tolerance=float(tolerance),
     )
-    try:
-        _validate_on_points(problem)
-    except ProblemFormatError:
-        raise
-    except JethamError as ex:
-        raise ProblemFormatError(f"problem data fails validation: {ex}") from ex
+    _validate_on_points(problem)
     return problem
 
 

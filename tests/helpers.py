@@ -126,6 +126,57 @@ def curved_metric_2d() -> SpaceMetric:
 
 
 # ---------------------------------------------------------------------------
+# Recursive reference evaluator
+# ---------------------------------------------------------------------------
+
+def reference_eval(e: Expr, q: Point) -> float:
+    """Evaluate e node by node by recursion: the same IEEE double operation
+    per node and the same DomainError checks, in the same order, as a
+    compiled ``Program``, but no sharing and no non-finite check.  Compiled
+    programs and chart transitions are compared against it bit for bit."""
+    cls = type(e)
+    if cls is Const:
+        return e.value
+    if cls is Coord:
+        return q.coord(e.var)
+    if cls is Div:
+        denom = reference_eval(e.right, q)
+        if denom == 0.0:
+            raise DomainError("division by zero", e)
+        return reference_eval(e.left, q) / denom
+    if cls in (Add, Sub, Mul):
+        a, b = reference_eval(e.left, q), reference_eval(e.right, q)
+        return a + b if cls is Add else a - b if cls is Sub else a * b
+    if cls is Pow:
+        b, r = reference_eval(e.base, q), e.exponent
+        if r.denominator == 1 and b == 0.0 and r < 0:
+            raise DomainError("zero raised to a negative power", e)
+        if r.denominator != 1 and b <= 0.0:
+            raise DomainError("fractional power of a non-positive base", e)
+        try:
+            return b ** int(r) if r.denominator == 1 else b ** float(r)
+        except OverflowError:
+            raise DomainError("overflow in power", e) from None
+    value = reference_eval(e.arg, q)
+    if cls is Neg:
+        return -value
+    if cls is Exp:
+        try:
+            return math.exp(value)
+        except OverflowError:
+            raise DomainError("overflow in exp", e) from None
+    if cls is Log:
+        if value <= 0.0:
+            raise DomainError("log of a non-positive value", e)
+        return math.log(value)
+    fn = math.sin if cls is Sin else math.cos
+    try:
+        return fn(value)
+    except ValueError:  # math.sin and math.cos raise on +-inf
+        raise DomainError(f"{fn.__name__} of an infinite value", e) from None
+
+
+# ---------------------------------------------------------------------------
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
 
@@ -146,7 +197,7 @@ def shift(q: Point, v: Var, delta: float) -> Point:
 
 def central_diff(e: Expr, v: Var, q: Point) -> float:
     h = FD_REL_STEP * max(1.0, abs(q.coord(v)))
-    return (e.eval(shift(q, v, h)) - e.eval(shift(q, v, -h))) / (2.0 * h)
+    return (reference_eval(e, shift(q, v, h)) - reference_eval(e, shift(q, v, -h))) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +227,7 @@ def _children(e: Expr):
 
 
 def max_abs_subvalue(e: Expr, q: Point) -> float:
-    worst = abs(e.eval(q))
+    worst = abs(reference_eval(e, q))
     for child in _children(e):
         worst = max(worst, max_abs_subvalue(child, q))
     return worst
@@ -255,7 +306,7 @@ def derivative_pairs(seed: int, count: int):
                 max_abs_subvalue(de, q),
                 max_abs_subvalue(d2e, q),
             )
-            derivative = de.eval(q)
+            derivative = reference_eval(de, q)
         except DomainError:
             continue
         if magnitude > MAGNITUDE_CAP or not math.isfinite(derivative):

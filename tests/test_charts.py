@@ -25,7 +25,14 @@ from jetham.charts import (
 from jetham.errors import ChartInverseError, DimensionError, RegularityError
 from jetham.expr import Point, evaluate, parse
 
-from helpers import CARDANO_X1, chart, charts_for, nonlinear_charts_for, sampled_points
+from helpers import (
+    CARDANO_X1,
+    chart,
+    charts_for,
+    nonlinear_charts_for,
+    reference_eval,
+    sampled_points,
+)
 
 
 def simple_chart_1d(t_fwd, t_inv, x_fwd, x_inv):
@@ -161,19 +168,19 @@ class TestTransition:
 
 
 def eval_reference(c: CoordChange, q: Point) -> tuple[Point, TransitionData]:
-    """The image and the transition factors through the recursive Expr.eval."""
+    """The image and the transition factors through the recursive reference."""
     image = Point(
-        c.t_fwd.eval(q),
-        tuple(e.eval(q) for e in c.x_fwd),
-        tuple(e.eval(q) for e in c.momentum_map),
+        reference_eval(c.t_fwd, q),
+        tuple(reference_eval(e, q) for e in c.x_fwd),
+        tuple(reference_eval(e, q) for e in c.momentum_map),
     )
     td = TransitionData(
-        dt_tilde_dt=c.dt_fwd.eval(q),
-        dt_dt_tilde=c.dt_inv.eval(image),
-        jac=np.array([[e.eval(q) for e in row] for row in c.jac_fwd]),
-        jac_inv=np.array([[e.eval(image) for e in row] for row in c.jac_inv]),
-        dp_tilde_dt=np.array([e.eval(q) for e in c.dmomentum_dt]),
-        dp_tilde_dx=np.array([[e.eval(q) for e in row] for row in c.dmomentum_dx]),
+        dt_tilde_dt=reference_eval(c.dt_fwd, q),
+        dt_dt_tilde=reference_eval(c.dt_inv, image),
+        jac=np.array([[reference_eval(e, q) for e in row] for row in c.jac_fwd]),
+        jac_inv=np.array([[reference_eval(e, image) for e in row] for row in c.jac_inv]),
+        dp_tilde_dt=np.array([reference_eval(e, q) for e in c.dmomentum_dt]),
+        dp_tilde_dx=np.array([[reference_eval(e, q) for e in row] for row in c.dmomentum_dx]),
     )
     return image, td
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: commands, exit codes, report files."""
 
+import copy
 import gc
 import json
 import sys
@@ -218,6 +219,20 @@ class TestChristoffel:
         assert result.exit_code == 3
         assert "space_metric" in result.stderr
 
+    def test_overflowing_metric_derivative_exits_3(self, runner, tmp_path):
+        # at x1 = 6.9e-8 the metric is finite, but its derivative overflows:
+        # this used to print gamma^1_22=-inf and then PASS with residual 0
+        g22 = "x1^2 + 1e-300*exp(10000000000*x1)"
+        doc = small_doc(
+            space_metric=[["1", "0"], ["0", g22]],
+            sample={"points": [[1.2, 6.9e-8, 1.1, 0.7, -1.3]]},
+        )
+        result = runner.invoke(main, ["christoffel", "--problem", write_problem(tmp_path, doc)])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "non-finite value inf" in result.stderr
+        assert "PASS" not in result.output
+
 
 class TestCanonical:
     def test_prints_canonical_objects(self, runner):
@@ -369,3 +384,37 @@ def test_corrupt_connection_stays_local_to_connection_family():
     assert failing == expected
     frames = [r for r in report.records if r.check_id.startswith("frames.")]
     assert frames and all(r.passed for r in frames)
+
+
+def _deep_documents():
+    """The example, at one point and one chart, with deep expressions."""
+    example = json.loads(EXAMPLE.read_text())
+    example["charts"] = example["charts"][:1]
+    example["sample"] = {"points": [[1.2, 0.9, 1.1, 0.7, -1.3]]}
+    polynomial = " + ".join(f"x1^{k}" for k in range(1, 1501))
+    long_diagonal = copy.deepcopy(example)
+    long_diagonal["space_metric"][0][0] = polynomial
+    long_pair = copy.deepcopy(example)
+    long_pair["space_metric"][0][1] = long_pair["space_metric"][1][0] = polynomial
+    nested = copy.deepcopy(example)
+    nested["time_metric"] = "(" * 300 + example["time_metric"] + ")" * 300
+    return {"long_diagonal": long_diagonal, "long_pair": long_pair, "nested": nested}
+
+
+@pytest.mark.parametrize("document", ["long_diagonal", "long_pair", "nested"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify"],
+        ["christoffel"],
+        ["canonical"],
+        ["eval", "--object", "connection", "--at", "1.2,0.9,1.1,0.7,-1.3"],
+    ],
+    ids=["verify", "christoffel", "canonical", "eval"],
+)
+def test_deep_input_ends_without_traceback(runner, tmp_path, document, command):
+    # each of these used to end in a RecursionError traceback (exit 1)
+    path = write_problem(tmp_path, _deep_documents()[document])
+    result = runner.invoke(main, [*command, "--problem", path])
+    assert result.exit_code in (0, 2, 3), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)

@@ -16,6 +16,7 @@ from jetham.errors import (
     MissingSubstitutionError,
 )
 from jetham.expr import (
+    MAX_NESTING,
     Add,
     Const,
     Coord,
@@ -41,7 +42,7 @@ from jetham.expr import (
     xvar,
 )
 
-from helpers import central_diff, derivative_pairs, random_expr, random_point
+from helpers import central_diff, derivative_pairs, random_expr, random_point, reference_eval
 
 Q1 = Point.make(0.0, [1.0], [1.0])
 
@@ -250,7 +251,7 @@ class TestCompose:
                 composed = compose(outer, subst)
                 lhs = evaluate(diff(composed, t), q)
                 # chain rule: (d outer/dt)(inner(q)) * d inner/dt + direct x/p parts = 0 here
-                inner_q = Point(inner.eval(q), q.x, q.p)
+                inner_q = Point(reference_eval(inner, q), q.x, q.p)
                 rhs = evaluate(diff(outer, t), inner_q) * evaluate(diff(inner, t), q) + (
                     evaluate(diff(outer, Var.space(0)), inner_q) * 0.0
                 )
@@ -259,6 +260,24 @@ class TestCompose:
             if not (math.isfinite(lhs) and math.isfinite(rhs)) or abs(lhs) > 1e8:
                 continue
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+
+
+class TestNesting:
+    # the text that opens and closes one level, and the width of the opening
+    @pytest.mark.parametrize(
+        "open_level, close_level, width",
+        [("(", ")", 1), ("exp(", ")", 4), ("-", "", 1)],
+        ids=["parentheses", "calls", "unary_minus"],
+    )
+    def test_nesting_is_capped(self, open_level, close_level, width):
+        def nested(levels):
+            return open_level * levels + "x1" + close_level * levels
+
+        assert str(parse(nested(MAX_NESTING), 1)).count("x1") == 1
+        deep = 300 if open_level != "-" else 1200
+        with pytest.raises(ExprSyntaxError, match="nesting deeper than 100 levels") as err:
+            parse(nested(deep), 1)
+        assert err.value.offset == MAX_NESTING * width
 
 
 class TestPrinting:
@@ -272,12 +291,17 @@ class TestPrinting:
         for _ in range(3):
             q = random_point(rng, n)
             try:
-                want = e.eval(q)
+                want = reference_eval(e, q)
             except DomainError:
                 with pytest.raises(DomainError):
-                    reparsed.eval(q)
+                    reference_eval(reparsed, q)
                 continue
-            assert reparsed.eval(q) == want  # bit-identical
+            assert reference_eval(reparsed, q) == want  # bit-identical
+
+    def test_long_sum_prints_without_recursion(self):
+        terms = [f"{k} * x1^{k}" for k in range(2, 3002)]
+        e = parse(" + ".join(terms), 1)  # a left-deep chain of 3,000 sums
+        assert str(e) == " + ".join(terms)
 
     def test_negative_constant_round_trip(self):
         e = const(-2.5) * xvar(0)
@@ -353,7 +377,7 @@ class TestProgram:
     def test_matches_recursive_eval_bit_for_bit(self, roots, t, x1, x2, p1):
         q = Point.make(t, [x1, x2], [p1, 0.0])
         try:
-            want = [r.eval(q) for r in roots]
+            want = [reference_eval(r, q) for r in roots]
         except DomainError as ref:
             with pytest.raises(DomainError) as err:
                 Program(roots).run(q)
@@ -362,9 +386,9 @@ class TestProgram:
         try:
             got = Program(roots).run(q)
         except DomainError as err:
-            # eval lets a NaN or an infinity through; the program names it
+            # the reference lets a NaN or an infinity through; the program names it
             assert "non-finite value" in str(err)
-            assert not math.isfinite(err.subexpr.eval(q))
+            assert not math.isfinite(reference_eval(err.subexpr, q))
             return
         assert _bits(got) == _bits(want)
 
@@ -374,7 +398,7 @@ class TestProgram:
         prog = Program([e, s, s])
         assert len(prog) == 7
         q = q_of(t=0.5, x=(1.5,), p=(2.0,))
-        assert prog.run(q) == [e.eval(q), s.eval(q), s.eval(q)]
+        assert prog.run(q) == [reference_eval(r, q) for r in (e, s, s)]
 
     def test_deep_chain_without_recursion(self):
         x = xvar(0)
@@ -399,13 +423,13 @@ class TestProgram:
         with pytest.raises(DomainError, match=f"{fn} of an infinite value"):
             evaluate(e, q)
         with pytest.raises(DomainError, match=f"{fn} of an infinite value"):
-            e.eval(q)
+            reference_eval(e, q)
 
     def test_denominator_is_checked_before_numerator(self):
-        # eval reads the denominator first, so the division error wins
+        # the reference reads the denominator first, so the division error wins
         e = Div(Log(Const(-1.0)), Sub(xvar(0), xvar(0)))
         with pytest.raises(DomainError, match="division by zero"):
-            e.eval(Q1)
+            reference_eval(e, Q1)
         with pytest.raises(DomainError, match="division by zero"):
             evaluate(e, Q1)
 

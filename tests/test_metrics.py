@@ -1,11 +1,14 @@
 """Metric pair, exact inverses, and both Christoffel families."""
 
+import math
+
 import numpy as np
 import pytest
 
 from jetham.errors import DimensionError
 from jetham.expr import Point, Var, const, evaluate, parse
 from jetham.metrics import (
+    ChristoffelSpace,
     SpaceMetric,
     TimeMetric,
     christoffel_space,
@@ -181,6 +184,18 @@ class TestChristoffelSpace:
             for q in sampled_points(2, 10, seed=53):
                 assert compatibility_residual(g, cs, q) < 1e-9
 
+    def test_compatibility_residual_propagates_nan(self):
+        # every value is finite, but at (i, j, k) = (0, 1, 1) the products
+        # gamma^0_11 g_00 and gamma^1_10 g_11 are +inf and -inf, so the
+        # residual is NaN; the residuals before it are 0, and max() would
+        # keep the running 0 against the NaN
+        zero, big = const(0), const(1e200)
+        g = SpaceMetric.diagonal((big, big))
+        gamma = [[[zero, zero], [zero, zero]] for _ in range(2)]
+        gamma[0][1][1], gamma[1][1][0] = big, -big
+        symbols = ChristoffelSpace(2, tuple(tuple(map(tuple, plane)) for plane in gamma))
+        assert math.isnan(compatibility_residual(g, symbols, Q))
+
     def test_dimension_limit(self):
         g = SpaceMetric.diagonal(tuple(const(1) for _ in range(5)))
         with pytest.raises(DimensionError):
@@ -214,6 +229,15 @@ class TestValidation:
     def test_symmetry_required(self):
         with pytest.raises(DimensionError, match="differ"):
             SpaceMetric(2, ((const(1), parse("x1", 2)), (parse("x2", 2), const(1))))
+
+    def test_long_pair_compared_without_recursion(self):
+        # 3,000-term left-deep sums: structural == would recurse past the limit
+        text = " + ".join(f"{k}*x1^{k}" for k in range(1, 3001))
+        a, b = parse(text, 2), parse(text, 2)
+        assert a is not b
+        SpaceMetric(2, ((const(1), a), (b, const(1))))
+        with pytest.raises(DimensionError, match="differ"):
+            SpaceMetric(2, ((const(1), a), (parse(text + " + x2", 2), const(1))))
 
     def test_time_metric_must_depend_on_t_only(self):
         with pytest.raises(DimensionError):

@@ -149,6 +149,20 @@ class TestRejection:
             with pytest.raises(ProblemFormatError, match=message):
                 problem_from_dict(d)
 
+    def test_domain_error_names_the_failed_check(self):
+        # log(t - 10) is undefined on the box; the message names the check
+        # that evaluated it, then the domain error
+        bad_time = base_doc()
+        bad_time["time_metric"] = "exp(2*t) + log(t - 10)"
+        bad_chart = base_doc()
+        bad_chart["charts"][0]["t_inv"] = "t^(1/2) + log(t - 10)"
+        for d, message in (
+            (bad_time, r"time metric is singular at t=[^:]*: log of a non-positive value"),
+            (bad_chart, r"chart 'shear': t_inv\(t_fwd\(t\)\): log of a non-positive value"),
+        ):
+            with pytest.raises(ProblemFormatError, match=message):
+                problem_from_dict(d)
+
     def test_bad_point_arity(self):
         doc = base_doc()
         doc["sample"] = {"points": [[1.0, 1.0, 1.0]]}
