@@ -33,12 +33,12 @@ from .errors import (
     ExprSyntaxError,
     JethamError,
     MissingSubstitutionError,
-    PreconditionError,
     ProblemFormatError,
     RegularityError,
     SignatureMismatchError,
 )
 from .expr import (
+    Components,
     Expr,
     Point,
     Var,
@@ -52,8 +52,6 @@ from .expr import (
     xvar,
 )
 from .frames import (
-    AdaptedCoframe,
-    AdaptedFrame,
     adapted_coframe,
     adapted_frame,
     decompose,
@@ -86,8 +84,6 @@ from .report import CheckRecord, Report, report_to_json, residual
 from .sampling import Box, sample_points
 from .spray import (
     MomentumSemispray,
-    SpatialSemispray,
-    TemporalSemispray,
     canonical_spatial,
     canonical_temporal,
     verify_spatial_law,

@@ -29,7 +29,7 @@ from .dtensor import (
     vertical_metrical,
 )
 from .errors import JethamError
-from .expr import Point, Program
+from .expr import Components, Point, Program
 from .frames import (
     adapted_coframe,
     adapted_frame,
@@ -52,11 +52,9 @@ from .nlconn import (
     verify_connection_law,
 )
 from .problem import Problem, load_problem
-from .report import CheckRecord, Report, report_to_json, residual, worst_residual
+from .report import Report, check_points, report_to_json, residual, worst_residual
 from .spray import (
     MomentumSemispray,
-    SpatialSemispray,
-    TemporalSemispray,
     canonical_spatial,
     canonical_temporal,
     verify_spatial_law,
@@ -121,11 +119,11 @@ class _Chart:
         return h_normalization(self.h, self.n)
 
     @cached_property
-    def temporal(self) -> TemporalSemispray:
+    def temporal(self) -> Components:
         return canonical_temporal(self.h, self.n)
 
     @cached_property
-    def spatial(self) -> SpatialSemispray:
+    def spatial(self) -> Components:
         return canonical_spatial(self.g)
 
     @cached_property
@@ -171,24 +169,30 @@ def _spray_family(problem: Problem, charts: dict[str, _Chart]) -> Report:
 
 
 def _connection_family(problem: Problem, charts: dict[str, _Chart], corrupt: bool) -> Report:
-    tol, origin, records = problem.tolerance, charts[""], []
+    tol, origin = problem.tolerance, charts[""]
     N = origin.connection
 
     # produced-by-semispray consistency, chart-independent
     N_from_G = connection_from_spray(MomentumSemispray(origin.temporal, origin.spatial), origin.g)
-    for q in problem.points:
+
+    def consistency(q):
         pairs = (
-            (N.evaluate_temporal(q), N_from_G.evaluate_temporal(q)),
-            (N.evaluate_spatial(q), N_from_G.evaluate_spatial(q)),
+            (N.temporal.evaluate(q), N_from_G.temporal.evaluate(q)),
+            (N.spatial.evaluate(q), N_from_G.spatial.evaluate(q)),
         )
-        worst = worst_residual(
-            residual(float(a), float(b))
-            for got, want in pairs
-            for a, b in zip(got.ravel(), want.ravel())
+        return (
+            worst_residual(
+                residual(float(a), float(b))
+                for got, want in pairs
+                for a, b in zip(got.ravel(), want.ravel())
+            ),
         )
-        records.append(
-            CheckRecord("connection.canonical_consistency", "", q.flat(), worst, worst <= tol)
-        )
+
+    records = list(
+        check_points(
+            problem.points, tol, ("connection.canonical_consistency",), consistency
+        ).records
+    )
 
     for spec in problem.charts:
         N_new = charts[spec.name].connection
@@ -200,31 +204,20 @@ def _connection_family(problem: Problem, charts: dict[str, _Chart], corrupt: boo
 
 
 def _frames_family(problem: Problem, charts: dict[str, _Chart]) -> Report:
-    tol, N = problem.tolerance, charts[""].connection
+    N = charts[""].connection
     F, C = adapted_frame(N), adapted_coframe(N)
     size = 2 * problem.n + 1
-    records = []
-    for q in problem.points:
-        dev = float(np.max(np.abs(pairing(F, C, q) - np.eye(size))))
-        records.append(
-            CheckRecord("frames.duality", "", q.flat(), dev, dev <= DUALITY_TOL)
-        )
+    records = list(
+        check_points(
+            problem.points, DUALITY_TOL, ("frames.duality",),
+            lambda q: (float(np.max(np.abs(pairing(F, C, q) - np.eye(size)))),),
+        ).records
+    )
     for spec in problem.charts:
-        c, N_new = spec.change, charts[spec.name].connection
-        # the tensoriality claim presumes the connection law; when the law
-        # fails at the configured tolerance, report those residuals instead
-        # of raising, so the failure surfaces through the exit-2 path
-        law = verify_connection_law(N, N_new, c, problem.points, tol)
-        if law.passed:
-            rep = verify_adapted_tensoriality(
-                N, N_new, c, problem.points, tol, check_precondition=False
-            )
-            records.extend(r.with_chart(spec.name) for r in rep.records)
-        else:
-            records.extend(
-                replace(r, check_id="frames.connection_precondition", chart=spec.name)
-                for r in law.records
-            )
+        rep = verify_adapted_tensoriality(
+            N, charts[spec.name].connection, spec.change, problem.points, problem.tolerance
+        )
+        records.extend(r.with_chart(spec.name) for r in rep.records)
     return Report.of(records)
 
 
@@ -259,17 +252,18 @@ def cmd_christoffel(problem: Problem) -> Report:
 
     matrices = (e for m in (g.g, g.inverse) for row in m for e in row)
     inverses = Program([h.h11, inverse_time(h), *matrices])
-    records = []
-    for q in problem.points:
+
+    def compare(q):
         hv, hinv, *matrix_values = inverses.run(q)
-        r = residual(hv * hinv, 1.0)
-        records.append(CheckRecord("metrics.inverse_time", "", q.flat(), r, r <= tol))
         gmat, gimat = np.array(matrix_values).reshape(2, n, n)
-        r = float(np.max(np.abs(gmat @ gimat - np.eye(n))))
-        records.append(CheckRecord("metrics.inverse_space", "", q.flat(), r, r <= tol))
-        r = compatibility_residual(g, gamma, q)
-        records.append(CheckRecord("metrics.compatibility", "", q.flat(), r, r <= tol))
-    return Report.of(records)
+        return (
+            residual(hv * hinv, 1.0),
+            float(np.max(np.abs(gmat @ gimat - np.eye(n)))),
+            compatibility_residual(g, gamma, q),
+        )
+
+    checks = ("metrics.inverse_time", "metrics.inverse_space", "metrics.compatibility")
+    return check_points(problem.points, tol, checks, compare)
 
 
 def cmd_canonical(problem: Problem) -> Report:
@@ -282,19 +276,19 @@ def cmd_canonical(problem: Problem) -> Report:
         click.echo(f"canonical {kind} semispray:")
         for j in range(n):
             for k in range(n):
-                click.echo(f"  {tag}_({j + 1}){k + 1} = {G.coeffs[j][k]}")
+                click.echo(f"  {tag}_({j + 1}){k + 1} = {G[j, k]}")
     click.echo("canonical nonlinear connection:")
     for j in range(n):
         click.echo(f"  N1_({j + 1}) = {N.temporal[j]}")
     for j in range(n):
         for i in range(n):
-            click.echo(f"  N2_({j + 1}){i + 1} = {N.spatial[j][i]}")
+            click.echo(f"  N2_({j + 1}){i + 1} = {N.spatial[j, i]}")
     q = problem.points[0]
     click.echo(f"at {q.flat()}:")
     for _, tag, G in sprays:
         click.echo(f"  {tag} = {G.evaluate(q).tolist()}")
-    click.echo(f"  N1 = {N.evaluate_temporal(q).tolist()}")
-    click.echo(f"  N2 = {N.evaluate_spatial(q).tolist()}")
+    click.echo(f"  N1 = {N.temporal.evaluate(q).tolist()}")
+    click.echo(f"  N2 = {N.spatial.evaluate(q).tolist()}")
     return _connection_family(problem, charts, corrupt=False)
 
 
@@ -333,7 +327,7 @@ _EVAL_OBJECTS = {
     "temporal_spray": lambda o, q: o.temporal.evaluate(q),
     "spatial_spray": lambda o, q: o.spatial.evaluate(q),
     "connection": lambda o, q: (
-        o.connection.evaluate_temporal(q), o.connection.evaluate_spatial(q)
+        o.connection.temporal.evaluate(q), o.connection.spatial.evaluate(q)
     ),
     "frame": lambda o, q: adapted_frame(o.connection).evaluate(q),
     "coframe": lambda o, q: adapted_coframe(o.connection).evaluate(q),

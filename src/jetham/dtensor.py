@@ -17,16 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .charts import CoordChange, TransitionData, induced_point, transition
 from .errors import SignatureMismatchError
-from .expr import Expr, Point, Program, Var, const, pvar
+from .expr import Components, Expr, Point, Var, const, pvar
 from .metrics import SpaceMetric, TimeMetric, inverse_time
-from .report import CheckRecord, Report, residual, worst_residual
+from .report import Report, check_points, residual, worst_residual
 
 __all__ = [
     "IndexKind",
@@ -57,33 +56,23 @@ class IndexKind(Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class DTensor:
+class DTensor(Components):
     """Index-signature-tagged array of expression components.
 
     comps has one axis of length n per space/momentum slot, in signature
     order; time slots are recorded in the signature only.
     """
 
-    n: int
     signature: tuple[IndexKind, ...]
-    comps: np.ndarray  # object array of Expr
 
     def __post_init__(self):
+        super().__post_init__()
         rank = sum(1 for k in self.signature if k.has_axis)
-        comps = np.asarray(self.comps, dtype=object)
-        object.__setattr__(self, "comps", comps)
-        if comps.ndim != rank or any(s != self.n for s in comps.shape):
+        shape = self.comps.shape
+        if len(shape) != rank or any(s != self.n for s in shape):
             raise SignatureMismatchError(
-                f"components of shape {comps.shape} do not match signature {self.signature}"
+                f"components of shape {shape} do not match signature {self.signature}"
             )
-
-    @cached_property
-    def _program(self) -> Program:
-        return Program(self.comps.ravel())
-
-    def evaluate(self, q: Point) -> np.ndarray:
-        flat = self._program.run(q)
-        return np.array(flat, dtype=float).reshape(self.comps.shape)
 
 
 @dataclass(frozen=True)
@@ -145,23 +134,23 @@ def verify_dtensor(
             f"signatures differ: {T_old.signature} vs {T_new.signature}"
         )
     inverse = c.inverse()
-    records = []
-    for q in points:
+
+    def compare(q):
         image = induced_point(c, q)
         td = transition(c, q)
         old = T_old.evaluate(q)
         new = T_new.evaluate(image)
         pushed = _apply_factors(T_old.signature, td, old)
         pulled = _apply_factors(T_new.signature, transition(inverse, image), new)
-        worst = worst_residual(
-            residual(float(a), float(b))
-            for got, want in ((pushed, new), (pulled, old))
-            for a, b in zip(got.ravel(), want.ravel())
+        return (
+            worst_residual(
+                residual(float(a), float(b))
+                for got, want in ((pushed, new), (pulled, old))
+                for a, b in zip(got.ravel(), want.ravel())
+            ),
         )
-        records.append(
-            CheckRecord(check_id, "", q.flat(), worst, worst <= tol)
-        )
-    return Report.of(records)
+
+    return check_points(points, tol, (check_id,), compare)
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +168,20 @@ def vertical_metrical(H: Hamiltonian) -> DTensor:
             entry = half * di.diff(Var.momentum(j))
             comps[i, j] = entry
             comps[j, i] = entry
-    return DTensor(n, (IndexKind.MOM_UP, IndexKind.MOM_UP), comps)
+    return DTensor(n, comps, (IndexKind.MOM_UP, IndexKind.MOM_UP))
 
 
 def liouville(n: int) -> DTensor:
     """The momenta coordinates themselves: signature [MOM_DOWN]."""
     comps = np.array([pvar(i) for i in range(n)], dtype=object)
-    return DTensor(n, (IndexKind.MOM_DOWN,), comps)
+    return DTensor(n, comps, (IndexKind.MOM_DOWN,))
 
 
 def momentum_liouville(h: TimeMetric, n: int) -> DTensor:
     """h_11 p_j: signature [MOM_DOWN, TIME_DOWN, TIME_DOWN]."""
     comps = np.array([h.h11 * pvar(j) for j in range(n)], dtype=object)
     return DTensor(
-        n, (IndexKind.MOM_DOWN, IndexKind.TIME_DOWN, IndexKind.TIME_DOWN), comps
+        n, comps, (IndexKind.MOM_DOWN, IndexKind.TIME_DOWN, IndexKind.TIME_DOWN)
     )
 
 
@@ -204,7 +193,7 @@ def h_normalization(h: TimeMetric, n: int) -> DTensor:
         for j in range(n):
             comps[i, j] = h.h11 if i == j else zero
     return DTensor(
-        n, (IndexKind.MOM_UP, IndexKind.TIME_DOWN, IndexKind.SPACE_DOWN), comps
+        n, comps, (IndexKind.MOM_UP, IndexKind.TIME_DOWN, IndexKind.SPACE_DOWN)
     )
 
 

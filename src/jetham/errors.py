@@ -48,9 +48,5 @@ class SignatureMismatchError(JethamError):
     """Two d-tensors were compared with different index signatures."""
 
 
-class PreconditionError(JethamError):
-    """An operation's documented precondition failed on the given inputs."""
-
-
 class ProblemFormatError(JethamError):
     """A problem file is malformed or violates its invariants."""

@@ -25,7 +25,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Union
+
+import numpy as np
 
 from .errors import (
     DimensionError,
@@ -50,6 +53,7 @@ __all__ = [
     "evaluate",
     "compose",
     "Program",
+    "Components",
 ]
 
 
@@ -139,7 +143,8 @@ Number = Union[int, float]
 class Expr:
     """Base class; all nodes are immutable and hash/compare structurally.
     Structural ``==`` and ``hash`` recurse, so the engine compares printed
-    text (``str``) where a tree may be deep."""
+    text (``str``) where a tree may be deep.  ``repr`` is the printed text
+    behind the node's class name, so it does not recurse."""
 
     __slots__ = ()
 
@@ -181,6 +186,9 @@ class Expr:
     def __str__(self) -> str:
         return _to_text(self)
 
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {_to_text(self)}>"
+
     def substitute(self, mapping: Mapping[Var, "Expr"]) -> "Expr":
         """Simultaneous substitution; variables absent from the map are kept.
         Memoized by node identity, so shared subtrees stay shared."""
@@ -209,7 +217,7 @@ class Expr:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Const(Expr):
     value: float
 
@@ -220,7 +228,7 @@ class Const(Expr):
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Coord(Expr):
     var: Var
 
@@ -231,7 +239,7 @@ class Coord(Expr):
         return mapping.get(self.var, self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Add(Expr):
     left: Expr
     right: Expr
@@ -243,7 +251,7 @@ class Add(Expr):
         return _add(s[id(self.left)], s[id(self.right)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Sub(Expr):
     left: Expr
     right: Expr
@@ -255,7 +263,7 @@ class Sub(Expr):
         return _sub(s[id(self.left)], s[id(self.right)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Mul(Expr):
     left: Expr
     right: Expr
@@ -270,7 +278,7 @@ class Mul(Expr):
         return _mul(s[id(self.left)], s[id(self.right)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Div(Expr):
     left: Expr
     right: Expr
@@ -286,7 +294,7 @@ class Div(Expr):
         return _div(s[id(self.left)], s[id(self.right)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Pow(Expr):
     """base^r with an exact rational exponent.
 
@@ -308,7 +316,7 @@ class Pow(Expr):
         return _pow(s[id(self.base)], self.exponent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Neg(Expr):
     arg: Expr
 
@@ -319,7 +327,7 @@ class Neg(Expr):
         return _neg(s[id(self.arg)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Exp(Expr):
     arg: Expr
 
@@ -330,7 +338,7 @@ class Exp(Expr):
         return Exp(s[id(self.arg)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Log(Expr):
     arg: Expr
 
@@ -341,7 +349,7 @@ class Log(Expr):
         return Log(s[id(self.arg)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Sin(Expr):
     arg: Expr
 
@@ -352,7 +360,7 @@ class Sin(Expr):
         return Sin(s[id(self.arg)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Cos(Expr):
     arg: Expr
 
@@ -734,6 +742,39 @@ def _power(r: Fraction, slot: int, base: int) -> tuple[int, int, int, int | floa
         return (_FPOW, slot, base, float(r))
     e = int(r)
     return (_POW if e >= 0 else _NPOW, slot, base, e)
+
+
+@dataclass(frozen=True, eq=False)
+class Components:
+    """An array of expression components over the ambient dimension n.
+
+    Every object on the phase space -- a d-tensor, either family of a
+    semispray, either part of a nonlinear connection, an adapted frame or
+    coframe -- is such an array; the rule by which it changes under a
+    chart change belongs to the law that checks it.  comps is coerced to
+    an object array of Expr, of whatever shape the object needs; indexing
+    and iteration go to it.  It is compiled into one Program on first use.
+    """
+
+    n: int
+    comps: np.ndarray  # object array of Expr
+
+    def __post_init__(self):
+        object.__setattr__(self, "comps", np.asarray(self.comps, dtype=object))
+
+    def __getitem__(self, index):
+        return self.comps[index]
+
+    def __iter__(self):
+        return iter(self.comps)
+
+    @cached_property
+    def _program(self) -> Program:
+        return Program(self.comps.ravel())
+
+    def evaluate(self, q: Point) -> np.ndarray:
+        """Component values at q, in the shape of comps."""
+        return np.array(self._program.run(q), dtype=float).reshape(self.comps.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ horizontal/vertical splitting) reduces to finite linear algebra at a point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -23,14 +22,12 @@ from .charts import (
     natural_frame_matrix,
     transition,
 )
-from .errors import DimensionError, PreconditionError
-from .expr import Expr, Point, Program, const, esum
+from .errors import DimensionError
+from .expr import Components, Expr, Point, const, esum
 from .nlconn import NonlinearConnection, verify_connection_law
-from .report import CheckRecord, Report
+from .report import Report, check_points
 
 __all__ = [
-    "AdaptedFrame",
-    "AdaptedCoframe",
     "adapted_frame",
     "adapted_coframe",
     "pairing",
@@ -43,46 +40,15 @@ _ZERO = const(0)
 _ONE = const(1)
 
 
-@dataclass(frozen=True)
-class AdaptedFrame:
-    """rows[a][b]: natural-frame component b of adapted vector a, vectors
-    ordered (delta/delta t, delta/delta x^i, d/dp_i) over columns
-    (d/dt, d/dx^i, d/dp_i).  Unit triangular with determinant 1: the only
-    off-diagonal entries are the connection components in the p-columns."""
-
-    n: int
-    rows: tuple[tuple[Expr, ...], ...]
-
-    @cached_property
-    def _program(self) -> Program:
-        return Program(e for row in self.rows for e in row)
-
-    def evaluate(self, q: Point) -> np.ndarray:
-        size = len(self.rows)
-        return np.array(self._program.run(q)).reshape(size, size)
-
-
-@dataclass(frozen=True)
-class AdaptedCoframe:
-    """rows[a][b]: natural-coframe component b of adapted covector a,
-    covectors ordered (dt, dx^i, delta p_i); the connection components sit
-    in the t/x-columns of the delta p_i rows."""
-
-    n: int
-    rows: tuple[tuple[Expr, ...], ...]
-
-    @cached_property
-    def _program(self) -> Program:
-        return Program(e for row in self.rows for e in row)
-
-    def evaluate(self, q: Point) -> np.ndarray:
-        size = len(self.rows)
-        return np.array(self._program.run(q)).reshape(size, size)
-
-
-def adapted_frame(N: NonlinearConnection) -> AdaptedFrame:
+def adapted_frame(N: NonlinearConnection) -> Components:
     """delta/delta t = d/dt - N_(j)1 d/dp_j;
-    delta/delta x^i = d/dx^i - N_(j)i d/dp_j."""
+    delta/delta x^i = d/dx^i - N_(j)i d/dp_j.
+
+    Entry [a, b] is natural-frame component b of adapted vector a, vectors
+    ordered (delta/delta t, delta/delta x^i, d/dp_i) over columns (d/dt,
+    d/dx^i, d/dp_i).  Unit triangular with determinant 1: the only
+    off-diagonal entries are the connection components in the p-columns.
+    """
     n = N.n
     size = 2 * n + 1
     rows: list[list[Expr]] = [[_ZERO] * size for _ in range(size)]
@@ -92,14 +58,19 @@ def adapted_frame(N: NonlinearConnection) -> AdaptedFrame:
     for i in range(n):
         rows[1 + i][1 + i] = _ONE
         for j in range(n):
-            rows[1 + i][n + 1 + j] = -N.spatial[j][i]
+            rows[1 + i][n + 1 + j] = -N.spatial[j, i]
     for i in range(n):
         rows[n + 1 + i][n + 1 + i] = _ONE
-    return AdaptedFrame(n, tuple(tuple(r) for r in rows))
+    return Components(n, rows)
 
 
-def adapted_coframe(N: NonlinearConnection) -> AdaptedCoframe:
-    """delta p_i = dp_i + N_(i)1 dt + N_(i)j dx^j."""
+def adapted_coframe(N: NonlinearConnection) -> Components:
+    """delta p_i = dp_i + N_(i)1 dt + N_(i)j dx^j.
+
+    Entry [a, b] is natural-coframe component b of adapted covector a,
+    covectors ordered (dt, dx^i, delta p_i); the connection components sit
+    in the t/x-columns of the delta p_i rows.
+    """
     n = N.n
     size = 2 * n + 1
     rows: list[list[Expr]] = [[_ZERO] * size for _ in range(size)]
@@ -110,12 +81,12 @@ def adapted_coframe(N: NonlinearConnection) -> AdaptedCoframe:
         row = rows[n + 1 + i]
         row[0] = N.temporal[i]
         for j in range(n):
-            row[1 + j] = N.spatial[i][j]
+            row[1 + j] = N.spatial[i, j]
         row[n + 1 + i] = _ONE
-    return AdaptedCoframe(n, tuple(tuple(r) for r in rows))
+    return Components(n, rows)
 
 
-def pairing(F: AdaptedFrame, C: AdaptedCoframe, q: Point) -> np.ndarray:
+def pairing(F: Components, C: Components, q: Point) -> np.ndarray:
     """Matrix of <covector a, vector b> values at q; the identity exactly
     when F and C come from the same connection."""
     if F.n != C.n:
@@ -129,7 +100,6 @@ def verify_adapted_tensoriality(
     c: CoordChange,
     points: Sequence[Point],
     tol: float = 1e-9,
-    check_precondition: bool = True,
 ) -> Report:
     """Check that adapted frames of a law-satisfying connection pair
     transform block-diagonally with the tensorial factors:
@@ -141,28 +111,35 @@ def verify_adapted_tensoriality(
         dx^i            -> (dx^i/dx~^j) dx~^j
         delta p_i       -> (dt/dt~)(dx~^j/dx^i) delta p~_j
 
-    Residuals cover both the diagonal-block factors and all off-block
-    mixing (which must vanish).  Set check_precondition=False to run the
-    comparison on a pair that violates the connection law (negative
-    controls); by default such a pair raises PreconditionError.
+    The claim presumes the connection law, which is checked first.  When
+    the law fails at tol, its records are returned as
+    frames.connection_precondition, so the failure surfaces as a failed
+    check rather than an exception.
     """
-    if check_precondition:
-        law = verify_connection_law(N_old, N_new, c, points, tol)
-        if not law.passed:
-            raise PreconditionError(
-                f"connection pair violates its transformation law "
-                f"(max residual {law.max_residual:.3e}); adapted-frame "
-                "tensoriality is only claimed for law-satisfying pairs"
-            )
+    law = verify_connection_law(N_old, N_new, c, points, tol)
+    if not law.passed:
+        return Report.of(
+            replace(r, check_id="frames.connection_precondition") for r in law.records
+        )
+    return _verify_blocks(N_old, N_new, c, points, tol)
 
+
+def _verify_blocks(
+    N_old: NonlinearConnection,
+    N_new: NonlinearConnection,
+    c: CoordChange,
+    points: Sequence[Point],
+    tol: float,
+) -> Report:
+    """The block comparison itself: residuals cover both the
+    diagonal-block factors and all off-block mixing (which must vanish)."""
     n = c.n
     F_old = adapted_frame(N_old)
     C_old = adapted_coframe(N_old)
     F_new = adapted_frame(N_new)
     C_new = adapted_coframe(N_new)
 
-    records = []
-    for q in points:
+    def compare(q):
         td = transition(c, q)
         image = induced_point(c, q)
         td_inv = transition(c.inverse(), image)
@@ -177,10 +154,7 @@ def verify_adapted_tensoriality(
         want_frame[0, 0] = td.dt_tilde_dt
         want_frame[1 : n + 1, 1 : n + 1] = td.jac.T
         want_frame[n + 1 :, n + 1 :] = td.dt_tilde_dt * td.jac_inv
-        worst = float(np.max(np.abs(got_frame - want_frame)))
-        records.append(
-            CheckRecord("frames.frame_tensoriality", "", q.flat(), worst, worst <= tol)
-        )
+        frame = float(np.max(np.abs(got_frame - want_frame)))
 
         # old adapted covectors, re-expressed in the new adapted coframe
         got_co = np.linalg.solve(Cn.T, (C_old.evaluate(q) @ B).T).T
@@ -188,11 +162,12 @@ def verify_adapted_tensoriality(
         want_co[0, 0] = td.dt_dt_tilde
         want_co[1 : n + 1, 1 : n + 1] = td.jac_inv
         want_co[n + 1 :, n + 1 :] = td.dt_dt_tilde * td.jac.T
-        worst = float(np.max(np.abs(got_co - want_co)))
-        records.append(
-            CheckRecord("frames.coframe_tensoriality", "", q.flat(), worst, worst <= tol)
-        )
-    return Report.of(records)
+        coframe = float(np.max(np.abs(got_co - want_co)))
+        return frame, coframe
+
+    return check_points(
+        points, tol, ("frames.frame_tensoriality", "frames.coframe_tensoriality"), compare
+    )
 
 
 def decompose(
@@ -213,7 +188,7 @@ def decompose(
     w = tuple(
         v[n + 1 + j]
         + h_R * N.temporal[j]
-        + esum(h_M[i] * N.spatial[j][i] for i in range(n))
+        + esum(h_M[i] * N.spatial[j, i] for i in range(n))
         for j in range(n)
     )
     return h_R, h_M, w
@@ -228,7 +203,7 @@ def reconstruct(
     p_comps = tuple(
         w[j]
         - h_R * N.temporal[j]
-        - esum(h_M[i] * N.spatial[j][i] for i in range(n))
+        - esum(h_M[i] * N.spatial[j, i] for i in range(n))
         for j in range(n)
     )
     return (h_R, *h_M, *p_comps)

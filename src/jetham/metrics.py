@@ -79,6 +79,15 @@ class SpaceMetric:
     def christoffel(self) -> "ChristoffelSpace":
         return christoffel_space(self)
 
+    @cached_property
+    def derivatives(self) -> tuple[tuple[tuple[Expr, ...], ...], ...]:
+        """derivatives[i][j][k] = dg_ij/dx^k."""
+        n = self.n
+        return tuple(
+            tuple(tuple(self.g[i][j].diff(Var.space(k)) for k in range(n)) for j in range(n))
+            for i in range(n)
+        )
+
     @classmethod
     def diagonal(cls, entries: tuple[Expr, ...]) -> "SpaceMetric":
         n = len(entries)
@@ -180,10 +189,7 @@ def christoffel_space(g: SpaceMetric) -> ChristoffelSpace:
     if n > MAX_DIM:
         raise DimensionError(f"Christoffel symbols limited to n <= {MAX_DIM}, got n={n}")
     ginv = g.inverse
-    dg = [
-        [[g.g[i][j].diff(Var.space(k)) for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
+    dg = g.derivatives
     gamma: list[list[list[Expr]]] = [
         [[None] * n for _ in range(n)] for _ in range(n)  # type: ignore[list-item]
     ]
@@ -206,7 +212,7 @@ def compatibility_residual(g: SpaceMetric, chr_space: ChristoffelSpace, q: Point
     """Max |dg_ij/dx^k - gamma^l_ki g_lj - gamma^l_kj g_il| at q (zero for
     the Levi-Civita connection; NaN when a difference is not a number)."""
     n, m = g.n, g.n**3
-    dg = [g.g[i][j].diff(Var.space(k)) for i in range(n) for j in range(n) for k in range(n)]
+    dg = [e for plane in g.derivatives for row in plane for e in row]
     gamma = [e for plane in chr_space.gamma for row in plane for e in row]
     entries = [e for row in g.g for e in row]
     values = np.array(Program(dg + gamma + entries).run(q))

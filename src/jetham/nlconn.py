@@ -14,17 +14,14 @@ semisprays (Euler's homogeneity theorem is what closes that loop).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
-
-import numpy as np
 
 from .charts import CoordChange, induced_point, transition
 from .errors import DimensionError
-from .expr import Expr, Point, Program, Var, const, esum, pvar
+from .expr import Components, Point, Var, const, esum, pvar
 from .metrics import SpaceMetric, TimeMetric, christoffel_time
-from .report import CheckRecord, Report, residual, worst_residual
-from .spray import MomentumSemispray, SpatialSemispray, TemporalSemispray
+from .report import Report, check_points, residual, worst_residual
+from .spray import MomentumSemispray
 
 __all__ = [
     "NonlinearConnection",
@@ -37,31 +34,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NonlinearConnection:
-    """temporal[j] = N_(j)1(t, x, p); spatial[j][i] = N_(j)i(t, x, p)."""
+    """temporal[j] = N_(j)1(t, x, p); spatial[j, i] = N_(j)i(t, x, p).
+
+    Each part is one Components array with its own program; nested
+    sequences of expressions are accepted and converted.
+    """
 
     n: int
-    temporal: tuple[Expr, ...]
-    spatial: tuple[tuple[Expr, ...], ...]
+    temporal: Components
+    spatial: Components
 
     def __post_init__(self):
-        if len(self.temporal) != self.n:
-            raise DimensionError(f"temporal part must have {self.n} components")
-        if len(self.spatial) != self.n or any(len(r) != self.n for r in self.spatial):
-            raise DimensionError(f"spatial part must be {self.n}x{self.n}")
-
-    @cached_property
-    def _temporal_program(self) -> Program:
-        return Program(self.temporal)
-
-    @cached_property
-    def _spatial_program(self) -> Program:
-        return Program(e for row in self.spatial for e in row)
-
-    def evaluate_temporal(self, q: Point) -> np.ndarray:
-        return np.array(self._temporal_program.run(q))
-
-    def evaluate_spatial(self, q: Point) -> np.ndarray:
-        return np.array(self._spatial_program.run(q)).reshape(self.n, self.n)
+        for name, shape in (("temporal", (self.n,)), ("spatial", (self.n, self.n))):
+            part = getattr(self, name)
+            if not isinstance(part, Components):
+                part = Components(self.n, part)
+                object.__setattr__(self, name, part)
+            if part.comps.shape != shape:
+                raise DimensionError(f"{name} part must have shape {shape}")
 
 
 def canonical_connection(h: TimeMetric, g: SpaceMetric) -> NonlinearConnection:
@@ -86,7 +76,7 @@ def connection_from_spray(G: MomentumSemispray, g: SpaceMetric) -> NonlinearConn
     ginv = g.inverse
     dG = [
         [
-            [G.temporal.coeffs[j][k].diff(Var.momentum(i)) for i in range(n)]
+            [G.temporal[j, k].diff(Var.momentum(i)) for i in range(n)]
             for k in range(n)
         ]
         for j in range(n)
@@ -100,9 +90,7 @@ def connection_from_spray(G: MomentumSemispray, g: SpaceMetric) -> NonlinearConn
         )
         for r in range(n)
     )
-    spatial = tuple(
-        tuple(const(2) * e for e in row) for row in G.spatial.coeffs
-    )
+    spatial = tuple(tuple(const(2) * e for e in row) for row in G.spatial)
     return NonlinearConnection(n, temporal, spatial)
 
 
@@ -110,13 +98,10 @@ def spray_from_connection(N: NonlinearConnection) -> MomentumSemispray:
     """temporal G1_(i)j = (1/2) N_(i)1 p_j;  spatial G2 = (1/2) N2."""
     n = N.n
     half = const(0.5)
-    temporal = TemporalSemispray(
-        n,
-        tuple(tuple(half * N.temporal[i] * pvar(j) for j in range(n)) for i in range(n)),
+    temporal = Components(
+        n, [[half * N.temporal[i] * pvar(j) for j in range(n)] for i in range(n)]
     )
-    spatial = SpatialSemispray(
-        n, tuple(tuple(half * e for e in row) for row in N.spatial)
-    )
+    spatial = Components(n, [[half * e for e in row] for row in N.spatial])
     return MomentumSemispray(temporal, spatial)
 
 
@@ -135,27 +120,22 @@ def verify_connection_law(
     if N_old.n != c.n or N_new.n != c.n:
         raise DimensionError("connection and change dimensions differ")
     n = c.n
-    records = []
-    for q in points:
+
+    def compare(q):
         td = transition(c, q)
         image = induced_point(c, q)
-        old_t = N_old.evaluate_temporal(q)
-        old_s = N_old.evaluate_spatial(q)
-        new_t = N_new.evaluate_temporal(image)
-        new_s = N_new.evaluate_spatial(image)
-
-        worst = worst_residual(
+        old_t = N_old.temporal.evaluate(q)
+        old_s = N_old.spatial.evaluate(q)
+        new_t = N_new.temporal.evaluate(image)
+        new_s = N_new.spatial.evaluate(image)
+        temporal = worst_residual(
             residual(
                 float(new_t[j]),
                 float(old_t @ td.jac_inv[:, j]) - td.dt_dt_tilde * float(td.dp_tilde_dt[j]),
             )
             for j in range(n)
         )
-        records.append(
-            CheckRecord("connection.temporal", "", q.flat(), worst, worst <= tol)
-        )
-
-        worst = worst_residual(
+        spatial = worst_residual(
             residual(
                 float(new_s[j, r]),
                 td.dt_tilde_dt * float(td.jac_inv[:, j] @ old_s @ td.jac_inv[:, r])
@@ -164,7 +144,8 @@ def verify_connection_law(
             for j in range(n)
             for r in range(n)
         )
-        records.append(
-            CheckRecord("connection.spatial", "", q.flat(), worst, worst <= tol)
-        )
-    return Report.of(records)
+        return temporal, spatial
+
+    return check_points(
+        points, tol, ("connection.temporal", "connection.spatial"), compare
+    )

@@ -11,9 +11,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
-__all__ = ["residual", "worst_residual", "CheckRecord", "Report", "report_to_json"]
+__all__ = [
+    "residual",
+    "worst_residual",
+    "CheckRecord",
+    "Report",
+    "check_points",
+    "report_to_json",
+]
 
 ABS_FLOOR = 1e-6  # below this magnitude the residual is absolute
 
@@ -81,22 +88,47 @@ class Report:
         return Report(self.records + other.records)
 
 
+def check_points(
+    points: Sequence,
+    tol: float,
+    check_ids: Sequence[str],
+    compare: Callable[..., Sequence[float]],
+) -> Report:
+    """The records of one comparison run at each point, in point order.
+
+    compare(q) returns the worst residual of each check at q, in check_ids
+    order; each becomes a record that passes when it is within tol.
+    """
+    records = []
+    for q in points:
+        for check_id, worst in zip(check_ids, compare(q), strict=True):
+            records.append(CheckRecord(check_id, "", q.flat(), worst, worst <= tol))
+    return Report.of(records)
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
+
+
 def report_to_json(report: Report) -> str:
-    """Deterministic JSON rendering: fixed key order, canonical record order."""
+    """Deterministic JSON rendering: fixed key order, canonical record order.
+    A non-finite residual or family maximum is written as null (its record
+    already fails), so the output is always valid JSON."""
+    by_family = report.max_residual_by_family()
     payload = {
         "summary": {
             "pass": report.passed,
-            "max_residual": report.max_residual_by_family(),
+            "max_residual": {f: _finite_or_none(v) for f, v in by_family.items()},
         },
         "records": [
             {
                 "check_id": r.check_id,
                 "chart": r.chart,
                 "point": list(r.point),
-                "residual": r.residual,
+                "residual": _finite_or_none(r.residual),
                 "pass": r.passed,
             }
             for r in report.records
         ],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -11,20 +11,17 @@ the time Christoffel symbol, the spatial one from the Levi-Civita symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .charts import CoordChange, induced_point, transition
 from .errors import DimensionError
-from .expr import Expr, Point, Program, const, esum, pvar
+from .expr import Components, Expr, Point, const, esum, pvar
 from .metrics import SpaceMetric, TimeMetric, christoffel_time
-from .report import CheckRecord, Report, residual, worst_residual
+from .report import Report, check_points, residual, worst_residual
 
 __all__ = [
-    "TemporalSemispray",
-    "SpatialSemispray",
     "MomentumSemispray",
     "canonical_temporal",
     "canonical_spatial",
@@ -34,60 +31,25 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TemporalSemispray:
-    """coeffs[j][k] = G_(j)k(t, x, p) of the temporal family."""
-
-    n: int
-    coeffs: tuple[tuple[Expr, ...], ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.n or any(len(r) != self.n for r in self.coeffs):
-            raise DimensionError(f"temporal semispray must be {self.n}x{self.n}")
-
-    @cached_property
-    def _program(self) -> Program:
-        return Program(e for row in self.coeffs for e in row)
-
-    def evaluate(self, q: Point) -> np.ndarray:
-        return np.array(self._program.run(q)).reshape(self.n, self.n)
-
-
-@dataclass(frozen=True)
-class SpatialSemispray:
-    """coeffs[j][i] = G_(j)i(t, x, p) of the spatial family."""
-
-    n: int
-    coeffs: tuple[tuple[Expr, ...], ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.n or any(len(r) != self.n for r in self.coeffs):
-            raise DimensionError(f"spatial semispray must be {self.n}x{self.n}")
-
-    @cached_property
-    def _program(self) -> Program:
-        return Program(e for row in self.coeffs for e in row)
-
-    def evaluate(self, q: Point) -> np.ndarray:
-        return np.array(self._program.run(q)).reshape(self.n, self.n)
-
-
-@dataclass(frozen=True)
 class MomentumSemispray:
-    """A temporal and a spatial semispray over the same ambient dimension."""
+    """A temporal and a spatial semispray over the same ambient dimension:
+    temporal[j, k] = G_(j)k and spatial[j, i] = G_(j)i, each n x n."""
 
-    temporal: TemporalSemispray
-    spatial: SpatialSemispray
+    temporal: Components
+    spatial: Components
 
     def __post_init__(self):
         if self.temporal.n != self.spatial.n:
             raise DimensionError("temporal and spatial parts have different n")
+        if any(G.comps.shape != (self.n, self.n) for G in (self.temporal, self.spatial)):
+            raise DimensionError(f"semispray parts must be {self.n}x{self.n}")
 
     @property
     def n(self) -> int:
         return self.temporal.n
 
 
-def canonical_temporal(h: TimeMetric, n: int) -> TemporalSemispray:
+def canonical_temporal(h: TimeMetric, n: int) -> Components:
     """G_(j)k = (1/2) H_11^1 p_j p_k, quadratic in the momenta."""
     H = christoffel_time(h).H111
     half = const(0.5)
@@ -97,10 +59,10 @@ def canonical_temporal(h: TimeMetric, n: int) -> TemporalSemispray:
             entry = half * H * pvar(j) * pvar(k)
             rows[j][k] = entry
             rows[k][j] = entry
-    return TemporalSemispray(n, tuple(tuple(r) for r in rows))
+    return Components(n, rows)
 
 
-def canonical_spatial(g: SpaceMetric) -> SpatialSemispray:
+def canonical_spatial(g: SpaceMetric) -> Components:
     """G_(j)k = -(1/2) gamma^i_jk p_i, linear in the momenta."""
     gamma = g.christoffel.gamma
     n = g.n
@@ -111,12 +73,12 @@ def canonical_spatial(g: SpaceMetric) -> SpatialSemispray:
             entry = -(half * esum(gamma[i][j][k] * pvar(i) for i in range(n)))
             rows[j][k] = entry
             rows[k][j] = entry
-    return SpatialSemispray(n, tuple(tuple(r) for r in rows))
+    return Components(n, rows)
 
 
 def _verify_semispray_law(
-    old_eval,
-    new_eval,
+    G_old: Components,
+    G_new: Components,
     inhomogeneous,
     c: CoordChange,
     points: Sequence[Point],
@@ -124,29 +86,33 @@ def _verify_semispray_law(
     check_id: str,
 ) -> Report:
     n = c.n
-    records = []
-    for q in points:
+    if G_old.comps.shape != (n, n) or G_new.comps.shape != (n, n):
+        raise DimensionError("semispray and change dimensions differ")
+
+    def compare(q):
         td = transition(c, q)
         image = induced_point(c, q)
-        old = old_eval(q)
-        new = new_eval(image)
+        old = G_old.evaluate(q)
+        new = G_new.evaluate(image)
         inhom = inhomogeneous(td, q)
-        worst = worst_residual(
-            residual(
-                2.0 * float(new[k, r]),
-                2.0 * float(td.dt_tilde_dt * (td.jac_inv[:, k] @ old @ td.jac_inv[:, r]))
-                - float(inhom[k, r]),
-            )
-            for k in range(n)
-            for r in range(n)
+        return (
+            worst_residual(
+                residual(
+                    2.0 * float(new[k, r]),
+                    2.0 * float(td.dt_tilde_dt * (td.jac_inv[:, k] @ old @ td.jac_inv[:, r]))
+                    - float(inhom[k, r]),
+                )
+                for k in range(n)
+                for r in range(n)
+            ),
         )
-        records.append(CheckRecord(check_id, "", q.flat(), worst, worst <= tol))
-    return Report.of(records)
+
+    return check_points(points, tol, (check_id,), compare)
 
 
 def verify_temporal_law(
-    G_old: TemporalSemispray,
-    G_new: TemporalSemispray,
+    G_old: Components,
+    G_new: Components,
     c: CoordChange,
     points: Sequence[Point],
     tol: float = 1e-9,
@@ -156,22 +122,17 @@ def verify_temporal_law(
         2 G~_(k)r = 2 G_(j)i (dt~/dt)(dx^i/dx~^r)(dx^j/dx~^k)
                     - (dx^i/dx~^r)(dp~_k/dt) p_i
     """
-    if G_old.n != c.n or G_new.n != c.n:
-        raise DimensionError("semispray and change dimensions differ")
-
     def inhom(td, q):
         p = np.array(q.p)
         # [k][r] = (dx^i/dx~^r) (dp~_k/dt) p_i
         return np.outer(td.dp_tilde_dt, td.jac_inv.T @ p)
 
-    return _verify_semispray_law(
-        G_old.evaluate, G_new.evaluate, inhom, c, points, tol, "spray.temporal"
-    )
+    return _verify_semispray_law(G_old, G_new, inhom, c, points, tol, "spray.temporal")
 
 
 def verify_spatial_law(
-    G_old: SpatialSemispray,
-    G_new: SpatialSemispray,
+    G_old: Components,
+    G_new: Components,
     c: CoordChange,
     points: Sequence[Point],
     tol: float = 1e-9,
@@ -181,13 +142,8 @@ def verify_spatial_law(
         2 G~_(s)k = 2 G_(j)i (dt~/dt)(dx^i/dx~^k)(dx^j/dx~^s)
                     - (dx^i/dx~^k)(dp~_s/dx^i)
     """
-    if G_old.n != c.n or G_new.n != c.n:
-        raise DimensionError("semispray and change dimensions differ")
-
     def inhom(td, q):
         # [s][k] = (dx^i/dx~^k)(dp~_s/dx^i)
         return td.dp_tilde_dx @ td.jac_inv
 
-    return _verify_semispray_law(
-        G_old.evaluate, G_new.evaluate, inhom, c, points, tol, "spray.spatial"
-    )
+    return _verify_semispray_law(G_old, G_new, inhom, c, points, tol, "spray.spatial")

@@ -7,15 +7,21 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import jetham.cli
 import jetham.dtensor
+import jetham.expr
 import jetham.metrics
 import jetham.nlconn
-from jetham.cli import cmd_verify, main
-from jetham.problem import load_problem
+from jetham.cli import cmd_christoffel, cmd_verify, main
+from jetham.expr import Point
+from jetham.frames import adapted_coframe, adapted_frame
+from jetham.problem import load_problem, problem_from_dict
+
+from helpers import reference_eval
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "problems" / "example.json"
 
@@ -195,6 +201,32 @@ class TestVerify:
         assert "n <= 4" in result.stderr
 
 
+    def test_non_finite_residual_writes_valid_json(self, runner, tmp_path):
+        # 2 G overflows on both sides of the temporal semispray law, so its
+        # residual is NaN; the report must still be strict JSON
+        doc = small_doc(
+            n=1,
+            time_metric="exp(200*t)",
+            space_metric=[["1"]],
+            charts=[{"name": "shift", "t_fwd": "t + 1", "t_inv": "t - 1",
+                     "x_fwd": ["x1 + 1"], "x_inv": ["x1 - 1"]}],
+            sample={"points": [[1.0, 0.5, 1.4e153]]},
+        )
+        out = tmp_path / "report.json"
+        result = runner.invoke(
+            main, ["verify", "--problem", write_problem(tmp_path, doc), "--json", str(out)]
+        )
+        assert result.exit_code == 2
+
+        def reject(token):
+            raise ValueError(f"invalid JSON constant {token}")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        failing = [(r["check_id"], r["residual"]) for r in payload["records"] if not r["pass"]]
+        assert failing == [("spray.temporal", None)]
+        assert payload["summary"]["max_residual"]["spray.temporal"] is None
+
+
 class TestChristoffel:
     def test_prints_symbols_and_passes(self, runner):
         result = runner.invoke(main, ["christoffel", "--problem", str(EXAMPLE)])
@@ -232,6 +264,15 @@ class TestChristoffel:
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert "non-finite value inf" in result.stderr
         assert "PASS" not in result.output
+
+    def test_metric_is_differentiated_once(self, monkeypatch):
+        problem = problem_from_dict(small_doc(sample={"seed": 3, "count": 20}))
+        seen = _count_calls(monkeypatch, jetham.expr, "diff")
+        report = cmd_christoffel(problem)
+        assert report.passed and len(report.records) == 3 * 20
+        # dh_11/dt once, and each of the n^3 first derivatives of g once,
+        # however many points are checked
+        assert len(seen) == 1 + 2**3
 
 
 class TestCanonical:
@@ -285,6 +326,38 @@ class TestEval:
         matrix = json.loads(result.output.split(" = ", 1)[1])
         # h = exp(2t): N1 = p, so the first row ends with (-3, -5)
         assert matrix[0] == [1.0, 0.0, 0.0, -3.0, -5.0]
+
+    @pytest.mark.parametrize("name", list(jetham.cli._EVAL_OBJECTS))
+    def test_every_object_matches_the_reference(self, runner, name):
+        at = "1.2,1.1,1.3,0.7,-1.3"
+        result = runner.invoke(
+            main, ["eval", "--problem", str(EXAMPLE), "--object", name, "--at", at]
+        )
+        assert result.exit_code == 0, result.output
+        # the same objects, evaluated by the recursive reference
+        origin = jetham.cli._Chart(load_problem(EXAMPLE))
+        q = Point.from_flat([float(v) for v in at.split(",")], origin.n)
+
+        def ref(components):
+            return np.vectorize(lambda e: reference_eval(e, q), otypes=[float])(
+                components.comps
+            )
+
+        N = origin.connection
+        frame, coframe = ref(adapted_frame(N)), ref(adapted_coframe(N))
+        want = {
+            "temporal_spray": lambda: ref(origin.temporal),
+            "spatial_spray": lambda: ref(origin.spatial),
+            "connection": lambda: (ref(N.temporal), ref(N.spatial)),
+            "frame": lambda: frame,
+            "coframe": lambda: coframe,
+            "pairing": lambda: coframe @ frame.T,
+        }.get(name, lambda: ref(getattr(origin, name)))()
+        if name == "connection":
+            expected = f"N1 = {want[0].tolist()}\nN2 = {want[1].tolist()}\n"
+        else:
+            expected = f"{name} = {want.tolist()}\n"
+        assert result.output == expected  # float reprs: bit for bit
 
     def test_unknown_object_exit_3(self, runner):
         result = runner.invoke(

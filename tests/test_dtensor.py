@@ -48,7 +48,7 @@ class TestPushForward:
         assert np.array_equal(got, T.evaluate(Q))
 
     def test_scalar_needs_no_factors(self):
-        T = DTensor(2, (), np.array(parse("t*p1", 2), dtype=object))
+        T = DTensor(2, np.array(parse("t*p1", 2), dtype=object), ())
         c = nonlinear_charts_for(2)["shear"]
         assert push_forward(T, c, Q) == pytest.approx(evaluate(parse("t*p1", 2), Q))
 
@@ -129,7 +129,7 @@ class TestVerifyDTensor:
         c = nonlinear_charts_for(n)["shear"]
         comps = liouville(n).comps.copy()
         comps[0] = comps[0] + 1
-        bad = DTensor(n, (IndexKind.MOM_DOWN,), comps)
+        bad = DTensor(n, comps, (IndexKind.MOM_DOWN,))
         report = verify_dtensor(liouville(n), bad, c, sampled_points(n, 10, seed=79))
         assert not report.passed
 
@@ -145,12 +145,11 @@ class TestVerifyDTensor:
         n = 2
         h, _ = metric_pair(n)
         G = canonical_temporal(h, n)
-        T = DTensor(n, (IndexKind.MOM_DOWN, IndexKind.SPACE_DOWN),
-                    np.array(G.coeffs, dtype=object))
+        T = DTensor(n, G.comps, (IndexKind.MOM_DOWN, IndexKind.SPACE_DOWN))
         c = nonlinear_charts_for(n)["cubic_t"]  # t~ = t + t^3
         h_new = transform_time_metric(h, c)
-        T_new = DTensor(n, (IndexKind.MOM_DOWN, IndexKind.SPACE_DOWN),
-                        np.array(canonical_temporal(h_new, n).coeffs, dtype=object))
+        T_new = DTensor(n, canonical_temporal(h_new, n).comps,
+                        (IndexKind.MOM_DOWN, IndexKind.SPACE_DOWN))
         report = verify_dtensor(T, T_new, c, sampled_points(n, 10, seed=83))
         assert not report.passed
 
@@ -160,11 +159,11 @@ class TestVerifyDTensor:
         n = 2
         h, _ = metric_pair(n)
         c = charts_for(n)["affine"]
-        T = DTensor(n, (IndexKind.MOM_DOWN, IndexKind.SPACE_DOWN),
-                    np.array(canonical_temporal(h, n).coeffs, dtype=object))
+        T = DTensor(n, canonical_temporal(h, n).comps,
+                    (IndexKind.MOM_DOWN, IndexKind.SPACE_DOWN))
         h_new = transform_time_metric(h, c)
-        T_new = DTensor(n, (IndexKind.MOM_DOWN, IndexKind.SPACE_DOWN),
-                        np.array(canonical_temporal(h_new, n).coeffs, dtype=object))
+        T_new = DTensor(n, canonical_temporal(h_new, n).comps,
+                        (IndexKind.MOM_DOWN, IndexKind.SPACE_DOWN))
         report = verify_dtensor(T, T_new, c, sampled_points(n, 10, seed=89))
         assert report.passed, report.max_residual
 
@@ -173,8 +172,7 @@ class TestContractionInvariance:
     def test_momup_momdown_scalar(self):
         n = 2
         rng = random.Random(97)
-        up = DTensor(n, (IndexKind.MOM_UP,),
-                     np.array([random_expr(rng, n, depth=2) for _ in range(n)], dtype=object))
+        up = DTensor(n, [random_expr(rng, n, depth=2) for _ in range(n)], (IndexKind.MOM_UP,))
         down = liouville(n)
         for c in nonlinear_charts_for(n).values():
             for q in sampled_points(n, 5, seed=101):

@@ -303,6 +303,15 @@ class TestPrinting:
         e = parse(" + ".join(terms), 1)  # a left-deep chain of 3,000 sums
         assert str(e) == " + ".join(terms)
 
+    def test_repr_is_the_printed_text(self):
+        assert repr(parse("x1 * 2 + t", 1)) == "<Add x1 * 2 + t>"
+        assert repr(const(-2.5)) == "<Const -2.5>"
+
+    def test_repr_of_a_deep_sum_does_not_recurse(self):
+        # the generated dataclass repr recursed into every operand
+        e = parse(" + ".join(f"x1^{k}" for k in range(1, 1501)), 2)
+        assert repr(e) == f"<Add {e}>"
+
     def test_negative_constant_round_trip(self):
         e = const(-2.5) * xvar(0)
         assert evaluate(parse(str(e), 1), q_of(x=(2.0,))) == -5.0

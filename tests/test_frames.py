@@ -6,9 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from jetham.errors import PreconditionError
 from jetham.expr import Point, ZERO, ONE, const, parse
 from jetham.frames import (
+    _verify_blocks,
     adapted_coframe,
     adapted_frame,
     decompose,
@@ -17,7 +17,7 @@ from jetham.frames import (
     verify_adapted_tensoriality,
 )
 from jetham.metrics import SpaceMetric, TimeMetric, transform_space_metric, transform_time_metric
-from jetham.nlconn import NonlinearConnection, canonical_connection
+from jetham.nlconn import NonlinearConnection, canonical_connection, verify_connection_law
 from helpers import (
     charts_for,
     metric_pair,
@@ -144,10 +144,10 @@ class TestPairing:
         N0 = zero_connection(2)
         P = pairing(adapted_frame(N0), adapted_coframe(N), Q)
         # <delta' p_i, delta/delta t> = (N' - N)_i with N = 0 on the frame side
-        assert P[3, 0] == pytest.approx(N.evaluate_temporal(Q)[0])
-        assert P[4, 0] == pytest.approx(N.evaluate_temporal(Q)[1])
+        assert P[3, 0] == pytest.approx(N.temporal.evaluate(Q)[0])
+        assert P[4, 0] == pytest.approx(N.temporal.evaluate(Q)[1])
         # spatial block mismatch
-        assert P[3, 1] == pytest.approx(N.evaluate_spatial(Q)[0, 0])
+        assert P[3, 1] == pytest.approx(N.spatial.evaluate(Q)[0, 0])
 
 
 class TestTensoriality:
@@ -174,7 +174,7 @@ class TestTensoriality:
         )
         assert report.passed
 
-    def test_violated_connection_raises_precondition(self):
+    def test_violated_connection_reports_precondition(self):
         h, g = metric_pair(2)
         N = canonical_connection(h, g)
         c = nonlinear_charts_for(2)["shear"]
@@ -184,8 +184,13 @@ class TestTensoriality:
         bad = NonlinearConnection(
             2, (N_new.temporal[0] + 1, N_new.temporal[1]), N_new.spatial
         )
-        with pytest.raises(PreconditionError):
-            verify_adapted_tensoriality(N, bad, c, sampled_points(2, 5, seed=257))
+        points = sampled_points(2, 5, seed=257)
+        report = verify_adapted_tensoriality(N, bad, c, points)
+        # the failed law comes back as records, not as an exception
+        assert {r.check_id for r in report.records} == {"frames.connection_precondition"}
+        law = verify_connection_law(N, bad, c, points)
+        assert [r.residual for r in report.records] == [r.residual for r in law.records]
+        assert not report.passed
 
     def test_violated_connection_mixes_blocks(self):
         h, g = metric_pair(2)
@@ -197,9 +202,8 @@ class TestTensoriality:
         bad = NonlinearConnection(
             2, (N_new.temporal[0] + 1, N_new.temporal[1]), N_new.spatial
         )
-        report = verify_adapted_tensoriality(
-            N, bad, c, sampled_points(2, 5, seed=263), check_precondition=False
-        )
+        # the block comparison itself, without the law checked first
+        report = _verify_blocks(N, bad, c, sampled_points(2, 5, seed=263), 1e-9)
         assert not report.passed
 
 
@@ -215,7 +219,7 @@ class TestDecompose:
         assert h_R == ONE and all(e == ZERO for e in h_M)
         # d/dt = delta/delta t + N1_j d/dp_j
         for j in range(self.n):
-            assert reference_eval(w[j], Q) == self.N.evaluate_temporal(Q)[j]
+            assert reference_eval(w[j], Q) == self.N.temporal.evaluate(Q)[j]
 
     def test_dp_vector(self):
         v = (ZERO, ZERO, ZERO, ONE, ZERO)
@@ -226,7 +230,7 @@ class TestDecompose:
     def test_adapted_row_round_trip(self):
         from jetham.frames import adapted_frame
 
-        row = adapted_frame(self.N).rows[1]  # delta/delta x^1
+        row = adapted_frame(self.N)[1]  # delta/delta x^1
         h_R, h_M, w = decompose(row, self.N)
         assert reference_eval(h_R, Q) == 0.0
         assert [reference_eval(e, Q) for e in h_M] == [1.0, 0.0]
@@ -235,7 +239,7 @@ class TestDecompose:
     def test_reconstruct_inverts_decompose_exactly_on_frame_vectors(self):
         from jetham.frames import adapted_frame
 
-        for row in adapted_frame(self.N).rows:
+        for row in adapted_frame(self.N):
             h_R, h_M, w = decompose(row, self.N)
             rebuilt = reconstruct(h_R, h_M, w, self.N)
             for got, want in zip(rebuilt, row):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from jetham.charts import identity_change
-from jetham.expr import Point, const, esum, parse, pvar, tvar
+from jetham.expr import Components, Point, const, esum, parse, pvar, tvar
 from jetham.metrics import (
     SpaceMetric,
     TimeMetric,
@@ -23,8 +23,6 @@ from jetham.nlconn import (
 )
 from jetham.spray import (
     MomentumSemispray,
-    SpatialSemispray,
-    TemporalSemispray,
     canonical_spatial,
     canonical_temporal,
     verify_spatial_law,
@@ -57,7 +55,7 @@ def random_quadratic_semispray(rng, n, g):
                 )
             )
         rows.append(tuple(row))
-    return MomentumSemispray(TemporalSemispray(n, tuple(rows)), canonical_spatial(g))
+    return MomentumSemispray(Components(n, rows), canonical_spatial(g))
 
 
 class TestCanonicalConnection:
@@ -71,12 +69,12 @@ class TestCanonicalConnection:
     def test_exponential_time_metric_gives_momenta(self):
         h, g = metric_pair(2)
         N = canonical_connection(h, g)
-        assert N.evaluate_temporal(Q) == pytest.approx([3.0, 5.0], rel=1e-12)
+        assert N.temporal.evaluate(Q) == pytest.approx([3.0, 5.0], rel=1e-12)
 
     def test_polar_style_spatial_component(self):
         g = SpaceMetric.diagonal((const(1), parse("x1^2", 2)))
         N = canonical_connection(TimeMetric(const(1)), g)
-        assert N.evaluate_spatial(Q)[0, 1] == pytest.approx(-2.5, rel=1e-12)
+        assert N.spatial.evaluate(Q)[0, 1] == pytest.approx(-2.5, rel=1e-12)
 
 
 class TestCorrespondence:
@@ -85,11 +83,11 @@ class TestCorrespondence:
         h, g, G, N = canonical_pair(n)
         N_from_G = connection_from_spray(G, g)
         for q in sampled_points(n, 20, seed=131):
-            assert N_from_G.evaluate_temporal(q) == pytest.approx(
-                N.evaluate_temporal(q), rel=1e-9, abs=1e-9
+            assert N_from_G.temporal.evaluate(q) == pytest.approx(
+                N.temporal.evaluate(q), rel=1e-9, abs=1e-9
             )
-            assert N_from_G.evaluate_spatial(q) == pytest.approx(
-                N.evaluate_spatial(q), rel=1e-9, abs=1e-9
+            assert N_from_G.spatial.evaluate(q) == pytest.approx(
+                N.spatial.evaluate(q), rel=1e-9, abs=1e-9
             )
 
     def test_exponential_closed_form(self):
@@ -97,13 +95,13 @@ class TestCorrespondence:
         h, g, G, _ = canonical_pair(2)
         N = connection_from_spray(G, g)
         for q in sampled_points(2, 10, seed=137):
-            assert N.evaluate_temporal(q) == pytest.approx(np.array(q.p), rel=1e-9)
+            assert N.temporal.evaluate(q) == pytest.approx(np.array(q.p), rel=1e-9)
 
     def test_zero_spatial_semispray(self):
         _, g = metric_pair(2)
         G = MomentumSemispray(
             canonical_temporal(TimeMetric(const(1)), 2),
-            SpatialSemispray(2, ((const(0),) * 2,) * 2),
+            Components(2, ((const(0),) * 2,) * 2),
         )
         N = connection_from_spray(G, g)
         assert all(str(e) == "0" for row in N.spatial for e in row)
@@ -117,27 +115,27 @@ class TestCorrespondence:
         )
         N = connection_from_spray(G, g)
         q = Point.make(0.8, [1.0], [2.5])
-        assert N.evaluate_temporal(q)[0] == pytest.approx(2.5, rel=1e-12)
+        assert N.temporal.evaluate(q)[0] == pytest.approx(2.5, rel=1e-12)
 
     def test_spray_from_connection_formulas(self):
         _, _, _, N = canonical_pair(2)
         G = spray_from_connection(N)
         for q in sampled_points(2, 5, seed=139):
-            NT = N.evaluate_temporal(q)
+            NT = N.temporal.evaluate(q)
             for i in range(2):
                 for j in range(2):
                     assert G.temporal.evaluate(q)[i, j] == pytest.approx(
                         0.5 * NT[i] * q.p[j], rel=1e-12
                     )
-            assert G.spatial.evaluate(q) == pytest.approx(0.5 * N.evaluate_spatial(q))
+            assert G.spatial.evaluate(q) == pytest.approx(0.5 * N.spatial.evaluate(q))
 
     def test_zero_connection_gives_zero_spray(self):
         N = NonlinearConnection(
             1, (const(0),), ((const(0),),)
         )
         G = spray_from_connection(N)
-        assert str(G.temporal.coeffs[0][0]) == "0"
-        assert str(G.spatial.coeffs[0][0]) == "0"
+        assert str(G.temporal[0, 0]) == "0"
+        assert str(G.spatial[0, 0]) == "0"
 
 
 class TestRoundTrips:
@@ -146,7 +144,7 @@ class TestRoundTrips:
         # N2 -> G2 -> N2: exact (multiplication by 0.5 then 2 is exact in IEEE)
         back = connection_from_spray(spray_from_connection(N), g)
         for q in sampled_points(2, 10, seed=149):
-            assert np.array_equal(back.evaluate_spatial(q), N.evaluate_spatial(q))
+            assert np.array_equal(back.spatial.evaluate(q), N.spatial.evaluate(q))
         # G2 -> N2 -> G2
         G2_back = spray_from_connection(connection_from_spray(G, g)).spatial
         for q in sampled_points(2, 10, seed=151):
@@ -164,8 +162,8 @@ class TestRoundTrips:
         )
         back = connection_from_spray(spray_from_connection(N), g)
         for q in sampled_points(n, 10, seed=157):
-            assert back.evaluate_temporal(q) == pytest.approx(
-                N.evaluate_temporal(q), rel=1e-9
+            assert back.temporal.evaluate(q) == pytest.approx(
+                N.temporal.evaluate(q), rel=1e-9
             )
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -180,8 +178,8 @@ class TestRoundTrips:
             projected = spray_from_connection(N1)
             N2 = connection_from_spray(projected, g)
             for q in sampled_points(n, 10, seed=167):
-                assert N2.evaluate_temporal(q) == pytest.approx(
-                    N1.evaluate_temporal(q), rel=1e-9, abs=1e-9
+                assert N2.temporal.evaluate(q) == pytest.approx(
+                    N1.temporal.evaluate(q), rel=1e-9, abs=1e-9
                 )
 
     def test_temporal_not_injective_in_general(self):
@@ -190,18 +188,18 @@ class TestRoundTrips:
         n = 1
         g = SpaceMetric.diagonal((const(1),))
         G1 = MomentumSemispray(
-            TemporalSemispray(1, ((const(0.5) * pvar(0) * pvar(0),),)),
+            Components(1, ((const(0.5) * pvar(0) * pvar(0),),)),
             canonical_spatial(g),
         )
         # add a p-free term: same p-derivative contraction
         G2 = MomentumSemispray(
-            TemporalSemispray(1, ((const(0.5) * pvar(0) * pvar(0) + tvar(),),)),
+            Components(1, ((const(0.5) * pvar(0) * pvar(0) + tvar(),),)),
             canonical_spatial(g),
         )
         N1 = connection_from_spray(G1, g)
         N2 = connection_from_spray(G2, g)
         q = Point.make(1.5, [1.0], [2.0])
-        assert N1.evaluate_temporal(q) == pytest.approx(N2.evaluate_temporal(q))
+        assert N1.temporal.evaluate(q) == pytest.approx(N2.temporal.evaluate(q))
 
 
 class TestConnectionLaw:

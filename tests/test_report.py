@@ -1,12 +1,13 @@
 """Residual reductions: a NaN anywhere makes the check fail."""
 
+import json
 import math
 
 import numpy as np
 
 from jetham.charts import identity_change
-from jetham.expr import Point
-from jetham.report import CheckRecord, Report, worst_residual
+from jetham.expr import Components, Point, const
+from jetham.report import CheckRecord, Report, check_points, report_to_json, worst_residual
 from jetham.spray import _verify_semispray_law
 
 
@@ -27,10 +28,10 @@ def test_nan_residual_yields_a_failing_record():
     def zeros(*_):
         return np.zeros((2, 2))
 
-    def nans(_):
-        return np.full((2, 2), math.nan)
-
-    report = _verify_semispray_law(nans, zeros, zeros, identity_change(2), [q], 1e-9, "law")
+    # finite components whose doubled values overflow on both sides of the
+    # law: the residual of inf against inf is NaN
+    G = Components(2, [[const(1e308)] * 2] * 2)
+    report = _verify_semispray_law(G, G, zeros, identity_change(2), [q], 1e-9, "law")
     (record,) = report.records
     assert math.isnan(record.residual)
     assert not record.passed
@@ -49,3 +50,33 @@ def test_report_maxima_propagate_nan():
     by_family = report.max_residual_by_family()
     assert by_family["a"] == 1e-12
     assert math.isnan(by_family["b"])
+
+
+def test_check_points_records_each_check_at_each_point_in_order():
+    points = [Point.make(t, [0.0], [0.0]) for t in (1.0, 2.0)]
+    report = check_points(points, 0.5, ("a", "b"), lambda q: (q.t / 3, math.nan))
+    assert [(r.check_id, r.point, r.passed) for r in report.records] == [
+        ("a", (1.0, 0.0, 0.0), True),
+        ("b", (1.0, 0.0, 0.0), False),
+        ("a", (2.0, 0.0, 0.0), False),
+        ("b", (2.0, 0.0, 0.0), False),
+    ]
+    assert [r.residual for r in report.records][::2] == [1.0 / 3, 2.0 / 3]
+    assert all(math.isnan(r.residual) for r in report.records[1::2])
+
+
+def test_json_writes_null_for_non_finite_residuals():
+    report = Report.of(
+        [
+            CheckRecord("a", "", (0.0,), math.inf, False),
+            CheckRecord("b", "", (0.0,), math.nan, False),
+            CheckRecord("b", "", (1.0,), 1e-13, True),
+        ]
+    )
+    payload = json.loads(report_to_json(report), parse_constant=_reject)
+    assert [r["residual"] for r in payload["records"]] == [None, None, 1e-13]
+    assert payload["summary"]["max_residual"] == {"a": None, "b": None}
+
+
+def _reject(token):
+    raise ValueError(f"invalid JSON constant {token}")

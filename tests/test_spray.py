@@ -5,7 +5,7 @@ import pytest
 
 from jetham.charts import identity_change
 from jetham.errors import DimensionError
-from jetham.expr import Point, const, parse
+from jetham.expr import Components, Point, const, parse
 from jetham.metrics import (
     SpaceMetric,
     TimeMetric,
@@ -14,7 +14,6 @@ from jetham.metrics import (
 )
 from jetham.spray import (
     MomentumSemispray,
-    SpatialSemispray,
     canonical_spatial,
     canonical_temporal,
     verify_spatial_law,
@@ -27,7 +26,7 @@ from helpers import chart, charts_for, curved_metric_2d, metric_pair, nonlinear_
 class TestCanonicalTemporal:
     def test_flat_time_metric_vanishes(self):
         G = canonical_temporal(TimeMetric(const(1)), 2)
-        assert all(str(e) == "0" for row in G.coeffs for e in row)
+        assert all(str(e) == "0" for e in G.comps.flat)
 
     def test_exponential_metric_values(self):
         # H = 1 identically, so G_(j)k = p_j p_k / 2
@@ -48,13 +47,13 @@ class TestCanonicalTemporal:
 
     def test_symmetric_components(self):
         G = canonical_temporal(TimeMetric(parse("t^2", 2)), 2)
-        assert G.coeffs[0][1] == G.coeffs[1][0]
+        assert G[0, 1] == G[1, 0]
 
 
 class TestCanonicalSpatial:
     def test_flat_metric_vanishes(self):
         G = canonical_spatial(SpaceMetric.diagonal((const(1), const(1))))
-        assert all(str(e) == "0" for row in G.coeffs for e in row)
+        assert all(str(e) == "0" for e in G.comps.flat)
 
     def test_polar_style_values(self):
         g = SpaceMetric.diagonal((const(1), parse("x1^2", 2)))
@@ -140,9 +139,9 @@ class TestSpatialLaw:
         g = curved_metric_2d()
         G = canonical_spatial(g)
         c = chart(2, "t", "t", ["2*x1", "2*x2"], ["x1/2", "x2/2"])
-        bad = SpatialSemispray(
-            2, tuple(tuple(const(2) * e for e in row) for row in canonical_spatial(
-                transform_space_metric(g, c)).coeffs)
+        bad = Components(
+            2, [[const(2) * e for e in row] for row in canonical_spatial(
+                transform_space_metric(g, c))]
         )
         report = verify_spatial_law(G, bad, c, sampled_points(2, 10, seed=127))
         assert not report.passed
