@@ -2,11 +2,11 @@
 """Residual sweep: how tightly every transformation law closes across
 dimensions and chart nonlinearity.
 
-For each ambient dimension and each chart in the suite, builds the canonical
-objects of a metric pair, pushes the metrics tensorially into the new chart,
-rebuilds the objects there, and records the worst residual of each law.
-All residuals should sit at machine-epsilon scale, far below the 1e-9
-verification bar; the table makes that margin visible.
+For each ambient dimension and each chart in the suite, builds a one-chart
+problem of a metric pair, verifies every law with ``cmd_verify`` and
+records the worst residual of each check-id family.  All residuals should
+sit at machine-epsilon scale, far below the 1e-9 verification bar; the
+table makes that margin visible.
 """
 
 import argparse
@@ -18,43 +18,29 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from helpers import charts_for, metric_pair, sampled_points  # noqa: E402
 
-from jetham.dtensor import metric_hamiltonian, verify_dtensor, vertical_metrical, Hamiltonian  # noqa: E402
-from jetham.charts import scalar_to_new_chart  # noqa: E402
-from jetham.frames import verify_adapted_tensoriality  # noqa: E402
-from jetham.metrics import transform_space_metric, transform_time_metric  # noqa: E402
-from jetham.nlconn import canonical_connection, verify_connection_law  # noqa: E402
+from jetham.cli import cmd_verify  # noqa: E402
+from jetham.problem import ChartSpec, Problem  # noqa: E402
 from jetham.report import worst_residual  # noqa: E402
-from jetham.spray import (  # noqa: E402
-    canonical_spatial,
-    canonical_temporal,
-    verify_spatial_law,
-    verify_temporal_law,
-)
+
+FAMILIES = ("dtensor", "temporal", "spatial", "connection", "frames")
+
+
+def family(check_id: str) -> str:
+    """The column of a check id: its prefix, or the law for a semispray."""
+    prefix, _, law = check_id.partition(".")
+    return law if prefix == "spray" else prefix
 
 
 def sweep(n: int, count: int, seed: int):
     h, g = metric_pair(n)
-    ham = metric_hamiltonian(h, g)
-    points = sampled_points(n, count, seed)
-    # the old chart's objects are shared by every chart
-    V, G1, G2 = vertical_metrical(ham), canonical_temporal(h, n), canonical_spatial(g)
-    N = canonical_connection(h, g)
+    points = tuple(sampled_points(n, count, seed))
     rows = []
     for cname, c in charts_for(n).items():
-        h_new = transform_time_metric(h, c)
-        g_new = transform_space_metric(g, c)
-        ham_new = Hamiltonian(n, scalar_to_new_chart(ham.expr, c))
-        N_new = canonical_connection(h_new, g_new)
-        residuals = {
-            "dtensor": verify_dtensor(V, vertical_metrical(ham_new), c, points).max_residual,
-            "temporal": verify_temporal_law(
-                G1, canonical_temporal(h_new, n), c, points
-            ).max_residual,
-            "spatial": verify_spatial_law(G2, canonical_spatial(g_new), c, points).max_residual,
-            "connection": verify_connection_law(N, N_new, c, points).max_residual,
-            "frames": verify_adapted_tensoriality(N, N_new, c, points).max_residual,
-        }
-        rows.append((cname, residuals))
+        problem = Problem(n, h, g, None, (ChartSpec(cname, c),), points, 1e-9)
+        by_family: dict[str, list[float]] = {f: [] for f in FAMILIES}
+        for r in cmd_verify(problem).records:
+            by_family[family(r.check_id)].append(r.residual)
+        rows.append((cname, {f: worst_residual(v) for f, v in by_family.items()}))
     return rows
 
 
@@ -65,14 +51,13 @@ def main():
     parser.add_argument("--dims", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args()
 
-    families = ("dtensor", "temporal", "spatial", "connection", "frames")
-    header = f"{'n':>2} {'chart':<10}" + "".join(f"{f:>12}" for f in families)
+    header = f"{'n':>2} {'chart':<10}" + "".join(f"{f:>12}" for f in FAMILIES)
     print(header)
     print("-" * len(header))
     worst = 0.0
     for n in args.dims:
         for cname, residuals in sweep(n, args.points, args.seed):
-            cells = "".join(f"{residuals[f]:>12.2e}" for f in families)
+            cells = "".join(f"{residuals[f]:>12.2e}" for f in FAMILIES)
             print(f"{n:>2} {cname:<10}{cells}")
             worst = worst_residual([worst, *residuals.values()])
     print("-" * len(header))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ChartInverseError, DimensionError, RegularityError
 from .expr import Coord, Expr, Point, Program, Var, check_vars, compose, esum
-from .report import CheckRecord, Report
+from .report import Report, check_points
 
 __all__ = [
     "CoordChange",
@@ -313,11 +313,9 @@ def natural_frame_matrix(td: TransitionData) -> np.ndarray:
     m = np.zeros((2 * n + 1, 2 * n + 1))
     m[0, 0] = td.dt_tilde_dt
     m[0, n + 1 :] = td.dp_tilde_dt
-    for i in range(n):
-        m[1 + i, 1 : n + 1] = td.jac[:, i]
-        m[1 + i, n + 1 :] = td.dp_tilde_dx[:, i]
-    for i in range(n):
-        m[n + 1 + i, n + 1 :] = td.jac_inv[i, :] * td.dt_tilde_dt
+    m[1 : n + 1, 1 : n + 1] = td.jac.T
+    m[1 : n + 1, n + 1 :] = td.dp_tilde_dx.T
+    m[n + 1 :, n + 1 :] = td.jac_inv * td.dt_tilde_dt
     return m
 
 
@@ -328,12 +326,10 @@ def natural_coframe_matrix(td: TransitionData, td_inv: TransitionData) -> np.nda
     n = td.jac.shape[0]
     m = np.zeros((2 * n + 1, 2 * n + 1))
     m[0, 0] = td.dt_dt_tilde
-    for i in range(n):
-        m[1 + i, 1 : n + 1] = td.jac_inv[i, :]
-    for i in range(n):
-        m[n + 1 + i, 0] = td_inv.dp_tilde_dt[i]
-        m[n + 1 + i, 1 : n + 1] = td_inv.dp_tilde_dx[i, :]
-        m[n + 1 + i, n + 1 :] = td.jac[:, i] * td.dt_dt_tilde
+    m[1 : n + 1, 1 : n + 1] = td.jac_inv
+    m[n + 1 :, 0] = td_inv.dp_tilde_dt
+    m[n + 1 :, 1 : n + 1] = td_inv.dp_tilde_dx
+    m[n + 1 :, n + 1 :] = td.jac.T * td.dt_dt_tilde
     return m
 
 
@@ -342,28 +338,17 @@ def verify_frame_rules(c: CoordChange, q: Point, tol: float = 1e-9) -> Report:
 
     The frame rows (how old basis vectors expand in the new basis) and the
     coframe rows must pair to the identity; the report carries one record
-    per matrix entry of coframe @ frame^T - I.
+    per matrix entry of coframe @ frame^T - I, in row-major order.
     """
-    td = transition(c, q)
-    td_inv = transition(c.inverse(), induced_point(c, q))
-    frame = natural_frame_matrix(td)
-    coframe = natural_coframe_matrix(td, td_inv)
-    deviation = np.abs(coframe @ frame.T - np.eye(2 * c.n + 1))
-    records = []
-    flat = q.flat()
-    for a in range(2 * c.n + 1):
-        for b in range(2 * c.n + 1):
-            r = float(deviation[a, b])
-            records.append(
-                CheckRecord(
-                    check_id="frame_rules",
-                    chart="",
-                    point=flat,
-                    residual=r,
-                    passed=r <= tol,
-                )
-            )
-    return Report.of(records)
+    size = 2 * c.n + 1
+
+    def compare(q):
+        td = transition(c, q)
+        td_inv = transition(c.inverse(), induced_point(c, q))
+        pairing = natural_coframe_matrix(td, td_inv) @ natural_frame_matrix(td).T
+        return np.abs(pairing - np.eye(size)).ravel().tolist()
+
+    return check_points((q,), tol, ("frame_rules",) * size**2, compare)
 
 
 def scalar_to_new_chart(e: Expr, c: CoordChange) -> Expr:

@@ -52,7 +52,14 @@ from .nlconn import (
     verify_connection_law,
 )
 from .problem import Problem, load_problem
-from .report import Report, check_points, report_to_json, residual, worst_residual
+from .report import (
+    Report,
+    check_points,
+    report_to_json,
+    residual,
+    worst_array_residual,
+    worst_residual,
+)
 from .spray import (
     MomentumSemispray,
     canonical_spatial,
@@ -176,16 +183,9 @@ def _connection_family(problem: Problem, charts: dict[str, _Chart], corrupt: boo
     N_from_G = connection_from_spray(MomentumSemispray(origin.temporal, origin.spatial), origin.g)
 
     def consistency(q):
-        pairs = (
-            (N.temporal.evaluate(q), N_from_G.temporal.evaluate(q)),
-            (N.spatial.evaluate(q), N_from_G.spatial.evaluate(q)),
-        )
+        parts = ((N.temporal, N_from_G.temporal), (N.spatial, N_from_G.spatial))
         return (
-            worst_residual(
-                residual(float(a), float(b))
-                for got, want in pairs
-                for a, b in zip(got.ravel(), want.ravel())
-            ),
+            worst_residual(worst_array_residual(a.evaluate(q), b.evaluate(q)) for a, b in parts),
         )
 
     records = list(
@@ -240,14 +240,15 @@ def cmd_christoffel(problem: Problem) -> Report:
         for j in range(n)
         for k in range(j, n)
     ]
-    nonzero = [(label, entry) for label, entry in entries if str(entry) != "0"]
-    for label, entry in nonzero:
-        click.echo(f"{label} = {entry}")
+    # each entry is printed once: a deep tree's text is costly
+    nonzero = [(label, e, text) for label, e in entries if (text := str(e)) != "0"]
+    for label, _, text in nonzero:
+        click.echo(f"{label} = {text}")
     click.echo("values at sample points:")
-    shown = Program([*(entry for _, entry in nonzero), H.H111])
+    shown = Program([*(entry for _, entry, _ in nonzero), H.H111])
     for q in problem.points[:3]:
         *values, Hv = shown.run(q)
-        gvals = [f"{label}={v:.6g}" for (label, _), v in zip(nonzero, values)]
+        gvals = [f"{label}={v:.6g}" for (label, _, _), v in zip(nonzero, values)]
         click.echo(f"  t={q.t:.4g} x={q.x}: H={Hv:.6g} " + " ".join(gvals))
 
     matrices = (e for m in (g.g, g.inverse) for row in m for e in row)

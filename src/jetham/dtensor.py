@@ -25,7 +25,7 @@ from .charts import CoordChange, TransitionData, induced_point, transition
 from .errors import SignatureMismatchError
 from .expr import Components, Expr, Point, Var, const, pvar
 from .metrics import SpaceMetric, TimeMetric, inverse_time
-from .report import Report, check_points, residual, worst_residual
+from .report import Report, check_points, worst_array_residual, worst_residual
 
 __all__ = [
     "IndexKind",
@@ -142,13 +142,8 @@ def verify_dtensor(
         new = T_new.evaluate(image)
         pushed = _apply_factors(T_old.signature, td, old)
         pulled = _apply_factors(T_new.signature, transition(inverse, image), new)
-        return (
-            worst_residual(
-                residual(float(a), float(b))
-                for got, want in ((pushed, new), (pulled, old))
-                for a, b in zip(got.ravel(), want.ravel())
-            ),
-        )
+        pairs = ((pushed, new), (pulled, old))
+        return (worst_residual(worst_array_residual(a, b) for a, b in pairs),)
 
     return check_points(points, tol, (check_id,), compare)
 

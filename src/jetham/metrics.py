@@ -88,6 +88,11 @@ class SpaceMetric:
             for i in range(n)
         )
 
+    @cached_property
+    def _compatibility_program(self) -> Program:
+        """The derivatives, then the entries, in index order."""
+        return Program([*_flat(self.derivatives), *(e for row in self.g for e in row)])
+
     @classmethod
     def diagonal(cls, entries: tuple[Expr, ...]) -> "SpaceMetric":
         n = len(entries)
@@ -114,6 +119,14 @@ class ChristoffelSpace:
 
     n: int
     gamma: tuple[tuple[tuple[Expr, ...], ...], ...]
+
+    @cached_property
+    def _program(self) -> Program:
+        return Program(_flat(self.gamma))
+
+
+def _flat(planes) -> list[Expr]:
+    return [e for plane in planes for row in plane for e in row]
 
 
 def inverse_time(h: TimeMetric) -> Expr:
@@ -210,15 +223,13 @@ def christoffel_space(g: SpaceMetric) -> ChristoffelSpace:
 
 def compatibility_residual(g: SpaceMetric, chr_space: ChristoffelSpace, q: Point) -> float:
     """Max |dg_ij/dx^k - gamma^l_ki g_lj - gamma^l_kj g_il| at q (zero for
-    the Levi-Civita connection; NaN when a difference is not a number)."""
+    the Levi-Civita connection; NaN when a difference is not a number).
+    Both objects compile their values once, on the first call."""
     n, m = g.n, g.n**3
-    dg = [e for plane in g.derivatives for row in plane for e in row]
-    gamma = [e for plane in chr_space.gamma for row in plane for e in row]
-    entries = [e for row in g.g for e in row]
-    values = np.array(Program(dg + gamma + entries).run(q))
+    values = np.array(g._compatibility_program.run(q))
     dg_q = values[:m].reshape(n, n, n).tolist()
-    gamma_q = values[m : 2 * m].reshape(n, n, n).tolist()
-    g_q = values[2 * m :].reshape(n, n).tolist()
+    g_q = values[m:].reshape(n, n).tolist()
+    gamma_q = np.array(chr_space._program.run(q)).reshape(n, n, n).tolist()
     residuals = []
     for i in range(n):
         for j in range(n):

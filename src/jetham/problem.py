@@ -58,22 +58,23 @@ def _parse_expr(src, n: int, where: str) -> Expr:
         raise ProblemFormatError(f"{where}: {ex}") from ex
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, which is an int subclass
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def _interval(value, where: str) -> tuple[float, float]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
         raise ProblemFormatError(f"{where}: expected [lo, hi]")
     return float(value[0]), float(value[1])
 
 
 def _axis_intervals(value, n: int, where: str) -> tuple[tuple[float, float], ...]:
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
         return (_interval(value, where),) * n
     if isinstance(value, (list, tuple)) and len(value) == n:
         return tuple(_interval(v, f"{where}[{i}]") for i, v in enumerate(value))
@@ -89,9 +90,13 @@ def _sample_points_from(doc, n: int) -> tuple[Point, ...]:
             raise ProblemFormatError(f"sample: unexpected keys {sorted(extra)}")
         pts = []
         for i, row in enumerate(doc["points"]):
-            if not isinstance(row, (list, tuple)) or len(row) != 2 * n + 1:
+            if (
+                not isinstance(row, (list, tuple))
+                or len(row) != 2 * n + 1
+                or not all(map(_is_number, row))
+            ):
                 raise ProblemFormatError(
-                    f"sample.points[{i}]: expected {2 * n + 1} coordinates"
+                    f"sample.points[{i}]: expected {2 * n + 1} numeric coordinates"
                 )
             pts.append(Point.from_flat(row, n))
         if not pts:
@@ -102,7 +107,7 @@ def _sample_points_from(doc, n: int) -> tuple[Point, ...]:
     if extra:
         raise ProblemFormatError(f"sample: unexpected keys {sorted(extra)}")
     for key in ("seed", "count"):
-        if key not in doc or not isinstance(doc[key], int):
+        if key not in doc or not _is_int(doc[key]):
             raise ProblemFormatError(f"sample.{key}: integer required")
     if doc["count"] < 1:
         raise ProblemFormatError("sample.count: must be >= 1")
@@ -200,7 +205,7 @@ def problem_from_dict(doc) -> Problem:
         raise ProblemFormatError(f"problem: unexpected keys {sorted(extra)}")
 
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ProblemFormatError("n: positive integer required")
 
     time_metric = TimeMetric(_parse_expr(doc["time_metric"], n, "time_metric"))
@@ -238,7 +243,7 @@ def problem_from_dict(doc) -> Problem:
         raise ProblemFormatError("charts: names must be unique")
 
     tolerance = doc.get("tolerance", 1e-9)
-    if not isinstance(tolerance, (int, float)) or tolerance <= 0:
+    if not _is_number(tolerance) or tolerance <= 0:
         raise ProblemFormatError("tolerance: positive number required")
 
     points = _sample_points_from(doc["sample"], n)

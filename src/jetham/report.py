@@ -13,9 +13,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 __all__ = [
     "residual",
     "worst_residual",
+    "worst_array_residual",
     "CheckRecord",
     "Report",
     "check_points",
@@ -45,6 +48,14 @@ def worst_residual(residuals: Iterable[float]) -> float:
         elif r != r:
             return math.nan
     return worst
+
+
+def worst_array_residual(got: np.ndarray, want: np.ndarray) -> float:
+    """The worst residual between two arrays of one shape, compared element
+    by element in ravel order (NaN as soon as one residual is NaN)."""
+    if np.shape(got) != np.shape(want):
+        raise ValueError(f"cannot compare shapes {np.shape(got)} and {np.shape(want)}")
+    return worst_residual(map(residual, np.ravel(got).tolist(), np.ravel(want).tolist()))
 
 
 @dataclass(frozen=True)
@@ -97,12 +108,15 @@ def check_points(
     """The records of one comparison run at each point, in point order.
 
     compare(q) returns the worst residual of each check at q, in check_ids
-    order; each becomes a record that passes when it is within tol.
+    order; each becomes a record that passes when it is within tol.  Array
+    arithmetic that overflows gives inf or NaN silently, as float arithmetic
+    does: the residual it leads to fails the record.
     """
     records = []
-    for q in points:
-        for check_id, worst in zip(check_ids, compare(q), strict=True):
-            records.append(CheckRecord(check_id, "", q.flat(), worst, worst <= tol))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q in points:
+            for check_id, worst in zip(check_ids, compare(q), strict=True):
+                records.append(CheckRecord(check_id, "", q.flat(), worst, worst <= tol))
     return Report.of(records)
 
 

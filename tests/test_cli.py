@@ -274,6 +274,17 @@ class TestChristoffel:
         # however many points are checked
         assert len(seen) == 1 + 2**3
 
+    def test_programs_are_compiled_once(self, monkeypatch):
+        seen = _count_calls(monkeypatch, jetham.expr, "Program")
+        compiled = []
+        for count in (1, 20):
+            problem = problem_from_dict(small_doc(sample={"seed": 3, "count": count}))
+            before = len(seen)
+            cmd_christoffel(problem)
+            compiled.append(len(seen) - before)
+        # however many points are checked
+        assert compiled[0] == compiled[1]
+
 
 class TestCanonical:
     def test_prints_canonical_objects(self, runner):

@@ -103,8 +103,13 @@ class TestRejection:
     def test_bad_metric_shape(self):
         doc = base_doc()
         doc["space_metric"] = [["1"]]
-        with pytest.raises(ProblemFormatError, match="space_metric"):
-            problem_from_dict(doc)
+        # JSON true is a bool, an int subclass: it must not pass for n = 1
+        one_by_one = base_doc()
+        one_by_one.update(n=True, space_metric=[["1"]], tolerance=1e-9)
+        one_by_one["charts"][0].update(x_fwd=["x1 + 1"], x_inv=["x1 - 1"])
+        for d, message in ((doc, "space_metric"), (one_by_one, "n: positive integer")):
+            with pytest.raises(ProblemFormatError, match=message):
+                problem_from_dict(d)
 
     def test_asymmetric_metric(self):
         doc = base_doc()
@@ -165,15 +170,17 @@ class TestRejection:
 
     def test_bad_point_arity(self):
         doc = base_doc()
-        doc["sample"] = {"points": [[1.0, 1.0, 1.0]]}
-        with pytest.raises(ProblemFormatError, match="coordinates"):
-            problem_from_dict(doc)
+        for row in ([1.0, 1.0, 1.0], [True, 1.0, 1.0, 2.0, 3.0]):
+            doc["sample"] = {"points": [row]}
+            with pytest.raises(ProblemFormatError, match="coordinates"):
+                problem_from_dict(doc)
 
     def test_bad_tolerance(self):
         doc = base_doc()
-        doc["tolerance"] = -1.0
-        with pytest.raises(ProblemFormatError, match="tolerance"):
-            problem_from_dict(doc)
+        for tolerance in (-1.0, True):
+            doc["tolerance"] = tolerance
+            with pytest.raises(ProblemFormatError, match="tolerance"):
+                problem_from_dict(doc)
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -183,6 +190,15 @@ class TestRejection:
 
     def test_empty_sample(self):
         doc = base_doc()
-        doc["sample"] = {"points": []}
-        with pytest.raises(ProblemFormatError, match="at least one"):
-            problem_from_dict(doc)
+        box = doc["sample"]["box"]
+        for sample, message in (
+            ({"points": []}, "at least one"),
+            ({"seed": True, "count": 5}, "sample.seed"),
+            ({"seed": 7, "count": True}, "sample.count"),
+            ({"seed": 7, "count": 5, "box": {**box, "t": [True, 2]}}, "sample.box.t"),
+            ({"seed": 7, "count": 5, "box": {**box, "p": [-3, True]}}, "sample.box.p"),
+            ({"seed": 7, "count": 5, "box": {**box, "x": [[0.5, 1], [True, 2]]}}, "box.x"),
+        ):
+            doc["sample"] = sample
+            with pytest.raises(ProblemFormatError, match=message):
+                problem_from_dict(doc)
