@@ -20,7 +20,7 @@ from .charts import CoordChange, induced_point, transition
 from .errors import DimensionError
 from .expr import Components, Point, Var, const, esum, pvar
 from .metrics import SpaceMetric, TimeMetric, christoffel_time
-from .report import Report, check_points, residual, worst_residual
+from .report import Report, check_points, worst_array_residual
 from .spray import MomentumSemispray
 
 __all__ = [
@@ -119,32 +119,18 @@ def verify_connection_law(
     """
     if N_old.n != c.n or N_new.n != c.n:
         raise DimensionError("connection and change dimensions differ")
-    n = c.n
 
     def compare(q):
         td = transition(c, q)
         image = induced_point(c, q)
+        J = td.jac_inv
         old_t = N_old.temporal.evaluate(q)
         old_s = N_old.spatial.evaluate(q)
         new_t = N_new.temporal.evaluate(image)
         new_s = N_new.spatial.evaluate(image)
-        temporal = worst_residual(
-            residual(
-                float(new_t[j]),
-                float(old_t @ td.jac_inv[:, j]) - td.dt_dt_tilde * float(td.dp_tilde_dt[j]),
-            )
-            for j in range(n)
-        )
-        spatial = worst_residual(
-            residual(
-                float(new_s[j, r]),
-                td.dt_tilde_dt * float(td.jac_inv[:, j] @ old_s @ td.jac_inv[:, r])
-                - float(td.dp_tilde_dx[j] @ td.jac_inv[:, r]),
-            )
-            for j in range(n)
-            for r in range(n)
-        )
-        return temporal, spatial
+        want_t = old_t @ J - td.dt_dt_tilde * td.dp_tilde_dt
+        want_s = td.dt_tilde_dt * (J.T @ old_s @ J) - td.dp_tilde_dx @ J
+        return worst_array_residual(new_t, want_t), worst_array_residual(new_s, want_s)
 
     return check_points(
         points, tol, ("connection.temporal", "connection.spatial"), compare

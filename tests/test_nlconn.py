@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from jetham.charts import identity_change
-from jetham.expr import Components, Point, const, esum, parse, pvar, tvar
+from jetham.charts import identity_change, scalar_to_new_chart
+from jetham.expr import Components, Point, Var, const, esum, parse, pvar, tvar, xvar
 from jetham.metrics import (
     SpaceMetric,
     TimeMetric,
@@ -244,3 +244,95 @@ class TestConnectionLaw:
             N_new = connection_from_spray(G_new, g_new)
             report = verify_connection_law(N_old, N_new, c, points)
             assert report.passed, (cname, report.max_residual)
+
+
+def random_entry(rng, n):
+    """A random sum of t, x and p terms; entries drawn in turn are related by
+    no symmetry."""
+    a, b = rng.randrange(n), rng.randrange(n)
+    k1, k2, k3 = (const(round(rng.uniform(-2, 2), 3)) for _ in range(3))
+    return k1 * pvar(a) * pvar(b) + k2 * xvar(a) * pvar(b) + k3 * tvar() * xvar(b)
+
+
+def old_chart_factors(c):
+    """dt~/dt, dt/dt~ and J[k][j] = dx^k/dx~^j, written in the old chart."""
+    to_old_x = {Var.space(i): c.x_fwd[i] for i in range(c.n)}
+    J = [[e.substitute(to_old_x) for e in row] for row in c.jac_inv]
+    return c.dt_fwd, const(1) / c.dt_fwd, J
+
+
+def in_new_chart(rows, c):
+    return Components(c.n, [[scalar_to_new_chart(e, c) for e in row] for row in rows])
+
+
+class TestNonSymmetricFamilies:
+    """Every canonical family is symmetric in its two indices, so a law that
+    contracted the transposed old family would pass on them.  These families
+    are random and carry their new-chart components, built symbolically by
+    the law itself; a transposed contraction fails them."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_connection_law(self, n):
+        rng = random.Random(211 + n)
+        points = sampled_points(n, 8, seed=223)
+        old_t = [random_entry(rng, n) for _ in range(n)]
+        old_s = [[random_entry(rng, n) for _ in range(n)] for _ in range(n)]
+        N = NonlinearConnection(n, old_t, old_s)
+        assert str(N.spatial[0, 1]) != str(N.spatial[1, 0])
+        for cname, c in charts_for(n).items():
+            dt, dt_inv, J = old_chart_factors(c)
+            idx = range(n)
+            new_t = [
+                esum(old_t[k] * J[k][j] for k in idx) - dt_inv * c.dmomentum_dt[j]
+                for j in idx
+            ]
+            new_s = [
+                [
+                    esum(old_s[k][i] * dt * J[k][j] * J[i][r] for k in idx for i in idx)
+                    - esum(J[i][r] * c.dmomentum_dx[j][i] for i in idx)
+                    for r in idx
+                ]
+                for j in idx
+            ]
+            N_new = NonlinearConnection(
+                n, in_new_chart([new_t], c)[0], in_new_chart(new_s, c)
+            )
+            report = verify_connection_law(N, N_new, c, points)
+            assert report.passed, (cname, report.max_residual_by_family())
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_semispray_laws(self, n):
+        rng = random.Random(227 + n)
+        points = sampled_points(n, 8, seed=229)
+        G1 = [[random_entry(rng, n) for _ in range(n)] for _ in range(n)]
+        G2 = [[random_entry(rng, n) for _ in range(n)] for _ in range(n)]
+        half = const(0.5)
+        for cname, c in charts_for(n).items():
+            dt, _, J = old_chart_factors(c)
+            idx = range(n)
+
+            def homogeneous(G, k, r):
+                return esum(G[j][i] * dt * J[j][k] * J[i][r] for j in idx for i in idx)
+
+            # 2 G~_(k)r = 2 G_(j)i (dt~/dt) J[j][k] J[i][r] - J[i][r] (dp~_k/dt) p_i
+            new_t = [
+                [
+                    homogeneous(G1, k, r)
+                    - half * esum(J[i][r] * c.dmomentum_dt[k] * pvar(i) for i in idx)
+                    for r in idx
+                ]
+                for k in idx
+            ]
+            # 2 G~_(s)k = 2 G_(j)i (dt~/dt) J[j][s] J[i][k] - J[i][k] (dp~_s/dx^i)
+            new_s = [
+                [
+                    homogeneous(G2, s, k)
+                    - half * esum(J[i][k] * c.dmomentum_dx[s][i] for i in idx)
+                    for k in idx
+                ]
+                for s in idx
+            ]
+            temporal = verify_temporal_law(Components(n, G1), in_new_chart(new_t, c), c, points)
+            spatial = verify_spatial_law(Components(n, G2), in_new_chart(new_s, c), c, points)
+            assert temporal.passed, (cname, temporal.max_residual)
+            assert spatial.passed, (cname, spatial.max_residual)
