@@ -4,10 +4,19 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from jetham.charts import identity_change
 from jetham.expr import Components, Point, const
-from jetham.report import CheckRecord, Report, check_points, report_to_json, worst_residual
+from jetham.report import (
+    CheckRecord,
+    Report,
+    check_points,
+    report_to_json,
+    residual,
+    worst_array_residual,
+    worst_residual,
+)
 from jetham.spray import _verify_semispray_law
 
 
@@ -20,6 +29,17 @@ def test_worst_residual_propagates_nan():
     # max(0.0, nan) is 0.0; the reduction must not drop the NaN
     assert math.isnan(worst_residual([1e-12, math.nan, 1.0]))
     assert math.isnan(worst_residual([math.nan]))
+
+
+def test_worst_array_residual_compares_element_by_element():
+    got = np.array([[1.0, 2.0], [3.0, 4.0]])
+    want = np.array([[1.0, 2.0 + 4e-16], [3.0, 4.4]])
+    assert worst_array_residual(got, want) == residual(4.0, 4.4)
+    # inf against inf is NaN, and NaN wins over a larger finite residual
+    inf = np.array([math.inf, 1.0])
+    assert math.isnan(worst_array_residual(inf, np.array([math.inf, 9.0])))
+    with pytest.raises(ValueError, match="shapes"):
+        worst_array_residual(got, want[:1])
 
 
 def test_nan_residual_yields_a_failing_record():
