@@ -8,11 +8,15 @@ operation needs is again a tree of the same kind and carries no
 differentiation error.
 
 Objects built from one another share subtrees by object identity, so the
-trees are really DAGs.  Differentiation and substitution rebuild each node
+trees are really DAGs.  Each node knows its free variables from the moment
+it is built and keeps every derivative taken of it, so differentiation
+skips subtrees free of the variable and differentiates each node object
+once per variable over its lifetime.  Substitution rebuilds each node
 object once per call, and a compiled ``Program`` evaluates each one once
 per point; it is the only evaluator.  None of these, nor printing,
-recurses, so depth is not limited by the interpreter's stack; the parser
-caps nesting at ``MAX_NESTING`` levels instead.
+comparison or hashing, recurses, so depth is not limited by the
+interpreter's stack; the parser caps nesting at ``MAX_NESTING`` levels
+instead.
 
 Construction goes through smart constructors that fold the 0/1 identities
 (x+0, x*1, x*0, x^1, ...).  No further simplification is attempted:
@@ -141,12 +145,18 @@ Number = Union[int, float]
 
 
 class Expr:
-    """Base class; all nodes are immutable and hash/compare structurally.
-    Structural ``==`` and ``hash`` recurse, so the engine compares printed
-    text (``str``) where a tree may be deep.  ``repr`` is the printed text
-    behind the node's class name, so it does not recurse."""
+    """Base class; all nodes are immutable and compare and hash structurally.
+    ``==`` and ``hash`` walk the tree without recursion, and the hash is
+    kept on the node once computed.  ``repr`` is the printed text behind
+    the node's class name, so it does not recurse either.
 
-    __slots__ = ()
+    Every node carries a free-variable mask, set when it is built, and the
+    derivatives ``diff`` has taken of it, kept for as long as it lives as
+    a flat tuple (bit, derivative, bit, derivative, ...), a quarter of the
+    memory of a dict.
+    """
+
+    __slots__ = ("_mask", "_derivs", "_hash")
 
     # -- construction sugar -------------------------------------------------
     def __add__(self, other):
@@ -189,37 +199,94 @@ class Expr:
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {_to_text(self)}>"
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Expr):
+            return NotImplemented
+        return _same(self, other)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            return _structural_hash(self)
+
     def substitute(self, mapping: Mapping[Var, "Expr"]) -> "Expr":
         """Simultaneous substitution; variables absent from the map are kept.
         Memoized by node identity, so shared subtrees stay shared."""
         return _rebuild(self, lambda node, done: node._substituted(done, mapping))
 
     def free_vars(self) -> frozenset[Var]:
-        found = set()
-        seen = set()
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            if type(node) is Coord:
-                found.add(node.var)
-            else:
-                stack.extend(_operands(node))
-        return frozenset(found)
+        mask = self._mask
+        if mask < 0:
+            mask = _walked_mask(self)
+        return frozenset(_var_of_bit(k) for k in range(1, mask.bit_length()) if mask >> k & 1)
 
-    # -- per-node rules, given d[id(operand)] for every operand ---------------
-    def _derivative(self, d: dict[int, "Expr"], v: Var) -> "Expr":
+    # -- per-node rules -------------------------------------------------------
+    def _derivative(self, d, v: Var) -> "Expr":
+        """The derivative by v, given d(operand), the derivative of each
+        operand."""
         raise NotImplementedError
 
     def _substituted(self, s: dict[int, "Expr"], mapping: Mapping[Var, "Expr"]) -> "Expr":
         raise NotImplementedError
 
 
-@dataclass(frozen=True, repr=False)
+# Free-variable masks.  The variable t has bit 1, x^i bit 2i+2 and p_i bit
+# 2i+3.  Bit 0 is not a variable: it says that the node's derivative by a
+# variable outside its mask is -0.0 rather than 0.0, the zero the node's
+# rule builds from its operands' zeros.  A mask of every bit (a negative
+# int) marks a node whose rule builds no zero at all; ``diff`` never skips
+# it, nor any node above it.
+_SIGN = 1
+_EVERY = -1
+
+
+def _bit(v: Var) -> int:
+    if v.kind == "t":
+        return 2
+    return 1 << (2 * v.index + (2 if v.kind == "x" else 3))
+
+
+def _var_of_bit(k: int) -> Var:
+    if k == 1:
+        return Var.time()
+    i, momentum = divmod(k - 2, 2)
+    return Var("p" if momentum else "x", i)
+
+
+def _walked_mask(e: "Expr") -> int:
+    """The variables of e, read below the nodes marked with every bit."""
+    mask = 0
+    seen = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if node._mask >= 0:
+            mask |= node._mask
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(_operands(node))
+    return mask & ~_SIGN
+
+
+_set = object.__setattr__
+
+# Each node class writes its own __init__, which sets its fields, its mask
+# from its operands' masks, and no kept derivative yet: the generated one
+# followed by a __post_init__ cost half again as much per node.
+_node = dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
+
+
+@_node
 class Const(Expr):
     value: float
+
+    def __init__(self, value: float):
+        _set(self, "value", value)
+        _set(self, "_mask", 0)
+        _set(self, "_derivs", ())
 
     def _derivative(self, d, v):
         return ZERO
@@ -228,9 +295,14 @@ class Const(Expr):
         return self
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Coord(Expr):
     var: Var
+
+    def __init__(self, var: Var):
+        _set(self, "var", var)
+        _set(self, "_mask", _bit(var))
+        _set(self, "_derivs", ())
 
     def _derivative(self, d, v):
         return ONE if self.var == v else ZERO
@@ -239,54 +311,85 @@ class Coord(Expr):
         return mapping.get(self.var, self)
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Add(Expr):
     left: Expr
     right: Expr
 
+    def __init__(self, left: Expr, right: Expr):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        # the sum of two zeros is the right one (_add drops a zero left)
+        _set(self, "_mask", (left._mask | right._mask) & ~_SIGN | right._mask & _SIGN)
+        _set(self, "_derivs", ())
+
     def _derivative(self, d, v):
-        return _add(d[id(self.left)], d[id(self.right)])
+        return _add(d(self.left), d(self.right))
 
     def _substituted(self, s, mapping):
         return _add(s[id(self.left)], s[id(self.right)])
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Sub(Expr):
     left: Expr
     right: Expr
 
+    def __init__(self, left: Expr, right: Expr):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        # the difference of two zeros is the left one (_sub drops a zero right)
+        _set(self, "_mask", (left._mask | right._mask) & ~_SIGN | left._mask & _SIGN)
+        _set(self, "_derivs", ())
+
     def _derivative(self, d, v):
-        return _sub(d[id(self.left)], d[id(self.right)])
+        return _sub(d(self.left), d(self.right))
 
     def _substituted(self, s, mapping):
         return _sub(s[id(self.left)], s[id(self.right)])
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Mul(Expr):
     left: Expr
     right: Expr
 
+    def __init__(self, left: Expr, right: Expr):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_mask", (left._mask | right._mask) & ~_SIGN)
+        _set(self, "_derivs", ())
+
     def _derivative(self, d, v):
         return _add(
-            _mul(d[id(self.left)], self.right),
-            _mul(self.left, d[id(self.right)]),
+            _mul(d(self.left), self.right),
+            _mul(self.left, d(self.right)),
         )
 
     def _substituted(self, s, mapping):
         return _mul(s[id(self.left)], s[id(self.right)])
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Div(Expr):
     left: Expr
     right: Expr
 
+    def __init__(self, left: Expr, right: Expr):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        # over a constant whose square is 0.0 the rule builds 0 / 0.0,
+        # which _div keeps as a Div
+        if type(right) is Const and abs(right.value) < 1.0 and right.value ** 2 == 0.0:
+            _set(self, "_mask", _EVERY)
+        else:
+            _set(self, "_mask", (left._mask | right._mask) & ~_SIGN)
+        _set(self, "_derivs", ())
+
     def _derivative(self, d, v):
         num = _sub(
-            _mul(d[id(self.left)], self.right),
-            _mul(self.left, d[id(self.right)]),
+            _mul(d(self.left), self.right),
+            _mul(self.left, d(self.right)),
         )
         return _div(num, _pow(self.right, Fraction(2)))
 
@@ -294,7 +397,7 @@ class Div(Expr):
         return _div(s[id(self.left)], s[id(self.right)])
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Pow(Expr):
     """base^r with an exact rational exponent.
 
@@ -305,67 +408,103 @@ class Pow(Expr):
     base: Expr
     exponent: Fraction
 
+    def __init__(self, base: Expr, exponent: Fraction):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+        _set(self, "_mask", base._mask & ~_SIGN)
+        _set(self, "_derivs", ())
+
     def _derivative(self, d, v):
         r = self.exponent
         return _mul(
             _mul(Const(float(r)), _pow(self.base, r - 1)),
-            d[id(self.base)],
+            d(self.base),
         )
 
     def _substituted(self, s, mapping):
         return _pow(s[id(self.base)], self.exponent)
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Neg(Expr):
     arg: Expr
 
+    def __init__(self, arg: Expr):
+        _set(self, "arg", arg)
+        _set(self, "_mask", arg._mask ^ _SIGN)
+        _set(self, "_derivs", ())
+
     def _derivative(self, d, v):
-        return _neg(d[id(self.arg)])
+        return _neg(d(self.arg))
 
     def _substituted(self, s, mapping):
         return _neg(s[id(self.arg)])
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Exp(Expr):
     arg: Expr
 
+    def __init__(self, arg: Expr):
+        _set(self, "arg", arg)
+        _set(self, "_mask", arg._mask & ~_SIGN)
+        _set(self, "_derivs", ())
+
     def _derivative(self, d, v):
-        return _mul(self, d[id(self.arg)])
+        return _mul(self, d(self.arg))
 
     def _substituted(self, s, mapping):
         return Exp(s[id(self.arg)])
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Log(Expr):
     arg: Expr
 
+    def __init__(self, arg: Expr):
+        _set(self, "arg", arg)
+        # of the constant 0 the rule builds 0 / 0, which _div keeps
+        if type(arg) is Const and arg.value == 0.0:
+            _set(self, "_mask", _EVERY)
+        else:
+            _set(self, "_mask", arg._mask & ~_SIGN)
+        _set(self, "_derivs", ())
+
     def _derivative(self, d, v):
-        return _div(d[id(self.arg)], self.arg)
+        return _div(d(self.arg), self.arg)
 
     def _substituted(self, s, mapping):
         return Log(s[id(self.arg)])
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Sin(Expr):
     arg: Expr
 
+    def __init__(self, arg: Expr):
+        _set(self, "arg", arg)
+        _set(self, "_mask", arg._mask & ~_SIGN)
+        _set(self, "_derivs", ())
+
     def _derivative(self, d, v):
-        return _mul(Cos(self.arg), d[id(self.arg)])
+        return _mul(Cos(self.arg), d(self.arg))
 
     def _substituted(self, s, mapping):
         return Sin(s[id(self.arg)])
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Cos(Expr):
     arg: Expr
 
+    def __init__(self, arg: Expr):
+        _set(self, "arg", arg)
+        # the rule negates a zero product: -0.0
+        _set(self, "_mask", arg._mask | _SIGN)
+        _set(self, "_derivs", ())
+
     def _derivative(self, d, v):
-        return _neg(_mul(Sin(self.arg), d[id(self.arg)]))
+        return _neg(_mul(Sin(self.arg), d(self.arg)))
 
     def _substituted(self, s, mapping):
         return Cos(s[id(self.arg)])
@@ -373,6 +512,7 @@ class Cos(Expr):
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
+_NEG_ZERO = Const(-0.0)
 
 _BINARY = (Add, Sub, Mul, Div)
 _LEAVES = (Const, Coord)
@@ -387,6 +527,57 @@ def _operands(e: Expr) -> tuple[Expr, ...]:
     if cls in _LEAVES:
         return ()
     return (e.arg,)
+
+
+def _same(a: Expr, b: Expr) -> bool:
+    """Structural equality, pair by pair without recursion; a pair of
+    objects met before is not compared again."""
+    seen = set()
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        cls = type(a)
+        if a is b:
+            continue
+        if type(b) is not cls:
+            return False
+        if cls is Const:
+            # as in a tuple comparison: one float object equals itself
+            if a.value is not b.value and a.value != b.value:
+                return False
+        elif cls is Coord:
+            if a.var != b.var:
+                return False
+        elif cls is Pow and a.exponent != b.exponent:
+            return False
+        elif (id(a), id(b)) not in seen:
+            seen.add((id(a), id(b)))
+            stack.extend(zip(_operands(a), _operands(b)))
+    return True
+
+
+def _structural_hash(e: Expr) -> int:
+    """Hash of e from its children's hashes, bottom-up without recursion;
+    each node keeps its own."""
+    stack = [(e, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if hasattr(node, "_hash"):
+            continue
+        cls = type(node)
+        if cls is Const:
+            h = hash(node.value)
+        elif cls is Coord:
+            h = hash(node.var)
+        elif expanded:
+            parts = tuple(k._hash for k in _operands(node))
+            h = hash((cls, node.exponent, *parts) if cls is Pow else (cls, *parts))
+        else:
+            stack.append((node, True))
+            stack.extend((k, False) for k in _operands(node))
+            continue
+        _set(node, "_hash", h)
+    return e._hash
 
 
 def _trig(fn, value: float, node: Expr) -> float:
@@ -513,13 +704,38 @@ def esum(terms: Iterable[Expr]) -> Expr:
 def diff(e: Expr, v: Var) -> Expr:
     """Exact algebraic derivative of e with respect to the variable v.
 
-    The walk is iterative and memoized by node identity for the length of
-    the call: a subtree shared by several parents is differentiated once,
-    and its derivative is shared in turn.  Each node's rule and the smart
-    constructors decide the result, so it equals a node-by-node recursive
-    derivative and differs only in sharing.
+    The walk is iterative, and each node keeps its derivative by v for as
+    long as it lives: a subtree shared by several parents, or met again
+    in a later call, is differentiated once, and its derivative is shared
+    in turn.  A subtree free of v is not walked; its derivative is the
+    zero its rules would build, sign included.  Each node's rule and the
+    smart constructors decide the result, so it equals a node-by-node
+    recursive derivative and differs only in sharing.
     """
-    return _rebuild(e, lambda node, done: node._derivative(done, v))
+    bit = _bit(v)
+
+    def d(node: Expr) -> Expr | None:
+        """node's derivative by v if it is known without a walk."""
+        mask = node._mask
+        if not mask & bit:
+            return _NEG_ZERO if mask & _SIGN else ZERO
+        if type(node) is Coord:
+            return ONE
+        kept = node._derivs  # (bit, derivative, bit, derivative, ...)
+        for i in range(0, len(kept), 2):
+            if kept[i] == bit:
+                return kept[i + 1]
+        return None
+
+    stack = [(e, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            _set(node, "_derivs", node._derivs + (bit, node._derivative(d, v)))
+        elif d(node) is None:
+            stack.append((node, True))
+            stack.extend((k, False) for k in _operands(node) if d(k) is None)
+    return d(e)
 
 
 def _rebuild(e: Expr, rule) -> Expr:

@@ -243,8 +243,9 @@ def problem_from_dict(doc) -> Problem:
         raise ProblemFormatError("charts: names must be unique")
 
     tolerance = doc.get("tolerance", 1e-9)
-    if not _is_number(tolerance) or tolerance <= 0:
-        raise ProblemFormatError("tolerance: positive number required")
+    # JSON's Infinity and NaN load as floats; either would pass every check
+    if not _is_number(tolerance) or not 0 < tolerance < math.inf:
+        raise ProblemFormatError("tolerance: positive finite number required")
 
     points = _sample_points_from(doc["sample"], n)
     problem = Problem(

@@ -177,6 +177,17 @@ def reference_eval(e: Expr, q: Point) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Recursive reference derivative
+# ---------------------------------------------------------------------------
+
+def reference_diff(e: Expr, v: Var) -> Expr:
+    """Apply each node's own derivative rule by recursion, with no memo and
+    no pruning of subtrees free of v.  ``diff`` is compared against it node
+    for node."""
+    return e._derivative(lambda k: reference_diff(k, v), v)
+
+
+# ---------------------------------------------------------------------------
 # Finite-difference oracle
 # ---------------------------------------------------------------------------
 
@@ -216,7 +227,7 @@ EXPONENTS = (
 MAGNITUDE_CAP = 1e3  # on every subexpression of e, e', e'' at the point
 
 
-def _children(e: Expr):
+def children(e: Expr):
     if isinstance(e, (Add, Sub, Mul, Div)):
         return (e.left, e.right)
     if isinstance(e, Pow):
@@ -228,7 +239,7 @@ def _children(e: Expr):
 
 def max_abs_subvalue(e: Expr, q: Point) -> float:
     worst = abs(reference_eval(e, q))
-    for child in _children(e):
+    for child in children(e):
         worst = max(worst, max_abs_subvalue(child, q))
     return worst
 

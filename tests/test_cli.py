@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import hashlib
 import json
 import sys
 import weakref
@@ -20,6 +21,7 @@ from jetham.cli import cmd_christoffel, cmd_verify, main
 from jetham.expr import Point
 from jetham.frames import adapted_coframe, adapted_frame
 from jetham.problem import load_problem, problem_from_dict
+from jetham.report import report_to_json
 
 from helpers import reference_eval
 
@@ -468,6 +470,22 @@ def test_corrupt_connection_stays_local_to_connection_family():
     assert failing == expected
     frames = [r for r in report.records if r.check_id.startswith("frames.")]
     assert frames and all(r.passed for r in frames)
+
+
+# sha256 of the example's JSON report, plain and with the corrupted
+# connection.  A change that moves a single byte of either report must
+# update the pin here, in a commit that says why the bytes moved.
+EXAMPLE_REPORT_SHA256 = {
+    False: "e87779bc5c057de108e2dabed56b74ea2592a0ea1e34349701681898362b8c09",
+    True: "c4a5e051724d72b59687a9c65ce78a02771012e4d53226778ec7ba8b4f8db877",
+}
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["plain", "corrupt_connection"])
+def test_example_report_bytes_are_pinned(corrupt):
+    report = cmd_verify(load_problem(EXAMPLE), corrupt_connection=corrupt)
+    text = report_to_json(report)
+    assert hashlib.sha256(text.encode()).hexdigest() == EXAMPLE_REPORT_SHA256[corrupt]
 
 
 def _deep_documents():

@@ -6,7 +6,7 @@ import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetham.errors import (
@@ -17,6 +17,7 @@ from jetham.errors import (
 )
 from jetham.expr import (
     MAX_NESTING,
+    ZERO,
     Add,
     Const,
     Coord,
@@ -42,7 +43,15 @@ from jetham.expr import (
     xvar,
 )
 
-from helpers import central_diff, derivative_pairs, random_expr, random_point, reference_eval
+from helpers import (
+    central_diff,
+    children,
+    derivative_pairs,
+    random_expr,
+    random_point,
+    reference_diff,
+    reference_eval,
+)
 
 Q1 = Point.make(0.0, [1.0], [1.0])
 
@@ -336,6 +345,15 @@ class TestImmutability:
         assert a == b and hash(a) == hash(b)
         assert a != parse("t + x1", 1)
 
+    def test_negative_zero_equals_zero(self):
+        assert Const(0.0) == Const(-0.0) and hash(Const(0.0)) == hash(Const(-0.0))
+
+    def test_deep_sum_compares_and_hashes_without_recursion(self):
+        src = " + ".join(f"x1^{k}" for k in range(1, 1501))
+        a, b = parse(src, 2), parse(src, 2)
+        assert a == b and hash(a) == hash(b)
+        assert a != parse(src + " + 1", 2)
+
     def test_operator_sugar_builds_fresh_trees(self):
         base = xvar(0)
         e1 = base + 1
@@ -347,7 +365,7 @@ class TestImmutability:
 # -- compiled programs ---------------------------------------------------------
 
 _LEAVES = st.one_of(
-    st.sampled_from([0.0, -0.0, 0.5, -1.5, 2.0, 300.0, 1e200]).map(Const),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.5, 2.0, 300.0, 1e200, 1e-200]).map(Const),
     st.sampled_from([Var.time(), Var.space(0), Var.space(1), Var.momentum(0)]).map(Coord),
 )
 _UNARY = (Neg, Exp, Log, Sin, Cos)
@@ -359,7 +377,8 @@ _EXPONENTS = [Fraction(e) for e in (0, 1, 2, 3, -1, -2)] + [Fraction(1, 2), Frac
 def shared_dags(draw):
     """Root lists over a pool in which every new node takes its operands
     from the earlier nodes, so subtrees are shared within and across roots.
-    Raw constructors keep the shapes the smart ones fold (x/0, x^0, ...)."""
+    Raw constructors keep the shapes the smart ones fold (x/0, x^0,
+    log(0), log(1), x/1e-200, ...)."""
     pool = draw(st.lists(_LEAVES, min_size=1, max_size=4))
     for _ in range(draw(st.integers(1, 12))):
         pick = st.sampled_from(pool)
@@ -444,6 +463,58 @@ class TestProgram:
 
     def test_overflowing_sum_of_finite_values_is_not_an_error(self):
         assert Program([const(1e308), const(1e308)]).run(Q1) == [1e308, 1e308]
+
+
+_VARS = st.sampled_from(
+    [Var.time(), Var.space(0), Var.space(1), Var.momentum(0), Var.momentum(1)]
+)
+
+
+def _same_bits(a, b) -> bool:
+    """Structural equality in which constants match bit for bit, so that
+    -0.0 is told apart from 0.0."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        cls = type(a)
+        if type(b) is not cls:
+            return False
+        if cls is Const:
+            if _bits([a.value]) != _bits([b.value]):
+                return False
+        elif cls is Coord:
+            if a.var != b.var:
+                return False
+        elif cls is Pow and a.exponent != b.exponent:
+            return False
+        else:
+            stack.extend(zip(children(a), children(b)))
+    return True
+
+
+class TestKeptDerivatives:
+    @settings(max_examples=400, deadline=None)
+    @given(shared_dags(), _VARS, _VARS)
+    # the shapes whose rules build no zero from operands free of the variable
+    @example([Div(Neg(xvar(0)), Const(-1e-200))], Var.momentum(0), Var.time())
+    @example([Add(Log(Const(0.0)), pvar(0))], Var.time(), Var.momentum(0))
+    @example([Neg(Log(Const(1.0)))], Var.space(0), Var.space(0))
+    def test_diff_matches_the_recursive_rules_node_for_node(self, roots, v, w):
+        for root in roots:
+            first = reference_diff(root, v)
+            assert _same_bits(diff(root, v), first)
+            assert _same_bits(diff(diff(root, v), w), reference_diff(first, w))
+
+    def test_a_second_diff_returns_the_kept_object(self):
+        e = parse("sin(x1*p1) * exp(p2) / (1 + p1^2)", 2)
+        first = diff(e, Var.momentum(0))
+        assert diff(e, Var.momentum(0)) is first
+        assert diff(e, Var.momentum(1)) is not first
+
+    def test_derivative_free_of_the_variable_skips_the_tree(self):
+        e = parse(" + ".join(f"x1^{k}" for k in range(1, 3001)), 1)
+        assert diff(e, Var.momentum(0)) is ZERO
+        assert e._derivs == ()  # nothing was walked, so nothing was kept
 
 
 class TestSharing:

@@ -1,6 +1,7 @@
 """Problem file parsing, validation, and load-time sanity checks."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -177,7 +178,7 @@ class TestRejection:
 
     def test_bad_tolerance(self):
         doc = base_doc()
-        for tolerance in (-1.0, True):
+        for tolerance in (-1.0, True, math.inf, math.nan):
             doc["tolerance"] = tolerance
             with pytest.raises(ProblemFormatError, match="tolerance"):
                 problem_from_dict(doc)
