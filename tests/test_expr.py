@@ -344,8 +344,6 @@ class TestImmutability:
         b = parse("x1 + t", 1)
         assert a == b and hash(a) == hash(b)
         assert a != parse("t + x1", 1)
-
-    def test_negative_zero_equals_zero(self):
         assert Const(0.0) == Const(-0.0) and hash(Const(0.0)) == hash(Const(-0.0))
 
     def test_deep_sum_compares_and_hashes_without_recursion(self):
