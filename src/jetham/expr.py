@@ -451,7 +451,9 @@ class Exp(Expr):
         _set(self, "_derivs", ())
 
     def _derivative(self, d, v):
-        return _mul(self, d(self.arg))
+        # a new exp node: a derivative kept on this one must not refer back
+        # to it, or the two would be freed only by the cycle collector
+        return _mul(Exp(self.arg), d(self.arg))
 
     def _substituted(self, s, mapping):
         return Exp(s[id(self.arg)])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -243,8 +244,9 @@ def problem_from_dict(doc) -> Problem:
         raise ProblemFormatError("charts: names must be unique")
 
     tolerance = doc.get("tolerance", 1e-9)
-    # JSON's Infinity and NaN load as floats; either would pass every check
-    if not _is_number(tolerance) or not 0 < tolerance < math.inf:
+    # JSON's Infinity and NaN load as floats, and either would pass every
+    # check; a longer integer than a float holds would not convert
+    if not _is_number(tolerance) or not 0 < tolerance <= sys.float_info.max:
         raise ProblemFormatError("tolerance: positive finite number required")
 
     points = _sample_points_from(doc["sample"], n)

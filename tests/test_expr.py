@@ -1,5 +1,6 @@
 """Expression DSL: parsing, evaluation, exact differentiation, substitution."""
 
+import gc
 import math
 import random
 import struct
@@ -508,6 +509,18 @@ class TestKeptDerivatives:
         first = diff(e, Var.momentum(0))
         assert diff(e, Var.momentum(0)) is first
         assert diff(e, Var.momentum(1)) is not first
+
+    def test_kept_derivatives_hold_no_reference_cycle(self):
+        # dropping an expression and its derivatives frees them at once
+        gc.disable()
+        try:
+            gc.collect()
+            e = parse("exp(x1*p1) * sin(p1) + log(cos(x1) + 2) / p1", 1)
+            diff(diff(e, Var.momentum(0)), Var.space(0))
+            del e
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_derivative_free_of_the_variable_skips_the_tree(self):
         e = parse(" + ".join(f"x1^{k}" for k in range(1, 3001)), 1)

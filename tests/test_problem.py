@@ -178,7 +178,7 @@ class TestRejection:
 
     def test_bad_tolerance(self):
         doc = base_doc()
-        for tolerance in (-1.0, True, math.inf, math.nan):
+        for tolerance in (-1.0, True, math.inf, math.nan, 10**400):
             doc["tolerance"] = tolerance
             with pytest.raises(ProblemFormatError, match="tolerance"):
                 problem_from_dict(doc)
