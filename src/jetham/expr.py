@@ -275,7 +275,7 @@ _set = object.__setattr__
 
 # Each node class writes its own __init__, which sets its fields, its mask
 # from its operands' masks, and no kept derivative yet: the generated one
-# followed by a __post_init__ cost half again as much per node.
+# followed by a __post_init__ cost about a third more per node.
 _node = dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
 
 
