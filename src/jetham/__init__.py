@@ -52,8 +52,7 @@ from .expr import (
     xvar,
 )
 from .frames import (
-    adapted_coframe,
-    adapted_frame,
+    adapted_frames,
     decompose,
     pairing,
     reconstruct,

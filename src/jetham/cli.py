@@ -2,9 +2,9 @@
 file and run the verification suites over its charts and sample points.
 
 Exit codes: 0 all checks pass, 2 at least one residual check failed,
-3 configuration or parse error.  Reports are assembled in canonical order
-(chart index, then point index), so identical problem files produce
-byte-identical JSON.
+3 configuration or parse error, or a report file that cannot be written.
+Reports are assembled in canonical order (chart index, then point
+index), so identical problem files produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -30,12 +30,7 @@ from .dtensor import (
 )
 from .errors import JethamError
 from .expr import Components, Point, Program
-from .frames import (
-    adapted_coframe,
-    adapted_frame,
-    pairing,
-    verify_adapted_tensoriality,
-)
+from .frames import adapted_frames, pairing, verify_adapted_tensoriality
 from .metrics import (
     SpaceMetric,
     TimeMetric,
@@ -205,12 +200,11 @@ def _connection_family(problem: Problem, charts: dict[str, _Chart], corrupt: boo
 
 def _frames_family(problem: Problem, charts: dict[str, _Chart]) -> Report:
     N = charts[""].connection
-    F, C = adapted_frame(N), adapted_coframe(N)
     size = 2 * problem.n + 1
     records = list(
         check_points(
             problem.points, DUALITY_TOL, ("frames.duality",),
-            lambda q: (float(np.max(np.abs(pairing(F, C, q) - np.eye(size)))),),
+            lambda q: (float(np.max(np.abs(pairing(*adapted_frames(N, q)) - np.eye(size)))),),
         ).records
     )
     for spec in problem.charts:
@@ -330,9 +324,9 @@ _EVAL_OBJECTS = {
     "connection": lambda o, q: (
         o.connection.temporal.evaluate(q), o.connection.spatial.evaluate(q)
     ),
-    "frame": lambda o, q: adapted_frame(o.connection).evaluate(q),
-    "coframe": lambda o, q: adapted_coframe(o.connection).evaluate(q),
-    "pairing": lambda o, q: pairing(adapted_frame(o.connection), adapted_coframe(o.connection), q),
+    "frame": lambda o, q: adapted_frames(o.connection, q)[0],
+    "coframe": lambda o, q: adapted_frames(o.connection, q)[1],
+    "pairing": lambda o, q: pairing(*adapted_frames(o.connection, q)),
 }
 
 
@@ -365,7 +359,12 @@ def _finish(report: Report, json_path: str | None):
         click.echo(f"{family}: max residual {by_family[family]:.3e}")
     click.echo(f"overall: {'PASS' if report.passed else 'FAIL'} ({len(report.records)} checks)")
     if json_path:
-        Path(json_path).write_text(report_to_json(report))
+        text = report_to_json(report)
+        try:
+            Path(json_path).write_text(text)
+        except OSError as ex:
+            click.echo(f"error: cannot write {json_path}: {ex}", err=True)
+            sys.exit(EXIT_CONFIG_ERROR)
     if not report.passed:
         sys.exit(EXIT_VERIFICATION_FAILED)
 

@@ -3,9 +3,11 @@
 The adapted frame replaces d/dt and d/dx^i by their horizontal lifts
 (delta/delta t, delta/delta x^i); the adapted coframe replaces dp_i by
 delta p_i.  Vector and covector fields are handled extensionally, as
-component arrays over the natural frame, so every claim about the frames
-(duality, unit triangularity, purely tensorial transformation, three-way
-horizontal/vertical splitting) reduces to finite linear algebra at a point.
+component arrays over the natural frame, and the frames themselves are
+float matrices filled from the connection's values at a point, so every
+claim about the frames (duality, unit triangularity, purely tensorial
+transformation, three-way horizontal/vertical splitting) reduces to finite
+linear algebra at a point.
 """
 
 from __future__ import annotations
@@ -23,75 +25,53 @@ from .charts import (
     transition,
 )
 from .errors import DimensionError
-from .expr import Components, Expr, Point, const, esum
+from .expr import Expr, Point, esum
 from .nlconn import NonlinearConnection, verify_connection_law
 from .report import Report, check_points
 
 __all__ = [
-    "adapted_frame",
-    "adapted_coframe",
+    "adapted_frames",
     "pairing",
     "verify_adapted_tensoriality",
     "decompose",
     "reconstruct",
 ]
 
-_ZERO = const(0)
-_ONE = const(1)
 
+def adapted_frames(N: NonlinearConnection, q: Point) -> tuple[np.ndarray, np.ndarray]:
+    """The adapted frame F and coframe C at q, filled from one evaluation of
+    the connection.
 
-def adapted_frame(N: NonlinearConnection) -> Components:
-    """delta/delta t = d/dt - N_(j)1 d/dp_j;
-    delta/delta x^i = d/dx^i - N_(j)i d/dp_j.
+    Row a of F holds the natural-frame components of adapted vector a,
+    vectors ordered (delta/delta t, delta/delta x^i, d/dp_i):
 
-    Entry [a, b] is natural-frame component b of adapted vector a, vectors
-    ordered (delta/delta t, delta/delta x^i, d/dp_i) over columns (d/dt,
-    d/dx^i, d/dp_i).  Unit triangular with determinant 1: the only
-    off-diagonal entries are the connection components in the p-columns.
+        delta/delta t   = d/dt   - N_(j)1 d/dp_j
+        delta/delta x^i = d/dx^i - N_(j)i d/dp_j
+
+    Row a of C holds the natural-coframe components of adapted covector a,
+    covectors ordered (dt, dx^i, delta p_i):
+
+        delta p_i = dp_i + N_(i)1 dt + N_(i)j dx^j
+
+    Both are unit triangular with determinant 1: the connection components
+    fill the p-columns of F's t/x rows and the t/x-columns of C's p rows.
     """
     n = N.n
-    size = 2 * n + 1
-    rows: list[list[Expr]] = [[_ZERO] * size for _ in range(size)]
-    rows[0][0] = _ONE
-    for j in range(n):
-        rows[0][n + 1 + j] = -N.temporal[j]
-    for i in range(n):
-        rows[1 + i][1 + i] = _ONE
-        for j in range(n):
-            rows[1 + i][n + 1 + j] = -N.spatial[j, i]
-    for i in range(n):
-        rows[n + 1 + i][n + 1 + i] = _ONE
-    return Components(n, rows)
+    N1, N2 = N.temporal.evaluate(q), N.spatial.evaluate(q)
+    F, C = np.eye(2 * n + 1), np.eye(2 * n + 1)
+    F[0, n + 1 :] = -N1
+    F[1 : n + 1, n + 1 :] = -N2.T
+    C[n + 1 :, 0] = N1
+    C[n + 1 :, 1 : n + 1] = N2
+    return F, C
 
 
-def adapted_coframe(N: NonlinearConnection) -> Components:
-    """delta p_i = dp_i + N_(i)1 dt + N_(i)j dx^j.
-
-    Entry [a, b] is natural-coframe component b of adapted covector a,
-    covectors ordered (dt, dx^i, delta p_i); the connection components sit
-    in the t/x-columns of the delta p_i rows.
-    """
-    n = N.n
-    size = 2 * n + 1
-    rows: list[list[Expr]] = [[_ZERO] * size for _ in range(size)]
-    rows[0][0] = _ONE
-    for i in range(n):
-        rows[1 + i][1 + i] = _ONE
-    for i in range(n):
-        row = rows[n + 1 + i]
-        row[0] = N.temporal[i]
-        for j in range(n):
-            row[1 + j] = N.spatial[i, j]
-        row[n + 1 + i] = _ONE
-    return Components(n, rows)
-
-
-def pairing(F: Components, C: Components, q: Point) -> np.ndarray:
-    """Matrix of <covector a, vector b> values at q; the identity exactly
-    when F and C come from the same connection."""
-    if F.n != C.n:
+def pairing(F: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Matrix of <covector a, vector b> values; the identity exactly when F
+    and C come from the same connection at the same point."""
+    if F.shape != C.shape:
         raise DimensionError("frame and coframe dimensions differ")
-    return C.evaluate(q) @ F.evaluate(q).T
+    return C @ F.T
 
 
 def verify_adapted_tensoriality(
@@ -134,10 +114,6 @@ def _verify_blocks(
     """The block comparison itself: residuals cover both the
     diagonal-block factors and all off-block mixing (which must vanish)."""
     n = c.n
-    F_old = adapted_frame(N_old)
-    C_old = adapted_coframe(N_old)
-    F_new = adapted_frame(N_new)
-    C_new = adapted_coframe(N_new)
 
     def compare(q):
         td = transition(c, q)
@@ -145,11 +121,11 @@ def _verify_blocks(
         td_inv = transition(c.inverse(), image)
         A = natural_frame_matrix(td)
         B = natural_coframe_matrix(td, td_inv)
-        Fn = F_new.evaluate(image)
-        Cn = C_new.evaluate(image)
+        Fn, Cn = adapted_frames(N_new, image)
+        F_old, C_old = adapted_frames(N_old, q)
 
         # old adapted vectors, re-expressed in the new adapted frame
-        got_frame = np.linalg.solve(Fn.T, (F_old.evaluate(q) @ A).T).T
+        got_frame = np.linalg.solve(Fn.T, (F_old @ A).T).T
         want_frame = np.zeros_like(got_frame)
         want_frame[0, 0] = td.dt_tilde_dt
         want_frame[1 : n + 1, 1 : n + 1] = td.jac.T
@@ -157,7 +133,7 @@ def _verify_blocks(
         frame = float(np.max(np.abs(got_frame - want_frame)))
 
         # old adapted covectors, re-expressed in the new adapted coframe
-        got_co = np.linalg.solve(Cn.T, (C_old.evaluate(q) @ B).T).T
+        got_co = np.linalg.solve(Cn.T, (C_old @ B).T).T
         want_co = np.zeros_like(got_co)
         want_co[0, 0] = td.dt_dt_tilde
         want_co[1 : n + 1, 1 : n + 1] = td.jac_inv

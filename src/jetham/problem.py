@@ -65,7 +65,8 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    # a longer integer than a double holds would not convert
+    return (_is_int(value) and abs(value) <= sys.float_info.max) or isinstance(value, float)
 
 
 def _interval(value, where: str) -> tuple[float, float]:
@@ -245,7 +246,7 @@ def problem_from_dict(doc) -> Problem:
 
     tolerance = doc.get("tolerance", 1e-9)
     # JSON's Infinity and NaN load as floats, and either would pass every
-    # check; a longer integer than a float holds would not convert
+    # check
     if not _is_number(tolerance) or not 0 < tolerance <= sys.float_info.max:
         raise ProblemFormatError("tolerance: positive finite number required")
 

@@ -1,5 +1,6 @@
 """Shared fixtures: chart suites per dimension, metric pairs, the seeded
-random expression generator, and the finite-difference oracle."""
+random expression generator, the recursive references for evaluation,
+derivatives and adapted frames, and the finite-difference oracle."""
 
 from __future__ import annotations
 
@@ -19,17 +20,20 @@ from jetham.expr import (
     Log,
     Mul,
     Neg,
+    ONE,
     Point,
     Pow,
     Sin,
     Sub,
     Var,
+    ZERO,
     const,
     diff,
     parse,
 )
 from jetham.charts import CoordChange
 from jetham.metrics import SpaceMetric, TimeMetric
+from jetham.nlconn import NonlinearConnection
 
 # Cardano's closed-form inverse of y = s + s^3 (written in the DSL with the
 # negative cube root folded into a difference of positive roots)
@@ -95,6 +99,28 @@ def charts_for(n: int) -> dict[str, CoordChange]:
                 ["x1", "x1*x2", "x3"], ["x1", "x2/x1", "x3"],
             ),
         }
+    if n == 4:
+        return {
+            "affine": chart(
+                4, "2*t", "t/2",
+                ["3*x1", "x2/2", "x3", "2*x4"], ["x1/3", "2*x2", "x3", "x4/2"],
+            ),
+            "shear": chart(
+                4, "t^2", "t^(1/2)",
+                ["x1 + x4^3", "x2", "x3 + x2^2", "x4"],
+                ["x1 - x4^3", "x2", "x3 - x2^2", "x4"],
+            ),
+            "stretch": chart(
+                4, "exp(t)", "log(t)",
+                ["2*x1", "x2*exp(x3)", "x3", "x1*x4"],
+                ["x1/2", "x2/exp(x3)", "x3", "2*x4/x1"],
+            ),
+            "cubic_t": chart(
+                4, "t + t^3", CARDANO_T,
+                ["x1", "x1*x2", "x3", "x4*exp(x2)"],
+                ["x1", "x2/x1", "x3", "x4/exp(x2/x1)"],
+            ),
+        }
     raise ValueError(f"no chart suite for n={n}")
 
 
@@ -108,8 +134,20 @@ def metric_pair(n: int) -> tuple[TimeMetric, SpaceMetric]:
         g = SpaceMetric.diagonal((parse("1 + x1^2", 1),))
     elif n == 2:
         g = SpaceMetric.diagonal((const(1), parse("x1^2", 2)))
-    else:
+    elif n == 3:
         g = SpaceMetric.diagonal((const(1), parse("x1^2", 3), parse("exp(2*x2)", 3)))
+    elif n == 4:
+        # strictly diagonally dominant on the box (diagonal >= 3.25, each
+        # row's off-diagonal sum <= 1.5), so positive definite there
+        rows = (
+            ("3 + x1^2", "x1*x2/4", "0", "x4/4"),
+            ("x1*x2/4", "3 + x2^2", "x3/4", "0"),
+            ("0", "x3/4", "2 + exp(x3)", "x3*x4/4"),
+            ("x4/4", "0", "x3*x4/4", "3 + x4^2"),
+        )
+        g = SpaceMetric(4, tuple(tuple(parse(e, 4) for e in row) for row in rows))
+    else:
+        raise ValueError(f"no metric pair for n={n}")
     return h, g
 
 
@@ -174,6 +212,34 @@ def reference_eval(e: Expr, q: Point) -> float:
         return fn(value)
     except ValueError:  # math.sin and math.cos raise on +-inf
         raise DomainError(f"{fn.__name__} of an infinite value", e) from None
+
+
+# ---------------------------------------------------------------------------
+# Symbolic reference frames
+# ---------------------------------------------------------------------------
+
+def reference_adapted_frames(N: NonlinearConnection) -> tuple[list[list[Expr]], list[list[Expr]]]:
+    """The adapted frame and coframe as rows of expressions, entry by entry
+    from their defining formulas.
+
+    Frame rows (delta/delta t, delta/delta x^i, d/dp_i) over the natural
+    frame: delta/delta t = d/dt - N_(j)1 d/dp_j, delta/delta x^i = d/dx^i
+    - N_(j)i d/dp_j.  Coframe rows (dt, dx^i, delta p_i) over the natural
+    coframe: delta p_i = dp_i + N_(i)1 dt + N_(i)j dx^j.  The filled
+    matrices of ``frames.adapted_frames`` are compared against
+    ``reference_eval`` of these rows bit for bit.
+    """
+    n = N.n
+    size = 2 * n + 1
+    F = [[ONE if a == b else ZERO for b in range(size)] for a in range(size)]
+    C = [[ONE if a == b else ZERO for b in range(size)] for a in range(size)]
+    for j in range(n):
+        F[0][n + 1 + j] = -N.temporal[j]
+        C[n + 1 + j][0] = N.temporal[j]
+        for i in range(n):
+            F[1 + i][n + 1 + j] = -N.spatial[j, i]
+            C[n + 1 + j][1 + i] = N.spatial[j, i]
+    return F, C
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,7 @@ from jetham.dtensor import (
 from jetham.expr import Components, Point, ZERO, const, diff, evaluate, pvar
 from jetham.frames import (
     _verify_blocks,
-    adapted_coframe,
-    adapted_frame,
+    adapted_frames,
     pairing,
     verify_adapted_tensoriality,
 )
@@ -240,15 +239,14 @@ def test_c7_duality():
         )
         try:
             for q in sampled_points(n, 10, seed=349):
-                pairing(adapted_frame(N), adapted_coframe(N), q)
+                pairing(*adapted_frames(N, q))
         except DomainError:
             continue
         cases.append((n, N))
         randomized += 1
     for n, N in cases:
-        F, C = adapted_frame(N), adapted_coframe(N)
         for q in sampled_points(n, 10, seed=349):
-            dev = np.max(np.abs(pairing(F, C, q) - np.eye(2 * n + 1)))
+            dev = np.max(np.abs(pairing(*adapted_frames(N, q)) - np.eye(2 * n + 1)))
             assert dev <= 1e-12
     report(7, "adapted frame/coframe pairing is the identity at 1e-12 for "
               "zero, canonical, and 5 randomized connections")

@@ -17,13 +17,13 @@ import jetham.dtensor
 import jetham.expr
 import jetham.metrics
 import jetham.nlconn
+from jetham.charts import induced_point, transition
 from jetham.cli import cmd_christoffel, cmd_verify, main
-from jetham.expr import Point
-from jetham.frames import adapted_coframe, adapted_frame
+from jetham.expr import Components, Point
 from jetham.problem import load_problem, problem_from_dict
 from jetham.report import report_to_json
 
-from helpers import reference_eval
+from helpers import reference_adapted_frames, reference_eval
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "problems" / "example.json"
 
@@ -203,6 +203,16 @@ class TestVerify:
         assert "n <= 4" in result.stderr
 
 
+    def test_unwritable_json_path_exits_3(self, runner, tmp_path):
+        target = tmp_path / "no" / "such" / "dir" / "r.json"
+        result = runner.invoke(
+            main, ["verify", "--problem", str(EXAMPLE), "--json", str(target)]
+        )
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert f"error: cannot write {target}: " in result.stderr
+        assert not target.exists()
+
     def test_non_finite_residual_writes_valid_json(self, runner, tmp_path):
         # 2 G overflows on both sides of the temporal semispray law, so its
         # residual is NaN; the report must still be strict JSON
@@ -357,7 +367,7 @@ class TestEval:
             )
 
         N = origin.connection
-        frame, coframe = ref(adapted_frame(N)), ref(adapted_coframe(N))
+        frame, coframe = (ref(Components(N.n, rows)) for rows in reference_adapted_frames(N))
         want = {
             "temporal_spray": lambda: ref(origin.temporal),
             "spatial_spray": lambda: ref(origin.spatial),
@@ -433,6 +443,22 @@ class TestBuildOnce:
         assert seen["canonical_connection"] == []
         assert seen["christoffel_space"] == []
         assert len(seen["vertical_metrical"]) == 3
+
+    def test_frames_compile_nothing_after_the_connection_family(self, monkeypatch):
+        # the frames are filled from connection values the connection family
+        # has already compiled programs for
+        problem = load_problem(EXAMPLE)
+        charts = jetham.cli._charts(problem)
+        jetham.cli._connection_family(problem, charts, corrupt=False)
+        # the inverse changes' transitions at the images, which the frames
+        # check alone reads, compile the charts' own programs
+        for spec in problem.charts:
+            for q in problem.points:
+                transition(spec.change.inverse(), induced_point(spec.change, q))
+        compiled = _count_calls(monkeypatch, jetham.expr, "Program")
+        report = jetham.cli._frames_family(problem, charts)
+        assert report.passed and len(report.records) == 100
+        assert compiled == []
 
     def test_objects_freed_without_gc(self, monkeypatch):
         # the verdict's objects hold no reference cycle, so dropping them

@@ -6,11 +6,11 @@ import random
 import numpy as np
 import pytest
 
-from jetham.expr import Point, ZERO, ONE, const, parse
+from jetham.errors import DimensionError, DomainError
+from jetham.expr import Const, Point, ZERO, ONE, const, parse
 from jetham.frames import (
     _verify_blocks,
-    adapted_coframe,
-    adapted_frame,
+    adapted_frames,
     decompose,
     pairing,
     reconstruct,
@@ -23,6 +23,7 @@ from helpers import (
     metric_pair,
     nonlinear_charts_for,
     random_expr,
+    reference_adapted_frames,
     reference_eval,
     sampled_points,
 )
@@ -36,44 +37,55 @@ def zero_connection(n):
     )
 
 
-def random_connection(rng, n):
-    temporal = tuple(random_expr(rng, n, depth=3, at_root=True) for _ in range(n))
-    spatial = tuple(
-        tuple(random_expr(rng, n, depth=3, at_root=True) for _ in range(n))
-        for _ in range(n)
-    )
+def random_connection(rng, n, zeros=0.0):
+    """Random components; a share `zeros` of them are the constants +0.0
+    and -0.0, whose signs the frames must keep."""
+
+    def component():
+        if zeros and rng.random() < zeros:
+            return Const(rng.choice((0.0, -0.0)))
+        return random_expr(rng, n, depth=3, at_root=True)
+
+    temporal = tuple(component() for _ in range(n))
+    spatial = tuple(tuple(component() for _ in range(n)) for _ in range(n))
     return NonlinearConnection(n, temporal, spatial)
+
+
+def reference_matrices(N, q):
+    """reference_eval of the symbolic reference rows of frame and coframe."""
+    return tuple(
+        np.array([[reference_eval(e, q) for e in row] for row in rows])
+        for rows in reference_adapted_frames(N)
+    )
 
 
 class TestAdaptedFrame:
     def test_zero_connection_is_natural_frame(self):
-        F = adapted_frame(zero_connection(2))
-        assert np.array_equal(F.evaluate(Q), np.eye(5))
+        F, _ = adapted_frames(zero_connection(2), Q)
+        assert np.array_equal(F, np.eye(5))
 
     def test_canonical_delta_t_row(self):
         h, g = metric_pair(2)
-        F = adapted_frame(canonical_connection(h, g))
-        row = F.evaluate(Q)[0]
+        F, _ = adapted_frames(canonical_connection(h, g), Q)
+        row = F[0]
         # h = exp(2t): N1 = p, so the p-columns carry -p = (-3, -5)
         assert row == pytest.approx([1.0, 0.0, 0.0, -3.0, -5.0])
 
     def test_canonical_delta_x_row(self):
         g = SpaceMetric.diagonal((const(1), parse("x1^2", 2)))
         N = canonical_connection(TimeMetric(const(1)), g)
-        F = adapted_frame(N)
+        F, _ = adapted_frames(N, Q)
         # entry (x1-row, p2-col) = -N_(2)1 = gamma^k_21 p_k = 2.5 at Q
-        assert F.evaluate(Q)[1, 4] == pytest.approx(2.5, rel=1e-12)
+        assert F[1, 4] == pytest.approx(2.5, rel=1e-12)
 
     def test_unit_triangular_determinant_one(self):
-        from jetham.errors import DomainError
-
         rng = random.Random(199)
         for n in (1, 2, 3):
             done = 0
             while done < 3:
                 N = random_connection(rng, n)
                 try:
-                    mats = [adapted_frame(N).evaluate(q) for q in sampled_points(n, 5, seed=211)]
+                    mats = [adapted_frames(N, q)[0] for q in sampled_points(n, 5, seed=211)]
                 except DomainError:
                     continue  # random expressions may leave their domain; redraw
                 for m in mats:
@@ -88,20 +100,20 @@ class TestAdaptedFrame:
 
 class TestAdaptedCoframe:
     def test_zero_connection_is_natural_coframe(self):
-        C = adapted_coframe(zero_connection(2))
-        assert np.array_equal(C.evaluate(Q), np.eye(5))
+        _, C = adapted_frames(zero_connection(2), Q)
+        assert np.array_equal(C, np.eye(5))
 
     def test_delta_p_row_carries_connection_in_dt_column(self):
         h, g = metric_pair(2)
-        C = adapted_coframe(canonical_connection(h, g))
+        _, C = adapted_frames(canonical_connection(h, g), Q)
         # delta p_1 = dp_1 + N_(1)1 dt + N_(1)j dx^j with N1_1 = p_1 = 3
-        assert C.evaluate(Q)[3, 0] == pytest.approx(3.0, rel=1e-12)
+        assert C[3, 0] == pytest.approx(3.0, rel=1e-12)
 
     def test_unit_triangular(self):
         rng = random.Random(223)
         N = random_connection(rng, 2)
         for q in sampled_points(2, 5, seed=227):
-            m = adapted_coframe(N).evaluate(q)
+            _, m = adapted_frames(N, q)
             assert np.array_equal(np.diag(m), np.ones(5))
             off = m - np.diag(np.diag(m))
             off[3:, :3] = 0.0  # p-rows may carry entries in t/x columns
@@ -112,46 +124,81 @@ class TestPairing:
     def test_same_connection_identity_exact(self):
         h, g = metric_pair(2)
         N = canonical_connection(h, g)
-        F, C = adapted_frame(N), adapted_coframe(N)
         for q in sampled_points(2, 10, seed=229):
-            assert np.array_equal(pairing(F, C, q), np.eye(5))
+            assert np.array_equal(pairing(*adapted_frames(N, q)), np.eye(5))
 
     def test_randomized_connections_identity(self):
         rng = random.Random(233)
-        from jetham.errors import DomainError
-
         done = 0
         while done < 5:
             n = rng.choice([1, 2, 3])
             N = random_connection(rng, n)
-            F, C = adapted_frame(N), adapted_coframe(N)
             try:
                 for q in sampled_points(n, 5, seed=239):
-                    dev = np.max(np.abs(pairing(F, C, q) - np.eye(2 * n + 1)))
+                    dev = np.max(np.abs(pairing(*adapted_frames(N, q)) - np.eye(2 * n + 1)))
                     assert dev <= 1e-12
             except DomainError:
                 continue  # random expressions may leave their domain; redraw
             done += 1
 
     def test_zero_connection(self):
-        F = adapted_frame(zero_connection(2))
-        C = adapted_coframe(zero_connection(2))
-        assert np.array_equal(pairing(F, C, Q), np.eye(5))
+        assert np.array_equal(pairing(*adapted_frames(zero_connection(2), Q)), np.eye(5))
 
     def test_mismatched_connections_show_difference(self):
         h, g = metric_pair(2)
         N = canonical_connection(h, g)
         N0 = zero_connection(2)
-        P = pairing(adapted_frame(N0), adapted_coframe(N), Q)
+        P = pairing(adapted_frames(N0, Q)[0], adapted_frames(N, Q)[1])
         # <delta' p_i, delta/delta t> = (N' - N)_i with N = 0 on the frame side
         assert P[3, 0] == pytest.approx(N.temporal.evaluate(Q)[0])
         assert P[4, 0] == pytest.approx(N.temporal.evaluate(Q)[1])
         # spatial block mismatch
         assert P[3, 1] == pytest.approx(N.spatial.evaluate(Q)[0, 0])
 
+    def test_dimension_mismatch_raises(self):
+        F, _ = adapted_frames(zero_connection(2), Q)
+        _, C = adapted_frames(zero_connection(1), Point.make(1.0, [2.0], [3.0]))
+        with pytest.raises(DimensionError):
+            pairing(F, C)
+
+
+class TestFilledFrames:
+    """adapted_frames against reference_eval of the symbolic reference rows,
+    bit for bit.  N2 is drawn asymmetric, so an N_(j)i taken for N_(i)j in
+    either matrix shows; a canonical connection's N2 is symmetric and
+    could not tell them apart."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_reference_rows_bit_for_bit(self, n):
+        rng = random.Random(281 + n)
+        negative_zeros = 0
+        done = 0
+        while done < 10:
+            N = random_connection(rng, n, zeros=0.3)
+            points = sampled_points(n, 4, seed=rng.randrange(1 << 30))
+            # zero momenta, of either sign, make -N a signed zero
+            points = [
+                Point(q.t, q.x, tuple(rng.choice((v, 0.0, -0.0)) for v in q.p)) for q in points
+            ]
+            try:
+                want = [reference_matrices(N, q) for q in points]
+                got = [adapted_frames(N, q) for q in points]
+            except DomainError:
+                continue  # random expressions may leave their domain; redraw
+            N2 = [N.spatial.evaluate(q) for q in points]
+            if n > 1 and all(np.array_equal(m, m.T) for m in N2):
+                continue
+            for (F, C), (F_ref, C_ref) in zip(got, want):
+                assert F.dtype == C.dtype == np.float64
+                assert F.tobytes() == F_ref.tobytes()
+                assert C.tobytes() == C_ref.tobytes()
+                negative_zeros += int(np.sum((F == 0.0) & np.signbit(F)))
+            done += 1
+        assert negative_zeros > 0
+
 
 class TestTensoriality:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_canonical_pairs_transform_block_diagonally(self, n):
         h, g = metric_pair(n)
         N = canonical_connection(h, g)
@@ -228,18 +275,14 @@ class TestDecompose:
         assert w[0] == ONE and w[1] == ZERO
 
     def test_adapted_row_round_trip(self):
-        from jetham.frames import adapted_frame
-
-        row = adapted_frame(self.N)[1]  # delta/delta x^1
+        row = reference_adapted_frames(self.N)[0][1]  # delta/delta x^1
         h_R, h_M, w = decompose(row, self.N)
         assert reference_eval(h_R, Q) == 0.0
         assert [reference_eval(e, Q) for e in h_M] == [1.0, 0.0]
         assert all(reference_eval(e, Q) == 0.0 for e in w)
 
     def test_reconstruct_inverts_decompose_exactly_on_frame_vectors(self):
-        from jetham.frames import adapted_frame
-
-        for row in adapted_frame(self.N):
+        for row in reference_adapted_frames(self.N)[0]:
             h_R, h_M, w = decompose(row, self.N)
             rebuilt = reconstruct(h_R, h_M, w, self.N)
             for got, want in zip(rebuilt, row):
@@ -247,8 +290,6 @@ class TestDecompose:
 
     def test_round_trip_random_fields(self):
         rng = random.Random(269)
-        from jetham.errors import DomainError
-
         done = 0
         while done < 10:
             v = tuple(random_expr(rng, 2, depth=2) for _ in range(5))
@@ -266,12 +307,10 @@ class TestDecompose:
 
     def test_decomposition_coefficients_unique(self):
         # coefficients solve a unit-triangular system; cross-check with numpy
-        from jetham.frames import adapted_frame
-
         rng = random.Random(277)
         v = tuple(random_expr(rng, 2, depth=2) for _ in range(5))
         h_R, h_M, w = decompose(v, self.N)
-        F = adapted_frame(self.N).evaluate(Q)
+        F, _ = adapted_frames(self.N, Q)
         vals = np.array([reference_eval(e, Q) for e in v])
         coeffs = np.linalg.solve(F.T, vals)
         got = np.array([reference_eval(e, Q) for e in (h_R, *h_M, *w)])

@@ -171,7 +171,8 @@ class TestRejection:
 
     def test_bad_point_arity(self):
         doc = base_doc()
-        for row in ([1.0, 1.0, 1.0], [True, 1.0, 1.0, 2.0, 3.0]):
+        # 10**400 is longer than a double holds
+        for row in ([1.0, 1.0, 1.0], [True, 1.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 2.0, 10**400]):
             doc["sample"] = {"points": [row]}
             with pytest.raises(ProblemFormatError, match="coordinates"):
                 problem_from_dict(doc)
@@ -197,6 +198,7 @@ class TestRejection:
             ({"seed": True, "count": 5}, "sample.seed"),
             ({"seed": 7, "count": True}, "sample.count"),
             ({"seed": 7, "count": 5, "box": {**box, "t": [True, 2]}}, "sample.box.t"),
+            ({"seed": 7, "count": 5, "box": {**box, "t": [0.5, 10**400]}}, "sample.box.t"),
             ({"seed": 7, "count": 5, "box": {**box, "p": [-3, True]}}, "sample.box.p"),
             ({"seed": 7, "count": 5, "box": {**box, "x": [[0.5, 1], [True, 2]]}}, "box.x"),
         ):
