@@ -26,6 +26,7 @@ from jetham.report import report_to_json
 from helpers import reference_adapted_frames, reference_eval
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "problems" / "example.json"
+FULL_N4 = EXAMPLE.with_name("full_n4.json")
 
 
 @pytest.fixture
@@ -512,6 +513,17 @@ def test_example_report_bytes_are_pinned(corrupt):
     report = cmd_verify(load_problem(EXAMPLE), corrupt_connection=corrupt)
     text = report_to_json(report)
     assert hashlib.sha256(text.encode()).hexdigest() == EXAMPLE_REPORT_SHA256[corrupt]
+
+
+# sha256 of the JSON report of problems/full_n4.json: a full 4x4 metric, one
+# chart and three points, so the inverse and the Christoffel symbols are
+# built from every minor of g.
+FULL_N4_REPORT_SHA256 = "44b0919e6d77f3a171e4832e2ea6f2293950d57f3d5312a168fc02ef766cbf2e"
+
+
+def test_full_n4_report_bytes_are_pinned():
+    text = report_to_json(cmd_verify(load_problem(FULL_N4)))
+    assert hashlib.sha256(text.encode()).hexdigest() == FULL_N4_REPORT_SHA256
 
 
 def _deep_documents():
