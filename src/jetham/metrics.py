@@ -2,9 +2,12 @@
 
 "Semi-Riemannian" means invertible, never positive: only |h| and |det g|
 are required to stay away from zero on the sampling box.  Inverses are
-exact closed-form expressions (adjugate over determinant), which limits
-the spatial dimension to n <= 4 -- desk scale, but free of per-point
-linear solves.
+exact closed-form expressions (adjugate over determinant), free of
+per-point linear solves.  Each minor of g is built once per metric and
+shared by the determinant and every cofactor.  Problem files are limited
+to n <= 4 because printing expands shared subtrees: the Christoffel text
+that ``jetham christoffel`` and ``jetham canonical`` print for a full
+metric is about 0.14 MB at n=4, 1.4 MB at n=5 and 12 MB at n=6.
 """
 
 from __future__ import annotations
@@ -80,6 +83,11 @@ class SpaceMetric:
         return christoffel_space(self)
 
     @cached_property
+    def _subdets(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Expr]:
+        """Determinants of square submatrices of g, keyed on (rows, cols)."""
+        return {}
+
+    @cached_property
     def derivatives(self) -> tuple[tuple[tuple[Expr, ...], ...], ...]:
         """derivatives[i][j][k] = dg_ij/dx^k."""
         n = self.n
@@ -133,41 +141,37 @@ def inverse_time(h: TimeMetric) -> Expr:
     return h.h11 ** Fraction(-1)
 
 
-def _minor(mat, rows, cols):
-    return tuple(
-        tuple(mat[r][c] for c in cols) for r in rows
-    )
-
-
-def _det(mat) -> Expr:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    if n == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    # Laplace expansion along the first row; n <= 4 keeps this small
-    total = None
-    cols = tuple(range(n))
-    for j in range(n):
-        sub = _minor(mat, range(1, n), tuple(c for c in cols if c != j))
-        term = mat[0][j] * _det(sub)
-        signed = term if j % 2 == 0 else -term
-        total = signed if total is None else total + signed
-    return total
+def _subdet(g, rows: tuple[int, ...], cols: tuple[int, ...], table: dict) -> Expr:
+    """Determinant of g's submatrix on (rows, cols) by Laplace expansion
+    along its first row; each one is built once and kept in table."""
+    det = table.get((rows, cols))
+    if det is not None:
+        return det
+    if len(rows) == 1:
+        return g[rows[0]][cols[0]]
+    if len(rows) == 2:
+        (a, b), (c, d) = rows, cols
+        det = g[a][c] * g[b][d] - g[a][d] * g[b][c]
+    else:
+        for j, c in enumerate(cols):
+            term = g[rows[0]][c] * _subdet(g, rows[1:], cols[:j] + cols[j + 1:], table)
+            signed = term if j % 2 == 0 else -term
+            det = signed if det is None else det + signed
+    table[rows, cols] = det
+    return det
 
 
 def space_metric_det(g: SpaceMetric) -> Expr:
     """Closed-form determinant of the spatial metric."""
-    return _det(g.g)
+    full = tuple(range(g.n))
+    return _subdet(g.g, full, full, g._subdets)
 
 
 def inverse_space(g: SpaceMetric) -> tuple[tuple[Expr, ...], ...]:
-    """Closed-form inverse g^ij via adjugate / determinant (n <= 4)."""
+    """Closed-form inverse g^ij via adjugate / determinant."""
     n = g.n
-    if n > MAX_DIM:
-        raise DimensionError(f"closed-form inverse limited to n <= {MAX_DIM}, got n={n}")
-    det = _det(g.g)
-    rows = tuple(range(n))
+    det = space_metric_det(g)
+    full = tuple(range(n))
     out = []
     for i in range(n):
         row = []
@@ -175,15 +179,10 @@ def inverse_space(g: SpaceMetric) -> tuple[tuple[Expr, ...], ...]:
             if n == 1:
                 cof = const(1)
             else:
-                sub = _minor(
-                    g.g,
-                    tuple(r for r in rows if r != j),
-                    tuple(c for c in rows if c != i),
-                )
-                cof = _det(sub)
+                # adjugate is transposed cofactors: drop row j and column i
+                cof = _subdet(g.g, full[:j] + full[j + 1:], full[:i] + full[i + 1:], g._subdets)
                 if (i + j) % 2 == 1:
                     cof = -cof
-            # adjugate is transposed cofactors; (i, j) swap above does it
             row.append(cof / det)
         out.append(tuple(row))
     return tuple(out)
@@ -199,21 +198,19 @@ def christoffel_space(g: SpaceMetric) -> ChristoffelSpace:
     """Levi-Civita symbols of g: the unique symmetric metric-compatible
     connection coefficients.  Entries for (j, k) and (k, j) share trees."""
     n = g.n
-    if n > MAX_DIM:
-        raise DimensionError(f"Christoffel symbols limited to n <= {MAX_DIM}, got n={n}")
     ginv = g.inverse
     dg = g.derivatives
     gamma: list[list[list[Expr]]] = [
         [[None] * n for _ in range(n)] for _ in range(n)  # type: ignore[list-item]
     ]
     half = const(0.5)
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                entry = esum(
-                    half * ginv[i][l] * (dg[l][j][k] + dg[l][k][j] - dg[j][k][l])
-                    for l in range(n)
-                )
+    halves = [[half * ginv[i][l] for l in range(n)] for i in range(n)]
+    for j in range(n):
+        for k in range(j, n):
+            # first-kind brackets [jk, l], shared by every i
+            brackets = [dg[l][j][k] + dg[l][k][j] - dg[j][k][l] for l in range(n)]
+            for i in range(n):
+                entry = esum(halves[i][l] * brackets[l] for l in range(n))
                 gamma[i][j][k] = entry
                 gamma[i][k][j] = entry
     return ChristoffelSpace(

@@ -19,7 +19,7 @@ from .charts import CoordChange
 from .dtensor import Hamiltonian
 from .errors import DomainError, JethamError, ProblemFormatError
 from .expr import Expr, Point, Program, parse
-from .metrics import SpaceMetric, TimeMetric, space_metric_det
+from .metrics import MAX_DIM, SpaceMetric, TimeMetric, space_metric_det
 from .report import residual, worst_residual
 from .sampling import Box, sample_points
 
@@ -209,6 +209,9 @@ def problem_from_dict(doc) -> Problem:
     n = doc["n"]
     if not _is_int(n) or n < 1:
         raise ProblemFormatError("n: positive integer required")
+    # before any parsing: the load-time det g check grows exponentially in n
+    if n > MAX_DIM:
+        raise ProblemFormatError(f"n: n <= {MAX_DIM} required, got n={n}")
 
     time_metric = TimeMetric(_parse_expr(doc["time_metric"], n, "time_metric"))
 

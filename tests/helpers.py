@@ -1,6 +1,8 @@
 """Shared fixtures: chart suites per dimension, metric pairs, the seeded
 random expression generator, the recursive references for evaluation,
-derivatives and adapted frames, and the finite-difference oracle."""
+derivatives and adapted frames, the unshared references for the metric's
+determinant, inverse and Christoffel symbols, and the finite-difference
+oracle."""
 
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ from jetham.expr import (
     ZERO,
     const,
     diff,
+    esum,
     parse,
 )
 from jetham.charts import CoordChange
@@ -240,6 +243,79 @@ def reference_adapted_frames(N: NonlinearConnection) -> tuple[list[list[Expr]], 
             F[1 + i][n + 1 + j] = -N.spatial[j, i]
             C[n + 1 + j][1 + i] = N.spatial[j, i]
     return F, C
+
+
+# ---------------------------------------------------------------------------
+# Unshared references for the determinant, inverse and Christoffel symbols
+# ---------------------------------------------------------------------------
+
+def _reference_minor(mat, rows, cols):
+    return tuple(tuple(mat[r][c] for c in cols) for r in rows)
+
+
+def reference_det(mat) -> Expr:
+    """Laplace expansion along the first row, with every minor built again
+    wherever it is needed.  ``metrics.space_metric_det`` is compared
+    against it node for node."""
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    if n == 2:
+        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+    total = None
+    cols = tuple(range(n))
+    for j in range(n):
+        sub = _reference_minor(mat, range(1, n), tuple(c for c in cols if c != j))
+        term = mat[0][j] * reference_det(sub)
+        signed = term if j % 2 == 0 else -term
+        total = signed if total is None else total + signed
+    return total
+
+
+def reference_inverse(g: SpaceMetric) -> tuple[tuple[Expr, ...], ...]:
+    """Adjugate over determinant, each cofactor built by ``reference_det``."""
+    n = g.n
+    det = reference_det(g.g)
+    rows = tuple(range(n))
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if n == 1:
+                cof = const(1)
+            else:
+                sub = _reference_minor(
+                    g.g,
+                    tuple(r for r in rows if r != j),
+                    tuple(c for c in rows if c != i),
+                )
+                cof = reference_det(sub)
+                if (i + j) % 2 == 1:
+                    cof = -cof
+            # adjugate is transposed cofactors; (i, j) swap above does it
+            row.append(cof / det)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def reference_christoffel(g: SpaceMetric) -> list[list[list[Expr]]]:
+    """gamma^i_jk = sum_l (1/2 g^il)(dg_lj/dx^k + dg_lk/dx^j - dg_jk/dx^l),
+    with both factors built again for every (i, j, k, l)."""
+    n = g.n
+    ginv = reference_inverse(g)
+    dg = g.derivatives
+    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
+    half = const(0.5)
+    for i in range(n):
+        for j in range(n):
+            for k in range(j, n):
+                entry = esum(
+                    half * ginv[i][l] * (dg[l][j][k] + dg[l][k][j] - dg[j][k][l])
+                    for l in range(n)
+                )
+                gamma[i][j][k] = entry
+                gamma[i][k][j] = entry
+    return gamma
 
 
 # ---------------------------------------------------------------------------

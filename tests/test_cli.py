@@ -183,25 +183,33 @@ class TestVerify:
         assert "PASS" not in result.output
 
     def test_n5_dimension_error_exit_3(self, runner, tmp_path):
-        doc = {
-            "n": 5,
-            "time_metric": "1",
-            "space_metric": [["1" if i == j else "0" for j in range(5)] for i in range(5)],
-            "charts": [
-                {
-                    "name": "ident",
-                    "t_fwd": "t",
-                    "t_inv": "t",
-                    "x_fwd": [f"x{i + 1}" for i in range(5)],
-                    "x_inv": [f"x{i + 1}" for i in range(5)],
-                }
-            ],
-            "sample": {"seed": 1, "count": 3},
-        }
-        path = write_problem(tmp_path, doc)
-        result = runner.invoke(main, ["verify", "--problem", path])
-        assert result.exit_code == 3
-        assert "n <= 4" in result.stderr
+        def identity_doc(n):
+            return {
+                "n": n,
+                "time_metric": "1",
+                "space_metric": [["1" if i == j else "0" for j in range(n)] for i in range(n)],
+                "charts": [
+                    {
+                        "name": "ident",
+                        "t_fwd": "t",
+                        "t_inv": "t",
+                        "x_fwd": [f"x{i + 1}" for i in range(n)],
+                        "x_inv": [f"x{i + 1}" for i in range(n)],
+                    }
+                ],
+                "sample": {"seed": 1, "count": 3},
+            }
+
+        unparsable = identity_doc(5)
+        unparsable["space_metric"][0][0] = "1 +"
+        # the dimension is checked before anything is parsed: an n=11
+        # determinant takes minutes to build, and a parse error must not
+        # hide the limit
+        for doc in (identity_doc(5), identity_doc(11), unparsable):
+            path = write_problem(tmp_path, doc)
+            result = runner.invoke(main, ["verify", "--problem", path])
+            assert result.exit_code == 3
+            assert "n <= 4" in result.stderr
 
 
     def test_unwritable_json_path_exits_3(self, runner, tmp_path):

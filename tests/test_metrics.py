@@ -1,12 +1,16 @@
 """Metric pair, exact inverses, and both Christoffel families."""
 
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jetham.errors import DimensionError
-from jetham.expr import Point, Var, const, evaluate, parse
+from jetham.errors import DimensionError, DomainError
+from jetham.expr import Point, Program, Var, const, evaluate, parse, xvar
 from jetham.metrics import (
     ChristoffelSpace,
     SpaceMetric,
@@ -21,7 +25,18 @@ from jetham.metrics import (
     transform_time_metric,
 )
 
-from helpers import central_diff, charts_for, curved_metric_2d, sampled_points
+from helpers import (
+    central_diff,
+    charts_for,
+    curved_metric_2d,
+    random_expr,
+    random_point,
+    reference_christoffel,
+    reference_det,
+    reference_eval,
+    reference_inverse,
+    sampled_points,
+)
 
 Q = Point.make(2.0, [2.0, 1.3], [3.0, 5.0])
 
@@ -84,11 +99,12 @@ class TestInverseSpace:
             prod = eval_matrix(g.g, q) @ eval_matrix(gi, q)
             assert np.max(np.abs(prod - np.eye(2))) < 1e-9
 
-    def test_dimension_limit(self):
-        n = 5
-        g = SpaceMetric.diagonal(tuple(const(1) for _ in range(n)))
-        with pytest.raises(DimensionError):
-            inverse_space(g)
+    def test_builds_past_the_problem_limit(self):
+        # problem files stop at n <= 4; the library builds any n
+        g = SpaceMetric.diagonal(tuple(parse(f"1 + x{i + 1}^2", 5) for i in range(5)))
+        q = Point.make(1.0, [0.5, 1.0, 1.5, 2.0, 2.5], [0.0] * 5)
+        want = np.diag([1.0 / (1.0 + x * x) for x in q.x])
+        assert eval_matrix(inverse_space(g), q) == pytest.approx(want, rel=1e-12)
 
     def test_determinant_matches_numpy(self):
         g = curved_metric_2d()
@@ -196,10 +212,133 @@ class TestChristoffelSpace:
         symbols = ChristoffelSpace(2, tuple(tuple(map(tuple, plane)) for plane in gamma))
         assert math.isnan(compatibility_residual(g, symbols, Q))
 
-    def test_dimension_limit(self):
-        g = SpaceMetric.diagonal(tuple(const(1) for _ in range(5)))
-        with pytest.raises(DimensionError):
-            christoffel_space(g)
+    def test_builds_past_the_problem_limit(self):
+        # diag(1 + x_i^2): gamma^i_ii = x_i / (1 + x_i^2), every other is 0
+        g = SpaceMetric.diagonal(tuple(parse(f"1 + x{i + 1}^2", 5) for i in range(5)))
+        q = Point.make(1.0, [0.5, 1.0, 1.5, 2.0, 2.5], [0.0] * 5)
+        gamma = christoffel_space(g).gamma
+        for i, j, k in np.ndindex(5, 5, 5):
+            x = q.x[i]
+            want = x / (1.0 + x * x) if i == j == k else 0.0
+            assert evaluate(gamma[i][j][k], q) == pytest.approx(want, rel=1e-12)
+
+
+def random_space_metric(rng: random.Random, n: int) -> SpaceMetric:
+    """Entries from random_expr with t and p renamed to x; each symmetric
+    pair is one object."""
+    to_x = {Var.time(): xvar(0), **{Var.momentum(i): xvar(i) for i in range(n)}}
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = random_expr(rng, n, depth=3).substitute(to_x)
+    return SpaceMetric(n, tuple(map(tuple, rows)))
+
+
+def _outcome(e, q):
+    """The bits of e's value at q, or the error that evaluation raises."""
+    try:
+        return struct.pack("<d", reference_eval(e, q))
+    except DomainError as ex:
+        return str(ex)
+
+
+def _flat(rows):
+    return [e for row in rows for e in row]
+
+
+class TestSharedMinors:
+    """Each minor, each 1/2 g^il and each first-kind bracket is built once,
+    yet every tree is the unshared reference's, node for node."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(1, 4))
+    def test_same_trees_as_the_reference_from_fewer_slots(self, seed, n):
+        rng = random.Random(seed)
+        g = random_space_metric(rng, n)
+        inverse, gamma = inverse_space(g), christoffel_space(g).gamma
+        want_inverse, want_gamma = reference_inverse(g), reference_christoffel(g)
+        pairs = [(space_metric_det(g), reference_det(g.g))]
+        pairs += zip(_flat(inverse), _flat(want_inverse))
+        pairs += zip(_flat(_flat(gamma)), _flat(_flat(want_gamma)))
+        q = random_point(rng, n)
+        for got, want in pairs:
+            assert got == want
+            assert _outcome(got, q) == _outcome(want, q)
+        if n >= 3:
+            shared = Program(_flat(inverse) + _flat(_flat(gamma)))
+            unshared = Program(_flat(want_inverse) + _flat(_flat(want_gamma)))
+            assert len(shared) < len(unshared)
+
+
+ORACLE_REL_TOL = 1e-10
+
+
+def _oracle_metric_pair(rng: random.Random, n: int) -> tuple[str, list[list[str]]]:
+    """A time metric and a diagonally dominant space metric, as DSL text."""
+
+    def term():
+        c, k = round(rng.uniform(0.05, 0.4), 3), rng.randrange(n) + 1
+        return rng.choice(
+            [f"{c}*cos(x{k})", f"{c}*sin(x{k})", f"{c}*x{k}^2", f"{c}*exp({c}*x{k})"]
+        )
+
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = f"{2 * n + 2} + {term()}"
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = f"{rng.choice(['', '-'])}{term()}"
+    c = round(rng.uniform(0.5, 1.5), 3)
+    h = rng.choice([f"({c} + t)^2", f"exp({c}*t)", f"{c} + t^2"])
+    return h, rows
+
+
+def _close(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return np.max(np.abs(got - want)) <= ORACLE_REL_TOL * np.max(np.abs(want))
+
+
+class TestSympyOracle:
+    """An independent route to every object built here: sympy derivatives
+    of the DSL text, numpy's det and inverse of g at the point, and both
+    Christoffel formulas in floats."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_against_sympy_and_numpy(self, n, seed):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(seed)
+        h_text, g_text = _oracle_metric_pair(rng, n)
+        q = random_point(rng, n)
+        t, xs = sympy.Symbol("t"), sympy.symbols(f"x1:{n + 1}")
+        names = {"t": t, **{str(x): x for x in xs}}
+
+        def to_sympy(text):
+            return sympy.sympify(text.replace("^", "**"), locals=names)
+
+        at = {t: q.t, **dict(zip(xs, q.x))}
+        h_sym = to_sympy(h_text)
+        g_sym = [[to_sympy(e) for e in row] for row in g_text]
+        G = np.array([[float(e.subs(at)) for e in row] for row in g_sym])
+        dG = np.array(
+            [[[float(sympy.diff(e, x).subs(at)) for x in xs] for e in row] for row in g_sym]
+        )
+        G_inv = np.linalg.inv(G)
+        want_gamma = np.zeros((n, n, n))
+        for i, j, k in np.ndindex(n, n, n):
+            want_gamma[i, j, k] = 0.5 * sum(
+                G_inv[i, l] * (dG[l, j, k] + dG[l, k, j] - dG[j, k, l]) for l in range(n)
+            )
+        want_time = 0.5 / float(h_sym.subs(at)) * float(sympy.diff(h_sym, t).subs(at))
+
+        g = SpaceMetric(n, tuple(tuple(parse(e, n) for e in row) for row in g_text))
+        got_inverse = np.array(Program(_flat(inverse_space(g))).run(q))
+        got_gamma = np.array(Program(_flat(_flat(christoffel_space(g).gamma))).run(q))
+        got_time = evaluate(christoffel_time(TimeMetric(parse(h_text, n))).H111, q)
+        assert _close(evaluate(space_metric_det(g), q), np.linalg.det(G))
+        assert _close(got_inverse, G_inv.ravel())
+        assert _close(got_gamma, want_gamma.ravel())
+        assert _close(got_time, want_time)
 
 
 class TestTransform:
