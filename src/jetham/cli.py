@@ -12,6 +12,7 @@ from __future__ import annotations
 import sys
 from dataclasses import replace
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 import click
@@ -29,7 +30,7 @@ from .dtensor import (
     vertical_metrical,
 )
 from .errors import JethamError
-from .expr import Components, Point, Program
+from .expr import Components, Point, Program, compile_together
 from .frames import adapted_frames, pairing, verify_adapted_tensoriality
 from .metrics import (
     SpaceMetric,
@@ -132,16 +133,31 @@ class _Chart:
     def connection(self) -> NonlinearConnection:
         return canonical_connection(self.h, self.g)
 
-
-def _charts(problem: Problem) -> dict[str, _Chart]:
-    """A verdict's charts by name; "" is the problem's own chart."""
-    charts = {"": _Chart(problem)}
-    for spec in problem.charts:
-        charts[spec.name] = _Chart(problem, charts[""], spec.change)
-    return charts
+    @cached_property
+    def spray_connection(self) -> NonlinearConnection:
+        return connection_from_spray(MomentumSemispray(self.temporal, self.spatial), self.g)
 
 
 _DTENSORS = ("vertical_metrical", "liouville", "momentum_liouville", "h_normalization")
+
+# the components each suite reads in every chart
+_PARTS = ("connection.temporal", "connection.spatial")
+_READS = {"dtensor": _DTENSORS, "spray": ("temporal", "spatial"),
+          "connection": _PARTS, "frames": _PARTS}
+
+
+def _charts(problem: Problem, suites) -> dict[str, _Chart]:
+    """A verdict's charts by name; "" is the problem's own chart.  Each chart
+    compiles the objects the suites read, and only those, into one program."""
+    charts = {"": _Chart(problem)}
+    for spec in problem.charts:
+        charts[spec.name] = _Chart(problem, charts[""], spec.change)
+    for chart in charts.values():
+        reads = [name for suite in suites for name in _READS[suite]]
+        if chart.origin is None and "connection" in suites:
+            reads += ("spray_connection.temporal", "spray_connection.spatial")
+        compile_together(attrgetter(name)(chart) for name in reads)
+    return charts
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +187,7 @@ def _spray_family(problem: Problem, charts: dict[str, _Chart]) -> Report:
 
 
 def _connection_family(problem: Problem, charts: dict[str, _Chart], corrupt: bool) -> Report:
-    tol, origin = problem.tolerance, charts[""]
-    N = origin.connection
-
-    # produced-by-semispray consistency, chart-independent
-    N_from_G = connection_from_spray(MomentumSemispray(origin.temporal, origin.spatial), origin.g)
+    tol, N, N_from_G = problem.tolerance, charts[""].connection, charts[""].spray_connection
 
     def consistency(q):
         parts = ((N.temporal, N_from_G.temporal), (N.spatial, N_from_G.spatial))
@@ -263,7 +275,7 @@ def cmd_christoffel(problem: Problem) -> Report:
 
 def cmd_canonical(problem: Problem) -> Report:
     """Print canonical semisprays and connection; check their consistency."""
-    n, charts = problem.n, _charts(problem)
+    n, charts = problem.n, _charts(problem, ("connection",))
     origin = charts[""]
     sprays = (("temporal", "G1", origin.temporal), ("spatial", "G2", origin.spatial))
     N = origin.connection
@@ -300,10 +312,9 @@ def cmd_verify(problem: Problem, suite=("all",), corrupt_connection: bool = Fals
     unknown = chosen - set(SUITES)
     if unknown:
         raise JethamError(f"unknown suite(s) {sorted(unknown)}; choose from {SUITES}")
-    if "all" in chosen:
-        chosen = {"dtensor", "spray", "connection", "frames"}
-
-    charts = _charts(problem)
+    # in a fixed order, so that each chart's program is the same every run
+    chosen = [s for s in _READS if s in chosen or "all" in chosen]
+    charts = _charts(problem, chosen)
     report = Report.of(())
     if "dtensor" in chosen:
         report = report.merged_with(_dtensor_family(problem, charts))

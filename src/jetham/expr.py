@@ -12,9 +12,9 @@ trees are really DAGs.  Each node knows its free variables from the moment
 it is built and keeps every derivative taken of it, so differentiation
 skips subtrees free of the variable and differentiates each node object
 once per variable over its lifetime.  Substitution rebuilds each node
-object once per call, and a compiled ``Program`` evaluates each one once
-per point; it is the only evaluator.  None of these, nor printing,
-comparison or hashing, recurses, so depth is not limited by the
+object once per call, and a compiled ``Program`` evaluates each distinct
+structure once per point; it is the only evaluator.  None of these, nor
+printing, comparison or hashing, recurses, so depth is not limited by the
 interpreter's stack; the parser caps nesting at ``MAX_NESTING`` levels
 instead.
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -58,6 +59,7 @@ __all__ = [
     "compose",
     "Program",
     "Components",
+    "compile_together",
 ]
 
 
@@ -807,12 +809,15 @@ _OPCODES = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV, Neg: _NEG,
 class Program:
     """A list of root expressions compiled to one straight-line program.
 
-    There is one value slot per distinct node object (and one per
-    coordinate variable), so a subtree shared by many parents or many
-    roots is evaluated once per point.  Slots are filled in the order of a
-    depth-first walk, operands left to right, except that a ``Div`` tests
-    its denominator for zero before its numerator is visited; that order
-    decides which DomainError is raised first.  Each node has one IEEE
+    Slots are value-numbered: one per distinct structure, so a subtree
+    shared by many parents or roots, or built twice as equal trees, runs
+    once per point.  A node's number is its opcode, operand slots and
+    exponent, found bottom-up with no deep comparison; a constant's is
+    its value and sign, so 0.0 and -0.0 keep two slots.  Slots fill in
+    depth-first order, operands left to right, but a ``Div`` tests its
+    denominator for zero (once per denominator slot) before visiting its
+    numerator.  That order decides which DomainError comes first, and a
+    duplicate never runs before its original.  Each node has one IEEE
     double operation and its domain checks.
 
     ``run`` also rejects non-finite values: a NaN or an infinity in any
@@ -825,7 +830,8 @@ class Program:
     def __init__(self, roots: Iterable[Expr]):
         roots = tuple(roots)
         slots: dict[int, int] = {}  # id(node) -> slot
-        loads: dict[Var, int] = {}  # coordinate variable -> slot
+        numbers: dict[tuple, int] = {}  # value number -> slot
+        checked: set[int] = set()  # denominator slots tested for zero
         template: list[float] = []  # constants in place, 0.0 elsewhere
         nodes: list[Expr] = []  # slot -> first node computing it
         # instruction k is (ops[k], dsts[k], lhs[k], rhs[k]); four flat
@@ -842,53 +848,56 @@ class Program:
             rhs.append(b)
 
         for root in roots:
-            # (node, step): 0 visits the node, 1 emits its instruction once
-            # its operands have slots, 2 tests a Div's denominator before
-            # its numerator is visited
+            # (node, step): 0 visits the node, 1 numbers it once its
+            # operands have slots, 2 tests a Div's denominator before its
+            # numerator is visited
             stack = [(root, 0)]
             while stack:
                 node, step = stack.pop()
                 cls = type(node)
-                if step == 1:
-                    slots[id(node)] = slot = len(template)
-                    template.append(0.0)
-                    nodes.append(node)
-                    if cls is Pow:
-                        emit(*_power(node.exponent, slot, slots[id(node.base)]))
-                    elif cls in _BINARY:
-                        emit(_OPCODES[cls], slot, slots[id(node.left)], slots[id(node.right)])
-                    else:
-                        emit(_OPCODES[cls], slot, slots[id(node.arg)], 0)
-                elif step == 2:
-                    # a check carries its Div node where others carry a slot
-                    emit(_CHECK, node, slots[id(node.right)], 0)
-                elif id(node) in slots:
+                if step == 2:
+                    denominator = slots[id(node.right)]
+                    if denominator not in checked:
+                        checked.add(denominator)
+                        # a check carries its Div node where others carry a slot
+                        emit(_CHECK, node, denominator, 0)
                     continue
-                elif cls is Const:
-                    slots[id(node)] = len(template)
-                    template.append(node.value)
-                    nodes.append(node)
+                if step == 0 and id(node) in slots:
+                    continue
+                if step == 0 and cls not in _LEAVES:
+                    if cls is Div:
+                        stack += ((node, 1), (node.left, 0), (node, 2), (node.right, 0))
+                    elif cls in _BINARY:
+                        stack += ((node, 1), (node.right, 0), (node.left, 0))
+                    else:
+                        stack += ((node, 1), (node.base if cls is Pow else node.arg, 0))
+                    continue
+                # a leaf, or an operation whose operands have slots
+                if cls is Const:
+                    key = (node.value, math.copysign(1.0, node.value))
                 elif cls is Coord:
-                    slot = loads.get(node.var)
-                    if slot is None:
-                        loads[node.var] = slot = len(template)
-                        template.append(0.0)
-                        nodes.append(node)
-                        emit(_LOAD, slot, node.var, 0)
-                    slots[id(node)] = slot
-                elif cls is Div:
-                    stack += ((node, 1), (node.left, 0), (node, 2), (node.right, 0))
+                    key = (_LOAD, node.var, 0)
+                elif cls is Pow:
+                    key = _power(node.exponent, slots[id(node.base)])
                 elif cls in _BINARY:
-                    stack += ((node, 1), (node.right, 0), (node.left, 0))
+                    key = (_OPCODES[cls], slots[id(node.left)], slots[id(node.right)])
                 else:
-                    stack += ((node, 1), (node.base if cls is Pow else node.arg, 0))
+                    key = (_OPCODES[cls], slots[id(node.arg)], 0)
+                slot = numbers.get(key)
+                if slot is None:
+                    numbers[key] = slot = len(template)
+                    template.append(node.value if cls is Const else 0.0)
+                    nodes.append(node)
+                    if cls is not Const:
+                        emit(key[0], slot, key[1], key[2])
+                slots[id(node)] = slot
         self._code = (ops, dsts, lhs, rhs)
         self._template = template
         self._nodes = nodes
         self._roots = [slots[id(r)] for r in roots]
 
     def __len__(self) -> int:
-        """Number of value slots: distinct nodes, coordinates merged."""
+        """Number of value slots: one per distinct structure."""
         return len(self._template)
 
     def run(self, q: Point) -> list[float]:
@@ -955,11 +964,11 @@ class Program:
                 raise DomainError(f"non-finite value {value!r}", self._nodes[slot])
 
 
-def _power(r: Fraction, slot: int, base: int) -> tuple[int, int, int, int | float]:
+def _power(r: Fraction, base: int) -> tuple[int, int, int | float]:
     if r.denominator != 1:
-        return (_FPOW, slot, base, float(r))
+        return (_FPOW, base, float(r))
     e = int(r)
-    return (_POW if e >= 0 else _NPOW, slot, base, e)
+    return (_POW if e >= 0 else _NPOW, base, e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -967,11 +976,14 @@ class Components:
     """An array of expression components over the ambient dimension n.
 
     Every object on the phase space -- a d-tensor, either family of a
-    semispray, either part of a nonlinear connection, an adapted frame or
-    coframe -- is such an array; the rule by which it changes under a
-    chart change belongs to the law that checks it.  comps is coerced to
-    an object array of Expr, of whatever shape the object needs; indexing
-    and iteration go to it.  It is compiled into one Program on first use.
+    semispray, either part of a nonlinear connection -- is such an array;
+    the rule by which it changes under a chart change belongs to the law
+    that checks it.  comps is coerced to an object array of Expr, of
+    whatever shape the object needs; indexing and iteration go to it.
+
+    Its components are a span of one program's roots, run once per point:
+    ``compile_together`` gives several objects one program, and an object
+    evaluated before any such call compiles its own.
     """
 
     n: int
@@ -987,12 +999,28 @@ class Components:
         return iter(self.comps)
 
     @cached_property
-    def _program(self) -> Program:
-        return Program(self.comps.ravel())
+    def _span(self) -> tuple[Program, dict[bytes, list[float]], int, int]:
+        return Program(self.comps.flat), {}, 0, self.comps.size
 
     def evaluate(self, q: Point) -> np.ndarray:
-        """Component values at q, in the shape of comps."""
-        return np.array(self._program.run(q), dtype=float).reshape(self.comps.shape)
+        """Component values at q, in the shape of comps, as a new array."""
+        program, memo, start, stop = self._span
+        # keyed on the exact float bits, so 0.0 and -0.0 are two points
+        key = struct.pack(f"{2 * q.n + 1}d", q.t, *q.x, *q.p)
+        if key not in memo:
+            memo[key] = program.run(q)
+        return np.array(memo[key][start:stop], dtype=float).reshape(self.comps.shape)
+
+
+def compile_together(objects: Iterable[Components]) -> None:
+    """Compile the objects' components into one program and one memo of its
+    values per point, which every object reads its span of.  Neither holds
+    an object, so objects sharing them form no reference cycle."""
+    objects = list(dict.fromkeys(objects))
+    program, memo, start = Program(e for obj in objects for e in obj.comps.flat), {}, 0
+    for obj in objects:
+        vars(obj)["_span"] = (program, memo, start, start + obj.comps.size)  # preset the cache
+        start += obj.comps.size
 
 
 # ---------------------------------------------------------------------------

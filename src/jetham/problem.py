@@ -31,6 +31,7 @@ CHART_KEYS = {"name", "t_fwd", "t_inv", "x_fwd", "x_inv"}
 
 INVERTIBILITY_EPS = 1e-12
 ROUND_TRIP_TOL = 1e-9
+MAX_POINTS = 10_000  # sample points per problem: a verdict's time grows with them
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,11 @@ def _axis_intervals(value, n: int, where: str) -> tuple[tuple[float, float], ...
     raise ProblemFormatError(f"{where}: expected [lo, hi] or a list of {n} intervals")
 
 
+def _at_most_max_points(count: int, where: str) -> None:
+    if count > MAX_POINTS:
+        raise ProblemFormatError(f"{where}: at most {MAX_POINTS} points allowed, got {count}")
+
+
 def _sample_points_from(doc, n: int) -> tuple[Point, ...]:
     if not isinstance(doc, dict):
         raise ProblemFormatError("sample: expected an object")
@@ -90,8 +96,12 @@ def _sample_points_from(doc, n: int) -> tuple[Point, ...]:
         extra = set(doc) - {"points"}
         if extra:
             raise ProblemFormatError(f"sample: unexpected keys {sorted(extra)}")
+        rows = doc["points"]
+        if not isinstance(rows, (list, tuple)):
+            raise ProblemFormatError("sample.points: expected a list of points")
+        _at_most_max_points(len(rows), "sample.points")
         pts = []
-        for i, row in enumerate(doc["points"]):
+        for i, row in enumerate(rows):
             if (
                 not isinstance(row, (list, tuple))
                 or len(row) != 2 * n + 1
@@ -113,6 +123,7 @@ def _sample_points_from(doc, n: int) -> tuple[Point, ...]:
             raise ProblemFormatError(f"sample.{key}: integer required")
     if doc["count"] < 1:
         raise ProblemFormatError("sample.count: must be >= 1")
+    _at_most_max_points(doc["count"], "sample.count")
     kwargs = {}
     box_doc = doc.get("box", {})
     if not isinstance(box_doc, dict) or set(box_doc) - {"t", "x", "p"}:

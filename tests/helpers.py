@@ -1,8 +1,8 @@
 """Shared fixtures: chart suites per dimension, metric pairs, the seeded
 random expression generator, the recursive references for evaluation,
 derivatives and adapted frames, the unshared references for the metric's
-determinant, inverse and Christoffel symbols, and the finite-difference
-oracle."""
+determinant, inverse and Christoffel symbols, a count of distinct node
+objects, and the finite-difference oracle."""
 
 from __future__ import annotations
 
@@ -377,6 +377,18 @@ def children(e: Expr):
     if isinstance(e, (Neg, Exp, Log, Sin, Cos)):
         return (e.arg,)
     return ()
+
+
+def distinct_nodes(roots) -> int:
+    """Number of distinct node objects in the trees of roots, counted
+    without recursion; structurally equal objects count once each."""
+    seen, stack = set(), list(roots)
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen.add(id(e))
+            stack.extend(children(e))
+    return len(seen)
 
 
 def max_abs_subvalue(e: Expr, q: Point) -> float:

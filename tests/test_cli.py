@@ -4,7 +4,9 @@ import copy
 import gc
 import hashlib
 import json
+import struct
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -211,6 +213,28 @@ class TestVerify:
             assert result.exit_code == 3
             assert "n <= 4" in result.stderr
 
+
+    @pytest.mark.parametrize(
+        "sample, message",
+        [
+            ({"points": 5}, "sample.points: expected a list of points"),
+            ({"points": None}, "sample.points: expected a list of points"),
+            ({"points": True}, "sample.points: expected a list of points"),
+            ({"seed": 3, "count": 10**12}, "sample.count: at most 10000 points allowed"),
+            (
+                {"points": [[1.0, 1.0, 1.0, 2.0, 3.0]] * 10_001},
+                "sample.points: at most 10000 points allowed",
+            ),
+        ],
+    )
+    def test_bad_sample_exits_3_at_once(self, runner, tmp_path, sample, message):
+        path = write_problem(tmp_path, small_doc(sample=sample))
+        start = time.perf_counter()
+        result = runner.invoke(main, ["verify", "--problem", path])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert message in result.stderr
 
     def test_unwritable_json_path_exits_3(self, runner, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "r.json"
@@ -457,7 +481,7 @@ class TestBuildOnce:
         # the frames are filled from connection values the connection family
         # has already compiled programs for
         problem = load_problem(EXAMPLE)
-        charts = jetham.cli._charts(problem)
+        charts = jetham.cli._charts(problem, ("connection", "frames"))
         jetham.cli._connection_family(problem, charts, corrupt=False)
         # the inverse changes' transitions at the images, which the frames
         # check alone reads, compile the charts' own programs
@@ -489,6 +513,39 @@ class TestBuildOnce:
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
+
+
+class TestOneEvaluation:
+    """A verdict compiles the objects each chart's suites read into one
+    program, and runs each program once per point."""
+
+    @pytest.mark.parametrize(
+        "suite, corrupt",
+        [(("all",), False), (("all",), True)]
+        + [((name,), False) for name in ("dtensor", "spray", "connection", "frames")],
+    )
+    def test_one_run_per_program_and_point(self, monkeypatch, suite, corrupt):
+        problem = load_problem(EXAMPLE)
+        runs, compiled = [], []  # runs keep their programs, so no id is reused
+        run, program = jetham.expr.Program.run, jetham.expr.Program
+
+        def counted_run(self, q):
+            runs.append((self, struct.pack(f"{2 * q.n + 1}d", q.t, *q.x, *q.p)))
+            return run(self, q)
+
+        def counted_program(roots):
+            compiled.append(roots)
+            return program(roots)
+
+        monkeypatch.setattr(jetham.expr.Program, "run", counted_run)
+        # components are compiled inside expr; charts compile their own
+        monkeypatch.setattr(jetham.expr, "Program", counted_program)
+        report = cmd_verify(problem, suite, corrupt_connection=corrupt)
+        assert report.passed is not corrupt
+        assert len(runs) == len({(id(p), key) for p, key in runs})
+        # one components program per chart, and the corrupted component of
+        # each new chart's connection compiles its own
+        assert len(compiled) == 1 + len(problem.charts) * (1 + corrupt)
 
 
 def test_corrupt_connection_stays_local_to_connection_family():

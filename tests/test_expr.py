@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import jetham.expr
 from jetham.errors import (
     DimensionError,
     DomainError,
@@ -20,6 +21,7 @@ from jetham.expr import (
     MAX_NESTING,
     ZERO,
     Add,
+    Components,
     Const,
     Coord,
     Cos,
@@ -34,6 +36,7 @@ from jetham.expr import (
     Sin,
     Sub,
     Var,
+    compile_together,
     compose,
     const,
     diff,
@@ -462,6 +465,87 @@ class TestProgram:
 
     def test_overflowing_sum_of_finite_values_is_not_an_error(self):
         assert Program([const(1e308), const(1e308)]).run(Q1) == [1e308, 1e308]
+
+
+class TestValueNumbering:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9), _COORDS, _COORDS, _COORDS, _COORDS, _COORDS)
+    def test_equal_structures_share_slots(self, seed, t, x1, x2, p1, p2):
+        # each root parsed twice from its text: equal trees, distinct objects
+        rng = random.Random(seed)
+        texts = [str(random_expr(rng, 2)) for _ in range(rng.randint(1, 3))]
+        first, second = ([parse(text, 2) for text in texts] for _ in range(2))
+        assert all(a is not b and a == b for a, b in zip(first, second))
+        roots = first + second
+        program = Program(roots)
+        assert len(program) == len(Program(first))
+        q = Point.make(t, [x1, x2], [p1, p2])
+        try:
+            want = [reference_eval(r, q) for r in roots]
+        except DomainError as ref:
+            with pytest.raises(DomainError) as err:
+                program.run(q)
+            assert str(err.value) == str(ref)
+            return
+        try:
+            got = program.run(q)
+        except DomainError as err:
+            assert "non-finite value" in str(err)
+            assert not math.isfinite(reference_eval(err.subexpr, q))
+            return
+        assert _bits(got) == _bits(want)
+
+    def test_signed_zeros_keep_two_slots(self):
+        program = Program([Const(0.0), Const(-0.0), Const(0.0), Const(-0.0)])
+        assert len(program) == 2
+        assert _bits(program.run(Q1)) == _bits([0.0, -0.0, 0.0, -0.0])
+
+    def test_one_check_per_denominator(self):
+        # two equal denominators, three divisions: one zero test
+        x, y, p = xvar(0), xvar(1), pvar(0)
+        roots = [Div(x, Sub(x, y)), Div(p, Sub(x, y)), Div(y, Sub(x, y))]
+        program = Program(roots)
+        assert program._code[0].count(jetham.expr._CHECK) == 1
+        q = Point.make(1.0, [2.0, 2.0], [1.0, 1.0])
+        with pytest.raises(DomainError, match=r"division by zero in 'x1 / \(x1 - x2\)'"):
+            program.run(q)
+
+
+class TestComponentsCompiledTogether:
+    def _pair(self):
+        x = xvar(0)
+        return Components(1, [Sin(x), Neg(x)]), Components(1, [[x * x]])
+
+    def test_signed_zero_points_are_two_points(self):
+        grouped, other = self._pair()
+        compile_together([grouped, other])
+        for x in (0.0, -0.0, 0.0):
+            q = Point.make(1.0, [x], [1.0])
+            alone, alone_other = self._pair()
+            assert _bits(grouped.evaluate(q)) == _bits(alone.evaluate(q))
+            assert _bits(other.evaluate(q).ravel()) == _bits(alone_other.evaluate(q).ravel())
+        assert _bits(grouped.evaluate(Point.make(1.0, [-0.0], [1.0]))) == _bits([-0.0, 0.0])
+
+    def test_returned_array_is_the_callers(self):
+        grouped, other = self._pair()
+        compile_together([grouped, other])
+        q = Point.make(1.0, [0.5], [1.0])
+        first = grouped.evaluate(q)
+        first[:] = 99.0
+        other.evaluate(q)[0, 0] = 99.0
+        assert grouped.evaluate(q).tolist() == [math.sin(0.5), -0.5]
+        assert other.evaluate(q).tolist() == [[0.25]]
+
+    def test_one_program_runs_once_per_point(self, monkeypatch):
+        grouped, other = self._pair()
+        compile_together([grouped, other, grouped])
+        runs = []
+        run = Program.run
+        monkeypatch.setattr(Program, "run", lambda self, q: runs.append(self) or run(self, q))
+        for x in (0.5, 0.5, 1.5):
+            q = Point.make(1.0, [x], [1.0])
+            grouped.evaluate(q), other.evaluate(q)
+        assert len(runs) == 2 and runs[0] is runs[1]
 
 
 _VARS = st.sampled_from(

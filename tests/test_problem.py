@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from jetham.errors import ProblemFormatError
-from jetham.problem import load_problem, problem_from_dict
+from jetham.problem import MAX_POINTS, load_problem, problem_from_dict
 
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "problems" / "example.json"
@@ -205,3 +205,25 @@ class TestRejection:
             doc["sample"] = sample
             with pytest.raises(ProblemFormatError, match=message):
                 problem_from_dict(doc)
+
+    def test_points_must_be_a_list(self):
+        doc = base_doc()
+        for points in (5, None, True):
+            doc["sample"] = {"points": points}
+            with pytest.raises(ProblemFormatError, match="sample.points: expected a list of points"):
+                problem_from_dict(doc)
+
+    def test_point_count_is_capped(self):
+        doc = base_doc()
+        row = [1.0, 1.0, 1.0, 2.0, 3.0]
+        for sample, message in (
+            ({"seed": 7, "count": 10**12}, "sample.count: at most 10000 points allowed"),
+            ({"seed": 7, "count": MAX_POINTS + 1}, "sample.count: at most 10000"),
+            ({"points": [row] * (MAX_POINTS + 1)}, "sample.points: at most 10000"),
+        ):
+            doc["sample"] = sample
+            with pytest.raises(ProblemFormatError, match=message):
+                problem_from_dict(doc)
+        # the limit itself loads
+        doc["sample"] = {"points": [row] * MAX_POINTS}
+        assert len(problem_from_dict(doc).points) == MAX_POINTS
