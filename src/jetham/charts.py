@@ -19,7 +19,6 @@ them once per (change, point).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -164,10 +163,6 @@ class CoordChange:
     # -- per-point memo -----------------------------------------------------
 
     @cached_property
-    def _point_key(self) -> struct.Struct:
-        return struct.Struct(f"{2 * self.n + 1}d")
-
-    @cached_property
     def _visits(self) -> dict[bytes, "_Visit"]:
         return {}
 
@@ -250,14 +245,13 @@ def _require_regular(c: CoordChange, q: Point) -> tuple[float, np.ndarray]:
 
 def _visit(c: CoordChange, q: Point) -> _Visit:
     """c's memo entry for q; a miss checks regularity and maps q."""
-    key = c._point_key.pack(q.t, *q.x, *q.p)
-    visit = c._visits.get(key)
+    visit = c._visits.get(q.key)
     if visit is None:
         dt, jac = _require_regular(c, q)
         values = c._image_program.run(q)
         n = c.n
         image = Point(values[0], tuple(values[1 : n + 1]), tuple(values[n + 1 :]))
-        visit = c._visits[key] = _Visit(image, dt, jac)
+        visit = c._visits[q.key] = _Visit(image, dt, jac)
     return visit
 
 

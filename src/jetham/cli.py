@@ -12,7 +12,6 @@ from __future__ import annotations
 import sys
 from dataclasses import replace
 from functools import cached_property
-from operator import attrgetter
 from pathlib import Path
 
 import click
@@ -140,10 +139,26 @@ class _Chart:
 
 _DTENSORS = ("vertical_metrical", "liouville", "momentum_liouville", "h_normalization")
 
-# the components each suite reads in every chart
-_PARTS = ("connection.temporal", "connection.spatial")
-_READS = {"dtensor": _DTENSORS, "spray": ("temporal", "spatial"),
-          "connection": _PARTS, "frames": _PARTS}
+# each suite's comparisons across a chart change, in verdict order: the
+# object both charts hold, and the law that compares them.  A law is looked
+# up by name when it is called, so a wrapper bound to that name later (as
+# the benchmark's tracer binds one) is the one that runs.
+_SUITES = {
+    "dtensor": [
+        (name, lambda *args, name=name: verify_dtensor(*args, f"dtensor.{name}"))
+        for name in _DTENSORS
+    ],
+    "spray": [
+        ("temporal", lambda *args: verify_temporal_law(*args)),
+        ("spatial", lambda *args: verify_spatial_law(*args)),
+    ],
+    "connection": [("connection", lambda *args: verify_connection_law(*args))],
+    "frames": [("connection", lambda *args: verify_adapted_tensoriality(*args))],
+}
+
+
+def _parts(obj) -> tuple[Components, ...]:
+    return (obj.temporal, obj.spatial) if isinstance(obj, NonlinearConnection) else (obj,)
 
 
 def _charts(problem: Problem, suites) -> dict[str, _Chart]:
@@ -153,10 +168,10 @@ def _charts(problem: Problem, suites) -> dict[str, _Chart]:
     for spec in problem.charts:
         charts[spec.name] = _Chart(problem, charts[""], spec.change)
     for chart in charts.values():
-        reads = [name for suite in suites for name in _READS[suite]]
+        reads = [name for suite in suites for name, _ in _SUITES[suite]]
         if chart.origin is None and "connection" in suites:
-            reads += ("spray_connection.temporal", "spray_connection.spatial")
-        compile_together(attrgetter(name)(chart) for name in reads)
+            reads.append("spray_connection")
+        compile_together(part for name in reads for part in _parts(getattr(chart, name)))
     return charts
 
 
@@ -164,66 +179,46 @@ def _charts(problem: Problem, suites) -> dict[str, _Chart]:
 # Verification families
 # ---------------------------------------------------------------------------
 
-def _dtensor_family(problem: Problem, charts: dict[str, _Chart]) -> Report:
-    origin, records = charts[""], []
-    for spec in problem.charts:
-        for name in _DTENSORS:
-            rep = verify_dtensor(
-                getattr(origin, name), getattr(charts[spec.name], name), spec.change,
-                problem.points, problem.tolerance, f"dtensor.{name}",
-            )
-            records.extend(r.with_chart(spec.name) for r in rep.records)
-    return Report.of(records)
-
-
-def _spray_family(problem: Problem, charts: dict[str, _Chart]) -> Report:
-    tol, origin, records = problem.tolerance, charts[""], []
-    for spec in problem.charts:
-        c, new = spec.change, charts[spec.name]
-        rep_t = verify_temporal_law(origin.temporal, new.temporal, c, problem.points, tol)
-        rep_s = verify_spatial_law(origin.spatial, new.spatial, c, problem.points, tol)
-        records.extend(r.with_chart(spec.name) for r in rep_t.records + rep_s.records)
-    return Report.of(records)
-
-
-def _connection_family(problem: Problem, charts: dict[str, _Chart], corrupt: bool) -> Report:
-    tol, N, N_from_G = problem.tolerance, charts[""].connection, charts[""].spray_connection
-
-    def consistency(q):
-        parts = ((N.temporal, N_from_G.temporal), (N.spatial, N_from_G.spatial))
-        return (
+def _canonical_consistency(problem: Problem, origin: _Chart) -> Report:
+    """The connection built from the metrics against the one built from the
+    canonical semispray, in the problem's own chart."""
+    N, N_from_G = origin.connection, origin.spray_connection
+    parts = ((N.temporal, N_from_G.temporal), (N.spatial, N_from_G.spatial))
+    return check_points(
+        problem.points, problem.tolerance, ("connection.canonical_consistency",),
+        lambda q: (
             worst_residual(worst_array_residual(a.evaluate(q), b.evaluate(q)) for a, b in parts),
-        )
-
-    records = list(
-        check_points(
-            problem.points, tol, ("connection.canonical_consistency",), consistency
-        ).records
+        ),
     )
 
-    for spec in problem.charts:
-        N_new = charts[spec.name].connection
-        if corrupt:
-            N_new = replace(N_new, temporal=(N_new.temporal[0] + 1, *N_new.temporal[1:]))
-        rep = verify_connection_law(N, N_new, spec.change, problem.points, tol)
-        records.extend(r.with_chart(spec.name) for r in rep.records)
-    return Report.of(records)
 
-
-def _frames_family(problem: Problem, charts: dict[str, _Chart]) -> Report:
-    N = charts[""].connection
-    size = 2 * problem.n + 1
-    records = list(
-        check_points(
-            problem.points, DUALITY_TOL, ("frames.duality",),
-            lambda q: (float(np.max(np.abs(pairing(*adapted_frames(N, q)) - np.eye(size)))),),
-        ).records
+def _duality(problem: Problem, origin: _Chart) -> Report:
+    """The adapted coframe paired with the adapted frame is the identity."""
+    N, size = origin.connection, 2 * problem.n + 1
+    return check_points(
+        problem.points, DUALITY_TOL, ("frames.duality",),
+        lambda q: (float(np.max(np.abs(pairing(*adapted_frames(N, q)) - np.eye(size)))),),
     )
+
+
+# the checks a suite runs in the problem's own chart before its laws
+_OWN_CHART_CHECKS = {"connection": _canonical_consistency, "frames": _duality}
+
+
+def _family(problem: Problem, charts: dict[str, _Chart], suite: str, corrupt=False) -> Report:
+    """One suite's records: its own-chart check, then each chart change's
+    laws.  corrupt adds 1 to each new-chart connection's first temporal
+    component; that copy belongs to no chart's program."""
+    origin = charts[""]
+    own = _OWN_CHART_CHECKS.get(suite)
+    records = list(own(problem, origin).records) if own else []
     for spec in problem.charts:
-        rep = verify_adapted_tensoriality(
-            N, charts[spec.name].connection, spec.change, problem.points, problem.tolerance
-        )
-        records.extend(r.with_chart(spec.name) for r in rep.records)
+        for name, law in _SUITES[suite]:
+            new = getattr(charts[spec.name], name)
+            if corrupt:
+                new = replace(new, temporal=(new.temporal[0] + 1, *new.temporal[1:]))
+            rep = law(getattr(origin, name), new, spec.change, problem.points, problem.tolerance)
+            records.extend(r.with_chart(spec.name) for r in rep.records)
     return Report.of(records)
 
 
@@ -296,7 +291,7 @@ def cmd_canonical(problem: Problem) -> Report:
         click.echo(f"  {tag} = {G.evaluate(q).tolist()}")
     click.echo(f"  N1 = {N.temporal.evaluate(q).tolist()}")
     click.echo(f"  N2 = {N.spatial.evaluate(q).tolist()}")
-    return _connection_family(problem, charts, corrupt=False)
+    return _family(problem, charts, "connection")
 
 
 def cmd_verify(problem: Problem, suite=("all",), corrupt_connection: bool = False) -> Report:
@@ -313,18 +308,13 @@ def cmd_verify(problem: Problem, suite=("all",), corrupt_connection: bool = Fals
     if unknown:
         raise JethamError(f"unknown suite(s) {sorted(unknown)}; choose from {SUITES}")
     # in a fixed order, so that each chart's program is the same every run
-    chosen = [s for s in _READS if s in chosen or "all" in chosen]
+    chosen = [s for s in _SUITES if s in chosen or "all" in chosen]
     charts = _charts(problem, chosen)
-    report = Report.of(())
-    if "dtensor" in chosen:
-        report = report.merged_with(_dtensor_family(problem, charts))
-    if "spray" in chosen:
-        report = report.merged_with(_spray_family(problem, charts))
-    if "connection" in chosen:
-        report = report.merged_with(_connection_family(problem, charts, corrupt_connection))
-    if "frames" in chosen:
-        report = report.merged_with(_frames_family(problem, charts))
-    return report
+    return Report.of(
+        r
+        for s in chosen
+        for r in _family(problem, charts, s, corrupt_connection and s == "connection").records
+    )
 
 
 # object name -> its components at a point, read from the problem's own chart

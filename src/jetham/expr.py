@@ -127,6 +127,12 @@ class Point:
     def n(self) -> int:
         return len(self.x)
 
+    @cached_property
+    def key(self) -> bytes:
+        """The exact float bits of the point, the key of every per-point
+        memo: 0.0 and -0.0 are two points."""
+        return struct.pack(f"{2 * self.n + 1}d", self.t, *self.x, *self.p)
+
     def flat(self) -> tuple[float, ...]:
         return (self.t, *self.x, *self.p)
 
@@ -217,7 +223,7 @@ class Expr:
     def substitute(self, mapping: Mapping[Var, "Expr"]) -> "Expr":
         """Simultaneous substitution; variables absent from the map are kept.
         Memoized by node identity, so shared subtrees stay shared."""
-        return _rebuild(self, lambda node, done: node._substituted(done, mapping))
+        return _rebuild(self, lambda node, done: _substituted(node, done, mapping))
 
     def free_vars(self) -> frozenset[Var]:
         mask = self._mask
@@ -229,9 +235,6 @@ class Expr:
     def _derivative(self, d, v: Var) -> "Expr":
         """The derivative by v, given d(operand), the derivative of each
         operand."""
-        raise NotImplementedError
-
-    def _substituted(self, s: dict[int, "Expr"], mapping: Mapping[Var, "Expr"]) -> "Expr":
         raise NotImplementedError
 
 
@@ -293,9 +296,6 @@ class Const(Expr):
     def _derivative(self, d, v):
         return ZERO
 
-    def _substituted(self, s, mapping):
-        return self
-
 
 @_node
 class Coord(Expr):
@@ -308,9 +308,6 @@ class Coord(Expr):
 
     def _derivative(self, d, v):
         return ONE if self.var == v else ZERO
-
-    def _substituted(self, s, mapping):
-        return mapping.get(self.var, self)
 
 
 @_node
@@ -328,9 +325,6 @@ class Add(Expr):
     def _derivative(self, d, v):
         return _add(d(self.left), d(self.right))
 
-    def _substituted(self, s, mapping):
-        return _add(s[id(self.left)], s[id(self.right)])
-
 
 @_node
 class Sub(Expr):
@@ -346,9 +340,6 @@ class Sub(Expr):
 
     def _derivative(self, d, v):
         return _sub(d(self.left), d(self.right))
-
-    def _substituted(self, s, mapping):
-        return _sub(s[id(self.left)], s[id(self.right)])
 
 
 @_node
@@ -367,9 +358,6 @@ class Mul(Expr):
             _mul(d(self.left), self.right),
             _mul(self.left, d(self.right)),
         )
-
-    def _substituted(self, s, mapping):
-        return _mul(s[id(self.left)], s[id(self.right)])
 
 
 @_node
@@ -394,9 +382,6 @@ class Div(Expr):
             _mul(self.left, d(self.right)),
         )
         return _div(num, _pow(self.right, Fraction(2)))
-
-    def _substituted(self, s, mapping):
-        return _div(s[id(self.left)], s[id(self.right)])
 
 
 @_node
@@ -423,9 +408,6 @@ class Pow(Expr):
             d(self.base),
         )
 
-    def _substituted(self, s, mapping):
-        return _pow(s[id(self.base)], self.exponent)
-
 
 @_node
 class Neg(Expr):
@@ -438,9 +420,6 @@ class Neg(Expr):
 
     def _derivative(self, d, v):
         return _neg(d(self.arg))
-
-    def _substituted(self, s, mapping):
-        return _neg(s[id(self.arg)])
 
 
 @_node
@@ -456,9 +435,6 @@ class Exp(Expr):
         # a new exp node: a derivative kept on this one must not refer back
         # to it, or the two would be freed only by the cycle collector
         return _mul(Exp(self.arg), d(self.arg))
-
-    def _substituted(self, s, mapping):
-        return Exp(s[id(self.arg)])
 
 
 @_node
@@ -477,9 +453,6 @@ class Log(Expr):
     def _derivative(self, d, v):
         return _div(d(self.arg), self.arg)
 
-    def _substituted(self, s, mapping):
-        return Log(s[id(self.arg)])
-
 
 @_node
 class Sin(Expr):
@@ -492,9 +465,6 @@ class Sin(Expr):
 
     def _derivative(self, d, v):
         return _mul(Cos(self.arg), d(self.arg))
-
-    def _substituted(self, s, mapping):
-        return Sin(s[id(self.arg)])
 
 
 @_node
@@ -509,9 +479,6 @@ class Cos(Expr):
 
     def _derivative(self, d, v):
         return _neg(_mul(Sin(self.arg), d(self.arg)))
-
-    def _substituted(self, s, mapping):
-        return Cos(s[id(self.arg)])
 
 
 ZERO = Const(0.0)
@@ -769,6 +736,25 @@ def _rebuild(e: Expr, rule) -> Expr:
     return done[id(e)]
 
 
+# the smart constructor that rebuilds each node class from new operands
+_REBUILDERS = {Add: _add, Sub: _sub, Mul: _mul, Div: _div, Neg: _neg,
+               Exp: Exp, Log: Log, Sin: Sin, Cos: Cos}
+
+
+def _substituted(node: Expr, done: dict[int, Expr], mapping: Mapping[Var, Expr]) -> Expr:
+    """The image of node under a substitution, given done[id(operand)]."""
+    cls = type(node)
+    if cls is Coord:
+        return mapping.get(node.var, node)
+    if cls is Const:
+        return node
+    if cls is Pow:
+        return _pow(done[id(node.base)], node.exponent)
+    if cls in _BINARY:
+        return _REBUILDERS[cls](done[id(node.left)], done[id(node.right)])
+    return _REBUILDERS[cls](done[id(node.arg)])
+
+
 def evaluate(e: Expr, q: Point) -> float:
     """IEEE double value of e at q; raises DomainError outside the domain
     and on a non-finite value anywhere in e."""
@@ -1005,8 +991,7 @@ class Components:
     def evaluate(self, q: Point) -> np.ndarray:
         """Component values at q, in the shape of comps, as a new array."""
         program, memo, start, stop = self._span
-        # keyed on the exact float bits, so 0.0 and -0.0 are two points
-        key = struct.pack(f"{2 * q.n + 1}d", q.t, *q.x, *q.p)
+        key = q.key
         if key not in memo:
             memo[key] = program.run(q)
         return np.array(memo[key][start:stop], dtype=float).reshape(self.comps.shape)

@@ -95,9 +95,6 @@ class Report:
     def failures(self) -> tuple[CheckRecord, ...]:
         return tuple(r for r in self.records if not r.passed)
 
-    def merged_with(self, other: "Report") -> "Report":
-        return Report(self.records + other.records)
-
 
 def check_points(
     points: Sequence,

@@ -478,18 +478,18 @@ class TestBuildOnce:
         assert len(seen["vertical_metrical"]) == 3
 
     def test_frames_compile_nothing_after_the_connection_family(self, monkeypatch):
-        # the frames are filled from connection values the connection family
+        # the frames are filled from connection values the connection suite
         # has already compiled programs for
         problem = load_problem(EXAMPLE)
         charts = jetham.cli._charts(problem, ("connection", "frames"))
-        jetham.cli._connection_family(problem, charts, corrupt=False)
+        jetham.cli._family(problem, charts, "connection")
         # the inverse changes' transitions at the images, which the frames
         # check alone reads, compile the charts' own programs
         for spec in problem.charts:
             for q in problem.points:
                 transition(spec.change.inverse(), induced_point(spec.change, q))
         compiled = _count_calls(monkeypatch, jetham.expr, "Program")
-        report = jetham.cli._frames_family(problem, charts)
+        report = jetham.cli._family(problem, charts, "frames")
         assert report.passed and len(report.records) == 100
         assert compiled == []
 
@@ -548,6 +548,23 @@ class TestOneEvaluation:
         assert len(compiled) == 1 + len(problem.charts) * (1 + corrupt)
 
 
+def test_each_law_runs_through_its_name_in_cli(monkeypatch):
+    # a wrapper bound to a law's name after import (as the benchmark's tracer
+    # binds one) sees every call of that law: one per object and chart change
+    laws = ("verify_dtensor", "verify_temporal_law", "verify_spatial_law",
+            "verify_connection_law", "verify_adapted_tensoriality")
+    calls = dict.fromkeys(laws, 0)
+    for name in laws:
+        def counted(*args, _law=getattr(jetham.cli, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _law(*args, **kwargs)
+
+        monkeypatch.setattr(jetham.cli, name, counted)
+    assert cmd_verify(load_problem(EXAMPLE)).passed
+    assert calls == {"verify_dtensor": 8, "verify_temporal_law": 2, "verify_spatial_law": 2,
+                     "verify_connection_law": 2, "verify_adapted_tensoriality": 2}
+
+
 def test_corrupt_connection_stays_local_to_connection_family():
     # the +1 perturbation must not reach the frames family, which shares the
     # new-chart connections with the connection family
@@ -589,6 +606,29 @@ FULL_N4_REPORT_SHA256 = "44b0919e6d77f3a171e4832e2ea6f2293950d57f3d5312a168fc02e
 def test_full_n4_report_bytes_are_pinned():
     text = report_to_json(cmd_verify(load_problem(FULL_N4)))
     assert hashlib.sha256(text.encode()).hexdigest() == FULL_N4_REPORT_SHA256
+
+
+# sha256 of the text that christoffel and canonical print, which no report
+# holds: the printed expressions and their values at sample points.  A change
+# that moves a byte of it must update the pin, in a commit that says why.
+PRINTED_SHA256 = {
+    ("christoffel", "example.json"):
+        "11896cef7f9e164f7f14bc265f0e1f3f3cd44ac88edf3169c8144b0d132cf626",
+    ("canonical", "example.json"):
+        "d045d578cecf2ac34adc7245e99e6198b86b0b2ab9cf824915a969a3f93f63e2",
+    ("christoffel", "full_n4.json"):
+        "92d1736b7016cd555d55c2d6cab78e8b327706c573f95c7a05ea63952101702e",
+    ("canonical", "full_n4.json"):
+        "f823e36dc4eef5683a66bb40291e308ef3188493abe1f8a2e5147295d6ef22d0",
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(PRINTED_SHA256))
+def test_printed_text_is_pinned(runner, command, name):
+    result = runner.invoke(main, [command, "--problem", str(EXAMPLE.with_name(name))])
+    assert result.exit_code == 0, result.output
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest == PRINTED_SHA256[command, name]
 
 
 def _deep_documents():
