@@ -29,6 +29,7 @@ from helpers import reference_adapted_frames, reference_eval
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "problems" / "example.json"
 FULL_N4 = EXAMPLE.with_name("full_n4.json")
+HAMILTONIAN_N2 = EXAMPLE.with_name("hamiltonian_n2.json")
 
 
 @pytest.fixture
@@ -606,6 +607,33 @@ FULL_N4_REPORT_SHA256 = "44b0919e6d77f3a171e4832e2ea6f2293950d57f3d5312a168fc02e
 def test_full_n4_report_bytes_are_pinned():
     text = report_to_json(cmd_verify(load_problem(FULL_N4)))
     assert hashlib.sha256(text.encode()).hexdigest() == FULL_N4_REPORT_SHA256
+
+
+# sha256 of the JSON report of problems/hamiltonian_n2.json, a 300-term
+# Hamiltonian with a full metric, two charts and one point, and of the stdout
+# of its vertical metrical d-tensor at that point: the Hessian of the
+# Hamiltonian in the problem's chart.
+HAMILTONIAN_N2_SHA256 = {
+    "report": "a379cd15e3586941852c6ba8b01d4f2b3be3407d22c74aed3e5ba04834f1877e",
+    "vertical_metrical": "d7aa4ab35fe7cd5d92f4a36b08b4dcdf483fb22fd2f138efbb9dae8f2a6bd6d6",
+}
+
+
+def test_hamiltonian_n2_report_bytes_are_pinned():
+    text = report_to_json(cmd_verify(load_problem(HAMILTONIAN_N2)))
+    assert hashlib.sha256(text.encode()).hexdigest() == HAMILTONIAN_N2_SHA256["report"]
+
+
+def test_hamiltonian_n2_vertical_metrical_is_pinned(runner):
+    point = json.loads(HAMILTONIAN_N2.read_text())["sample"]["points"][0]
+    at = ",".join(repr(v) for v in point)
+    result = runner.invoke(
+        main,
+        ["eval", "--problem", str(HAMILTONIAN_N2), "--object", "vertical_metrical", "--at", at],
+    )
+    assert result.exit_code == 0, result.output
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest == HAMILTONIAN_N2_SHA256["vertical_metrical"]
 
 
 # sha256 of the text that christoffel and canonical print, which no report
