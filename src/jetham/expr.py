@@ -8,10 +8,12 @@ operation needs is again a tree of the same kind and carries no
 differentiation error.
 
 Objects built from one another share subtrees by object identity, so the
-trees are really DAGs.  Each node knows its free variables from the moment
-it is built and keeps every derivative taken of it, so differentiation
-skips subtrees free of the variable and differentiates each node object
-once per variable over its lifetime.  Substitution rebuilds each node
+trees are really DAGs.  A parse gives each distinct structure in its
+string one object, so a term repeated in the text (``p1^2``, ``t^2``) is
+one node that every later walk meets once.  Each node knows its free
+variables from the moment it is built and keeps every derivative taken of
+it, so differentiation skips subtrees free of the variable and
+differentiates each node object once per variable over its lifetime.  Substitution rebuilds each node
 object once per call, and a compiled ``Program`` evaluates each distinct
 structure once per point; it is the only evaluator.  None of these, nor
 printing, comparison or hashing, recurses, so depth is not limited by the
@@ -1100,9 +1102,26 @@ _TOKEN_RE = re.compile(
   | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z]+\d*)
   | (?P<op>[-+*/^()])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
+
+
+def _structure(node: Expr):
+    """The key of node in a parse's table of shared nodes: a constant's
+    value and sign, as ``Program`` numbers it, a coordinate's variable, and
+    an operation's class, operand ids and exponent."""
+    cls = type(node)
+    if cls is Const:
+        return (node.value, math.copysign(1.0, node.value))
+    if cls is Coord:
+        return node.var
+    if cls is Pow:
+        return (Pow, id(node.base), node.exponent.numerator, node.exponent.denominator)
+    if cls in _BINARY:
+        return (cls, id(node.left), id(node.right))
+    return (cls, id(node.arg))
 
 
 class _Parser:
@@ -1113,17 +1132,34 @@ class _Parser:
         self._lex()
         self.pos = 0
         self.depth = 0  # open parentheses, calls and unary minus signs
+        # the first node built for each structure in this string, so that
+        # each is one object; it lives only as long as the parse.  An
+        # operation is keyed on its class, its operands' ids (the operands
+        # are shared already) and exponent, a constant on its value and
+        # sign, an identifier on its text.
+        self.shared: dict = {}
 
     def _lex(self):
-        i = 0
-        while i < len(self.src):
-            m = _TOKEN_RE.match(self.src, i)
-            if m is None:
-                raise ExprSyntaxError(f"unexpected character {self.src[i]!r}", i)
-            if m.lastgroup != "ws":
-                self.tokens.append((m.lastgroup, m.group(), i))
-            i = m.end()
+        for m in _TOKEN_RE.finditer(self.src):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start())
+            if kind != "ws":
+                self.tokens.append((kind, m.group(), m.start()))
         self.tokens.append(("eof", "", len(self.src)))
+
+    def _share(self, key, cls, build, a, b=None) -> Expr:
+        """The node for key, built by build(a) or build(a, b) the first
+        time.  A node of another class than cls is a folded result (x*1,
+        2*3, 0 - y), which is also filed under its own structure, so it too
+        is one object."""
+        node = self.shared.get(key)
+        if node is None:
+            node = build(a) if b is None else build(a, b)
+            if type(node) is not cls:
+                node = self.shared.setdefault(_structure(node), node)
+            self.shared[key] = node
+        return node
 
     def _peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -1151,7 +1187,10 @@ class _Parser:
         while self._peek()[1] in ("+", "-"):
             op = self._next()[1]
             rhs = self.term()
-            e = _add(e, rhs) if op == "+" else _sub(e, rhs)
+            if op == "+":
+                e = self._share((Add, id(e), id(rhs)), Add, _add, e, rhs)
+            else:
+                e = self._share((Sub, id(e), id(rhs)), Sub, _sub, e, rhs)
         return e
 
     def term(self) -> Expr:
@@ -1159,33 +1198,40 @@ class _Parser:
         while self._peek()[1] in ("*", "/"):
             op = self._next()[1]
             rhs = self.factor()
-            e = _mul(e, rhs) if op == "*" else _div(e, rhs)
+            if op == "*":
+                e = self._share((Mul, id(e), id(rhs)), Mul, _mul, e, rhs)
+            else:
+                e = self._share((Div, id(e), id(rhs)), Div, _div, e, rhs)
         return e
 
     def factor(self) -> Expr:
         e = self.base()
         if self._peek()[1] == "^":
             self._next()
-            e = _pow(e, self.rational())
+            r = self.rational()
+            e = self._share((Pow, id(e), r.numerator, r.denominator), Pow, _pow, e, r)
         return e
 
     def base(self) -> Expr:
         kind, text, offset = self._next()
         if text == "-":
-            return _neg(self._nested(self.base, offset))
+            arg = self._nested(self.base, offset)
+            return self._share((Neg, id(arg)), Neg, _neg, arg)
         if text == "(":
             e = self._nested(self.expr, offset)
             self._expect(")")
             return e
         if kind == "number":
-            return Const(float(text))
+            value = float(text)  # a literal has no sign
+            return self._share((value, 1.0), Const, Const, value)
         if kind == "ident":
             if text in _FUNCS:
                 self._expect("(")
                 arg = self._nested(self.expr, offset)
                 self._expect(")")
-                return _FUNCS[text](arg)
-            return Coord(self._resolve_var(text, offset))
+                cls = _FUNCS[text]
+                return self._share((cls, id(arg)), cls, cls, arg)
+            return self._share(text, Coord, self._coord, text, offset)
         raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}", offset)
 
     def _nested(self, rule, offset: int) -> Expr:
@@ -1196,6 +1242,11 @@ class _Parser:
         e = rule()
         self.depth -= 1
         return e
+
+    def _coord(self, text: str, offset: int) -> Coord:
+        # x1 and x01 are one variable
+        var = self._resolve_var(text, offset)
+        return self.shared.setdefault(var, Coord(var))
 
     def _resolve_var(self, text: str, offset: int) -> Var:
         if text == "t":
@@ -1211,26 +1262,34 @@ class _Parser:
         raise ExprSyntaxError(f"unknown identifier {text!r}", offset)
 
     def rational(self) -> Fraction:
+        start = self._peek()[2]  # errors in the exponent's value point here
         sign = 1
         if self._peek()[1] == "-":
             self._next()
             sign = -1
         kind, text, offset = self._peek()
         if kind == "number" and text.isdigit():
+            num, den = self._integer(start), 1
+        elif text == "(":
             self._next()
-            return Fraction(sign * int(text))
-        if text == "(":
-            self._next()
-            num = self._integer()
+            num = self._integer(start)
             den = 1
             if self._peek()[1] == "/":
                 self._next()
-                den = self._integer()
+                den = self._integer(start)
             self._expect(")")
-            return Fraction(sign * num, den)
-        raise ExprSyntaxError("expected an integer or (integer/integer) exponent", offset)
+        else:
+            raise ExprSyntaxError("expected an integer or (integer/integer) exponent", offset)
+        if den == 0:
+            raise ExprSyntaxError("exponent has a zero denominator", start)
+        r = Fraction(sign * num, den)
+        try:
+            float(r)  # derivatives and programs use it as a double
+        except OverflowError:
+            raise ExprSyntaxError("exponent is too large for a double", start) from None
+        return r
 
-    def _integer(self) -> int:
+    def _integer(self, start: int) -> int:
         sign = 1
         if self._peek()[1] == "-":
             self._next()
@@ -1238,11 +1297,17 @@ class _Parser:
         kind, text, offset = self._next()
         if kind != "number" or not text.isdigit():
             raise ExprSyntaxError("expected an integer", offset)
-        return sign * int(text)
+        try:
+            return sign * int(text)
+        except ValueError:  # past the interpreter's limit on digits
+            raise ExprSyntaxError("exponent has too many digits", start) from None
 
 
 def parse(src: str, n: int) -> Expr:
-    """Parse DSL source into an expression tree for ambient dimension n."""
+    """Parse DSL source into an expression tree for ambient dimension n.
+
+    Within src, each distinct structure is one object: a repeated subterm
+    is built once and shared.  Two calls share nothing."""
     if n < 1:
         raise DimensionError(f"ambient dimension must be >= 1, got {n}")
     return _Parser(src, n).parse()

@@ -284,6 +284,6 @@ def load_problem(path: str | Path) -> Problem:
         doc = json.loads(path.read_text())
     except OSError as ex:
         raise ProblemFormatError(f"cannot read {path}: {ex}") from ex
-    except json.JSONDecodeError as ex:
+    except ValueError as ex:  # a JSONDecodeError, or an integer of too many digits
         raise ProblemFormatError(f"{path}: invalid JSON: {ex}") from ex
     return problem_from_dict(doc)

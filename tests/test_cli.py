@@ -691,3 +691,49 @@ def test_deep_input_ends_without_traceback(runner, tmp_path, document, command):
     result = runner.invoke(main, [*command, "--problem", path])
     assert result.exit_code in (0, 2, 3), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def _bad_exponent_documents():
+    """The example with an exponent the engine cannot use as a double."""
+    example = json.loads(EXAMPLE.read_text())
+    zeros = "0" * 400
+    places = {
+        "zero_denominator": ("space_metric", "x1^(1/0)"),
+        "zero_over_zero": ("hamiltonian", "p1^(0/0)"),
+        "too_large": ("hamiltonian", f"p1^1{zeros}"),
+        "too_large_fraction": ("time_metric", f"t^(1{zeros}/3)"),
+        "too_many_digits": ("space_metric", "x1^" + "1" * 5000),
+    }
+    documents = {}
+    for name, (key, text) in places.items():
+        doc = copy.deepcopy(example)
+        if key == "space_metric":
+            doc["space_metric"][1][1] = text
+        else:
+            doc[key] = text
+        documents[name] = doc
+    return documents
+
+
+@pytest.mark.parametrize("document", sorted(_bad_exponent_documents()))
+@pytest.mark.parametrize("command", ["verify", "christoffel"])
+def test_bad_exponent_exits_3(runner, tmp_path, document, command):
+    # each of these used to end in a ZeroDivisionError, OverflowError or
+    # ValueError traceback (exit 1)
+    path = write_problem(tmp_path, _bad_exponent_documents()[document])
+    result = runner.invoke(main, [command, "--problem", path])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "exponent" in result.output
+
+
+def test_long_json_integer_exits_3(runner, tmp_path):
+    # more digits than the interpreter converts to an int: json raises a
+    # plain ValueError, which used to end in a traceback (exit 1)
+    text = EXAMPLE.read_text().replace('"count": 20', '"count": 1' + "0" * 5000)
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["verify", "--problem", str(path)])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "invalid JSON" in result.output

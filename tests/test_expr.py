@@ -5,12 +5,14 @@ import math
 import random
 import struct
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jetham.expr
+from jetham.cli import _Chart
 from jetham.errors import (
     DimensionError,
     DomainError,
@@ -47,10 +49,13 @@ from jetham.expr import (
     xvar,
 )
 
+from jetham.problem import load_problem
+
 from helpers import (
     central_diff,
     children,
     derivative_pairs,
+    distinct_nodes,
     random_expr,
     random_point,
     reference_diff,
@@ -118,6 +123,38 @@ class TestParse:
         with pytest.raises(ExprSyntaxError) as err:
             parse("x1 @ 2", 1)
         assert err.value.offset == 3
+
+    @pytest.mark.parametrize(
+        "src, offset",
+        [("x1 + @", 5), ("x1 +\n@", 5), ("x1\n  + $1", 7)],
+        ids=["space", "newline", "indented_line"],
+    )
+    def test_unexpected_character_after_whitespace(self, src, offset):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(src, 1)
+        assert err.value.offset == offset
+        assert str(err.value).startswith(f"unexpected character {src[offset]!r}")
+
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            ("x1^(1/0)", "exponent has a zero denominator"),
+            ("x1^-(0/0)", "exponent has a zero denominator"),
+            ("x1^1" + "0" * 400, "exponent is too large for a double"),
+            ("x1^(1" + "0" * 400 + "/3)", "exponent is too large for a double"),
+            ("x1^" + "1" * 5000, "exponent has too many digits"),
+            ("x1^(1/" + "1" * 5000 + ")", "exponent has too many digits"),
+        ],
+        ids=["one_over_zero", "zero_over_zero", "too_large", "too_large_fraction",
+             "too_many_digits", "too_many_digits_in_denominator"],
+    )
+    def test_exponent_must_be_a_double(self, src, message):
+        with pytest.raises(ExprSyntaxError, match=message) as err:
+            parse(src, 1)
+        assert err.value.offset == 3
+
+    def test_large_exponent_still_parses(self):
+        assert parse("x1^99999999999999999999", 1).exponent == 99999999999999999999
 
     def test_trailing_garbage(self):
         with pytest.raises(ExprSyntaxError):
@@ -509,6 +546,59 @@ class TestValueNumbering:
         q = Point.make(1.0, [2.0, 2.0], [1.0, 1.0])
         with pytest.raises(DomainError, match=r"division by zero in 'x1 / \(x1 - x2\)'"):
             program.run(q)
+
+
+HAMILTONIAN_N2 = Path(__file__).resolve().parent.parent / "problems" / "hamiltonian_n2.json"
+
+
+class TestSharedParse:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9), _COORDS, _COORDS, _COORDS, _COORDS, _COORDS)
+    def test_each_structure_is_one_object(self, seed, t, x1, x2, p1, p2):
+        # each text twice in one string; the same texts parsed one by one
+        # and joined by the smart constructors give the unshared tree
+        rng = random.Random(seed)
+        texts = [str(random_expr(rng, 2)) for _ in range(rng.randint(1, 3))] * 2
+        rng.shuffle(texts)
+        src, unshared = f"({texts[0]})", parse(texts[0], 2)
+        for text in texts[1:]:
+            op = rng.choice("+-*")
+            src = f"({src}) {op} ({text})"
+            part = parse(text, 2)
+            unshared = unshared + part if op == "+" else unshared - part if op == "-" else unshared * part
+        e = parse(src, 2)
+        assert e == unshared
+        assert distinct_nodes([e]) == len(Program([e]))
+        q = Point.make(t, [x1, x2], [p1, p2])
+        try:
+            want = reference_eval(unshared, q)
+        except DomainError as ref:
+            with pytest.raises(DomainError) as err:
+                evaluate(e, q)
+            assert str(err.value) == str(ref)
+            return
+        try:
+            got = evaluate(e, q)
+        except DomainError as err:
+            assert "non-finite value" in str(err)
+            assert not math.isfinite(reference_eval(err.subexpr, q))
+            return
+        assert _bits([got]) == _bits([want])
+
+    def test_signed_zeros_stay_two_objects(self):
+        # a table keyed on the value alone would give sin(0) - sin(0) = 0.0
+        assert _bits([evaluate(parse("sin(-0) - sin(0)", 1), Q1)]) == _bits([-0.0])
+
+    def test_hamiltonian_hessians_hold_few_duplicates(self):
+        # a parser that builds each repeated p1^2 or t^2 anew gives 2.3-2.5
+        # objects per slot in these Hessians
+        problem = load_problem(HAMILTONIAN_N2)
+        origin = _Chart(problem)
+        hamiltonian = origin.hamiltonian.expr
+        assert distinct_nodes([hamiltonian]) == len(Program([hamiltonian]))
+        for chart in [origin, *(_Chart(problem, origin, spec.change) for spec in problem.charts)]:
+            comps = list(chart.vertical_metrical.comps.flat)
+            assert distinct_nodes(comps) <= 1.1 * len(Program(comps))
 
 
 class TestComponentsCompiledTogether:
