@@ -1119,9 +1119,7 @@ def _structure(node: Expr):
         return node.var
     if cls is Pow:
         return (Pow, id(node.base), node.exponent.numerator, node.exponent.denominator)
-    if cls in _BINARY:
-        return (cls, id(node.left), id(node.right))
-    return (cls, id(node.arg))
+    return (cls, *map(id, _operands(node)))
 
 
 class _Parser:
@@ -1132,12 +1130,7 @@ class _Parser:
         self._lex()
         self.pos = 0
         self.depth = 0  # open parentheses, calls and unary minus signs
-        # the first node built for each structure in this string, so that
-        # each is one object; it lives only as long as the parse.  An
-        # operation is keyed on its class, its operands' ids (the operands
-        # are shared already) and exponent, a constant on its value and
-        # sign, an identifier on its text.
-        self.shared: dict = {}
+        self.shared: dict = {}  # see _share; it lives only as long as the parse
 
     def _lex(self):
         for m in _TOKEN_RE.finditer(self.src):
@@ -1150,9 +1143,12 @@ class _Parser:
 
     def _share(self, key, cls, build, a, b=None) -> Expr:
         """The node for key, built by build(a) or build(a, b) the first
-        time.  A node of another class than cls is a folded result (x*1,
-        2*3, 0 - y), which is also filed under its own structure, so it too
-        is one object."""
+        time, so each distinct structure in the string is one object.  An
+        operation's key is its class, its operands' ids (the operands are
+        shared already) and its exponent; a constant's is its value and
+        sign, an identifier's its text.  A node of another class than cls
+        is a folded result (x*1, 2*3, 0 - y), which is also filed under its
+        own structure, so it too is one object."""
         node = self.shared.get(key)
         if node is None:
             node = build(a) if b is None else build(a, b)
@@ -1185,23 +1181,17 @@ class _Parser:
     def expr(self) -> Expr:
         e = self.term()
         while self._peek()[1] in ("+", "-"):
-            op = self._next()[1]
+            cls = Add if self._next()[1] == "+" else Sub
             rhs = self.term()
-            if op == "+":
-                e = self._share((Add, id(e), id(rhs)), Add, _add, e, rhs)
-            else:
-                e = self._share((Sub, id(e), id(rhs)), Sub, _sub, e, rhs)
+            e = self._share((cls, id(e), id(rhs)), cls, _REBUILDERS[cls], e, rhs)
         return e
 
     def term(self) -> Expr:
         e = self.factor()
         while self._peek()[1] in ("*", "/"):
-            op = self._next()[1]
+            cls = Mul if self._next()[1] == "*" else Div
             rhs = self.factor()
-            if op == "*":
-                e = self._share((Mul, id(e), id(rhs)), Mul, _mul, e, rhs)
-            else:
-                e = self._share((Div, id(e), id(rhs)), Div, _div, e, rhs)
+            e = self._share((cls, id(e), id(rhs)), cls, _REBUILDERS[cls], e, rhs)
         return e
 
     def factor(self) -> Expr:
