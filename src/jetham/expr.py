@@ -13,12 +13,12 @@ string one object, so a term repeated in the text (``p1^2``, ``t^2``) is
 one node that every later walk meets once.  Each node knows its free
 variables from the moment it is built and keeps every derivative taken of
 it, so differentiation skips subtrees free of the variable and
-differentiates each node object once per variable over its lifetime.  Substitution rebuilds each node
-object once per call, and a compiled ``Program`` evaluates each distinct
-structure once per point; it is the only evaluator.  None of these, nor
-printing, comparison or hashing, recurses, so depth is not limited by the
-interpreter's stack; the parser caps nesting at ``MAX_NESTING`` levels
-instead.
+differentiates each node object once per variable over its lifetime.
+Substitution rebuilds each node object once per call, and a compiled
+``Program`` evaluates each distinct structure once per point; it is the
+only evaluator.  None of these, nor printing, comparison or hashing,
+recurses, so depth is not limited by the interpreter's stack; the parser
+caps nesting at ``MAX_NESTING`` levels instead.
 
 Construction goes through smart constructors that fold the 0/1 identities
 (x+0, x*1, x*0, x^1, ...).  No further simplification is attempted:

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import operator
 import random
 import struct
 from fractions import Fraction
@@ -564,8 +565,9 @@ class TestSharedParse:
         for text in texts[1:]:
             op = rng.choice("+-*")
             src = f"({src}) {op} ({text})"
-            part = parse(text, 2)
-            unshared = unshared + part if op == "+" else unshared - part if op == "-" else unshared * part
+            unshared = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op](
+                unshared, parse(text, 2)
+            )
         e = parse(src, 2)
         assert e == unshared
         assert distinct_nodes([e]) == len(Program([e]))
