@@ -2,7 +2,8 @@
 file and run the verification suites over its charts and sample points.
 
 Exit codes: 0 all checks pass, 2 at least one residual check failed,
-3 configuration or parse error, or a report file that cannot be written.
+3 configuration or parse error, a usage error, or a report file that
+cannot be written.
 Reports are assembled in canonical order (chart index, then point
 index), so identical problem files produce byte-identical JSON.
 """
@@ -10,6 +11,7 @@ index), so identical problem files produce byte-identical JSON.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
@@ -370,7 +372,31 @@ def _finish(report: Report, json_path: str | None):
         sys.exit(EXIT_VERIFICATION_FAILED)
 
 
-@click.group()
+class _Group(click.Group):
+    """click's group, except that a usage error -- an unknown option,
+    command or choice, a missing option -- exits 3 with every other input
+    error, not with click's 2, the code of a failed check."""
+
+    def parse_args(self, ctx, args):
+        with _usage_exits_3():
+            return super().parse_args(ctx, args)
+
+    def invoke(self, ctx):
+        # a command's own options are parsed here
+        with _usage_exits_3():
+            return super().invoke(ctx)
+
+
+@contextmanager
+def _usage_exits_3():
+    try:
+        yield
+    except click.UsageError as ex:
+        ex.exit_code = EXIT_CONFIG_ERROR
+        raise
+
+
+@click.group(cls=_Group)
 def main():
     """Canonical geometry of a time-dependent metric pair on the momentum
     phase space, with numeric verification of every transformation law."""

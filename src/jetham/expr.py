@@ -16,9 +16,9 @@ it, so differentiation skips subtrees free of the variable and
 differentiates each node object once per variable over its lifetime.
 Substitution rebuilds each node object once per call, and a compiled
 ``Program`` evaluates each distinct structure once per point; it is the
-only evaluator.  None of these, nor printing, comparison or hashing,
-recurses, so depth is not limited by the interpreter's stack; the parser
-caps nesting at ``MAX_NESTING`` levels instead.
+only evaluator.  None of these, nor printing, recurses, so depth is not
+limited by the interpreter's stack; the parser caps nesting at
+``MAX_NESTING`` levels instead.
 
 Construction goes through smart constructors that fold the 0/1 identities
 (x+0, x*1, x*0, x^1, ...).  No further simplification is attempted:
@@ -155,10 +155,11 @@ Number = Union[int, float]
 
 
 class Expr:
-    """Base class; all nodes are immutable and compare and hash structurally.
-    ``==`` and ``hash`` walk the tree without recursion, and the hash is
-    kept on the node once computed.  ``repr`` is the printed text behind
-    the node's class name, so it does not recurse either.
+    """Base class; all nodes are immutable and compare and hash by
+    identity: two trees built apart are two objects, whatever their
+    structure.  A structure is decided only by a parse's table of shared
+    nodes and by ``Program``'s value numbers.  ``repr`` is the printed
+    text behind the node's class name, so it does not recurse.
 
     Every node carries a free-variable mask, set when it is built, and the
     derivatives ``diff`` has taken of it, kept for as long as it lives as
@@ -166,7 +167,7 @@ class Expr:
     memory of a dict.
     """
 
-    __slots__ = ("_mask", "_derivs", "_hash")
+    __slots__ = ("_mask", "_derivs")
 
     # -- construction sugar -------------------------------------------------
     def __add__(self, other):
@@ -208,19 +209,6 @@ class Expr:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {_to_text(self)}>"
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Expr):
-            return NotImplemented
-        return _same(self, other)
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            return _structural_hash(self)
 
     def substitute(self, mapping: Mapping[Var, "Expr"]) -> "Expr":
         """Simultaneous substitution; variables absent from the map are kept.
@@ -500,57 +488,6 @@ def _operands(e: Expr) -> tuple[Expr, ...]:
     if cls in _LEAVES:
         return ()
     return (e.arg,)
-
-
-def _same(a: Expr, b: Expr) -> bool:
-    """Structural equality, pair by pair without recursion; a pair of
-    objects met before is not compared again."""
-    seen = set()
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        cls = type(a)
-        if a is b:
-            continue
-        if type(b) is not cls:
-            return False
-        if cls is Const:
-            # as in a tuple comparison: one float object equals itself
-            if a.value is not b.value and a.value != b.value:
-                return False
-        elif cls is Coord:
-            if a.var != b.var:
-                return False
-        elif cls is Pow and a.exponent != b.exponent:
-            return False
-        elif (id(a), id(b)) not in seen:
-            seen.add((id(a), id(b)))
-            stack.extend(zip(_operands(a), _operands(b)))
-    return True
-
-
-def _structural_hash(e: Expr) -> int:
-    """Hash of e from its children's hashes, bottom-up without recursion;
-    each node keeps its own."""
-    stack = [(e, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if hasattr(node, "_hash"):
-            continue
-        cls = type(node)
-        if cls is Const:
-            h = hash(node.value)
-        elif cls is Coord:
-            h = hash(node.var)
-        elif expanded:
-            parts = tuple(k._hash for k in _operands(node))
-            h = hash((cls, node.exponent, *parts) if cls is Pow else (cls, *parts))
-        else:
-            stack.append((node, True))
-            stack.extend((k, False) for k in _operands(node))
-            continue
-        _set(node, "_hash", h)
-    return e._hash
 
 
 def _trig(fn, value: float, node: Expr) -> float:
@@ -1076,7 +1013,8 @@ def _to_text(e: Expr) -> str:
 
 
 def _fmt_number(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
+    # the size test first: int() of an infinity or a NaN raises
+    if abs(value) < 1e16 and value == int(value):
         return str(int(value))
     return repr(value)
 

@@ -66,7 +66,7 @@ class SpaceMetric:
             for j, entry in enumerate(row):
                 check_vars(entry, allowed, f"space metric entry [{i}][{j}]")
                 mirror = self.g[j][i]
-                # printed text, not the recursive structural ==
+                # by printed text: nodes compare by identity
                 if j > i and entry is not mirror and str(entry) != str(mirror):
                     raise DimensionError(
                         f"space metric entries [{i}][{j}] and [{j}][{i}] differ; "

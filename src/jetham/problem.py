@@ -66,13 +66,16 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    # a longer integer than a double holds would not convert
-    return (_is_int(value) and abs(value) <= sys.float_info.max) or isinstance(value, float)
+    """A finite number: a longer integer than a double holds would not
+    convert, and JSON's Infinity and NaN load as floats."""
+    if _is_int(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float) and math.isfinite(value)
 
 
 def _interval(value, where: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
-        raise ProblemFormatError(f"{where}: expected [lo, hi]")
+        raise ProblemFormatError(f"{where}: expected [lo, hi] of finite numbers")
     return float(value[0]), float(value[1])
 
 
@@ -108,7 +111,7 @@ def _sample_points_from(doc, n: int) -> tuple[Point, ...]:
                 or not all(map(_is_number, row))
             ):
                 raise ProblemFormatError(
-                    f"sample.points[{i}]: expected {2 * n + 1} numeric coordinates"
+                    f"sample.points[{i}]: expected {2 * n + 1} finite coordinates"
                 )
             pts.append(Point.from_flat(row, n))
         if not pts:
@@ -152,18 +155,15 @@ def _load_chart(doc, n: int, index: int) -> ChartSpec:
     for key in ("x_fwd", "x_inv"):
         if not isinstance(doc[key], list) or len(doc[key]) != n:
             raise ProblemFormatError(f"{where}.{key}: expected {n} DSL strings")
+    # a parse error names its field already; only the change's own errors
+    # take the chart's prefix
+    t_fwd, t_inv = (_parse_expr(doc[key], n, f"{where}.{key}") for key in ("t_fwd", "t_inv"))
+    x_fwd, x_inv = (
+        tuple(_parse_expr(s, n, f"{where}.{key}[{i}]") for i, s in enumerate(doc[key]))
+        for key in ("x_fwd", "x_inv")
+    )
     try:
-        change = CoordChange(
-            n,
-            _parse_expr(doc["t_fwd"], n, f"{where}.t_fwd"),
-            _parse_expr(doc["t_inv"], n, f"{where}.t_inv"),
-            tuple(
-                _parse_expr(s, n, f"{where}.x_fwd[{i}]") for i, s in enumerate(doc["x_fwd"])
-            ),
-            tuple(
-                _parse_expr(s, n, f"{where}.x_inv[{i}]") for i, s in enumerate(doc["x_inv"])
-            ),
-        )
+        change = CoordChange(n, t_fwd, t_inv, x_fwd, x_inv)
     except JethamError as ex:
         raise ProblemFormatError(f"{where}: {ex}") from ex
     return ChartSpec(name, change)
@@ -233,17 +233,12 @@ def problem_from_dict(doc) -> Problem:
         or any(not isinstance(row, list) or len(row) != n for row in g_doc)
     ):
         raise ProblemFormatError(f"space_metric: expected an {n}x{n} matrix of DSL strings")
+    g = tuple(
+        tuple(_parse_expr(g_doc[i][j], n, f"space_metric[{i}][{j}]") for j in range(n))
+        for i in range(n)
+    )
     try:
-        space_metric = SpaceMetric(
-            n,
-            tuple(
-                tuple(
-                    _parse_expr(g_doc[i][j], n, f"space_metric[{i}][{j}]")
-                    for j in range(n)
-                )
-                for i in range(n)
-            ),
-        )
+        space_metric = SpaceMetric(n, g)
     except JethamError as ex:
         raise ProblemFormatError(f"space_metric: {ex}") from ex
 
@@ -259,9 +254,7 @@ def problem_from_dict(doc) -> Problem:
         raise ProblemFormatError("charts: names must be unique")
 
     tolerance = doc.get("tolerance", 1e-9)
-    # JSON's Infinity and NaN load as floats, and either would pass every
-    # check
-    if not _is_number(tolerance) or not 0 < tolerance <= sys.float_info.max:
+    if not _is_number(tolerance) or tolerance <= 0:
         raise ProblemFormatError("tolerance: positive finite number required")
 
     points = _sample_points_from(doc["sample"], n)

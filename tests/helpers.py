@@ -2,7 +2,8 @@
 random expression generator, the recursive references for evaluation,
 derivatives and adapted frames, the unshared references for the metric's
 determinant, inverse and Christoffel symbols, a count of distinct node
-objects, and the finite-difference oracle."""
+objects, the structural comparison of two trees, and the finite-difference
+oracle."""
 
 from __future__ import annotations
 
@@ -389,6 +390,35 @@ def distinct_nodes(roots) -> int:
             seen.add(id(e))
             stack.extend(children(e))
     return len(seen)
+
+
+def same_structure(a: Expr, b: Expr) -> bool:
+    """Structural equality, pair by pair without recursion; a pair of
+    objects met before is not compared again.  Nodes compare by identity,
+    so this is the reference that tests compare trees built apart against;
+    0.0 and -0.0 are equal here."""
+    seen = set()
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        cls = type(a)
+        if a is b:
+            continue
+        if type(b) is not cls:
+            return False
+        if cls is Const:
+            # as in a tuple comparison: one float object equals itself
+            if a.value is not b.value and a.value != b.value:
+                return False
+        elif cls is Coord:
+            if a.var != b.var:
+                return False
+        elif cls is Pow and a.exponent != b.exponent:
+            return False
+        elif (id(a), id(b)) not in seen:
+            seen.add((id(a), id(b)))
+            stack.extend(zip(children(a), children(b)))
+    return True
 
 
 def max_abs_subvalue(e: Expr, q: Point) -> float:

@@ -4,8 +4,10 @@ import copy
 import gc
 import hashlib
 import json
+import math
 import struct
 import sys
+import tempfile
 import time
 import weakref
 from pathlib import Path
@@ -13,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jetham.cli
 import jetham.dtensor
@@ -737,3 +741,96 @@ def test_long_json_integer_exits_3(runner, tmp_path):
     assert result.exit_code == 3, result.output
     assert isinstance(result.exception, SystemExit)
     assert "invalid JSON" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--bogus"],
+        ["verify", "--problem", str(EXAMPLE), "--suite", "nope"],
+        ["verify"],  # no --problem
+    ],
+)
+def test_usage_error_exits_3(runner, args):
+    # exit 2 is a failed check; a typo must not read as one
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Usage:" in result.stderr
+
+
+@pytest.mark.parametrize("args", [["--help"], ["verify", "--help"]])
+def test_help_exits_0(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    assert "Usage:" in result.output
+
+
+# -- every problem document ends in a documented exit code --------------------
+
+_TYPE_CHANGES = [None, True, 7, 1.5, "x1", [], {}]
+_DSL_EDGES = [
+    lambda s: f"({s})^(1/0)",
+    lambda s: f"{s} + {'9' * 400}",
+    lambda s: f"{s} + 1e999",
+    lambda s: f"{s} * x9",
+]
+
+
+def _locations(doc):
+    """Every (container, key) of a JSON document, depth first."""
+    found, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        keys = node if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            found.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    return found
+
+
+@st.composite
+def _broken_examples(draw):
+    """The bundled example at two sample points, with one part broken: a
+    key dropped, a value of another type, an edge token in a DSL string,
+    or a sample point that is not finite or not 2n + 1 long."""
+    doc = json.loads(EXAMPLE.read_text())
+    doc["sample"]["count"] = 2
+    kind = draw(st.sampled_from(["drop", "type", "dsl", "point"]))
+    places = _locations(doc)
+    if kind == "drop":
+        node, key = draw(st.sampled_from([(n, k) for n, k in places if isinstance(n, dict)]))
+        del node[key]
+    elif kind == "type":
+        node, key = draw(st.sampled_from(places))
+        node[key] = draw(st.sampled_from(_TYPE_CHANGES))
+    elif kind == "dsl":
+        strings = [(n, k) for n, k in places if isinstance(n[k], str) and k != "name"]
+        node, key = draw(st.sampled_from(strings))
+        node[key] = draw(st.sampled_from(_DSL_EDGES))(node[key])
+    else:
+        row = [1.2, 1.1, 1.3, 0.7, -1.3]
+        if draw(st.booleans()):
+            row[draw(st.integers(0, 4))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        else:
+            row = draw(st.sampled_from([row[:3], row[:4], row + [1.0]]))
+        doc["sample"] = {"points": [row]}
+    return doc
+
+
+@settings(max_examples=50, deadline=None)
+@given(_broken_examples())
+def test_every_document_ends_in_a_documented_exit_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "problem.json"
+        path.write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["verify", "--problem", str(path)])
+    assert result.exit_code in (0, 2, 3), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    for line in result.stderr.splitlines():
+        # "charts[0]: charts[0].t_fwd: ..." names one field twice
+        parts = line.removeprefix("error: ").split(": ")
+        for a, b in zip(parts, parts[1:]):
+            assert not b.startswith((a + ".", a + "[")), line

@@ -36,6 +36,7 @@ from helpers import (
     reference_det,
     reference_eval,
     reference_inverse,
+    same_structure,
     sampled_points,
 )
 
@@ -263,7 +264,7 @@ class TestSharedMinors:
         pairs += zip(_flat(_flat(gamma)), _flat(_flat(want_gamma)))
         q = random_point(rng, n)
         for got, want in pairs:
-            assert got == want
+            assert same_structure(got, want)
             assert _outcome(got, q) == _outcome(want, q)
         if n >= 3:
             shared = _flat(inverse) + _flat(_flat(gamma))

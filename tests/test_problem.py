@@ -177,6 +177,35 @@ class TestRejection:
             with pytest.raises(ProblemFormatError, match="coordinates"):
                 problem_from_dict(doc)
 
+    def test_parse_errors_name_their_field_once(self):
+        bad_entry = base_doc()
+        bad_entry["space_metric"][1][1] = "x1^(1/0)"
+        bad_chart = base_doc()
+        bad_chart["charts"][0]["t_fwd"] = "t^(1/0)"
+        for d, field in ((bad_entry, "space_metric[1][1]"), (bad_chart, "charts[0].t_fwd")):
+            with pytest.raises(ProblemFormatError) as err:
+                problem_from_dict(d)
+            message = str(err.value)
+            assert message.startswith(f"{field}: exponent has a zero denominator")
+            assert message.count(field.partition("[")[0]) == 1
+
+    def test_non_finite_numbers_name_their_field(self):
+        box = base_doc()["sample"]["box"]
+        for sample, message in (
+            ({"points": [[1.0, math.nan, 1.0, 2.0, 3.0]]}, r"sample.points\[0\]: expected 5"),
+            ({"points": [[1.0, 1.0, 1.0, math.nan, 3.0]]}, r"sample.points\[0\]: expected 5"),
+            ({"points": [[1.0, 1.0, 1.0, 2.0, -math.inf]]}, r"sample.points\[0\]: expected 5"),
+            ({"seed": 7, "count": 5, "box": {**box, "t": [0.5, math.inf]}}, "sample.box.t:"),
+            ({"seed": 7, "count": 5, "box": {**box, "x": [[0.5, 2], [-math.inf, 2]]}},
+             r"sample.box.x\[1\]:"),
+            # for n = 2 a pair that is not [lo, hi] reads as two intervals
+            ({"seed": 7, "count": 5, "box": {**box, "p": [math.nan, 3]}}, r"sample.box.p\[0\]:"),
+        ):
+            doc = base_doc()
+            doc["sample"] = sample
+            with pytest.raises(ProblemFormatError, match="^" + message):
+                problem_from_dict(doc)
+
     def test_bad_tolerance(self):
         doc = base_doc()
         for tolerance in (-1.0, True, math.inf, math.nan, 10**400):
