@@ -12,7 +12,6 @@ from .charts import (
     induced_point,
     scalar_to_new_chart,
     transition,
-    verify_frame_rules,
 )
 from .dtensor import (
     DTensor,

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import ChartInverseError, DimensionError, RegularityError
 from .expr import Coord, Expr, Point, Program, Var, check_vars, compose, esum
-from .report import Report, check_points
 
 __all__ = [
     "CoordChange",
@@ -35,7 +34,6 @@ __all__ = [
     "compose_changes",
     "induced_point",
     "transition",
-    "verify_frame_rules",
     "natural_frame_matrix",
     "natural_coframe_matrix",
     "scalar_to_new_chart",
@@ -203,7 +201,8 @@ class TransitionData:
     dp_tilde_dt[k] = dp~_k/dt and dp_tilde_dx[k][i] = dp~_k/dx^i, both taken
     from the composed momentum expression at fixed remaining coordinates.
     One object is shared by every caller at the same (change, point), so
-    its arrays are read-only.
+    its arrays are read-only.  ``report.stack`` of several gives every
+    field a leading points axis, as the laws read them.
     """
 
     dt_tilde_dt: float
@@ -302,47 +301,31 @@ def _transition_data(
 
 def natural_frame_matrix(td: TransitionData) -> np.ndarray:
     """Rows: old natural frame vectors (d/dt, d/dx^i, d/dp_i) expressed in
-    the new natural frame, in block order (t, x, p)."""
-    n = td.jac.shape[0]
-    m = np.zeros((2 * n + 1, 2 * n + 1))
-    m[0, 0] = td.dt_tilde_dt
-    m[0, n + 1 :] = td.dp_tilde_dt
-    m[1 : n + 1, 1 : n + 1] = td.jac.T
-    m[1 : n + 1, n + 1 :] = td.dp_tilde_dx.T
-    m[n + 1 :, n + 1 :] = td.jac_inv * td.dt_tilde_dt
+    the new natural frame, in block order (t, x, p).  For a stack of
+    transition data, one matrix per point."""
+    n = td.jac.shape[-1]
+    m = np.zeros(td.jac.shape[:-2] + (2 * n + 1, 2 * n + 1))
+    m[..., 0, 0] = td.dt_tilde_dt
+    m[..., 0, n + 1 :] = td.dp_tilde_dt
+    m[..., 1 : n + 1, 1 : n + 1] = td.jac.mT
+    m[..., 1 : n + 1, n + 1 :] = td.dp_tilde_dx.mT
+    m[..., n + 1 :, n + 1 :] = td.jac_inv * np.expand_dims(td.dt_tilde_dt, (-2, -1))
     return m
 
 
 def natural_coframe_matrix(td: TransitionData, td_inv: TransitionData) -> np.ndarray:
     """Rows: old natural coframe covectors (dt, dx^i, dp_i) expressed in the
     new natural coframe.  td_inv holds the inverse change's factors at the
-    image point (dp_i/dt~ and dp_i/dx~^j live there)."""
-    n = td.jac.shape[0]
-    m = np.zeros((2 * n + 1, 2 * n + 1))
-    m[0, 0] = td.dt_dt_tilde
-    m[1 : n + 1, 1 : n + 1] = td.jac_inv
-    m[n + 1 :, 0] = td_inv.dp_tilde_dt
-    m[n + 1 :, 1 : n + 1] = td_inv.dp_tilde_dx
-    m[n + 1 :, n + 1 :] = td.jac.T * td.dt_dt_tilde
+    image point (dp_i/dt~ and dp_i/dx~^j live there).  For stacks of
+    transition data, one matrix per point."""
+    n = td.jac.shape[-1]
+    m = np.zeros(td.jac.shape[:-2] + (2 * n + 1, 2 * n + 1))
+    m[..., 0, 0] = td.dt_dt_tilde
+    m[..., 1 : n + 1, 1 : n + 1] = td.jac_inv
+    m[..., n + 1 :, 0] = td_inv.dp_tilde_dt
+    m[..., n + 1 :, 1 : n + 1] = td_inv.dp_tilde_dx
+    m[..., n + 1 :, n + 1 :] = td.jac.mT * np.expand_dims(td.dt_dt_tilde, (-2, -1))
     return m
-
-
-def verify_frame_rules(c: CoordChange, q: Point, tol: float = 1e-9) -> Report:
-    """Check that the natural frame and coframe rules are mutually inverse.
-
-    The frame rows (how old basis vectors expand in the new basis) and the
-    coframe rows must pair to the identity; the report carries one record
-    per matrix entry of coframe @ frame^T - I, in row-major order.
-    """
-    size = 2 * c.n + 1
-
-    def compare(q):
-        td = transition(c, q)
-        td_inv = transition(c.inverse(), induced_point(c, q))
-        pairing = natural_coframe_matrix(td, td_inv) @ natural_frame_matrix(td).T
-        return np.abs(pairing - np.eye(size)).ravel().tolist()
-
-    return check_points((q,), tol, ("frame_rules",) * size**2, compare)
 
 
 def scalar_to_new_chart(e: Expr, c: CoordChange) -> Expr:

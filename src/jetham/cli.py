@@ -32,7 +32,7 @@ from .dtensor import (
 )
 from .errors import JethamError
 from .expr import Components, Point, Program, compile_together
-from .frames import adapted_frames, pairing, verify_adapted_tensoriality
+from .frames import adapted_frames, frames_from_values, pairing, verify_adapted_tensoriality
 from .metrics import (
     SpaceMetric,
     TimeMetric,
@@ -49,14 +49,7 @@ from .nlconn import (
     verify_connection_law,
 )
 from .problem import Problem, load_problem
-from .report import (
-    Report,
-    check_points,
-    report_to_json,
-    residual,
-    worst_array_residual,
-    worst_residual,
-)
+from .report import Report, check_points, report_to_json, residual, worst_residuals
 from .spray import (
     MomentumSemispray,
     canonical_spatial,
@@ -147,15 +140,15 @@ _DTENSORS = ("vertical_metrical", "liouville", "momentum_liouville", "h_normaliz
 # the benchmark's tracer binds one) is the one that runs.
 _SUITES = {
     "dtensor": [
-        (name, lambda *args, name=name: verify_dtensor(*args, f"dtensor.{name}"))
+        (name, lambda *args, chart, name=name: verify_dtensor(*args, f"dtensor.{name}", chart))
         for name in _DTENSORS
     ],
     "spray": [
-        ("temporal", lambda *args: verify_temporal_law(*args)),
-        ("spatial", lambda *args: verify_spatial_law(*args)),
+        ("temporal", lambda *args, chart: verify_temporal_law(*args, chart)),
+        ("spatial", lambda *args, chart: verify_spatial_law(*args, chart)),
     ],
-    "connection": [("connection", lambda *args: verify_connection_law(*args))],
-    "frames": [("connection", lambda *args: verify_adapted_tensoriality(*args))],
+    "connection": [("connection", lambda *args, chart: verify_connection_law(*args, chart))],
+    "frames": [("connection", lambda *args, chart: verify_adapted_tensoriality(*args, chart))],
 }
 
 
@@ -185,12 +178,11 @@ def _canonical_consistency(problem: Problem, origin: _Chart) -> Report:
     """The connection built from the metrics against the one built from the
     canonical semispray, in the problem's own chart."""
     N, N_from_G = origin.connection, origin.spray_connection
-    parts = ((N.temporal, N_from_G.temporal), (N.spatial, N_from_G.spatial))
+    parts = (N.temporal, N_from_G.temporal, N.spatial, N_from_G.spatial)
     return check_points(
         problem.points, problem.tolerance, ("connection.canonical_consistency",),
-        lambda q: (
-            worst_residual(worst_array_residual(a.evaluate(q), b.evaluate(q)) for a, b in parts),
-        ),
+        lambda q: tuple(part.evaluate(q) for part in parts),
+        lambda a, b, c, d: (np.maximum(worst_residuals(a, b), worst_residuals(c, d)),),
     )
 
 
@@ -199,7 +191,10 @@ def _duality(problem: Problem, origin: _Chart) -> Report:
     N, size = origin.connection, 2 * problem.n + 1
     return check_points(
         problem.points, DUALITY_TOL, ("frames.duality",),
-        lambda q: (float(np.max(np.abs(pairing(*adapted_frames(N, q)) - np.eye(size)))),),
+        lambda q: (N.temporal.evaluate(q), N.spatial.evaluate(q)),
+        lambda N1, N2: (
+            np.max(np.abs(pairing(*frames_from_values(N1, N2)) - np.eye(size)), axis=(1, 2)),
+        ),
     )
 
 
@@ -219,8 +214,9 @@ def _family(problem: Problem, charts: dict[str, _Chart], suite: str, corrupt=Fal
             new = getattr(charts[spec.name], name)
             if corrupt:
                 new = replace(new, temporal=(new.temporal[0] + 1, *new.temporal[1:]))
-            rep = law(getattr(origin, name), new, spec.change, problem.points, problem.tolerance)
-            records.extend(r.with_chart(spec.name) for r in rep.records)
+            old = getattr(origin, name)
+            rep = law(old, new, spec.change, problem.points, problem.tolerance, chart=spec.name)
+            records.extend(rep.records)
     return Report.of(records)
 
 

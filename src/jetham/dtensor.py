@@ -25,7 +25,7 @@ from .charts import CoordChange, TransitionData, induced_point, transition
 from .errors import SignatureMismatchError
 from .expr import Components, Expr, Point, Var, const, pvar
 from .metrics import SpaceMetric, TimeMetric, inverse_time
-from .report import Report, check_points, worst_array_residual, worst_residual
+from .report import Report, check_points, stack, worst_residuals
 
 __all__ = [
     "IndexKind",
@@ -85,7 +85,8 @@ class Hamiltonian:
 
 def transform_factor(kind: IndexKind, td: TransitionData):
     """New-frame-in-terms-of-old factor for one index slot: a scalar for
-    time kinds, an (new, old) matrix for space/momentum kinds."""
+    time kinds, an (new, old) matrix for space/momentum kinds; for a
+    stack of td, each factor keeps its leading points axis."""
     if kind is IndexKind.TIME_UP:
         return td.dt_tilde_dt
     if kind is IndexKind.TIME_DOWN:
@@ -93,27 +94,30 @@ def transform_factor(kind: IndexKind, td: TransitionData):
     if kind is IndexKind.SPACE_UP:
         return td.jac
     if kind is IndexKind.SPACE_DOWN:
-        return td.jac_inv.T
+        return td.jac_inv.mT
     if kind is IndexKind.MOM_UP:
-        return td.jac * td.dt_dt_tilde
-    return td.jac_inv.T * td.dt_tilde_dt  # MOM_DOWN
+        return td.jac * np.expand_dims(td.dt_dt_tilde, (-2, -1))
+    return td.jac_inv.mT * np.expand_dims(td.dt_tilde_dt, (-2, -1))  # MOM_DOWN
 
 
 def push_forward(T: DTensor, c: CoordChange, q: Point) -> np.ndarray:
     """Numeric components of T in the tilde frame at the image of q."""
-    return _apply_factors(T.signature, transition(c, q), T.evaluate(q))
+    return _transform(T.signature, stack([transition(c, q)]), T.evaluate(q)[None])[0]
 
 
-def _apply_factors(signature, td: TransitionData, values: np.ndarray) -> np.ndarray:
-    """Contract component values with one transform factor per slot."""
-    axis = 0
+def _transform(signature, td: TransitionData, values: np.ndarray) -> np.ndarray:
+    """Contract stacked component values with one stacked factor per slot:
+    per point, the product np.tensordot forms, in one matmul."""
+    axis = 1
     for kind in signature:
         factor = transform_factor(kind, td)
         if kind.has_axis:
-            values = np.moveaxis(np.tensordot(factor, values, axes=(1, axis)), 0, axis)
+            moved = np.moveaxis(values, axis, 1)
+            product = factor @ moved.reshape(*moved.shape[:2], -1)
+            values = np.moveaxis(product.reshape(moved.shape), 1, axis)
             axis += 1
         else:
-            values = values * factor
+            values = values * factor.reshape(-1, *(1,) * (values.ndim - 1))
     return values
 
 
@@ -124,6 +128,7 @@ def verify_dtensor(
     points: Sequence[Point],
     tol: float = 1e-9,
     check_id: str = "dtensor",
+    chart: str = "",
 ) -> Report:
     """Compare the pushed-forward old components against the new-chart
     components at each image point, and back again through the inverse
@@ -135,17 +140,18 @@ def verify_dtensor(
         )
     inverse = c.inverse()
 
-    def compare(q):
+    def gather(q):
         image = induced_point(c, q)
         td = transition(c, q)
-        old = T_old.evaluate(q)
-        new = T_new.evaluate(image)
-        pushed = _apply_factors(T_old.signature, td, old)
-        pulled = _apply_factors(T_new.signature, transition(inverse, image), new)
-        pairs = ((pushed, new), (pulled, old))
-        return (worst_residual(worst_array_residual(a, b) for a, b in pairs),)
+        old, new = T_old.evaluate(q), T_new.evaluate(image)
+        return td, old, new, transition(inverse, image)
 
-    return check_points(points, tol, (check_id,), compare)
+    def law(td, old, new, td_inverse):
+        pushed = _transform(T_old.signature, td, old)
+        pulled = _transform(T_new.signature, td_inverse, new)
+        return (np.maximum(worst_residuals(pushed, new), worst_residuals(pulled, old)),)
+
+    return check_points(points, tol, (check_id,), gather, law, chart)
 
 
 # ---------------------------------------------------------------------------

@@ -1119,17 +1119,23 @@ class _Parser:
     def expr(self) -> Expr:
         e = self.term()
         while self._peek()[1] in ("+", "-"):
-            cls = Add if self._next()[1] == "+" else Sub
+            _, op, offset = self._next()
+            cls = Add if op == "+" else Sub
             rhs = self.term()
             e = self._share((cls, id(e), id(rhs)), cls, _REBUILDERS[cls], e, rhs)
+            if type(e) is Const and not math.isfinite(e.value):  # an overflowing fold
+                raise ExprSyntaxError(f"{op!r} folds to {e.value}, not a finite double", offset)
         return e
 
     def term(self) -> Expr:
         e = self.factor()
         while self._peek()[1] in ("*", "/"):
-            cls = Mul if self._next()[1] == "*" else Div
+            _, op, offset = self._next()
+            cls = Mul if op == "*" else Div
             rhs = self.factor()
             e = self._share((cls, id(e), id(rhs)), cls, _REBUILDERS[cls], e, rhs)
+            if type(e) is Const and not math.isfinite(e.value):  # an overflowing fold
+                raise ExprSyntaxError(f"{op!r} folds to {e.value}, not a finite double", offset)
         return e
 
     def factor(self) -> Expr:
@@ -1151,6 +1157,8 @@ class _Parser:
             return e
         if kind == "number":
             value = float(text)  # a literal has no sign
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {text!r} is not a finite double", offset)
             return self._share((value, 1.0), Const, Const, value)
         if kind == "ident":
             if text in _FUNCS:

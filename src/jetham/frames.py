@@ -31,6 +31,7 @@ from .report import Report, check_points
 
 __all__ = [
     "adapted_frames",
+    "frames_from_values",
     "pairing",
     "verify_adapted_tensoriality",
     "decompose",
@@ -56,13 +57,19 @@ def adapted_frames(N: NonlinearConnection, q: Point) -> tuple[np.ndarray, np.nda
     Both are unit triangular with determinant 1: the connection components
     fill the p-columns of F's t/x rows and the t/x-columns of C's p rows.
     """
-    n = N.n
-    N1, N2 = N.temporal.evaluate(q), N.spatial.evaluate(q)
-    F, C = np.eye(2 * n + 1), np.eye(2 * n + 1)
-    F[0, n + 1 :] = -N1
-    F[1 : n + 1, n + 1 :] = -N2.T
-    C[n + 1 :, 0] = N1
-    C[n + 1 :, 1 : n + 1] = N2
+    return frames_from_values(N.temporal.evaluate(q), N.spatial.evaluate(q))
+
+
+def frames_from_values(N1: np.ndarray, N2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The adapted frame and coframe filled from the connection's values
+    N1 (..., n) and N2 (..., n, n), one pair per point of a stack."""
+    n = N1.shape[-1]
+    F = np.broadcast_to(np.eye(2 * n + 1), N1.shape[:-1] + (2 * n + 1,) * 2).copy()
+    C = F.copy()
+    F[..., 0, n + 1 :] = -N1
+    F[..., 1 : n + 1, n + 1 :] = -N2.mT
+    C[..., n + 1 :, 0] = N1
+    C[..., n + 1 :, 1 : n + 1] = N2
     return F, C
 
 
@@ -71,7 +78,7 @@ def pairing(F: np.ndarray, C: np.ndarray) -> np.ndarray:
     and C come from the same connection at the same point."""
     if F.shape != C.shape:
         raise DimensionError("frame and coframe dimensions differ")
-    return C @ F.T
+    return C @ F.mT
 
 
 def verify_adapted_tensoriality(
@@ -80,6 +87,7 @@ def verify_adapted_tensoriality(
     c: CoordChange,
     points: Sequence[Point],
     tol: float = 1e-9,
+    chart: str = "",
 ) -> Report:
     """Check that adapted frames of a law-satisfying connection pair
     transform block-diagonally with the tensorial factors:
@@ -96,12 +104,12 @@ def verify_adapted_tensoriality(
     frames.connection_precondition, so the failure surfaces as a failed
     check rather than an exception.
     """
-    law = verify_connection_law(N_old, N_new, c, points, tol)
+    law = verify_connection_law(N_old, N_new, c, points, tol, chart)
     if not law.passed:
         return Report.of(
             replace(r, check_id="frames.connection_precondition") for r in law.records
         )
-    return _verify_blocks(N_old, N_new, c, points, tol)
+    return _verify_blocks(N_old, N_new, c, points, tol, chart)
 
 
 def _verify_blocks(
@@ -110,6 +118,7 @@ def _verify_blocks(
     c: CoordChange,
     points: Sequence[Point],
     tol: float,
+    chart: str = "",
 ) -> Report:
     """The block comparison itself: residuals cover both the
     diagonal-block factors and all off-block mixing (which must vanish)."""
@@ -117,27 +126,33 @@ def _verify_blocks(
     # tensorial factors
     block = np.repeat([0, 1, 2], [1, c.n, c.n])
     blocks = block[:, None] == block[None, :]
+    inverse = c.inverse()
 
-    def compare(q):
+    def gather(q):
         td = transition(c, q)
         image = induced_point(c, q)
-        td_inv = transition(c.inverse(), image)
+        td_inv = transition(inverse, image)
+        new = N_new.temporal.evaluate(image), N_new.spatial.evaluate(image)
+        return td, td_inv, *new, N_old.temporal.evaluate(q), N_old.spatial.evaluate(q)
+
+    def law(td, td_inv, new_t, new_s, old_t, old_s):
         A = natural_frame_matrix(td)
         B = natural_coframe_matrix(td, td_inv)
-        Fn, Cn = adapted_frames(N_new, image)
-        F_old, C_old = adapted_frames(N_old, q)
+        Fn, Cn = frames_from_values(new_t, new_s)
+        F_old, C_old = frames_from_values(old_t, old_s)
 
         # old adapted vectors, re-expressed in the new adapted frame
-        got_frame = np.linalg.solve(Fn.T, (F_old @ A).T).T
-        frame = float(np.max(np.abs(got_frame - np.where(blocks, A, 0.0))))
+        got_frame = np.linalg.solve(Fn.mT, (F_old @ A).mT).mT
+        frame = np.max(np.abs(got_frame - np.where(blocks, A, 0.0)), axis=(1, 2))
 
         # old adapted covectors, re-expressed in the new adapted coframe
-        got_co = np.linalg.solve(Cn.T, (C_old @ B).T).T
-        coframe = float(np.max(np.abs(got_co - np.where(blocks, B, 0.0))))
+        got_co = np.linalg.solve(Cn.mT, (C_old @ B).mT).mT
+        coframe = np.max(np.abs(got_co - np.where(blocks, B, 0.0)), axis=(1, 2))
         return frame, coframe
 
     return check_points(
-        points, tol, ("frames.frame_tensoriality", "frames.coframe_tensoriality"), compare
+        points, tol, ("frames.frame_tensoriality", "frames.coframe_tensoriality"),
+        gather, law, chart,
     )
 
 

@@ -20,7 +20,7 @@ from .charts import CoordChange, induced_point, transition
 from .errors import DimensionError
 from .expr import Components, Point, Var, const, esum, pvar
 from .metrics import SpaceMetric, TimeMetric, christoffel_time
-from .report import Report, check_points, worst_array_residual
+from .report import Report, check_points, worst_residuals
 from .spray import MomentumSemispray
 
 __all__ = [
@@ -111,6 +111,7 @@ def verify_connection_law(
     c: CoordChange,
     points: Sequence[Point],
     tol: float = 1e-9,
+    chart: str = "",
 ) -> Report:
     """Both lines of the nonlinear-connection law at each point:
 
@@ -120,18 +121,19 @@ def verify_connection_law(
     if N_old.n != c.n or N_new.n != c.n:
         raise DimensionError("connection and change dimensions differ")
 
-    def compare(q):
+    def gather(q):
         td = transition(c, q)
         image = induced_point(c, q)
+        old_t, old_s = N_old.temporal.evaluate(q), N_old.spatial.evaluate(q)
+        return td, old_t, old_s, N_new.temporal.evaluate(image), N_new.spatial.evaluate(image)
+
+    def law(td, old_t, old_s, new_t, new_s):
         J = td.jac_inv
-        old_t = N_old.temporal.evaluate(q)
-        old_s = N_old.spatial.evaluate(q)
-        new_t = N_new.temporal.evaluate(image)
-        new_s = N_new.spatial.evaluate(image)
-        want_t = old_t @ J - td.dt_dt_tilde * td.dp_tilde_dt
-        want_s = td.dt_tilde_dt * (J.T @ old_s @ J) - td.dp_tilde_dx @ J
-        return worst_array_residual(new_t, want_t), worst_array_residual(new_s, want_s)
+        want_t = (old_t[:, None, :] @ J)[:, 0] - td.dt_dt_tilde[:, None] * td.dp_tilde_dt
+        homogeneous = td.dt_tilde_dt[:, None, None] * (J.mT @ old_s @ J)
+        want_s = homogeneous - td.dp_tilde_dx @ J
+        return worst_residuals(new_t, want_t), worst_residuals(new_s, want_s)
 
     return check_points(
-        points, tol, ("connection.temporal", "connection.spatial"), compare
+        points, tol, ("connection.temporal", "connection.spatial"), gather, law, chart
     )

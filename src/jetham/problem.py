@@ -80,7 +80,8 @@ def _interval(value, where: str) -> tuple[float, float]:
 
 
 def _axis_intervals(value, n: int, where: str) -> tuple[tuple[float, float], ...]:
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
+    nested = isinstance(value, (list, tuple)) and any(isinstance(v, (list, tuple)) for v in value)
+    if isinstance(value, (list, tuple)) and len(value) == 2 and not nested:  # one [lo, hi]
         return (_interval(value, where),) * n
     if isinstance(value, (list, tuple)) and len(value) == n:
         return tuple(_interval(v, f"{where}[{i}]") for i, v in enumerate(value))

@@ -8,9 +8,9 @@ metrics, where relative error is undefined) and relative otherwise.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -18,7 +18,8 @@ import numpy as np
 __all__ = [
     "residual",
     "worst_residual",
-    "worst_array_residual",
+    "worst_residuals",
+    "stack",
     "CheckRecord",
     "Report",
     "check_points",
@@ -50,12 +51,25 @@ def worst_residual(residuals: Iterable[float]) -> float:
     return worst
 
 
-def worst_array_residual(got: np.ndarray, want: np.ndarray) -> float:
-    """The worst residual between two arrays of one shape, compared element
-    by element in ravel order (NaN as soon as one residual is NaN)."""
+def worst_residuals(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Per point of a leading points axis, the worst ``residual`` between
+    two stacks of one shape, element by element: NaN at a point as soon as
+    one of its residuals is NaN (``check_points`` silences the warnings)."""
     if np.shape(got) != np.shape(want):
         raise ValueError(f"cannot compare shapes {np.shape(got)} and {np.shape(want)}")
-    return worst_residual(map(residual, np.ravel(got).tolist(), np.ravel(want).tolist()))
+    scale = np.maximum(np.abs(got), np.abs(want))
+    err = np.abs(got - want)
+    each = np.where(scale < ABS_FLOOR, err, err / scale)
+    return each.reshape(len(each), -1).max(axis=1)
+
+
+def stack(values: Sequence):
+    """One value per point on a leading points axis: a dataclass (such as
+    ``TransitionData``) field by field, anything else as one array."""
+    first = values[0]
+    if is_dataclass(first):
+        return type(first)(*(stack([getattr(v, f.name) for v in values]) for f in fields(first)))
+    return np.array(values)
 
 
 @dataclass(frozen=True)
@@ -65,9 +79,6 @@ class CheckRecord:
     point: tuple[float, ...]
     residual: float
     passed: bool
-
-    def with_chart(self, chart: str) -> "CheckRecord":
-        return replace(self, chart=chart)
 
 
 @dataclass(frozen=True)
@@ -100,46 +111,80 @@ def check_points(
     points: Sequence,
     tol: float,
     check_ids: Sequence[str],
-    compare: Callable[..., Sequence[float]],
+    gather: Callable[..., tuple],
+    law: Callable[..., Sequence] | None = None,
+    chart: str = "",
 ) -> Report:
-    """The records of one comparison run at each point, in point order.
+    """The records of checks run over all points at once, in point order.
 
-    compare(q) returns the worst residual of each check at q, in check_ids
-    order; each becomes a record that passes when it is within tol.  Array
-    arithmetic that overflows gives inf or NaN silently, as float arithmetic
-    does: the residual it leads to fails the record.
+    gather(q) returns what the checks read at q; it is called point by
+    point in order, so an error is the one the first failing point raises.
+    law receives each gathered item stacked on a leading points axis (see
+    ``stack``) and returns, in check_ids order, each check's worst residual
+    at every point; without a law, the gathered items are those residuals.
+    Each becomes a record of chart that passes when it is within tol.
+    Array arithmetic that overflows gives inf or NaN silently, as float
+    arithmetic does: the residual it leads to fails the record.
     """
-    records = []
+    points = tuple(points)
+    if not points:
+        return Report(())
     with np.errstate(over="ignore", invalid="ignore"):
-        for q in points:
-            for check_id, worst in zip(check_ids, compare(q), strict=True):
-                records.append(CheckRecord(check_id, "", q.flat(), worst, worst <= tol))
-    return Report.of(records)
+        gathered = [gather(q) for q in points]
+        stacks = [stack(column) for column in zip(*gathered)]
+        worst = law(*stacks) if law else stacks
+    records = []
+    for q, row in zip(points, zip(*(np.asarray(w, dtype=float).tolist() for w in worst))):
+        flat = q.flat()
+        for c, r in zip(check_ids, row, strict=True):
+            records.append(CheckRecord(c, chart, flat, r, r <= tol))
+    return Report(tuple(records))
 
 
-def _finite_or_none(value: float) -> float | None:
-    return value if math.isfinite(value) else None
+def _number_or_null(value: float) -> str:
+    return float.__repr__(value) if math.isfinite(value) else "null"
+
+
+def _bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _json_block(items: list[str], indent: str, brackets: str) -> str:
+    """Rendered items as json.dumps(indent=2) lays out a list or object."""
+    inner = f",\n{indent}  ".join(items)
+    return f"{brackets[0]}\n{indent}  {inner}\n{indent}{brackets[1]}" if items else brackets
+
+
+def _record_json(r: CheckRecord) -> str:
+    if not all(map(math.isfinite, r.point)):
+        raise ValueError(f"point {r.point} is not finite: JSON has no value for it")
+    point = _json_block(list(map(float.__repr__, r.point)), "      ", "[]")
+    return _json_block([
+        f'"chart": {encode_basestring_ascii(r.chart)}',
+        f'"check_id": {encode_basestring_ascii(r.check_id)}',
+        f'"pass": {_bool(r.passed)}',
+        f'"point": {point}',
+        f'"residual": {_number_or_null(r.residual)}',
+    ], "    ", "{}")
 
 
 def report_to_json(report: Report) -> str:
-    """Deterministic JSON rendering: fixed key order, canonical record order.
-    A non-finite residual or family maximum is written as null (its record
+    """Deterministic JSON rendering: fixed key order, canonical record order,
+    the bytes ``json.dumps(payload, sort_keys=True, indent=2)`` writes for
+    the report's fields, from a writer that knows their schema.  A
+    non-finite residual or family maximum is written as null (its record
     already fails), so the output is always valid JSON."""
-    by_family = report.max_residual_by_family()
-    payload = {
-        "summary": {
-            "pass": report.passed,
-            "max_residual": {f: _finite_or_none(v) for f, v in by_family.items()},
-        },
-        "records": [
-            {
-                "check_id": r.check_id,
-                "chart": r.chart,
-                "point": list(r.point),
-                "residual": _finite_or_none(r.residual),
-                "pass": r.passed,
-            }
-            for r in report.records
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    maxima = [
+        f"{encode_basestring_ascii(family)}: {_number_or_null(value)}"
+        for family, value in sorted(report.max_residual_by_family().items())
+    ]
+    summary = [
+        f'"max_residual": {_json_block(maxima, "    ", "{}")}', f'"pass": {_bool(report.passed)}'
+    ]
+    tail = f',\n  "summary": {_json_block(summary, "  ", "{}")}\n}}\n'
+    if not report.records:
+        return '{\n  "records": []' + tail
+    # one join of the records and one of the whole: the report is the
+    # largest string a verdict builds, so it is copied no more than that
+    records = ",\n    ".join(map(_record_json, report.records))
+    return "".join(('{\n  "records": [\n    ', records, "\n  ]", tail))

@@ -13,13 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .charts import CoordChange, induced_point, transition
 from .errors import DimensionError
 from .expr import Components, Expr, Point, const, esum, pvar
 from .metrics import SpaceMetric, TimeMetric, christoffel_time
-from .report import Report, check_points, worst_array_residual
+from .report import Report, check_points, worst_residuals
 
 __all__ = [
     "MomentumSemispray",
@@ -84,22 +82,25 @@ def _verify_semispray_law(
     points: Sequence[Point],
     tol: float,
     check_id: str,
+    chart: str = "",
 ) -> Report:
+    """One semispray law; inhomogeneous(td, p) gets stacks, points first."""
     if G_old.comps.shape != (c.n, c.n) or G_new.comps.shape != (c.n, c.n):
         raise DimensionError("semispray and change dimensions differ")
 
-    # both sides are doubled, as the laws are written: below ABS_FLOOR a
-    # residual is absolute, so halving them would halve it
-    def compare(q):
+    def gather(q):
         td = transition(c, q)
         image = induced_point(c, q)
-        J = td.jac_inv
-        old = G_old.evaluate(q)
-        new = G_new.evaluate(image)
-        want = 2.0 * (td.dt_tilde_dt * (J.T @ old @ J)) - inhomogeneous(td, q)
-        return (worst_array_residual(2.0 * new, want),)
+        return td, q.p, G_old.evaluate(q), G_new.evaluate(image)
 
-    return check_points(points, tol, (check_id,), compare)
+    # both sides are doubled, as the laws are written: below ABS_FLOOR a
+    # residual is absolute, so halving them would halve it
+    def law(td, p, old, new):
+        J = td.jac_inv
+        homogeneous = td.dt_tilde_dt[:, None, None] * (J.mT @ old @ J)
+        return (worst_residuals(2.0 * new, 2.0 * homogeneous - inhomogeneous(td, p)),)
+
+    return check_points(points, tol, (check_id,), gather, law, chart)
 
 
 def verify_temporal_law(
@@ -108,18 +109,18 @@ def verify_temporal_law(
     c: CoordChange,
     points: Sequence[Point],
     tol: float = 1e-9,
+    chart: str = "",
 ) -> Report:
     """Both sides of the temporal law at each point:
 
         2 G~_(k)r = 2 G_(j)i (dt~/dt)(dx^i/dx~^r)(dx^j/dx~^k)
                     - (dx^i/dx~^r)(dp~_k/dt) p_i
     """
-    def inhom(td, q):
-        p = np.array(q.p)
+    def inhom(td, p):
         # [k][r] = (dx^i/dx~^r) (dp~_k/dt) p_i
-        return np.outer(td.dp_tilde_dt, td.jac_inv.T @ p)
+        return td.dp_tilde_dt[:, :, None] * (td.jac_inv.mT @ p[:, :, None]).mT
 
-    return _verify_semispray_law(G_old, G_new, inhom, c, points, tol, "spray.temporal")
+    return _verify_semispray_law(G_old, G_new, inhom, c, points, tol, "spray.temporal", chart)
 
 
 def verify_spatial_law(
@@ -128,14 +129,15 @@ def verify_spatial_law(
     c: CoordChange,
     points: Sequence[Point],
     tol: float = 1e-9,
+    chart: str = "",
 ) -> Report:
     """Both sides of the spatial law at each point:
 
         2 G~_(s)k = 2 G_(j)i (dt~/dt)(dx^i/dx~^k)(dx^j/dx~^s)
                     - (dx^i/dx~^k)(dp~_s/dx^i)
     """
-    def inhom(td, q):
+    def inhom(td, p):
         # [s][k] = (dx^i/dx~^k)(dp~_s/dx^i)
         return td.dp_tilde_dx @ td.jac_inv
 
-    return _verify_semispray_law(G_old, G_new, inhom, c, points, tol, "spray.spatial")
+    return _verify_semispray_law(G_old, G_new, inhom, c, points, tol, "spray.spatial", chart)

@@ -1,15 +1,19 @@
 """Shared fixtures: chart suites per dimension, metric pairs, the seeded
 random expression generator, the recursive references for evaluation,
 derivatives and adapted frames, the unshared references for the metric's
-determinant, inverse and Christoffel symbols, a count of distinct node
-objects, the structural comparison of two trees, and the finite-difference
-oracle."""
+determinant, inverse and Christoffel symbols, the natural frame rules
+check, the point-by-point references for every law and for the JSON
+report, a count of distinct node objects, the structural comparison of two
+trees, and the finite-difference oracle."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from jetham.errors import DomainError
 from jetham.expr import (
@@ -35,9 +39,18 @@ from jetham.expr import (
     esum,
     parse,
 )
-from jetham.charts import CoordChange
+from jetham.charts import (
+    CoordChange,
+    TransitionData,
+    induced_point,
+    natural_coframe_matrix,
+    natural_frame_matrix,
+    transition,
+)
+from jetham.dtensor import DTensor, IndexKind
 from jetham.metrics import SpaceMetric, TimeMetric
 from jetham.nlconn import NonlinearConnection
+from jetham.report import Report, check_points, residual, worst_residual
 
 # Cardano's closed-form inverse of y = s + s^3 (written in the DSL with the
 # negative cube root folded into a difference of positive roots)
@@ -328,6 +341,205 @@ def reference_diff(e: Expr, v: Var) -> Expr:
     no pruning of subtrees free of v.  ``diff`` is compared against it node
     for node."""
     return e._derivative(lambda k: reference_diff(k, v), v)
+
+
+# ---------------------------------------------------------------------------
+# Natural frame rules
+# ---------------------------------------------------------------------------
+
+def verify_frame_rules(c: CoordChange, q: Point, tol: float = 1e-9) -> Report:
+    """Check that the natural frame and coframe rules are mutually inverse.
+
+    The frame rows (how old basis vectors expand in the new basis) and the
+    coframe rows must pair to the identity; the report carries one record
+    per matrix entry of coframe @ frame^T - I, in row-major order.
+    """
+    size = 2 * c.n + 1
+
+    def compare(q):
+        td = transition(c, q)
+        td_inv = transition(c.inverse(), induced_point(c, q))
+        pairing = natural_coframe_matrix(td, td_inv) @ natural_frame_matrix(td).T
+        return np.abs(pairing - np.eye(size)).ravel().tolist()
+
+    return check_points((q,), tol, ("frame_rules",) * size**2, compare)
+
+
+# ---------------------------------------------------------------------------
+# Point-by-point references for the laws and the report
+# ---------------------------------------------------------------------------
+#
+# Each law in ``src`` runs once over a stack of points.  These are the laws
+# as they ran one point at a time, with np.tensordot and 2-D matmul: every
+# stacked residual must equal the reference's exactly (or both be NaN).
+# Each takes the values the law reads at q, evaluated by the objects' own
+# programs, and returns the worst residual of each check at q.
+
+def reference_worst_array_residual(got: np.ndarray, want: np.ndarray) -> float:
+    """The worst ``residual`` between two arrays of one shape, element by
+    element in ravel order, in Python floats (NaN as soon as one is NaN)."""
+    assert np.shape(got) == np.shape(want)
+    return worst_residual(map(residual, np.ravel(got).tolist(), np.ravel(want).tolist()))
+
+
+def _reference_factor(kind: IndexKind, td: TransitionData):
+    if kind is IndexKind.TIME_UP:
+        return td.dt_tilde_dt
+    if kind is IndexKind.TIME_DOWN:
+        return td.dt_dt_tilde
+    if kind is IndexKind.SPACE_UP:
+        return td.jac
+    if kind is IndexKind.SPACE_DOWN:
+        return td.jac_inv.T
+    if kind is IndexKind.MOM_UP:
+        return td.jac * td.dt_dt_tilde
+    return td.jac_inv.T * td.dt_tilde_dt
+
+
+def reference_apply_factors(signature, td: TransitionData, values: np.ndarray) -> np.ndarray:
+    """Contract one point's component values with one factor per slot."""
+    axis = 0
+    for kind in signature:
+        factor = _reference_factor(kind, td)
+        if kind.has_axis:
+            values = np.moveaxis(np.tensordot(factor, values, axes=(1, axis)), 0, axis)
+            axis += 1
+        else:
+            values = values * factor
+    return values
+
+
+def reference_dtensor(T_old: DTensor, T_new: DTensor, c: CoordChange, q: Point):
+    image = induced_point(c, q)
+    td = transition(c, q)
+    old, new = T_old.evaluate(q), T_new.evaluate(image)
+    pushed = reference_apply_factors(T_old.signature, td, old)
+    pulled = reference_apply_factors(T_new.signature, transition(c.inverse(), image), new)
+    pairs = ((pushed, new), (pulled, old))
+    return (worst_residual(reference_worst_array_residual(a, b) for a, b in pairs),)
+
+
+def reference_temporal_inhomogeneous(td: TransitionData, q: Point) -> np.ndarray:
+    return np.outer(td.dp_tilde_dt, td.jac_inv.T @ np.array(q.p))
+
+
+def reference_spatial_inhomogeneous(td: TransitionData, q: Point) -> np.ndarray:
+    return td.dp_tilde_dx @ td.jac_inv
+
+
+def reference_semispray(G_old, G_new, inhomogeneous, c: CoordChange, q: Point):
+    td = transition(c, q)
+    image = induced_point(c, q)
+    J = td.jac_inv
+    old, new = G_old.evaluate(q), G_new.evaluate(image)
+    want = 2.0 * (td.dt_tilde_dt * (J.T @ old @ J)) - inhomogeneous(td, q)
+    return (reference_worst_array_residual(2.0 * new, want),)
+
+
+def reference_connection(N_old, N_new, c: CoordChange, q: Point):
+    td = transition(c, q)
+    image = induced_point(c, q)
+    J = td.jac_inv
+    old_t, old_s = N_old.temporal.evaluate(q), N_old.spatial.evaluate(q)
+    new_t, new_s = N_new.temporal.evaluate(image), N_new.spatial.evaluate(image)
+    want_t = old_t @ J - td.dt_dt_tilde * td.dp_tilde_dt
+    want_s = td.dt_tilde_dt * (J.T @ old_s @ J) - td.dp_tilde_dx @ J
+    return (
+        reference_worst_array_residual(new_t, want_t),
+        reference_worst_array_residual(new_s, want_s),
+    )
+
+
+def _reference_frames(N: NonlinearConnection, q: Point):
+    n = N.n
+    N1, N2 = N.temporal.evaluate(q), N.spatial.evaluate(q)
+    F, C = np.eye(2 * n + 1), np.eye(2 * n + 1)
+    F[0, n + 1 :] = -N1
+    F[1 : n + 1, n + 1 :] = -N2.T
+    C[n + 1 :, 0] = N1
+    C[n + 1 :, 1 : n + 1] = N2
+    return F, C
+
+
+def _reference_natural_matrices(td: TransitionData, td_inv: TransitionData):
+    n = td.jac.shape[0]
+    A, B = np.zeros((2 * n + 1, 2 * n + 1)), np.zeros((2 * n + 1, 2 * n + 1))
+    A[0, 0] = td.dt_tilde_dt
+    A[0, n + 1 :] = td.dp_tilde_dt
+    A[1 : n + 1, 1 : n + 1] = td.jac.T
+    A[1 : n + 1, n + 1 :] = td.dp_tilde_dx.T
+    A[n + 1 :, n + 1 :] = td.jac_inv * td.dt_tilde_dt
+    B[0, 0] = td.dt_dt_tilde
+    B[1 : n + 1, 1 : n + 1] = td.jac_inv
+    B[n + 1 :, 0] = td_inv.dp_tilde_dt
+    B[n + 1 :, 1 : n + 1] = td_inv.dp_tilde_dx
+    B[n + 1 :, n + 1 :] = td.jac.T * td.dt_dt_tilde
+    return A, B
+
+
+def reference_blocks(N_old, N_new, c: CoordChange, q: Point):
+    block = np.repeat([0, 1, 2], [1, c.n, c.n])
+    blocks = block[:, None] == block[None, :]
+    td = transition(c, q)
+    image = induced_point(c, q)
+    A, B = _reference_natural_matrices(td, transition(c.inverse(), image))
+    Fn, Cn = _reference_frames(N_new, image)
+    F_old, C_old = _reference_frames(N_old, q)
+    got_frame = np.linalg.solve(Fn.T, (F_old @ A).T).T
+    got_co = np.linalg.solve(Cn.T, (C_old @ B).T).T
+    return (
+        float(np.max(np.abs(got_frame - np.where(blocks, A, 0.0)))),
+        float(np.max(np.abs(got_co - np.where(blocks, B, 0.0)))),
+    )
+
+
+def reference_canonical_consistency(N, N_from_G, q: Point):
+    parts = ((N.temporal, N_from_G.temporal), (N.spatial, N_from_G.spatial))
+    return (
+        worst_residual(
+            reference_worst_array_residual(a.evaluate(q), b.evaluate(q)) for a, b in parts
+        ),
+    )
+
+
+def reference_duality(N: NonlinearConnection, q: Point):
+    F, C = _reference_frames(N, q)
+    return (float(np.max(np.abs(C @ F.T - np.eye(2 * N.n + 1)))),)
+
+
+def reference_law(reference, points, *args) -> list[float]:
+    """The reference's residuals at each point, in record order, computed
+    with array overflow silenced as the laws compute theirs."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [r for q in points for r in reference(*args, q)]
+
+
+def reference_report_json(report: Report) -> str:
+    """The report as ``json.dumps`` writes it: ``report_to_json`` must give
+    these bytes."""
+
+    def finite_or_none(value):
+        return value if math.isfinite(value) else None
+
+    payload = {
+        "summary": {
+            "pass": report.passed,
+            "max_residual": {
+                f: finite_or_none(v) for f, v in report.max_residual_by_family().items()
+            },
+        },
+        "records": [
+            {
+                "check_id": r.check_id,
+                "chart": r.chart,
+                "point": list(r.point),
+                "residual": finite_or_none(r.residual),
+                "pass": r.passed,
+            }
+            for r in report.records
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from jetham.charts import (
     induced_point,
     scalar_to_new_chart,
     transition,
-    verify_frame_rules,
 )
 from jetham.errors import ChartInverseError, DimensionError, RegularityError
 from jetham.expr import Point, evaluate, parse
@@ -32,6 +31,7 @@ from helpers import (
     nonlinear_charts_for,
     reference_eval,
     sampled_points,
+    verify_frame_rules,
 )
 
 

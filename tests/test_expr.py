@@ -155,6 +155,26 @@ class TestParse:
             parse(src, 1)
         assert err.value.offset == 3
 
+    @pytest.mark.parametrize(
+        "src, message, offset",
+        [
+            ("x1 + 1e999", "number '1e999' is not a finite double", 5),
+            ("1e999*t", "number '1e999' is not a finite double", 0),
+            ("1e308*10", r"'\*' folds to inf, not a finite double", 5),
+            ("x1 - (1e308 + 1e308)", r"'\+' folds to inf, not a finite double", 12),
+            ("-1e308 - 1e308", "'-' folds to -inf, not a finite double", 7),
+        ],
+        ids=["literal", "leading_literal", "fold", "nested_fold", "negative_fold"],
+    )
+    def test_number_must_be_a_finite_double(self, src, message, offset):
+        with pytest.raises(ExprSyntaxError, match=message) as err:
+            parse(src, 1)
+        assert err.value.offset == offset
+
+    def test_underflow_and_large_powers_still_parse(self):
+        assert str(parse("1e-999 + x1", 1)) == "x1"
+        assert str(parse("10^400 * t", 1)) == "10^400 * t"
+
     def test_large_exponent_still_parses(self):
         assert parse("x1^99999999999999999999", 1).exponent == 99999999999999999999
 

@@ -189,6 +189,12 @@ class TestRejection:
             assert message.startswith(f"{field}: exponent has a zero denominator")
             assert message.count(field.partition("[")[0]) == 1
 
+    def test_non_finite_literal_names_its_field(self):
+        doc = base_doc()
+        doc["time_metric"] = "exp(2*t) + 1e999"
+        with pytest.raises(ProblemFormatError, match="^time_metric: number '1e999' is not a finite"):
+            problem_from_dict(doc)
+
     def test_non_finite_numbers_name_their_field(self):
         box = base_doc()["sample"]["box"]
         for sample, message in (
@@ -198,8 +204,8 @@ class TestRejection:
             ({"seed": 7, "count": 5, "box": {**box, "t": [0.5, math.inf]}}, "sample.box.t:"),
             ({"seed": 7, "count": 5, "box": {**box, "x": [[0.5, 2], [-math.inf, 2]]}},
              r"sample.box.x\[1\]:"),
-            # for n = 2 a pair that is not [lo, hi] reads as two intervals
-            ({"seed": 7, "count": 5, "box": {**box, "p": [math.nan, 3]}}, r"sample.box.p\[0\]:"),
+            # a pair of scalars is one [lo, hi], also for n = 2
+            ({"seed": 7, "count": 5, "box": {**box, "p": [math.nan, 3]}}, "sample.box.p:"),
         ):
             doc = base_doc()
             doc["sample"] = sample

@@ -1,4 +1,5 @@
-"""Residual reductions: a NaN anywhere makes the check fail."""
+"""Residual reductions: a NaN anywhere makes the check fail.  The JSON
+writer: the bytes json.dumps writes."""
 
 import json
 import math
@@ -6,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from jetham.charts import identity_change
+from helpers import reference_report_json
+from jetham.charts import identity_change, transition
 from jetham.expr import Components, Point, const
 from jetham.report import (
     CheckRecord,
@@ -14,8 +16,9 @@ from jetham.report import (
     check_points,
     report_to_json,
     residual,
-    worst_array_residual,
+    stack,
     worst_residual,
+    worst_residuals,
 )
 from jetham.spray import _verify_semispray_law
 
@@ -31,15 +34,29 @@ def test_worst_residual_propagates_nan():
     assert math.isnan(worst_residual([math.nan]))
 
 
-def test_worst_array_residual_compares_element_by_element():
-    got = np.array([[1.0, 2.0], [3.0, 4.0]])
-    want = np.array([[1.0, 2.0 + 4e-16], [3.0, 4.4]])
-    assert worst_array_residual(got, want) == residual(4.0, 4.4)
+def test_worst_residuals_compare_element_by_element_per_point():
+    got = np.array([[[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]]])
+    want = np.array([[[1.0, 2.0 + 4e-16], [3.0, 4.4]], [[1e-7, 2.0], [3.0, 4.0]]])
+    assert worst_residuals(got, want).tolist() == [residual(4.0, 4.4), residual(1.0, 1e-7)]
+    # below ABS_FLOOR the residual is absolute
+    assert worst_residuals(np.array([[1e-8]]), np.array([[0.0]])).tolist() == [1e-8]
     # inf against inf is NaN, and NaN wins over a larger finite residual
-    inf = np.array([math.inf, 1.0])
-    assert math.isnan(worst_array_residual(inf, np.array([math.inf, 9.0])))
+    inf = np.array([[math.inf, 1.0], [1.0, 1.0]])
+    with np.errstate(invalid="ignore"):
+        worst = worst_residuals(inf, np.array([[math.inf, 9.0], [1.0, 1.0]]))
+    assert math.isnan(worst[0]) and worst[1] == 0.0
     with pytest.raises(ValueError, match="shapes"):
-        worst_array_residual(got, want[:1])
+        worst_residuals(got, want[:1])
+
+
+def test_stack_puts_points_first_field_by_field():
+    c = identity_change(2)
+    points = [Point.make(t, [1.0, 1.5], [0.5, -0.5]) for t in (1.0, 2.0, 3.0)]
+    td = stack([transition(c, q) for q in points])
+    assert td.dt_tilde_dt.tolist() == [1.0, 1.0, 1.0]
+    assert td.jac.shape == td.dp_tilde_dx.shape == (3, 2, 2)
+    assert td.dp_tilde_dt.shape == (3, 2)
+    assert stack([q.p for q in points]).tolist() == [[0.5, -0.5]] * 3
 
 
 def test_nan_residual_yields_a_failing_record():
@@ -100,3 +117,34 @@ def test_json_writes_null_for_non_finite_residuals():
 
 def _reject(token):
     raise ValueError(f"invalid JSON constant {token}")
+
+
+# -- the writer ------------------------------------------------------------------
+
+def _record(chart="c0", point=(1.0, 0.5, -0.25), value=1e-13, check_id="a"):
+    return CheckRecord(check_id, chart, point, value, value <= 1e-9)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [],
+        [_record(value=math.nan), _record(value=math.inf), _record(value=-math.inf)],
+        [_record(chart='quote " and back\\slash'), _record(chart="Zeitachse \u00e4 \u2192 \U0001d70f")],
+        [_record(check_id="\u00fcber", chart="\t\n"), _record(check_id="a")],
+        [_record(point=(-0.0, 5e-324, 1e16)), _record(point=(0.0, -1e16, 1.7976931348623157e308))],
+        [_record(point=(0.1, 2.5e-7, 123456789.0)), _record(value=0.0), _record(value=2.0)],
+    ],
+    ids=["empty", "non_finite", "chart_escapes", "check_id_escapes", "edge_coordinates",
+         "mixed"],
+)
+def test_writer_matches_json_dumps(records):
+    report = Report.of(records)
+    assert report_to_json(report) == reference_report_json(report)
+
+
+def test_writer_rejects_a_non_finite_point():
+    # json.dumps with allow_nan=False refuses it too: JSON has no such number
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            report_to_json(Report.of([_record(point=(1.0, bad, 0.0))]))
