@@ -3,20 +3,22 @@ file and run the verification suites over its charts and sample points.
 
 Exit codes: 0 all checks pass, 2 at least one residual check failed,
 3 configuration or parse error, a usage error, or a report file that
-cannot be written.
+cannot be written; 1 where stdout is a closed pipe or the run is
+interrupted (Ctrl-C).
 Reports are assembled in canonical order (chart index, then point
 index), so identical problem files produce byte-identical JSON.
 """
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import suppress
 from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
-import click
 import numpy as np
 
 from .charts import scalar_to_new_chart
@@ -58,14 +60,7 @@ from .spray import (
     verify_temporal_law,
 )
 
-__all__ = [
-    "SUITES",
-    "cmd_christoffel",
-    "cmd_canonical",
-    "cmd_verify",
-    "cmd_eval",
-    "main",
-]
+__all__ = ["SUITES", "cmd_christoffel", "cmd_canonical", "cmd_verify", "cmd_eval", "main"]
 
 SUITES = ("dtensor", "spray", "connection", "frames", "all")
 
@@ -231,8 +226,8 @@ def cmd_christoffel(problem: Problem) -> Report:
     H = christoffel_time(h)
     gamma = g.christoffel
 
-    click.echo(f"time metric      h11 = {h.h11}")
-    click.echo(f"time christoffel H_11^1 = {H.H111}")
+    print(f"time metric      h11 = {h.h11}")
+    print(f"time christoffel H_11^1 = {H.H111}")
     entries = [
         (f"gamma^{i + 1}_{j + 1}{k + 1}", gamma.gamma[i][j][k])
         for i in range(n)
@@ -242,13 +237,13 @@ def cmd_christoffel(problem: Problem) -> Report:
     # each entry is printed once: a deep tree's text is costly
     nonzero = [(label, e, text) for label, e in entries if (text := str(e)) != "0"]
     for label, _, text in nonzero:
-        click.echo(f"{label} = {text}")
-    click.echo("values at sample points:")
+        print(f"{label} = {text}")
+    print("values at sample points:")
     shown = Program([*(entry for _, entry, _ in nonzero), H.H111])
     for q in problem.points[:3]:
         *values, Hv = shown.run(q)
         gvals = [f"{label}={v:.6g}" for (label, _, _), v in zip(nonzero, values)]
-        click.echo(f"  t={q.t:.4g} x={q.x}: H={Hv:.6g} " + " ".join(gvals))
+        print(f"  t={q.t:.4g} x={q.x}: H={Hv:.6g} " + " ".join(gvals))
 
     matrices = (e for m in (g.g, g.inverse) for row in m for e in row)
     inverses = Program([h.h11, inverse_time(h), *matrices])
@@ -273,22 +268,22 @@ def cmd_canonical(problem: Problem) -> Report:
     sprays = (("temporal", "G1", origin.temporal), ("spatial", "G2", origin.spatial))
     N = origin.connection
     for kind, tag, G in sprays:
-        click.echo(f"canonical {kind} semispray:")
+        print(f"canonical {kind} semispray:")
         for j in range(n):
             for k in range(n):
-                click.echo(f"  {tag}_({j + 1}){k + 1} = {G[j, k]}")
-    click.echo("canonical nonlinear connection:")
+                print(f"  {tag}_({j + 1}){k + 1} = {G[j, k]}")
+    print("canonical nonlinear connection:")
     for j in range(n):
-        click.echo(f"  N1_({j + 1}) = {N.temporal[j]}")
+        print(f"  N1_({j + 1}) = {N.temporal[j]}")
     for j in range(n):
         for i in range(n):
-            click.echo(f"  N2_({j + 1}){i + 1} = {N.spatial[j, i]}")
+            print(f"  N2_({j + 1}){i + 1} = {N.spatial[j, i]}")
     q = problem.points[0]
-    click.echo(f"at {q.flat()}:")
+    print(f"at {q.flat()}:")
     for _, tag, G in sprays:
-        click.echo(f"  {tag} = {G.evaluate(q).tolist()}")
-    click.echo(f"  N1 = {N.temporal.evaluate(q).tolist()}")
-    click.echo(f"  N2 = {N.spatial.evaluate(q).tolist()}")
+        print(f"  {tag} = {G.evaluate(q).tolist()}")
+    print(f"  N1 = {N.temporal.evaluate(q).tolist()}")
+    print(f"  N2 = {N.spatial.evaluate(q).tolist()}")
     return _family(problem, charts, "connection")
 
 
@@ -337,128 +332,135 @@ def cmd_eval(problem: Problem, object_name: str, at: Point) -> None:
         raise JethamError(f"unknown object {object_name!r}; choose from {tuple(_EVAL_OBJECTS)}")
     values = _EVAL_OBJECTS[object_name](_Chart(problem), at)
     if object_name == "connection":
-        click.echo(f"N1 = {values[0].tolist()}")
-        click.echo(f"N2 = {values[1].tolist()}")
+        print(f"N1 = {values[0].tolist()}")
+        print(f"N2 = {values[1].tolist()}")
     else:
-        click.echo(f"{object_name} = {np.asarray(values).tolist()}")
+        print(f"{object_name} = {np.asarray(values).tolist()}")
 
 
 # ---------------------------------------------------------------------------
-# click wiring
+# argparse wiring
 # ---------------------------------------------------------------------------
 
-def _finish(report: Report, json_path: str | None):
-    failures = report.failures()
-    for r in failures[:10]:
-        click.echo(
-            f"FAIL {r.check_id} chart={r.chart or '-'} point={r.point} residual={r.residual:.3e}"
-        )
+_COMMANDS = {
+    "christoffel": "Print Christoffel symbols and check metric invertibility.",
+    "canonical": "Print canonical semisprays and connection; check consistency.",
+    "verify": "Run transformation-law verification over all charts and points.",
+    "eval": "Evaluate a built object at a point.",
+}
+
+
+def _run(args) -> int:
+    """Run a parsed command line: print the verdict, write the report."""
+    problem = load_problem(args.problem)
+    if args.command == "eval":
+        try:
+            at = Point.from_flat([float(v) for v in args.at.split(",")], problem.n)
+        except (ValueError, JethamError) as ex:
+            raise JethamError(f"bad --at point: {ex}") from None
+        cmd_eval(problem, args.object, at)
+        return 0
+    if args.command == "verify":
+        report = cmd_verify(problem, args.suite or ("all",), args.corrupt_connection)
+    else:
+        report = (cmd_christoffel if args.command == "christoffel" else cmd_canonical)(problem)
+    for r in report.failures()[:10]:
+        print(f"FAIL {r.check_id} chart={r.chart or '-'} point={r.point} residual={r.residual:.3e}")
     by_family = report.max_residual_by_family()
     for family in sorted(by_family):
-        click.echo(f"{family}: max residual {by_family[family]:.3e}")
-    click.echo(f"overall: {'PASS' if report.passed else 'FAIL'} ({len(report.records)} checks)")
-    if json_path:
+        print(f"{family}: max residual {by_family[family]:.3e}")
+    print(f"overall: {'PASS' if report.passed else 'FAIL'} ({len(report.records)} checks)")
+    if args.json:
         text = report_to_json(report)
         try:
-            Path(json_path).write_text(text)
+            Path(args.json).write_text(text)
         except OSError as ex:
-            click.echo(f"error: cannot write {json_path}: {ex}", err=True)
-            sys.exit(EXIT_CONFIG_ERROR)
-    if not report.passed:
-        sys.exit(EXIT_VERIFICATION_FAILED)
+            raise JethamError(f"cannot write {args.json}: {ex}") from None
+    return 0 if report.passed else EXIT_VERIFICATION_FAILED
 
 
-class _Group(click.Group):
-    """click's group, except that a usage error -- an unknown option,
-    command or choice, a missing option -- exits 3 with every other input
-    error, not with click's 2, the code of a failed check."""
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that a usage error (an unknown option,
+    command or choice, a missing option) exits 3, not 2, the code of a failed
+    check, and that a command names an option it does not know under its own
+    usage line, where argparse would hand it back to the top-level parser."""
 
-    def parse_args(self, ctx, args):
-        with _usage_exits_3():
-            return super().parse_args(ctx, args)
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG_ERROR, f"{self.prog}: error: {message}\n")
 
-    def invoke(self, ctx):
-        # a command's own options are parsed here
-        with _usage_exits_3():
-            return super().invoke(ctx)
-
-
-@contextmanager
-def _usage_exits_3():
-    try:
-        yield
-    except click.UsageError as ex:
-        ex.exit_code = EXIT_CONFIG_ERROR
-        raise
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
-@click.group(cls=_Group)
-def main():
-    """Canonical geometry of a time-dependent metric pair on the momentum
-    phase space, with numeric verification of every transformation law."""
-
-
-@main.command()
-@click.option("--problem", "problem_path", required=True, type=click.Path())
-@click.option("--json", "json_path", default=None, type=click.Path())
-def christoffel(problem_path, json_path):
-    """Print Christoffel symbols and check metric invertibility."""
-    problem = _run_guarded(load_problem, problem_path)
-    _finish(_run_guarded(cmd_christoffel, problem), json_path)
-
-
-@main.command()
-@click.option("--problem", "problem_path", required=True, type=click.Path())
-@click.option("--json", "json_path", default=None, type=click.Path())
-def canonical(problem_path, json_path):
-    """Print canonical semisprays and connection; check consistency."""
-    problem = _run_guarded(load_problem, problem_path)
-    _finish(_run_guarded(cmd_canonical, problem), json_path)
-
-
-@main.command()
-@click.option("--problem", "problem_path", required=True, type=click.Path())
-@click.option(
-    "--suite",
-    multiple=True,
-    default=("all",),
-    type=click.Choice(SUITES),
-    help="verification families to run (repeatable)",
-)
-@click.option("--json", "json_path", default=None, type=click.Path())
-@click.option("--corrupt-connection", is_flag=True, hidden=True)
-def verify(problem_path, suite, json_path, corrupt_connection):
-    """Run transformation-law verification over all charts and points."""
-    problem = _run_guarded(load_problem, problem_path)
-    report = _run_guarded(
-        cmd_verify, problem, suite, corrupt_connection=corrupt_connection
+def _parser() -> _Parser:
+    parser = _Parser(
+        prog="jetham",
+        description="Canonical geometry of a time-dependent metric pair on the momentum "
+        "phase space, with numeric verification of every transformation law.",
+        allow_abbrev=False,
     )
-    _finish(report, json_path)
+    parser.valued = set()  # the options that take a value, for _joined
+
+    def option(sub, *names, **kwargs):
+        if sub.add_argument(*names, **kwargs).nargs != 0:
+            parser.valued.update(names)
+
+    commands = parser.add_subparsers(title="commands", dest="command", required=True)
+    for name, summary in _COMMANDS.items():
+        sub = commands.add_parser(name, help=summary, description=summary, allow_abbrev=False)
+        option(sub, "--problem", required=True, metavar="PATH", help="problem file (JSON)")
+        if name == "verify":
+            option(sub, "--suite", action="append", choices=SUITES,
+                   help="verification families to run (repeatable; default: all)")
+            option(sub, "--corrupt-connection", action="store_true", help=argparse.SUPPRESS)
+        if name == "eval":
+            option(sub, "--object", required=True, help=f"one of {', '.join(_EVAL_OBJECTS)}")
+            option(sub, "--at", required=True, metavar="T,X...,P...",
+                   help="the point, comma-separated")
+        else:
+            option(sub, "--json", metavar="PATH", help="write the JSON report to this file")
+    return parser
 
 
-@main.command("eval")
-@click.option("--problem", "problem_path", required=True, type=click.Path())
-@click.option("--object", "object_name", required=True)
-@click.option("--at", "at_text", required=True, help="comma-separated t,x...,p...")
-def eval_command(problem_path, object_name, at_text):
-    """Evaluate a built object at a point."""
-    problem = _run_guarded(load_problem, problem_path)
+def _joined(argv: list[str], valued: set[str]) -> list[str]:
+    """argv with each valued option joined to the token after it ("--at
+    -1.2,..." -> "--at=-1.2,..."): argparse would read a value that starts
+    with "-" as an option."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in valued:
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line; return its exit code (see the module docstring)."""
     try:
-        values = [float(v) for v in at_text.split(",")]
-        at = Point.from_flat(values, problem.n)
-    except (ValueError, JethamError) as ex:
-        click.echo(f"error: bad --at point: {ex}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
-    _run_guarded(cmd_eval, problem, object_name, at)
-
-
-def _run_guarded(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
+        parser = _parser()
+        args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv, parser.valued))
+        code = _run(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except SystemExit as ex:  # argparse exits after --help (0) and a usage error (3)
+        return ex.code
     except JethamError as ex:
-        click.echo(f"error: {ex}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
+        print(f"error: {ex}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except BrokenPipeError:  # the reader has gone, as with "| head"
+        # what stdout still buffers would fail again, loudly, at exit
+        with suppress(OSError):  # unless stdout has no file descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except KeyboardInterrupt:
+        print("Aborted!", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -28,6 +28,7 @@ correctness is defined by evaluation, not by canonical form.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import struct
 from dataclasses import dataclass
@@ -516,13 +517,23 @@ def _is_const(e: Expr, value: float | None = None) -> bool:
     return isinstance(e, Const) and (value is None or e.value == value)
 
 
+_ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+def _fold(cls, a: Const, b: Const) -> Expr:
+    # a fold that is not finite stays an operation, which evaluation (or the
+    # parser) names when it rejects it; a Const(inf) would name nothing
+    value = _ARITHMETIC[cls](a.value, b.value)
+    return Const(value) if math.isfinite(value) else cls(a, b)
+
+
 def _add(a: Expr, b: Expr) -> Expr:
     if _is_const(a, 0.0):
         return b
     if _is_const(b, 0.0):
         return a
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
+        return _fold(Add, a, b)
     return Add(a, b)
 
 
@@ -532,7 +543,7 @@ def _sub(a: Expr, b: Expr) -> Expr:
     if _is_const(a, 0.0):
         return _neg(b)
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
+        return _fold(Sub, a, b)
     return Sub(a, b)
 
 
@@ -544,7 +555,7 @@ def _mul(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 1.0):
         return a
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
+        return _fold(Mul, a, b)
     return Mul(a, b)
 
 
@@ -554,7 +565,7 @@ def _div(a: Expr, b: Expr) -> Expr:
     if _is_const(a, 0.0) and not _is_const(b, 0.0):
         return ZERO
     if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
-        return Const(a.value / b.value)
+        return _fold(Div, a, b)
     return Div(a, b)
 
 
@@ -1123,8 +1134,9 @@ class _Parser:
             cls = Add if op == "+" else Sub
             rhs = self.term()
             e = self._share((cls, id(e), id(rhs)), cls, _REBUILDERS[cls], e, rhs)
-            if type(e) is Const and not math.isfinite(e.value):  # an overflowing fold
-                raise ExprSyntaxError(f"{op!r} folds to {e.value}, not a finite double", offset)
+            if type(rhs) is Const and type(e) is cls and type(e.left) is Const and rhs.value != 0.0:
+                value = _ARITHMETIC[cls](e.left.value, rhs.value)  # overflowed, not x/0
+                raise ExprSyntaxError(f"{op!r} folds to {value}, not a finite double", offset)
         return e
 
     def term(self) -> Expr:
@@ -1134,8 +1146,9 @@ class _Parser:
             cls = Mul if op == "*" else Div
             rhs = self.factor()
             e = self._share((cls, id(e), id(rhs)), cls, _REBUILDERS[cls], e, rhs)
-            if type(e) is Const and not math.isfinite(e.value):  # an overflowing fold
-                raise ExprSyntaxError(f"{op!r} folds to {e.value}, not a finite double", offset)
+            if type(rhs) is Const and type(e) is cls and type(e.left) is Const and rhs.value != 0.0:
+                value = _ARITHMETIC[cls](e.left.value, rhs.value)  # overflowed, not x/0
+                raise ExprSyntaxError(f"{op!r} folds to {value}, not a finite double", offset)
         return e
 
     def factor(self) -> Expr:

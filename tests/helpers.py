@@ -4,13 +4,18 @@ derivatives and adapted frames, the unshared references for the metric's
 determinant, inverse and Christoffel symbols, the natural frame rules
 check, the point-by-point references for every law and for the JSON
 report, a count of distinct node objects, the structural comparison of two
-trees, and the finite-difference oracle."""
+trees, the finite-difference oracle, and an in-process runner for the
+command line."""
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -725,3 +730,44 @@ def derivative_pairs(seed: int, count: int):
 def sampled_points(n: int, count: int, seed: int) -> list[Point]:
     rng = random.Random(seed)
     return [random_point(rng, n) for _ in range(count)]
+
+
+class _Tee(io.StringIO):
+    """A captured stream that also copies each write to a shared one."""
+
+    def __init__(self, both: io.StringIO):
+        super().__init__()
+        self.both = both
+
+    def write(self, text: str) -> int:
+        self.both.write(text)
+        return super().write(text)
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr, interleaved as written
+    exception: BaseException | None
+
+
+class InProcessRunner:
+    """Runs ``main(argv) -> int`` in this process as its console script
+    does, ``sys.exit(main(argv))``, and captures what it writes.  An
+    exception that escapes main is recorded with exit code 1, as the
+    interpreter ends on its traceback; a non-zero exit keeps its SystemExit."""
+
+    def invoke(self, main, args) -> CliResult:
+        both = io.StringIO()
+        out, err = _Tee(both), _Tee(both)
+        exception = None
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                sys.exit(main(list(args)))
+        except SystemExit as ex:
+            code, exception = ex.code, ex if ex.code else None
+        except Exception as ex:
+            code, exception = 1, ex
+        return CliResult(code, out.getvalue(), err.getvalue(), both.getvalue(), exception)

@@ -3,18 +3,21 @@
 import copy
 import gc
 import hashlib
+import io
 import json
 import math
+import os
 import struct
+import subprocess
 import sys
 import tempfile
 import time
 import weakref
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,12 +27,12 @@ import jetham.expr
 import jetham.metrics
 import jetham.nlconn
 from jetham.charts import induced_point, transition
-from jetham.cli import cmd_christoffel, cmd_verify, main
+from jetham.cli import SUITES, cmd_christoffel, cmd_verify, main
 from jetham.expr import Components, Point
 from jetham.problem import load_problem, problem_from_dict
 from jetham.report import report_to_json
 
-from helpers import reference_adapted_frames, reference_eval
+from helpers import InProcessRunner, reference_adapted_frames, reference_eval
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "problems" / "example.json"
 FULL_N4 = EXAMPLE.with_name("full_n4.json")
@@ -38,7 +41,7 @@ HAMILTONIAN_N2 = EXAMPLE.with_name("hamiltonian_n2.json")
 
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return InProcessRunner()
 
 
 def write_problem(tmp_path, doc):
@@ -749,6 +752,10 @@ def test_long_json_integer_exits_3(runner, tmp_path):
         ["verify", "--bogus"],
         ["verify", "--problem", str(EXAMPLE), "--suite", "nope"],
         ["verify"],  # no --problem
+        ["verify", "--problem", str(EXAMPLE), "--bogus"],
+        [],  # no command
+        ["nope"],
+        ["eval", "--problem", str(EXAMPLE), "--object", "liouville", "--at", "1", "-x"],
     ],
 )
 def test_usage_error_exits_3(runner, args):
@@ -756,14 +763,190 @@ def test_usage_error_exits_3(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 3, result.output
     assert isinstance(result.exception, SystemExit)
-    assert "Usage:" in result.stderr
+    # a command names the option it does not know under its own usage line
+    command = args[0] if args and args[0] in _COMMAND_LINES else "[-h]"
+    assert result.stderr.startswith(f"usage: jetham {command} "), result.stderr
 
 
 @pytest.mark.parametrize("args", [["--help"], ["verify", "--help"]])
 def test_help_exits_0(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 0
-    assert "Usage:" in result.output
+    assert "usage:" in result.output
+
+
+def test_help_hides_the_negative_control(runner):
+    result = runner.invoke(main, ["verify", "--help"])
+    assert result.exit_code == 0 and "--suite" in result.output
+    assert "--corrupt-connection" not in result.output
+
+
+def test_at_may_start_with_a_minus(runner):
+    # argparse reads a token that starts with "-" as an option unless it is
+    # a plain negative number; "--at -1.2,..." must still be a value
+    at = "-1.2,1.1,1.3,0.7,-1.3"
+    args = ["eval", "--problem", str(EXAMPLE), "--object", "connection"]
+    separate = runner.invoke(main, [*args, "--at", at])
+    joined = runner.invoke(main, [*args, f"--at={at}"])
+    assert separate.exit_code == joined.exit_code == 0, separate.output
+    assert separate.output == joined.output
+    assert separate.output.startswith("N1 = [0.7, -1.3]\n")
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: a write, or only the flush of
+    buffered writes, raises."""
+
+    def __init__(self, failing: str):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_closed_pipe_exits_1_quietly(failing):
+    # as "jetham canonical ... | head" does: no traceback, nothing on stderr
+    err = io.StringIO()
+    with redirect_stdout(_ClosedPipe(failing)), redirect_stderr(err):
+        code = main(["canonical", "--problem", str(EXAMPLE)])
+    assert code == 1
+    assert err.getvalue() == ""
+
+
+def test_closed_pipe_exits_1_quietly_in_a_process():
+    # "jetham canonical ... | head -c 100": the output (over 64 KiB, more
+    # than a pipe holds) stops at a closed pipe; what stdout still buffers
+    # must not fail again, with a message on stderr, as the interpreter exits
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(jetham.cli.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jetham.cli", "canonical", "--problem", str(FULL_N4)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b""
+
+
+def test_interrupt_exits_1_with_aborted(runner, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(jetham.cli, "cmd_verify", interrupted)
+    result = runner.invoke(main, ["verify", "--problem", str(EXAMPLE)])
+    assert result.exit_code == 1
+    assert result.stderr == "Aborted!\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "dtensor"],
+    ["eval", "--object", "vertical_metrical", "--at", "1.2,1.1,1.3,0.7,-1.3"],
+], ids=["verify", "eval"])
+def test_overflowing_fold_is_named(runner, tmp_path, command):
+    # the second p1-derivative of 1e308*p1^2 folds 1e308 * 2, which used to
+    # build Const(inf): the error then named only 'inf'
+    doc = json.loads(EXAMPLE.read_text())
+    doc["hamiltonian"] = "1e308*p1^2 + p2^2"
+    result = runner.invoke(main, [*command, "--problem", write_problem(tmp_path, doc)])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "non-finite value inf in '1e+308 * 2'" in result.stderr
+    assert "'inf'" not in result.stderr
+
+
+# -- every command line ends in a documented exit code ------------------------
+
+_AT = "1.2,1.1,1.3,0.7,-1.3"
+_COMMAND_LINES = {
+    "christoffel": ["--problem", str(EXAMPLE)],
+    "canonical": ["--problem", str(EXAMPLE)],
+    "verify": ["--problem", str(EXAMPLE), "--suite", "dtensor"],
+    "eval": ["--problem", str(EXAMPLE), "--object", "liouville", "--at", _AT],
+}
+_OPTIONS = {"--problem", "--json", "--suite", "--object", "--at", "--corrupt-connection", "--help"}
+_WORDS = st.from_regex(r"[a-z][a-z-]{0,8}", fullmatch=True)
+
+
+def _option_values(options):
+    """A command's options as (option, value) pairs, in order."""
+    return list(zip(options[::2], options[1::2]))
+
+
+@st.composite
+def _argv_mutations(draw):
+    """One change to a command line, as a function of the command and its
+    options that gives the argv and whether it is a usage error."""
+    kind = draw(st.sampled_from(
+        ["drop", "unknown_option", "unknown_command", "suite", "at", "json", "repeat"]
+    ))
+    index = draw(st.integers(0, 10))
+    if kind == "drop":  # a required option
+        def mutate(command, options):
+            pairs = _option_values(options)
+            required = [p for p in pairs if p[0] != "--suite"]
+            pairs.remove(required[index % len(required)])
+            return [command, *(token for pair in pairs for token in pair)], True
+    elif kind == "unknown_option":
+        option = "--" + draw(_WORDS.filter(lambda w: "--" + w not in _OPTIONS))
+        def mutate(command, options):
+            at = 2 * (index % (len(options) // 2 + 1))
+            return [command, *options[:at], option, *options[at:]], True
+    elif kind == "unknown_command":
+        word = draw(_WORDS.filter(lambda w: w not in _COMMAND_LINES))
+        def mutate(command, options):
+            return [word, *options], True
+    elif kind == "suite":
+        suite = draw(_WORDS.filter(lambda w: w not in SUITES))
+        def mutate(command, options):
+            return [command, *options, "--suite", suite], True
+    elif kind == "at":
+        values = _AT.split(",")
+        shape = draw(st.sampled_from(["count", "not_a_number", "leading_minus"]))
+        if shape == "count":
+            values = draw(st.sampled_from([values[:1], values[:4], values + ["1.0"]]))
+        elif shape == "not_a_number":
+            values[index % 5] = draw(st.sampled_from(["x", "", "1..2", "--", "0x1"]))
+        else:
+            values[0] = "-" + values[0]
+        at = ",".join(values)
+        def mutate(command, options):
+            if command != "eval":  # no --at there
+                return [command, *options, "--at", at], True
+            return [command, *options[:-1], at], False
+    elif kind == "json":  # in a directory that does not exist
+        target = str(EXAMPLE.parent / "no-such-dir" / "report.json")
+        def mutate(command, options):
+            return [command, *options, "--json", target], command == "eval"
+    else:
+        def mutate(command, options):
+            pairs = _option_values(options)
+            return [command, *options, *pairs[index % len(pairs)]], False
+    return mutate
+
+
+@settings(max_examples=40, deadline=None)
+@given(_argv_mutations())
+def test_every_command_line_ends_in_a_documented_exit_code(mutate):
+    for command, options in _COMMAND_LINES.items():
+        argv, usage_error = mutate(command, options)
+        result = InProcessRunner().invoke(main, argv)
+        assert result.exit_code in (0, 2, 3), (argv, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit), argv
+        assert "Traceback" not in result.output
+        assert ("usage:" in result.stderr) is usage_error, (argv, result.output)
+        if usage_error:
+            assert result.exit_code == 3, argv
 
 
 # -- every problem document ends in a documented exit code --------------------
@@ -825,7 +1008,7 @@ def test_every_document_ends_in_a_documented_exit_code(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "problem.json"
         path.write_text(json.dumps(doc))
-        result = CliRunner().invoke(main, ["verify", "--problem", str(path)])
+        result = InProcessRunner().invoke(main, ["verify", "--problem", str(path)])
     assert result.exit_code in (0, 2, 3), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output

@@ -4,6 +4,7 @@ import gc
 import math
 import operator
 import random
+import re
 import struct
 from fractions import Fraction
 from pathlib import Path
@@ -190,6 +191,23 @@ class TestParse:
 class TestEval:
     def test_constant(self):
         assert evaluate(const(7), q_of()) == 7.0
+
+    @pytest.mark.parametrize(
+        "build, text",
+        [
+            (lambda: const(1e308) * 2, "1e+308 * 2"),
+            (lambda: const(1e308) + 1e308, "1e+308 + 1e+308"),
+            (lambda: const(-1e308) - 1e308, "-1e+308 - 1e+308"),
+            (lambda: const(1e308) / 1e-10, "1e+308 / 1e-10"),
+        ],
+        ids=["mul", "add", "sub", "div"],
+    )
+    def test_overflowing_fold_stays_an_operation(self, build, text):
+        # a fold to Const(inf) left evaluation nothing to name but 'inf'
+        e = build()
+        assert type(e) is not Const and str(e) == text
+        with pytest.raises(DomainError, match=f"non-finite value -?inf in '{re.escape(text)}'"):
+            evaluate(e, q_of())
 
     def test_square(self):
         assert evaluate(parse("t^2", 1), q_of(t=2.0)) == 4.0
