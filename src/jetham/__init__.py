@@ -7,8 +7,6 @@ with numeric verification of every transformation law at sampled points.
 from .charts import (
     CoordChange,
     TransitionData,
-    compose_changes,
-    identity_change,
     induced_point,
     scalar_to_new_chart,
     transition,
@@ -21,7 +19,6 @@ from .dtensor import (
     liouville,
     metric_hamiltonian,
     momentum_liouville,
-    push_forward,
     verify_dtensor,
     vertical_metrical,
 )
@@ -52,14 +49,11 @@ from .expr import (
 )
 from .frames import (
     adapted_frames,
-    decompose,
     pairing,
-    reconstruct,
     verify_adapted_tensoriality,
 )
 from .metrics import (
     ChristoffelSpace,
-    ChristoffelTime,
     SpaceMetric,
     TimeMetric,
     christoffel_space,
@@ -74,7 +68,6 @@ from .nlconn import (
     NonlinearConnection,
     canonical_connection,
     connection_from_spray,
-    spray_from_connection,
     verify_connection_law,
 )
 from .problem import Problem, load_problem, problem_from_dict

@@ -30,8 +30,6 @@ from .expr import Coord, Expr, Point, Program, Var, check_vars, compose, esum
 __all__ = [
     "CoordChange",
     "TransitionData",
-    "identity_change",
-    "compose_changes",
     "induced_point",
     "transition",
     "natural_frame_matrix",
@@ -167,30 +165,6 @@ class CoordChange:
 
 def _flat(rows: tuple[tuple[Expr, ...], ...]) -> list[Expr]:
     return [e for row in rows for e in row]
-
-
-def identity_change(n: int) -> CoordChange:
-    xs = tuple(Coord(Var.space(i)) for i in range(n))
-    t = Coord(Var.time())
-    return CoordChange(n, t, t, xs, xs)
-
-
-def compose_changes(outer: CoordChange, inner: CoordChange) -> CoordChange:
-    """The change applying inner first, then outer (expression-level)."""
-    if outer.n != inner.n:
-        raise DimensionError("cannot compose changes of different dimension")
-    n = outer.n
-    t_sub_fwd = {Var.time(): inner.t_fwd}
-    x_sub_fwd = {Var.space(i): inner.x_fwd[i] for i in range(n)}
-    t_sub_inv = {Var.time(): outer.t_inv}
-    x_sub_inv = {Var.space(i): outer.x_inv[i] for i in range(n)}
-    return CoordChange(
-        n,
-        outer.t_fwd.substitute(t_sub_fwd),
-        inner.t_inv.substitute(t_sub_inv),
-        tuple(e.substitute(x_sub_fwd) for e in outer.x_fwd),
-        tuple(e.substitute(x_sub_inv) for e in inner.x_inv),
-    )
 
 
 @dataclass(frozen=True)

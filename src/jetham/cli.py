@@ -227,7 +227,7 @@ def cmd_christoffel(problem: Problem) -> Report:
     gamma = g.christoffel
 
     print(f"time metric      h11 = {h.h11}")
-    print(f"time christoffel H_11^1 = {H.H111}")
+    print(f"time christoffel H_11^1 = {H}")
     entries = [
         (f"gamma^{i + 1}_{j + 1}{k + 1}", gamma.gamma[i][j][k])
         for i in range(n)
@@ -239,7 +239,7 @@ def cmd_christoffel(problem: Problem) -> Report:
     for label, _, text in nonzero:
         print(f"{label} = {text}")
     print("values at sample points:")
-    shown = Program([*(entry for _, entry, _ in nonzero), H.H111])
+    shown = Program([*(entry for _, entry, _ in nonzero), H])
     for q in problem.points[:3]:
         *values, Hv = shown.run(q)
         gvals = [f"{label}={v:.6g}" for (label, _, _), v in zip(nonzero, values)]
@@ -383,13 +383,20 @@ class _Parser(argparse.ArgumentParser):
     """argparse's parser, except that a usage error (an unknown option,
     command or choice, a missing option) exits 3, not 2, the code of a failed
     check, and that a command names an option it does not know under its own
-    usage line, where argparse would hand it back to the top-level parser."""
+    usage line, where argparse would hand it back to the top-level parser,
+    and before a missing one, which argparse would name first."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_CONFIG_ERROR, f"{self.prog}: error: {message}\n")
 
     def parse_known_args(self, args=None, namespace=None):
+        # a command's parser: _joined has joined each value to its option
+        if self._subparsers is None:
+            known = self._option_string_actions
+            unknown = [a for a in args if a.startswith("-") and a.split("=")[0] not in known]
+            if unknown:
+                self.error(f"unrecognized arguments: {' '.join(unknown)}")
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")

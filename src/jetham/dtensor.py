@@ -25,14 +25,13 @@ from .charts import CoordChange, TransitionData, induced_point, transition
 from .errors import SignatureMismatchError
 from .expr import Components, Expr, Point, Var, const, pvar
 from .metrics import SpaceMetric, TimeMetric, inverse_time
-from .report import Report, check_points, stack, worst_residuals
+from .report import Report, check_points, worst_residuals
 
 __all__ = [
     "IndexKind",
     "DTensor",
     "Hamiltonian",
     "transform_factor",
-    "push_forward",
     "verify_dtensor",
     "vertical_metrical",
     "liouville",
@@ -98,11 +97,6 @@ def transform_factor(kind: IndexKind, td: TransitionData):
     if kind is IndexKind.MOM_UP:
         return td.jac * np.expand_dims(td.dt_dt_tilde, (-2, -1))
     return td.jac_inv.mT * np.expand_dims(td.dt_tilde_dt, (-2, -1))  # MOM_DOWN
-
-
-def push_forward(T: DTensor, c: CoordChange, q: Point) -> np.ndarray:
-    """Numeric components of T in the tilde frame at the image of q."""
-    return _transform(T.signature, stack([transition(c, q)]), T.evaluate(q)[None])[0]
 
 
 def _transform(signature, td: TransitionData, values: np.ndarray) -> np.ndarray:

@@ -2,12 +2,10 @@
 
 The adapted frame replaces d/dt and d/dx^i by their horizontal lifts
 (delta/delta t, delta/delta x^i); the adapted coframe replaces dp_i by
-delta p_i.  Vector and covector fields are handled extensionally, as
-component arrays over the natural frame, and the frames themselves are
-float matrices filled from the connection's values at a point, so every
-claim about the frames (duality, unit triangularity, purely tensorial
-transformation, three-way horizontal/vertical splitting) reduces to finite
-linear algebra at a point.
+delta p_i.  The frames are float matrices filled from the connection's
+values at a point, so every claim about them (duality, unit
+triangularity, purely tensorial transformation) reduces to finite linear
+algebra at a point.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from .charts import (
     transition,
 )
 from .errors import DimensionError
-from .expr import Expr, Point, esum
+from .expr import Point
 from .nlconn import NonlinearConnection, verify_connection_law
 from .report import Report, check_points
 
@@ -34,8 +32,6 @@ __all__ = [
     "frames_from_values",
     "pairing",
     "verify_adapted_tensoriality",
-    "decompose",
-    "reconstruct",
 ]
 
 
@@ -154,42 +150,3 @@ def _verify_blocks(
         points, tol, ("frames.frame_tensoriality", "frames.coframe_tensoriality"),
         gather, law, chart,
     )
-
-
-def decompose(
-    v: Sequence[Expr], N: NonlinearConnection
-) -> tuple[Expr, tuple[Expr, ...], tuple[Expr, ...]]:
-    """Unique coefficients of a vector field over the adapted frame.
-
-    v holds 2n+1 natural-frame components (t, x, p blocks); the result
-    (h_R, h_M, w) satisfies v = h_R delta/delta t + h_M^i delta/delta x^i
-    + w_j d/dp_j.  The frame is unit triangular, so this is a one-pass
-    substitution, exact at the expression level.
-    """
-    n = N.n
-    if len(v) != 2 * n + 1:
-        raise DimensionError(f"vector field needs {2 * n + 1} components")
-    h_R = v[0]
-    h_M = tuple(v[1 + i] for i in range(n))
-    w = tuple(
-        v[n + 1 + j]
-        + h_R * N.temporal[j]
-        + esum(h_M[i] * N.spatial[j, i] for i in range(n))
-        for j in range(n)
-    )
-    return h_R, h_M, w
-
-
-def reconstruct(
-    h_R: Expr, h_M: Sequence[Expr], w: Sequence[Expr], N: NonlinearConnection
-) -> tuple[Expr, ...]:
-    """Natural-frame components of h_R delta/delta t + h_M^i delta/delta x^i
-    + w_j d/dp_j (the inverse of decompose)."""
-    n = N.n
-    p_comps = tuple(
-        w[j]
-        - h_R * N.temporal[j]
-        - esum(h_M[i] * N.spatial[j, i] for i in range(n))
-        for j in range(n)
-    )
-    return (h_R, *h_M, *p_comps)

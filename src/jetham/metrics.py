@@ -26,7 +26,6 @@ from .report import worst_residual
 __all__ = [
     "TimeMetric",
     "SpaceMetric",
-    "ChristoffelTime",
     "ChristoffelSpace",
     "inverse_time",
     "inverse_space",
@@ -115,13 +114,6 @@ class SpaceMetric:
 
 
 @dataclass(frozen=True)
-class ChristoffelTime:
-    """H_11^1(t) = (h^11 / 2) dh_11/dt, the single time Christoffel symbol."""
-
-    H111: Expr
-
-
-@dataclass(frozen=True)
 class ChristoffelSpace:
     """gamma[i][j][k] = gamma^i_jk of the spatial metric, symmetric in (j, k)."""
 
@@ -188,10 +180,9 @@ def inverse_space(g: SpaceMetric) -> tuple[tuple[Expr, ...], ...]:
     return tuple(out)
 
 
-def christoffel_time(h: TimeMetric) -> ChristoffelTime:
-    return ChristoffelTime(
-        const(0.5) * inverse_time(h) * h.h11.diff(Var.time())
-    )
+def christoffel_time(h: TimeMetric) -> Expr:
+    """H_11^1(t) = (h^11 / 2) dh_11/dt, the single time Christoffel symbol."""
+    return const(0.5) * inverse_time(h) * h.h11.diff(Var.time())
 
 
 def christoffel_space(g: SpaceMetric) -> ChristoffelSpace:

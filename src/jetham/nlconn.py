@@ -6,9 +6,11 @@ description of a horizontal distribution complementary to the vertical
 (momentum) one.  The spatial family is in exact factor-2 correspondence
 with spatial semisprays.  The temporal direction is only "connected":
 with a space metric fixed, a temporal semispray yields a temporal family
-through a metric double contraction of its p-derivative, and projecting
-back onto the semispray family reproduces it for momentum-quadratic
-semisprays (Euler's homogeneity theorem is what closes that loop).
+through a metric double contraction of its p-derivative.  The converse,
+a semispray from a connection, is a test reference
+(``spray_from_connection`` in ``tests/helpers.py``): projecting back
+reproduces momentum-quadratic semisprays (Euler's homogeneity theorem is
+what closes that loop).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "NonlinearConnection",
     "canonical_connection",
     "connection_from_spray",
-    "spray_from_connection",
     "verify_connection_law",
 ]
 
@@ -58,7 +59,7 @@ def canonical_connection(h: TimeMetric, g: SpaceMetric) -> NonlinearConnection:
     """temporal: H_11^1 p_j; spatial: -gamma^k_ji p_k (the metric pair's
     canonical connection, also produced by its canonical semisprays)."""
     n = g.n
-    H = christoffel_time(h).H111
+    H = christoffel_time(h)
     gamma = g.christoffel.gamma
     temporal = tuple(H * pvar(j) for j in range(n))
     spatial = tuple(
@@ -92,17 +93,6 @@ def connection_from_spray(G: MomentumSemispray, g: SpaceMetric) -> NonlinearConn
     )
     spatial = tuple(tuple(const(2) * e for e in row) for row in G.spatial)
     return NonlinearConnection(n, temporal, spatial)
-
-
-def spray_from_connection(N: NonlinearConnection) -> MomentumSemispray:
-    """temporal G1_(i)j = (1/2) N_(i)1 p_j;  spatial G2 = (1/2) N2."""
-    n = N.n
-    half = const(0.5)
-    temporal = Components(
-        n, [[half * N.temporal[i] * pvar(j) for j in range(n)] for i in range(n)]
-    )
-    spatial = Components(n, [[half * e for e in row] for row in N.spatial])
-    return MomentumSemispray(temporal, spatial)
 
 
 def verify_connection_law(

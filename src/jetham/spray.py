@@ -49,7 +49,7 @@ class MomentumSemispray:
 
 def canonical_temporal(h: TimeMetric, n: int) -> Components:
     """G_(j)k = (1/2) H_11^1 p_j p_k, quadratic in the momenta."""
-    H = christoffel_time(h).H111
+    H = christoffel_time(h)
     half = const(0.5)
     rows: list[list[Expr]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
     for j in range(n):

@@ -2,10 +2,12 @@
 random expression generator, the recursive references for evaluation,
 derivatives and adapted frames, the unshared references for the metric's
 determinant, inverse and Christoffel symbols, the natural frame rules
-check, the point-by-point references for every law and for the JSON
-report, a count of distinct node objects, the structural comparison of two
-trees, the finite-difference oracle, and an in-process runner for the
-command line."""
+check, the paper objects no command runs (the identity and composed chart
+changes, the push-forward of a d-tensor, the semispray of a connection, and
+the split of a vector field over the adapted frame), the point-by-point
+references for every law and for the JSON report, a count of distinct node
+objects, the structural comparison of two trees, the finite-difference
+oracle, and an in-process runner for the command line."""
 
 from __future__ import annotations
 
@@ -17,12 +19,14 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
-from jetham.errors import DomainError
+from jetham.errors import DimensionError, DomainError
 from jetham.expr import (
     Add,
+    Components,
     Const,
     Coord,
     Cos,
@@ -43,6 +47,7 @@ from jetham.expr import (
     diff,
     esum,
     parse,
+    pvar,
 )
 from jetham.charts import (
     CoordChange,
@@ -56,6 +61,7 @@ from jetham.dtensor import DTensor, IndexKind
 from jetham.metrics import SpaceMetric, TimeMetric
 from jetham.nlconn import NonlinearConnection
 from jetham.report import Report, check_points, residual, worst_residual
+from jetham.spray import MomentumSemispray
 
 # Cardano's closed-form inverse of y = s + s^3 (written in the DSL with the
 # negative cube root folded into a difference of positive roots)
@@ -368,6 +374,90 @@ def verify_frame_rules(c: CoordChange, q: Point, tol: float = 1e-9) -> Report:
         return np.abs(pairing - np.eye(size)).ravel().tolist()
 
     return check_points((q,), tol, ("frame_rules",) * size**2, compare)
+
+
+# ---------------------------------------------------------------------------
+# Paper objects no command runs
+# ---------------------------------------------------------------------------
+
+def identity_change(n: int) -> CoordChange:
+    xs = tuple(Coord(Var.space(i)) for i in range(n))
+    t = Coord(Var.time())
+    return CoordChange(n, t, t, xs, xs)
+
+
+def compose_changes(outer: CoordChange, inner: CoordChange) -> CoordChange:
+    """The change applying inner first, then outer (expression-level)."""
+    if outer.n != inner.n:
+        raise DimensionError("cannot compose changes of different dimension")
+    n = outer.n
+    t_sub_fwd = {Var.time(): inner.t_fwd}
+    x_sub_fwd = {Var.space(i): inner.x_fwd[i] for i in range(n)}
+    t_sub_inv = {Var.time(): outer.t_inv}
+    x_sub_inv = {Var.space(i): outer.x_inv[i] for i in range(n)}
+    return CoordChange(
+        n,
+        outer.t_fwd.substitute(t_sub_fwd),
+        inner.t_inv.substitute(t_sub_inv),
+        tuple(e.substitute(x_sub_fwd) for e in outer.x_fwd),
+        tuple(e.substitute(x_sub_inv) for e in inner.x_inv),
+    )
+
+
+def push_forward(T: DTensor, c: CoordChange, q: Point) -> np.ndarray:
+    """Numeric components of T in the tilde frame at the image of q."""
+    return reference_apply_factors(T.signature, transition(c, q), T.evaluate(q))
+
+
+def spray_from_connection(N: NonlinearConnection) -> MomentumSemispray:
+    """temporal G1_(i)j = (1/2) N_(i)1 p_j;  spatial G2 = (1/2) N2: the
+    converse of ``nlconn.connection_from_spray``."""
+    n = N.n
+    half = const(0.5)
+    temporal = Components(
+        n, [[half * N.temporal[i] * pvar(j) for j in range(n)] for i in range(n)]
+    )
+    spatial = Components(n, [[half * e for e in row] for row in N.spatial])
+    return MomentumSemispray(temporal, spatial)
+
+
+def decompose(
+    v: Sequence[Expr], N: NonlinearConnection
+) -> tuple[Expr, tuple[Expr, ...], tuple[Expr, ...]]:
+    """Unique coefficients of a vector field over the adapted frame.
+
+    v holds 2n+1 natural-frame components (t, x, p blocks); the result
+    (h_R, h_M, w) satisfies v = h_R delta/delta t + h_M^i delta/delta x^i
+    + w_j d/dp_j.  The frame is unit triangular, so this is a one-pass
+    substitution, exact at the expression level.
+    """
+    n = N.n
+    if len(v) != 2 * n + 1:
+        raise DimensionError(f"vector field needs {2 * n + 1} components")
+    h_R = v[0]
+    h_M = tuple(v[1 + i] for i in range(n))
+    w = tuple(
+        v[n + 1 + j]
+        + h_R * N.temporal[j]
+        + esum(h_M[i] * N.spatial[j, i] for i in range(n))
+        for j in range(n)
+    )
+    return h_R, h_M, w
+
+
+def reconstruct(
+    h_R: Expr, h_M: Sequence[Expr], w: Sequence[Expr], N: NonlinearConnection
+) -> tuple[Expr, ...]:
+    """Natural-frame components of h_R delta/delta t + h_M^i delta/delta x^i
+    + w_j d/dp_j (the inverse of decompose)."""
+    n = N.n
+    p_comps = tuple(
+        w[j]
+        - h_R * N.temporal[j]
+        - esum(h_M[i] * N.spatial[j, i] for i in range(n))
+        for j in range(n)
+    )
+    return (h_R, *h_M, *p_comps)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jetham.charts import compose_changes, induced_point, scalar_to_new_chart
+from jetham.charts import induced_point, scalar_to_new_chart
 from jetham.dtensor import (
     DTensor,
     Hamiltonian,
@@ -38,7 +38,6 @@ from jetham.nlconn import (
     NonlinearConnection,
     canonical_connection,
     connection_from_spray,
-    spray_from_connection,
 )
 from jetham.spray import (
     MomentumSemispray,
@@ -50,11 +49,13 @@ from jetham.spray import (
 
 from helpers import (
     central_diff,
+    compose_changes,
     derivative_pairs,
     metric_pair,
     nonlinear_charts_for,
     random_expr,
     sampled_points,
+    spray_from_connection,
 )
 
 EXAMPLE_PROBLEM = Path(__file__).resolve().parent.parent / "problems" / "example.json"

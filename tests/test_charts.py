@@ -15,8 +15,6 @@ import jetham.charts
 from jetham.charts import (
     CoordChange,
     TransitionData,
-    compose_changes,
-    identity_change,
     induced_point,
     scalar_to_new_chart,
     transition,
@@ -28,6 +26,8 @@ from helpers import (
     CARDANO_X1,
     chart,
     charts_for,
+    compose_changes,
+    identity_change,
     nonlinear_charts_for,
     reference_eval,
     sampled_points,

@@ -753,6 +753,7 @@ def test_long_json_integer_exits_3(runner, tmp_path):
         ["verify", "--problem", str(EXAMPLE), "--suite", "nope"],
         ["verify"],  # no --problem
         ["verify", "--problem", str(EXAMPLE), "--bogus"],
+        ["eval", "--problem", str(EXAMPLE), "--bogus"],  # no --object, --at
         [],  # no command
         ["nope"],
         ["eval", "--problem", str(EXAMPLE), "--object", "liouville", "--at", "1", "-x"],
@@ -766,6 +767,9 @@ def test_usage_error_exits_3(runner, args):
     # a command names the option it does not know under its own usage line
     command = args[0] if args and args[0] in _COMMAND_LINES else "[-h]"
     assert result.stderr.startswith(f"usage: jetham {command} "), result.stderr
+    # an unknown option is named even where a required one is missing
+    if "--bogus" in args:
+        assert "unrecognized arguments: --bogus" in result.stderr, result.stderr
 
 
 @pytest.mark.parametrize("args", [["--help"], ["verify", "--help"]])
@@ -975,11 +979,15 @@ def _locations(doc):
 
 @st.composite
 def _broken_examples(draw):
-    """The bundled example at two sample points, with one part broken: a
-    key dropped, a value of another type, an edge token in a DSL string,
-    or a sample point that is not finite or not 2n + 1 long."""
-    doc = json.loads(EXAMPLE.read_text())
-    doc["sample"]["count"] = 2
+    """A pinned problem at two sample points, with one part broken: a key
+    dropped, a value of another type, an edge token in a DSL string, or a
+    sample point that is not finite or not 2n + 1 long."""
+    doc = json.loads(draw(st.sampled_from([EXAMPLE, FULL_N4, HAMILTONIAN_N2])).read_text())
+    n, sample = doc["n"], doc["sample"]
+    if "points" in sample:
+        sample["points"] = sample["points"][:2]
+    else:
+        sample["count"] = 2
     kind = draw(st.sampled_from(["drop", "type", "dsl", "point"]))
     places = _locations(doc)
     if kind == "drop":
@@ -993,11 +1001,13 @@ def _broken_examples(draw):
         node, key = draw(st.sampled_from(strings))
         node[key] = draw(st.sampled_from(_DSL_EDGES))(node[key])
     else:
-        row = [1.2, 1.1, 1.3, 0.7, -1.3]
+        row = [1.2, *[1.1] * n, *[0.7] * n]
         if draw(st.booleans()):
-            row[draw(st.integers(0, 4))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            row[draw(st.integers(0, 2 * n))] = draw(
+                st.sampled_from([math.nan, math.inf, -math.inf])
+            )
         else:
-            row = draw(st.sampled_from([row[:3], row[:4], row + [1.0]]))
+            row = draw(st.sampled_from([row[: 2 * n - 1], row[: 2 * n], row + [1.0]]))
         doc["sample"] = {"points": [row]}
     return doc
 

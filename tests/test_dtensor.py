@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jetham.charts import compose_changes, identity_change, induced_point, scalar_to_new_chart
+from jetham.charts import induced_point, scalar_to_new_chart
 from jetham.dtensor import (
     DTensor,
     Hamiltonian,
@@ -12,7 +12,6 @@ from jetham.dtensor import (
     liouville,
     metric_hamiltonian,
     momentum_liouville,
-    push_forward,
     transform_factor,
     verify_dtensor,
     vertical_metrical,
@@ -22,7 +21,16 @@ from jetham.expr import Point, const, evaluate, parse
 from jetham.metrics import SpaceMetric, TimeMetric, transform_time_metric
 from jetham.spray import canonical_temporal
 
-from helpers import charts_for, metric_pair, nonlinear_charts_for, random_expr, sampled_points
+from helpers import (
+    charts_for,
+    compose_changes,
+    identity_change,
+    metric_pair,
+    nonlinear_charts_for,
+    push_forward,
+    random_expr,
+    sampled_points,
+)
 import random
 
 Q = Point.make(1.2, [2.0, 1.3], [3.0, 5.0])

@@ -11,18 +11,19 @@ from jetham.expr import Const, Point, ZERO, ONE, const, parse
 from jetham.frames import (
     _verify_blocks,
     adapted_frames,
-    decompose,
     pairing,
-    reconstruct,
     verify_adapted_tensoriality,
 )
 from jetham.metrics import SpaceMetric, TimeMetric, transform_space_metric, transform_time_metric
 from jetham.nlconn import NonlinearConnection, canonical_connection, verify_connection_law
 from helpers import (
     charts_for,
+    decompose,
+    identity_change,
     metric_pair,
     nonlinear_charts_for,
     random_expr,
+    reconstruct,
     reference_adapted_frames,
     reference_eval,
     same_structure,
@@ -215,8 +216,6 @@ class TestTensoriality:
     def test_identity_change_trivial(self):
         h, g = metric_pair(2)
         N = canonical_connection(h, g)
-        from jetham.charts import identity_change
-
         report = verify_adapted_tensoriality(
             N, N, identity_change(2), sampled_points(2, 5, seed=251)
         )

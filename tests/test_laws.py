@@ -14,6 +14,7 @@ import pytest
 
 from helpers import (
     charts_for,
+    identity_change,
     metric_pair,
     reference_blocks,
     reference_canonical_consistency,
@@ -28,7 +29,6 @@ from helpers import (
     sampled_points,
 )
 from jetham import cli
-from jetham.charts import identity_change
 from jetham.dtensor import DTensor, IndexKind, verify_dtensor
 from jetham.expr import const
 from jetham.frames import _verify_blocks

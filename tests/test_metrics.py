@@ -117,23 +117,23 @@ class TestInverseSpace:
 
 class TestChristoffelTime:
     def test_flat(self):
-        assert str(christoffel_time(TimeMetric(const(1))).H111) == "0"
+        assert str(christoffel_time(TimeMetric(const(1)))) == "0"
 
     def test_exponential_is_identically_one(self):
-        H = christoffel_time(TimeMetric(parse("exp(2*t)", 2))).H111
+        H = christoffel_time(TimeMetric(parse("exp(2*t)", 2)))
         for tval in (0.5, 1.0, 1.7, 2.0):
             assert evaluate(H, Point.make(tval, [1, 1], [0, 0])) == pytest.approx(
                 1.0, rel=1e-12
             )
 
     def test_t_squared(self):
-        H = christoffel_time(TimeMetric(parse("t^2", 2))).H111
+        H = christoffel_time(TimeMetric(parse("t^2", 2)))
         assert evaluate(H, Q) == pytest.approx(0.5, rel=1e-12)
 
     def test_against_finite_differences(self):
         # oracle: H = h^-1 h' / 2 with h' from central differences
         h_expr = parse("exp(t) + t^2", 1)
-        H = christoffel_time(TimeMetric(h_expr)).H111
+        H = christoffel_time(TimeMetric(h_expr))
         for q in sampled_points(1, 10, seed=43):
             fd = central_diff(h_expr, Var.time(), q)
             want = 0.5 * fd / evaluate(h_expr, q)
@@ -338,7 +338,7 @@ class TestSympyOracle:
         g = SpaceMetric(n, tuple(tuple(parse(e, n) for e in row) for row in g_text))
         got_inverse = np.array(Program(_flat(inverse_space(g))).run(q))
         got_gamma = np.array(Program(_flat(_flat(christoffel_space(g).gamma))).run(q))
-        got_time = evaluate(christoffel_time(TimeMetric(parse(h_text, n))).H111, q)
+        got_time = evaluate(christoffel_time(TimeMetric(parse(h_text, n))), q)
         assert _close(evaluate(space_metric_det(g), q), np.linalg.det(G))
         assert _close(got_inverse, G_inv.ravel())
         assert _close(got_gamma, want_gamma.ravel())

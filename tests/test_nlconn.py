@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from jetham.charts import identity_change, scalar_to_new_chart
+from jetham.charts import scalar_to_new_chart
 from jetham.expr import Components, Point, Var, const, esum, parse, pvar, tvar, xvar
 from jetham.metrics import (
     SpaceMetric,
@@ -18,7 +18,6 @@ from jetham.nlconn import (
     NonlinearConnection,
     canonical_connection,
     connection_from_spray,
-    spray_from_connection,
     verify_connection_law,
 )
 from jetham.spray import (
@@ -29,7 +28,14 @@ from jetham.spray import (
     verify_temporal_law,
 )
 
-from helpers import charts_for, metric_pair, nonlinear_charts_for, sampled_points
+from helpers import (
+    charts_for,
+    identity_change,
+    metric_pair,
+    nonlinear_charts_for,
+    sampled_points,
+    spray_from_connection,
+)
 
 Q = Point.make(1.0, [2.0, 1.0], [3.0, 5.0])
 

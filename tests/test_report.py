@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import reference_report_json
-from jetham.charts import identity_change, transition
+from helpers import identity_change, reference_report_json
+from jetham.charts import transition
 from jetham.expr import Components, Point, const
 from jetham.report import (
     CheckRecord,

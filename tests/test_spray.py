@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from jetham.charts import identity_change
 from jetham.errors import DimensionError
 from jetham.expr import Components, Point, const, parse
 from jetham.metrics import (
@@ -23,6 +22,7 @@ from jetham.spray import (
 from helpers import (
     chart,
     charts_for,
+    identity_change,
     curved_metric_2d,
     metric_pair,
     nonlinear_charts_for,
