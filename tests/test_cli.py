@@ -655,6 +655,8 @@ PRINTED_SHA256 = {
         "92d1736b7016cd555d55c2d6cab78e8b327706c573f95c7a05ea63952101702e",
     ("canonical", "full_n4.json"):
         "f823e36dc4eef5683a66bb40291e308ef3188493abe1f8a2e5147295d6ef22d0",
+    ("christoffel", "hamiltonian_n2.json"):
+        "784112328e7ff0d8b8c9f4745998fd68e561b542de1b6eb65ad8ac2e2bc5dbb7",
 }
 
 
@@ -664,6 +666,24 @@ def test_printed_text_is_pinned(runner, command, name):
     assert result.exit_code == 0, result.output
     digest = hashlib.sha256(result.output.encode()).hexdigest()
     assert digest == PRINTED_SHA256[command, name]
+
+
+# sha256 of the JSON report of christoffel on each bundled problem: the
+# inverse-time, inverse-space and compatibility residual at every point.
+CHRISTOFFEL_REPORT_SHA256 = {
+    "example.json": "317ac1f9d6be6af18537624f69eb6188a74b41087d61f3ef32b664b90ebf0c1b",
+    "full_n4.json": "c6dd912e08a6ecfbbf2f899cd4318026d83e15d63f43879fbac133f555e76498",
+    "hamiltonian_n2.json": "47963879284962300a6366bf7a04ade813555aceb07fed5b8bb91aa34c0a8c3f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHRISTOFFEL_REPORT_SHA256))
+def test_christoffel_report_bytes_are_pinned(runner, tmp_path, name):
+    out = tmp_path / "report.json"
+    args = ["christoffel", "--problem", str(EXAMPLE.with_name(name)), "--json", str(out)]
+    assert runner.invoke(main, args).exit_code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == CHRISTOFFEL_REPORT_SHA256[name]
 
 
 def _deep_documents():
