@@ -13,7 +13,6 @@ from .charts import (
 )
 from .dtensor import (
     DTensor,
-    Hamiltonian,
     IndexKind,
     h_normalization,
     liouville,
@@ -53,12 +52,11 @@ from .frames import (
     verify_adapted_tensoriality,
 )
 from .metrics import (
-    ChristoffelSpace,
     SpaceMetric,
     TimeMetric,
     christoffel_space,
     christoffel_time,
-    compatibility_residual,
+    compatibility_residuals,
     inverse_space,
     inverse_time,
     transform_space_metric,

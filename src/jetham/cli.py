@@ -24,7 +24,6 @@ import numpy as np
 from .charts import scalar_to_new_chart
 from .dtensor import (
     DTensor,
-    Hamiltonian,
     h_normalization,
     liouville,
     metric_hamiltonian,
@@ -33,13 +32,13 @@ from .dtensor import (
     vertical_metrical,
 )
 from .errors import JethamError
-from .expr import Components, Point, Program, compile_together
+from .expr import Components, Expr, Point, compile_together
 from .frames import adapted_frames, frames_from_values, pairing, verify_adapted_tensoriality
 from .metrics import (
     SpaceMetric,
     TimeMetric,
     christoffel_time,
-    compatibility_residual,
+    compatibility_residuals,
     inverse_time,
     transform_space_metric,
     transform_time_metric,
@@ -51,7 +50,7 @@ from .nlconn import (
     verify_connection_law,
 )
 from .problem import Problem, load_problem
-from .report import Report, check_points, report_to_json, residual, worst_residuals
+from .report import Report, check_points, report_to_json, worst_residuals
 from .spray import (
     MomentumSemispray,
     canonical_spatial,
@@ -89,14 +88,15 @@ class _Chart:
         return g if self.change is None else transform_space_metric(g, self.change)
 
     @cached_property
-    def hamiltonian(self) -> Hamiltonian:
-        if self.origin is None:
-            return self.problem.hamiltonian or metric_hamiltonian(self.h, self.g)
-        return Hamiltonian(self.n, scalar_to_new_chart(self.origin.hamiltonian.expr, self.change))
+    def hamiltonian(self) -> Expr:
+        if self.origin is not None:
+            return scalar_to_new_chart(self.origin.hamiltonian, self.change)
+        H = self.problem.hamiltonian
+        return metric_hamiltonian(self.h, self.g) if H is None else H
 
     @cached_property
     def vertical_metrical(self) -> DTensor:
-        return vertical_metrical(self.hamiltonian)
+        return vertical_metrical(self.hamiltonian, self.n)
 
     @cached_property
     def liouville(self) -> DTensor:
@@ -220,16 +220,16 @@ def _family(problem: Problem, charts: dict[str, _Chart], suite: str, corrupt=Fal
 # ---------------------------------------------------------------------------
 
 def cmd_christoffel(problem: Problem) -> Report:
-    """Print both Christoffel families and run the metric sanity checks."""
-    n, tol = problem.n, problem.tolerance
-    h, g = problem.time_metric, problem.space_metric
+    """Print both Christoffel families; check h_11 h^11 = 1, g g^-1 = I and
+    the symbols' metric compatibility, all read from one program."""
+    n, h, g = problem.n, problem.time_metric, problem.space_metric
     H = christoffel_time(h)
     gamma = g.christoffel
 
     print(f"time metric      h11 = {h.h11}")
     print(f"time christoffel H_11^1 = {H}")
     entries = [
-        (f"gamma^{i + 1}_{j + 1}{k + 1}", gamma.gamma[i][j][k])
+        (f"gamma^{i + 1}_{j + 1}{k + 1}", gamma[i, j, k])
         for i in range(n)
         for j in range(n)
         for k in range(j, n)
@@ -239,26 +239,28 @@ def cmd_christoffel(problem: Problem) -> Report:
     for label, _, text in nonzero:
         print(f"{label} = {text}")
     print("values at sample points:")
-    shown = Program([*(entry for _, entry, _ in nonzero), H])
+    shown = Components(n, [*(entry for _, entry, _ in nonzero), H])
+    checked = (
+        Components(n, [h.h11, inverse_time(h)]),
+        *(Components(n, m) for m in (g.g, g.inverse, g.derivatives)),
+        gamma,
+    )
+    compile_together((shown, *checked))
     for q in problem.points[:3]:
-        *values, Hv = shown.run(q)
+        *values, Hv = shown.evaluate(q).tolist()
         gvals = [f"{label}={v:.6g}" for (label, _, _), v in zip(nonzero, values)]
         print(f"  t={q.t:.4g} x={q.x}: H={Hv:.6g} " + " ".join(gvals))
 
-    matrices = (e for m in (g.g, g.inverse) for row in m for e in row)
-    inverses = Program([h.h11, inverse_time(h), *matrices])
-
-    def compare(q):
-        hv, hinv, *matrix_values = inverses.run(q)
-        gmat, gimat = np.array(matrix_values).reshape(2, n, n)
-        return (
-            residual(hv * hinv, 1.0),
-            float(np.max(np.abs(gmat @ gimat - np.eye(n)))),
-            compatibility_residual(g, gamma, q),
-        )
-
-    checks = ("metrics.inverse_time", "metrics.inverse_space", "metrics.compatibility")
-    return check_points(problem.points, tol, checks, compare)
+    return check_points(
+        problem.points, problem.tolerance,
+        ("metrics.inverse_time", "metrics.inverse_space", "metrics.compatibility"),
+        lambda q: tuple(obj.evaluate(q) for obj in checked),
+        lambda pair, gmat, ginv, dg, symbols: (
+            worst_residuals(pair[:, :1] * pair[:, 1:], np.ones((len(pair), 1))),
+            np.max(np.abs(gmat @ ginv - np.eye(n)), axis=(1, 2)),
+            compatibility_residuals(dg, symbols, gmat),
+        ),
+    )
 
 
 def cmd_canonical(problem: Problem) -> Report:
@@ -436,10 +438,11 @@ def _parser() -> _Parser:
 def _joined(argv: list[str], valued: set[str]) -> list[str]:
     """argv with each valued option joined to the token after it ("--at
     -1.2,..." -> "--at=-1.2,..."): argparse would read a value that starts
-    with "-" as an option."""
+    with "-" as an option.  A token that starts with "--" is the next
+    option, not a value, so the option before it is left missing one."""
     joined: list[str] = []
     for arg in argv:
-        if joined and joined[-1] in valued:
+        if joined and joined[-1] in valued and not arg.startswith("--"):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)

@@ -30,7 +30,6 @@ from .report import Report, check_points, worst_residuals
 __all__ = [
     "IndexKind",
     "DTensor",
-    "Hamiltonian",
     "transform_factor",
     "verify_dtensor",
     "vertical_metrical",
@@ -72,14 +71,6 @@ class DTensor(Components):
             raise SignatureMismatchError(
                 f"components of shape {shape} do not match signature {self.signature}"
             )
-
-
-@dataclass(frozen=True)
-class Hamiltonian:
-    """A scalar function of (t, x, p) on the phase space of momenta."""
-
-    n: int
-    expr: Expr
 
 
 def transform_factor(kind: IndexKind, td: TransitionData):
@@ -152,13 +143,13 @@ def verify_dtensor(
 # The built-in d-tensor fields
 # ---------------------------------------------------------------------------
 
-def vertical_metrical(H: Hamiltonian) -> DTensor:
-    """Half the p-Hessian of a Hamiltonian: signature [MOM_UP, MOM_UP]."""
-    n = H.n
+def vertical_metrical(H: Expr, n: int) -> DTensor:
+    """Half the p-Hessian of a Hamiltonian H(t, x, p) over n momenta:
+    signature [MOM_UP, MOM_UP]."""
     comps = np.empty((n, n), dtype=object)
     half = const(0.5)
     for i in range(n):
-        di = H.expr.diff(Var.momentum(i))
+        di = H.diff(Var.momentum(i))
         for j in range(i, n):
             entry = half * di.diff(Var.momentum(j))
             comps[i, j] = entry
@@ -192,7 +183,7 @@ def h_normalization(h: TimeMetric, n: int) -> DTensor:
     )
 
 
-def metric_hamiltonian(h: TimeMetric, g: SpaceMetric) -> Hamiltonian:
+def metric_hamiltonian(h: TimeMetric, g: SpaceMetric) -> Expr:
     """The kinetic-energy Hamiltonian h^11 g^ij p_i p_j of a metric pair."""
     n = g.n
     hinv = inverse_time(h)
@@ -201,4 +192,4 @@ def metric_hamiltonian(h: TimeMetric, g: SpaceMetric) -> Hamiltonian:
     for i in range(n):
         for j in range(n):
             total = total + hinv * ginv[i][j] * pvar(i) * pvar(j)
-    return Hamiltonian(n, total)
+    return total

@@ -8,6 +8,9 @@ shared by the determinant and every cofactor.  Problem files are limited
 to n <= 4 because printing expands shared subtrees: the Christoffel text
 that ``jetham christoffel`` and ``jetham canonical`` print for a full
 metric is about 0.14 MB at n=4, 1.4 MB at n=5 and 12 MB at n=6.
+
+The symbols are one ``Components`` array, gamma[i, j, k] = gamma^i_jk,
+checked against g over a stack of points by ``compatibility_residuals``.
 """
 
 from __future__ import annotations
@@ -20,19 +23,17 @@ import numpy as np
 
 from .charts import CoordChange
 from .errors import DimensionError
-from .expr import Expr, Point, Program, Var, check_vars, const, esum
-from .report import worst_residual
+from .expr import Components, Expr, Var, check_vars, const, esum
 
 __all__ = [
     "TimeMetric",
     "SpaceMetric",
-    "ChristoffelSpace",
     "inverse_time",
     "inverse_space",
     "space_metric_det",
     "christoffel_time",
     "christoffel_space",
-    "compatibility_residual",
+    "compatibility_residuals",
     "transform_time_metric",
     "transform_space_metric",
 ]
@@ -78,7 +79,7 @@ class SpaceMetric:
         return inverse_space(self)
 
     @cached_property
-    def christoffel(self) -> "ChristoffelSpace":
+    def christoffel(self) -> Components:
         return christoffel_space(self)
 
     @cached_property
@@ -95,11 +96,6 @@ class SpaceMetric:
             for i in range(n)
         )
 
-    @cached_property
-    def _compatibility_program(self) -> Program:
-        """The derivatives, then the entries, in index order."""
-        return Program([*_flat(self.derivatives), *(e for row in self.g for e in row)])
-
     @classmethod
     def diagonal(cls, entries: tuple[Expr, ...]) -> "SpaceMetric":
         n = len(entries)
@@ -111,22 +107,6 @@ class SpaceMetric:
                 for i in range(n)
             ),
         )
-
-
-@dataclass(frozen=True)
-class ChristoffelSpace:
-    """gamma[i][j][k] = gamma^i_jk of the spatial metric, symmetric in (j, k)."""
-
-    n: int
-    gamma: tuple[tuple[tuple[Expr, ...], ...], ...]
-
-    @cached_property
-    def _program(self) -> Program:
-        return Program(_flat(self.gamma))
-
-
-def _flat(planes) -> list[Expr]:
-    return [e for plane in planes for row in plane for e in row]
 
 
 def inverse_time(h: TimeMetric) -> Expr:
@@ -185,9 +165,10 @@ def christoffel_time(h: TimeMetric) -> Expr:
     return const(0.5) * inverse_time(h) * h.h11.diff(Var.time())
 
 
-def christoffel_space(g: SpaceMetric) -> ChristoffelSpace:
-    """Levi-Civita symbols of g: the unique symmetric metric-compatible
-    connection coefficients.  Entries for (j, k) and (k, j) share trees."""
+def christoffel_space(g: SpaceMetric) -> Components:
+    """Levi-Civita symbols gamma[i, j, k] = gamma^i_jk of g: the unique
+    symmetric metric-compatible connection coefficients.  Entries for
+    (j, k) and (k, j) share trees."""
     n = g.n
     ginv = g.inverse
     dg = g.derivatives
@@ -204,30 +185,22 @@ def christoffel_space(g: SpaceMetric) -> ChristoffelSpace:
                 entry = esum(halves[i][l] * brackets[l] for l in range(n))
                 gamma[i][j][k] = entry
                 gamma[i][k][j] = entry
-    return ChristoffelSpace(
-        n, tuple(tuple(tuple(row) for row in plane) for plane in gamma)
-    )
+    return Components(n, gamma)
 
 
-def compatibility_residual(g: SpaceMetric, chr_space: ChristoffelSpace, q: Point) -> float:
-    """Max |dg_ij/dx^k - gamma^l_ki g_lj - gamma^l_kj g_il| at q (zero for
-    the Levi-Civita connection; NaN when a difference is not a number).
-    Both objects compile their values once, on the first call."""
-    n, m = g.n, g.n**3
-    values = np.array(g._compatibility_program.run(q))
-    dg_q = values[:m].reshape(n, n, n).tolist()
-    g_q = values[m:].reshape(n, n).tolist()
-    gamma_q = np.array(chr_space._program.run(q)).reshape(n, n, n).tolist()
-    residuals = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                value = dg_q[i][j][k]
-                for l in range(n):
-                    value -= gamma_q[l][k][i] * g_q[l][j]
-                    value -= gamma_q[l][k][j] * g_q[i][l]
-                residuals.append(abs(value))
-    return worst_residual(residuals)
+def compatibility_residuals(dg: np.ndarray, gamma: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Per point of a leading points axis, max |dg_ij/dx^k - gamma^l_ki g_lj
+    - gamma^l_kj g_il| over (i, j, k), from stacked dg[:, i, j, k],
+    gamma[:, i, j, k] and g[:, i, j]: zero for the Levi-Civita connection,
+    NaN as soon as one difference is not a number.  The l terms are
+    subtracted in l order, so each difference is the float a loop over
+    (i, j, k) and then l gives."""
+    value = dg.copy()
+    for l in range(g.shape[-1]):
+        # gamma^l_ki g_lj at [i, j, k], then gamma^l_kj g_il
+        value -= gamma[:, l].mT[:, :, None, :] * g[:, l][:, None, :, None]
+        value -= gamma[:, l].mT[:, None, :, :] * g[:, :, l][:, :, None, None]
+    return np.abs(value).reshape(len(value), -1).max(axis=1)
 
 
 def transform_time_metric(h: TimeMetric, c: CoordChange) -> TimeMetric:

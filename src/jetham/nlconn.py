@@ -60,10 +60,10 @@ def canonical_connection(h: TimeMetric, g: SpaceMetric) -> NonlinearConnection:
     canonical connection, also produced by its canonical semisprays)."""
     n = g.n
     H = christoffel_time(h)
-    gamma = g.christoffel.gamma
+    gamma = g.christoffel
     temporal = tuple(H * pvar(j) for j in range(n))
     spatial = tuple(
-        tuple(-esum(gamma[k][j][i] * pvar(k) for k in range(n)) for i in range(n))
+        tuple(-esum(gamma[k, j, i] * pvar(k) for k in range(n)) for i in range(n))
         for j in range(n)
     )
     return NonlinearConnection(n, temporal, spatial)

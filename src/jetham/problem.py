@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .charts import CoordChange
-from .dtensor import Hamiltonian
 from .errors import DomainError, JethamError, ProblemFormatError
 from .expr import Expr, Point, Program, parse
 from .metrics import MAX_DIM, SpaceMetric, TimeMetric, space_metric_det
@@ -45,7 +44,7 @@ class Problem:
     n: int
     time_metric: TimeMetric
     space_metric: SpaceMetric
-    hamiltonian: Hamiltonian | None
+    hamiltonian: Expr | None
     charts: tuple[ChartSpec, ...]
     points: tuple[Point, ...]
     tolerance: float
@@ -245,7 +244,7 @@ def problem_from_dict(doc) -> Problem:
 
     hamiltonian = None
     if "hamiltonian" in doc:
-        hamiltonian = Hamiltonian(n, _parse_expr(doc["hamiltonian"], n, "hamiltonian"))
+        hamiltonian = _parse_expr(doc["hamiltonian"], n, "hamiltonian")
 
     if not isinstance(doc["charts"], list):
         raise ProblemFormatError("charts: expected a list")

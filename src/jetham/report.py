@@ -112,7 +112,7 @@ def check_points(
     tol: float,
     check_ids: Sequence[str],
     gather: Callable[..., tuple],
-    law: Callable[..., Sequence] | None = None,
+    law: Callable[..., Sequence],
     chart: str = "",
 ) -> Report:
     """The records of checks run over all points at once, in point order.
@@ -121,9 +121,8 @@ def check_points(
     point in order, so an error is the one the first failing point raises.
     law receives each gathered item stacked on a leading points axis (see
     ``stack``) and returns, in check_ids order, each check's worst residual
-    at every point; without a law, the gathered items are those residuals.
-    Each becomes a record of chart that passes when it is within tol.
-    Array arithmetic that overflows gives inf or NaN silently, as float
+    at every point.  Each becomes a record of chart that passes when it is
+    within tol.  Array arithmetic that overflows gives inf or NaN silently, as float
     arithmetic does: the residual it leads to fails the record.
     """
     points = tuple(points)
@@ -132,7 +131,7 @@ def check_points(
     with np.errstate(over="ignore", invalid="ignore"):
         gathered = [gather(q) for q in points]
         stacks = [stack(column) for column in zip(*gathered)]
-        worst = law(*stacks) if law else stacks
+        worst = law(*stacks)
     records = []
     for q, row in zip(points, zip(*(np.asarray(w, dtype=float).tolist() for w in worst))):
         flat = q.flat()

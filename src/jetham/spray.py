@@ -62,13 +62,13 @@ def canonical_temporal(h: TimeMetric, n: int) -> Components:
 
 def canonical_spatial(g: SpaceMetric) -> Components:
     """G_(j)k = -(1/2) gamma^i_jk p_i, linear in the momenta."""
-    gamma = g.christoffel.gamma
+    gamma = g.christoffel
     n = g.n
     half = const(0.5)
     rows: list[list[Expr]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
     for j in range(n):
         for k in range(j, n):
-            entry = -(half * esum(gamma[i][j][k] * pvar(i) for i in range(n)))
+            entry = -(half * esum(gamma[i, j, k] * pvar(i) for i in range(n)))
             rows[j][k] = entry
             rows[k][j] = entry
     return Components(n, rows)

@@ -1,7 +1,8 @@
 """Shared fixtures: chart suites per dimension, metric pairs, the seeded
 random expression generator, the recursive references for evaluation,
 derivatives and adapted frames, the unshared references for the metric's
-determinant, inverse and Christoffel symbols, the natural frame rules
+determinant, inverse and Christoffel symbols, the point-by-point metric
+compatibility residual, the natural frame rules
 check, the paper objects no command runs (the identity and composed chart
 changes, the push-forward of a d-tensor, the semispray of a connection, and
 the split of a vector field over the adapted frame), the point-by-point
@@ -343,6 +344,27 @@ def reference_christoffel(g: SpaceMetric) -> list[list[list[Expr]]]:
     return gamma
 
 
+def reference_compatibility_residual(g: SpaceMetric, gamma: Components, q: Point) -> float:
+    """Max |dg_ij/dx^k - gamma^l_ki g_lj - gamma^l_kj g_il| at q, by a loop
+    over (i, j, k) and then l, reduced by ``worst_residual`` (NaN as soon as
+    one difference is NaN).  ``metrics.compatibility_residuals`` is compared
+    against it bit for bit."""
+    n = g.n
+    dg_q = Components(n, g.derivatives).evaluate(q).tolist()
+    g_q = Components(n, g.g).evaluate(q).tolist()
+    gamma_q = gamma.evaluate(q).tolist()
+    residuals = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                value = dg_q[i][j][k]
+                for l in range(n):
+                    value -= gamma_q[l][k][i] * g_q[l][j]
+                    value -= gamma_q[l][k][j] * g_q[i][l]
+                residuals.append(abs(value))
+    return worst_residual(residuals)
+
+
 # ---------------------------------------------------------------------------
 # Recursive reference derivative
 # ---------------------------------------------------------------------------
@@ -367,13 +389,16 @@ def verify_frame_rules(c: CoordChange, q: Point, tol: float = 1e-9) -> Report:
     """
     size = 2 * c.n + 1
 
-    def compare(q):
+    def gather(q):
         td = transition(c, q)
         td_inv = transition(c.inverse(), induced_point(c, q))
-        pairing = natural_coframe_matrix(td, td_inv) @ natural_frame_matrix(td).T
-        return np.abs(pairing - np.eye(size)).ravel().tolist()
+        return (natural_coframe_matrix(td, td_inv) @ natural_frame_matrix(td).T,)
 
-    return check_points((q,), tol, ("frame_rules",) * size**2, compare)
+    def law(pairings):
+        # one residual per matrix entry, row-major, at every point
+        return np.abs(pairings - np.eye(size)).reshape(len(pairings), -1).T
+
+    return check_points((q,), tol, ("frame_rules",) * size**2, gather, law)
 
 
 # ---------------------------------------------------------------------------

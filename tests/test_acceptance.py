@@ -17,7 +17,6 @@ import pytest
 from jetham.charts import induced_point, scalar_to_new_chart
 from jetham.dtensor import (
     DTensor,
-    Hamiltonian,
     IndexKind,
     h_normalization,
     liouville,
@@ -117,9 +116,9 @@ def test_c3_dtensor_suite():
     points = sampled_points(n, 20, seed=307)
     for cname, c in charts.items():
         h_new = transform_time_metric(h, c)
-        ham_new = Hamiltonian(n, scalar_to_new_chart(ham.expr, c))
+        ham_new = scalar_to_new_chart(ham, c)
         pairs = {
-            "vertical_metrical": (vertical_metrical(ham), vertical_metrical(ham_new)),
+            "vertical_metrical": (vertical_metrical(ham, n), vertical_metrical(ham_new, n)),
             "liouville": (liouville(n), liouville(n)),
             "momentum_liouville": (momentum_liouville(h, n), momentum_liouville(h_new, n)),
             "h_normalization": (h_normalization(h, n), h_normalization(h_new, n)),

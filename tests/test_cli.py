@@ -777,6 +777,8 @@ def test_long_json_integer_exits_3(runner, tmp_path):
         [],  # no command
         ["nope"],
         ["eval", "--problem", str(EXAMPLE), "--object", "liouville", "--at", "1", "-x"],
+        ["verify", "--json", "--problem", str(EXAMPLE)],  # --json has no path
+        ["verify", "--problem", "--suite", "dtensor"],  # --problem has no path
     ],
 )
 def test_usage_error_exits_3(runner, args):
@@ -790,6 +792,10 @@ def test_usage_error_exits_3(runner, args):
     # an unknown option is named even where a required one is missing
     if "--bogus" in args:
         assert "unrecognized arguments: --bogus" in result.stderr, result.stderr
+    # an option followed by another option is named as missing its value
+    for option, following in zip(args, args[1:]):
+        if option in ("--json", "--problem") and following.startswith("--"):
+            assert f"argument {option}: expected one argument" in result.stderr, result.stderr
 
 
 @pytest.mark.parametrize("args", [["--help"], ["verify", "--help"]])

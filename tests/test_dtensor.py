@@ -6,7 +6,6 @@ import pytest
 from jetham.charts import induced_point, scalar_to_new_chart
 from jetham.dtensor import (
     DTensor,
-    Hamiltonian,
     IndexKind,
     h_normalization,
     liouville,
@@ -40,9 +39,9 @@ def dtensor_pairs(n, h, g, hamiltonian, c):
     """The four built-in d-tensors in the old chart and, independently
     constructed, in the new chart (the two-chart oracle)."""
     h_new = transform_time_metric(h, c)
-    ham_new = Hamiltonian(n, scalar_to_new_chart(hamiltonian.expr, c))
+    ham_new = scalar_to_new_chart(hamiltonian, c)
     return {
-        "vertical_metrical": (vertical_metrical(hamiltonian), vertical_metrical(ham_new)),
+        "vertical_metrical": (vertical_metrical(hamiltonian, n), vertical_metrical(ham_new, n)),
         "liouville": (liouville(n), liouville(n)),
         "momentum_liouville": (momentum_liouville(h, n), momentum_liouville(h_new, n)),
         "h_normalization": (h_normalization(h, n), h_normalization(h_new, n)),
@@ -191,17 +190,17 @@ class TestContractionInvariance:
 
 class TestBuiltins:
     def test_vertical_metrical_of_pure_kinetic(self):
-        H = Hamiltonian(1, parse("p1^2", 1))
-        assert vertical_metrical(H).evaluate(Q_1()) == pytest.approx(np.array([[1.0]]))
+        H = parse("p1^2", 1)
+        assert vertical_metrical(H, 1).evaluate(Q_1()) == pytest.approx(np.array([[1.0]]))
 
     def test_vertical_metrical_momentum_free(self):
-        H = Hamiltonian(2, parse("t + x1", 2))
-        assert np.all(vertical_metrical(H).evaluate(Q) == 0.0)
+        H = parse("t + x1", 2)
+        assert np.all(vertical_metrical(H, 2).evaluate(Q) == 0.0)
 
     def test_vertical_metrical_metric_hamiltonian(self):
         g = SpaceMetric.diagonal((const(1), parse("x1^2", 2)))
         H = metric_hamiltonian(TimeMetric(const(1)), g)
-        got = vertical_metrical(H).evaluate(Q)
+        got = vertical_metrical(H, 2).evaluate(Q)
         assert got == pytest.approx(np.diag([1.0, 0.25]), abs=1e-12)
 
     def test_liouville_values(self):

@@ -642,7 +642,7 @@ class TestSharedParse:
         # objects per slot in these Hessians
         problem = load_problem(HAMILTONIAN_N2)
         origin = _Chart(problem)
-        hamiltonian = origin.hamiltonian.expr
+        hamiltonian = origin.hamiltonian
         assert distinct_nodes([hamiltonian]) == len(Program([hamiltonian]))
         for chart in [origin, *(_Chart(problem, origin, spec.change) for spec in problem.charts)]:
             comps = list(chart.vertical_metrical.comps.flat)

@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetham.errors import DimensionError, DomainError
-from jetham.expr import Point, Program, Var, const, evaluate, parse, xvar
+from jetham.expr import Components, Point, Program, Var, const, evaluate, parse, xvar
 from jetham.metrics import (
-    ChristoffelSpace,
     SpaceMetric,
     TimeMetric,
     christoffel_space,
     christoffel_time,
-    compatibility_residual,
+    compatibility_residuals,
     inverse_space,
     inverse_time,
     space_metric_det,
@@ -33,6 +32,7 @@ from helpers import (
     random_expr,
     random_point,
     reference_christoffel,
+    reference_compatibility_residual,
     reference_det,
     reference_eval,
     reference_inverse,
@@ -144,7 +144,7 @@ class TestChristoffelSpace:
     def test_flat(self):
         cs = christoffel_space(SpaceMetric.diagonal((const(1), const(1))))
         assert all(
-            str(cs.gamma[i][j][k]) == "0"
+            str(cs[i, j, k]) == "0"
             for i in range(2) for j in range(2) for k in range(2)
         )
 
@@ -152,14 +152,14 @@ class TestChristoffelSpace:
         g = SpaceMetric(2, ((const(2), const(1)), (const(1), const(1))))
         cs = christoffel_space(g)
         assert all(
-            evaluate(cs.gamma[i][j][k], Q) == 0.0
+            evaluate(cs[i, j, k], Q) == 0.0
             for i in range(2) for j in range(2) for k in range(2)
         )
 
     def test_polar_style_closed_form(self):
         cs = christoffel_space(polar_style())
         got = {
-            (i, j, k): evaluate(cs.gamma[i][j][k], Q)
+            (i, j, k): evaluate(cs[i, j, k], Q)
             for i in range(2) for j in range(2) for k in range(2)
         }
         want = {(0, 1, 1): -2.0, (1, 0, 1): 0.5, (1, 1, 0): 0.5}
@@ -171,7 +171,7 @@ class TestChristoffelSpace:
         for i in range(2):
             for j in range(2):
                 for k in range(2):
-                    assert cs.gamma[i][j][k] is cs.gamma[i][k][j] or cs.gamma[i][j][k] == cs.gamma[i][k][j]
+                    assert cs[i, j, k] is cs[i, k, j] or cs[i, j, k] == cs[i, k, j]
 
     def test_against_finite_difference_levi_civita(self):
         # independent oracle: assemble gamma from numeric derivatives of g
@@ -192,37 +192,66 @@ class TestChristoffelSpace:
                             ginv[i, l] * (dg[l, j, k] + dg[l, k, j] - dg[j, k, l])
                             for l in range(n)
                         )
-                        assert evaluate(cs.gamma[i][j][k], q) == pytest.approx(
+                        assert evaluate(cs[i, j, k], q) == pytest.approx(
                             want, rel=1e-6, abs=1e-6
                         )
 
     def test_metric_compatibility(self):
         for g in (polar_style(), curved_metric_2d()):
             cs = christoffel_space(g)
-            for q in sampled_points(2, 10, seed=53):
-                assert compatibility_residual(g, cs, q) < 1e-9
+            points = sampled_points(2, 10, seed=53)
+            dg, gamma, gmat = (
+                np.array([obj.evaluate(q) for q in points])
+                for obj in (Components(2, g.derivatives), cs, Components(2, g.g))
+            )
+            assert np.all(compatibility_residuals(dg, gamma, gmat) < 1e-9)
 
     def test_compatibility_residual_propagates_nan(self):
         # every value is finite, but at (i, j, k) = (0, 1, 1) the products
         # gamma^0_11 g_00 and gamma^1_10 g_11 are +inf and -inf, so the
-        # residual is NaN; the residuals before it are 0, and max() would
-        # keep the running 0 against the NaN
+        # residual is NaN; the residuals before it are 0, and a maximum that
+        # keeps its running value against a NaN (as max() does) would give 0
         zero, big = const(0), const(1e200)
         g = SpaceMetric.diagonal((big, big))
         gamma = [[[zero, zero], [zero, zero]] for _ in range(2)]
         gamma[0][1][1], gamma[1][1][0] = big, -big
-        symbols = ChristoffelSpace(2, tuple(tuple(map(tuple, plane)) for plane in gamma))
-        assert math.isnan(compatibility_residual(g, symbols, Q))
+        dg, symbols, gmat = (
+            Components(2, m).evaluate(Q)[None] for m in (g.derivatives, gamma, g.g)
+        )
+        with np.errstate(over="ignore", invalid="ignore"):  # as check_points runs a law
+            assert math.isnan(compatibility_residuals(dg, symbols, gmat)[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stacked_residuals_are_the_loops_bit_for_bit(self, n):
+        rng, checked = random.Random(7000 + n), 0
+        while checked < 3:
+            g = random_space_metric(rng, n)
+            values = []
+            for q in sampled_points(n, 6, seed=rng.randrange(10**9)):
+                try:
+                    want = reference_compatibility_residual(g, g.christoffel, q)
+                except DomainError:  # a point off a random metric's domain
+                    continue
+                objects = (Components(n, g.derivatives), g.christoffel, Components(n, g.g))
+                values.append((want, *(obj.evaluate(q) for obj in objects)))
+            if not values:
+                continue
+            want, *stacks = zip(*values)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = compatibility_residuals(*map(np.array, stacks)).tolist()
+            bits = [struct.pack("<d", v) if v == v else "NaN" for v in (*got, *want)]
+            assert bits[: len(got)] == bits[len(got):], (n, got, want)
+            checked += 1
 
     def test_builds_past_the_problem_limit(self):
         # diag(1 + x_i^2): gamma^i_ii = x_i / (1 + x_i^2), every other is 0
         g = SpaceMetric.diagonal(tuple(parse(f"1 + x{i + 1}^2", 5) for i in range(5)))
         q = Point.make(1.0, [0.5, 1.0, 1.5, 2.0, 2.5], [0.0] * 5)
-        gamma = christoffel_space(g).gamma
+        gamma = christoffel_space(g)
         for i, j, k in np.ndindex(5, 5, 5):
             x = q.x[i]
             want = x / (1.0 + x * x) if i == j == k else 0.0
-            assert evaluate(gamma[i][j][k], q) == pytest.approx(want, rel=1e-12)
+            assert evaluate(gamma[i, j, k], q) == pytest.approx(want, rel=1e-12)
 
 
 def random_space_metric(rng: random.Random, n: int) -> SpaceMetric:
@@ -257,7 +286,7 @@ class TestSharedMinors:
     def test_same_trees_as_the_reference_from_fewer_slots(self, seed, n):
         rng = random.Random(seed)
         g = random_space_metric(rng, n)
-        inverse, gamma = inverse_space(g), christoffel_space(g).gamma
+        inverse, gamma = inverse_space(g), christoffel_space(g).comps.tolist()
         want_inverse, want_gamma = reference_inverse(g), reference_christoffel(g)
         pairs = [(space_metric_det(g), reference_det(g.g))]
         pairs += zip(_flat(inverse), _flat(want_inverse))
@@ -337,7 +366,7 @@ class TestSympyOracle:
 
         g = SpaceMetric(n, tuple(tuple(parse(e, n) for e in row) for row in g_text))
         got_inverse = np.array(Program(_flat(inverse_space(g))).run(q))
-        got_gamma = np.array(Program(_flat(_flat(christoffel_space(g).gamma))).run(q))
+        got_gamma = christoffel_space(g).evaluate(q).ravel()
         got_time = evaluate(christoffel_time(TimeMetric(parse(h_text, n))), q)
         assert _close(evaluate(space_metric_det(g), q), np.linalg.det(G))
         assert _close(got_inverse, G_inv.ravel())

@@ -91,7 +91,9 @@ def test_report_maxima_propagate_nan():
 
 def test_check_points_records_each_check_at_each_point_in_order():
     points = [Point.make(t, [0.0], [0.0]) for t in (1.0, 2.0)]
-    report = check_points(points, 0.5, ("a", "b"), lambda q: (q.t / 3, math.nan))
+    report = check_points(
+        points, 0.5, ("a", "b"), lambda q: (q.t / 3, math.nan), lambda a, b: (a, b)
+    )
     assert [(r.check_id, r.point, r.passed) for r in report.records] == [
         ("a", (1.0, 0.0, 0.0), True),
         ("b", (1.0, 0.0, 0.0), False),
