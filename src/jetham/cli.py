@@ -242,8 +242,7 @@ def cmd_christoffel(problem: Problem) -> Report:
     shown = Components(n, [*(entry for _, entry, _ in nonzero), H])
     checked = (
         Components(n, [h.h11, inverse_time(h)]),
-        *(Components(n, m) for m in (g.g, g.inverse, g.derivatives)),
-        gamma,
+        *(Components(n, m) for m in (g.g, g.inverse, g.derivatives, gamma.comps)),
     )
     compile_together((shown, *checked))
     for q in problem.points[:3]:

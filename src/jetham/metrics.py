@@ -197,9 +197,9 @@ def compatibility_residuals(dg: np.ndarray, gamma: np.ndarray, g: np.ndarray) ->
     (i, j, k) and then l gives."""
     value = dg.copy()
     for l in range(g.shape[-1]):
-        # gamma^l_ki g_lj at [i, j, k], then gamma^l_kj g_il
-        value -= gamma[:, l].mT[:, :, None, :] * g[:, l][:, None, :, None]
-        value -= gamma[:, l].mT[:, None, :, :] * g[:, :, l][:, :, None, None]
+        plane = gamma[:, l].mT  # plane[:, a, k] = gamma^l_ka
+        value -= plane[:, :, None, :] * g[:, l][:, None, :, None]  # gamma^l_ki g_lj
+        value -= plane[:, None, :, :] * g[:, :, l][:, :, None, None]  # gamma^l_kj g_il
     return np.abs(value).reshape(len(value), -1).max(axis=1)
 
 
