@@ -412,10 +412,12 @@ def _parser() -> _Parser:
         allow_abbrev=False,
     )
     parser.valued = set()  # the options that take a value, for _joined
+    parser.options = {"-h", "--help"}  # every option a command defines
 
     def option(sub, *names, **kwargs):
         if sub.add_argument(*names, **kwargs).nargs != 0:
             parser.valued.update(names)
+        parser.options.update(names)
 
     commands = parser.add_subparsers(title="commands", dest="command", required=True)
     for name, summary in _COMMANDS.items():
@@ -434,14 +436,15 @@ def _parser() -> _Parser:
     return parser
 
 
-def _joined(argv: list[str], valued: set[str]) -> list[str]:
+def _joined(argv: list[str], valued: set[str], options: set[str]) -> list[str]:
     """argv with each valued option joined to the token after it ("--at
     -1.2,..." -> "--at=-1.2,..."): argparse would read a value that starts
-    with "-" as an option.  A token that starts with "--" is the next
-    option, not a value, so the option before it is left missing one."""
+    with "-" as an option.  A token that names an option ("--json",
+    "--at=...") is the next option, not a value, so the option before it is
+    left missing one; any other token, "--,1.1,..." too, is the value."""
     joined: list[str] = []
     for arg in argv:
-        if joined and joined[-1] in valued and not arg.startswith("--"):
+        if joined and joined[-1] in valued and arg.split("=")[0] not in options:
             joined[-1] += "=" + arg
         else:
             joined.append(arg)
@@ -452,7 +455,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command line; return its exit code (see the module docstring)."""
     try:
         parser = _parser()
-        args = parser.parse_args(_joined(sys.argv[1:] if argv is None else argv, parser.valued))
+        argv = sys.argv[1:] if argv is None else argv
+        args = parser.parse_args(_joined(argv, parser.valued, parser.options))
         code = _run(args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return code

@@ -794,8 +794,24 @@ def test_usage_error_exits_3(runner, args):
         assert "unrecognized arguments: --bogus" in result.stderr, result.stderr
     # an option followed by another option is named as missing its value
     for option, following in zip(args, args[1:]):
-        if option in ("--json", "--problem") and following.startswith("--"):
+        if option in ("--json", "--problem") and following.split("=")[0] in _OPTIONS:
             assert f"argument {option}: expected one argument" in result.stderr, result.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "--problem", str(EXAMPLE), "--object", "liouville", "--at", "--,1.1,1.3,0.7,-1.3"],
+        ["verify", "--problem", "--no-such-problem.json"],
+    ],
+)
+def test_a_value_that_starts_with_two_minuses_is_a_bad_value(runner, args):
+    # only a token that names an option ends the option before it; any other
+    # token is its value, so a bad one is reported as such, not as a usage error
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3, result.output
+    assert "usage:" not in result.stderr, result.stderr
+    assert result.stderr.startswith("error: "), result.stderr
 
 
 @pytest.mark.parametrize("args", [["--help"], ["verify", "--help"]])
