@@ -12,6 +12,7 @@ index), so identical problem files produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from contextlib import suppress
@@ -32,7 +33,7 @@ from .dtensor import (
     vertical_metrical,
 )
 from .errors import JethamError
-from .expr import Components, Expr, Point, compile_together
+from .expr import Components, Expr, Point, compile_together, evaluate_together
 from .frames import adapted_frames, frames_from_values, pairing, verify_adapted_tensoriality
 from .metrics import (
     SpaceMetric,
@@ -176,7 +177,7 @@ def _canonical_consistency(problem: Problem, origin: _Chart) -> Report:
     parts = (N.temporal, N_from_G.temporal, N.spatial, N_from_G.spatial)
     return check_points(
         problem.points, problem.tolerance, ("connection.canonical_consistency",),
-        lambda q: tuple(part.evaluate(q) for part in parts),
+        lambda points: evaluate_together((part, points) for part in parts),
         lambda a, b, c, d: (np.maximum(worst_residuals(a, b), worst_residuals(c, d)),),
     )
 
@@ -186,7 +187,7 @@ def _duality(problem: Problem, origin: _Chart) -> Report:
     N, size = origin.connection, 2 * problem.n + 1
     return check_points(
         problem.points, DUALITY_TOL, ("frames.duality",),
-        lambda q: (N.temporal.evaluate(q), N.spatial.evaluate(q)),
+        lambda points: evaluate_together([(N.temporal, points), (N.spatial, points)]),
         lambda N1, N2: (
             np.max(np.abs(pairing(*frames_from_values(N1, N2)) - np.eye(size)), axis=(1, 2)),
         ),
@@ -253,7 +254,7 @@ def cmd_christoffel(problem: Problem) -> Report:
     return check_points(
         problem.points, problem.tolerance,
         ("metrics.inverse_time", "metrics.inverse_space", "metrics.compatibility"),
-        lambda q: tuple(obj.evaluate(q) for obj in checked),
+        lambda points: evaluate_together((obj, points) for obj in checked),
         lambda pair, gmat, ginv, dg, symbols: (
             worst_residuals(pair[:, :1] * pair[:, 1:], np.ones((len(pair), 1))),
             np.max(np.abs(gmat @ ginv - np.eye(n)), axis=(1, 2)),
@@ -357,6 +358,8 @@ def _run(args) -> int:
     if args.command == "eval":
         try:
             at = Point.from_flat([float(v) for v in args.at.split(",")], problem.n)
+            if not all(map(math.isfinite, at.flat())):
+                raise ValueError(f"{args.at!r} has a coordinate that is not finite")
         except (ValueError, JethamError) as ex:
             raise JethamError(f"bad --at point: {ex}") from None
         cmd_eval(problem, args.object, at)

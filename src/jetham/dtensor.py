@@ -23,9 +23,9 @@ import numpy as np
 
 from .charts import CoordChange, TransitionData, induced_point, transition
 from .errors import SignatureMismatchError
-from .expr import Components, Expr, Point, Var, const, pvar
+from .expr import Components, Expr, Point, Var, const, evaluate_together, pvar
 from .metrics import SpaceMetric, TimeMetric, inverse_time
-from .report import Report, check_points, worst_residuals
+from .report import Report, check_points, stack, visiting, worst_residuals
 
 __all__ = [
     "IndexKind",
@@ -125,18 +125,20 @@ def verify_dtensor(
         )
     inverse = c.inverse()
 
-    def gather(q):
+    def visit(q):
         image = induced_point(c, q)
-        td = transition(c, q)
-        old, new = T_old.evaluate(q), T_new.evaluate(image)
-        return td, old, new, transition(inverse, image)
+        return image, transition(c, q), transition(inverse, image)
+
+    def read(points, images, tds, tds_inverse):
+        old, new = evaluate_together([(T_old, points), (T_new, images)])
+        return stack(tds), old, new, stack(tds_inverse)
 
     def law(td, old, new, td_inverse):
         pushed = _transform(T_old.signature, td, old)
         pulled = _transform(T_new.signature, td_inverse, new)
         return (np.maximum(worst_residuals(pushed, new), worst_residuals(pulled, old)),)
 
-    return check_points(points, tol, (check_id,), gather, law, chart)
+    return check_points(points, tol, (check_id,), visiting(visit, read), law, chart)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -62,6 +62,7 @@ __all__ = [
     "compose",
     "Program",
     "Components",
+    "evaluate_together",
     "compile_together",
 ]
 
@@ -132,11 +133,16 @@ class Point:
 
     @cached_property
     def key(self) -> bytes:
-        """The exact float bits of the point, the key of every per-point
-        memo: 0.0 and -0.0 are two points."""
+        """The exact float bits of the point, the key of every memo and
+        table by point: 0.0 and -0.0 are two points."""
         return struct.pack(f"{2 * self.n + 1}d", self.t, *self.x, *self.p)
 
     def flat(self) -> tuple[float, ...]:
+        """(t, x..., p...): one tuple per point, the same on every call."""
+        return self._flat
+
+    @cached_property
+    def _flat(self) -> tuple[float, ...]:
         return (self.t, *self.x, *self.p)
 
     def coord(self, v: Var) -> float:
@@ -917,9 +923,11 @@ class Components:
     that checks it.  comps is coerced to an object array of Expr, of
     whatever shape the object needs; indexing and iteration go to it.
 
-    Its components are a span of one program's roots, run once per point:
-    ``compile_together`` gives several objects one program, and an object
-    evaluated before any such call compiles its own.
+    Its components are a span of one program's roots, whose values at a
+    point set are one table with the points on its first axis:
+    ``compile_together`` gives several objects one program and one table
+    per point set, and an object evaluated before any such call compiles
+    its own.
     """
 
     n: int
@@ -935,26 +943,60 @@ class Components:
         return iter(self.comps)
 
     @cached_property
-    def _span(self) -> tuple[Program, dict[bytes, list[float]], int, int]:
+    def _span(self) -> tuple[Program, dict[bytes, np.ndarray], int, int]:
         return Program(self.comps.flat), {}, 0, self.comps.size
 
-    def evaluate(self, q: Point) -> np.ndarray:
-        """Component values at q, in the shape of comps, as a new array."""
-        program, memo, start, stop = self._span
-        key = q.key
-        if key not in memo:
-            memo[key] = program.run(q)
-        return np.array(memo[key][start:stop], dtype=float).reshape(self.comps.shape)
+    def evaluate(self, points: Point | Sequence[Point]) -> np.ndarray:
+        """Component values at each point, stacked on a leading points axis
+        in the shape of comps, as a new array; one Point gives its values
+        alone.  See ``evaluate_together``."""
+        if isinstance(points, Point):
+            return evaluate_together([(self, (points,))])[0][0]
+        return evaluate_together([(self, points)])[0]
+
+
+def evaluate_together(reads: Iterable[tuple[Components, Sequence[Point]]]) -> list[np.ndarray]:
+    """The values of each (object, points) read, stacked on a leading points
+    axis in the shape of its comps, as new arrays.
+
+    Each read is a slice of its program's table at that point set, built
+    once: one run per distinct point (0.0 and -0.0 are two points), kept
+    while the program lives.  The programs still without a table run in
+    step, point by point and, at each point, in read order, so the error
+    raised is the one a point-by-point read of the objects meets first.  A
+    table whose runs raised is not kept.
+    """
+    reads = [(obj, tuple(points)) for obj, points in reads]
+    spans, builds = [], {}
+    for obj, points in reads:
+        program, tables, start, stop = obj._span
+        key = b"".join(q.key for q in points)
+        spans.append((tables, key, start, stop))
+        if key not in tables:
+            # a table to build: its program's root values by point key
+            builds.setdefault((id(tables), key), (program, points, tables, key, {}))
+    builds = list(builds.values())
+    for i in range(max((len(points) for _, points, *_ in builds), default=0)):
+        for program, points, _, _, values in builds:
+            if i < len(points) and points[i].key not in values:
+                values[points[i].key] = program.run(points[i])
+    for program, points, tables, key, values in builds:
+        table = np.array([values[q.key] for q in points], dtype=float)
+        tables[key] = table.reshape(len(points), len(program._roots))
+    return [
+        np.array(tables[key][:, start:stop]).reshape(len(points), *obj.comps.shape)
+        for (obj, points), (tables, key, start, stop) in zip(reads, spans)
+    ]
 
 
 def compile_together(objects: Iterable[Components]) -> None:
-    """Compile the objects' components into one program and one memo of its
-    values per point, which every object reads its span of.  Neither holds
-    an object, so objects sharing them form no reference cycle."""
+    """Compile the objects' components into one program, whose table of
+    values per point set every object reads its span of.  Neither holds an
+    object, so objects sharing them form no reference cycle."""
     objects = list(dict.fromkeys(objects))
-    program, memo, start = Program(e for obj in objects for e in obj.comps.flat), {}, 0
+    program, tables, start = Program(e for obj in objects for e in obj.comps.flat), {}, 0
     for obj in objects:
-        vars(obj)["_span"] = (program, memo, start, start + obj.comps.size)  # preset the cache
+        vars(obj)["_span"] = (program, tables, start, start + obj.comps.size)  # preset the cache
         start += obj.comps.size
 
 

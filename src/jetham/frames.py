@@ -23,9 +23,9 @@ from .charts import (
     transition,
 )
 from .errors import DimensionError
-from .expr import Point
+from .expr import Point, evaluate_together
 from .nlconn import NonlinearConnection, verify_connection_law
-from .report import Report, check_points
+from .report import Report, check_points, stack, visiting
 
 __all__ = [
     "adapted_frames",
@@ -124,12 +124,16 @@ def _verify_blocks(
     blocks = block[:, None] == block[None, :]
     inverse = c.inverse()
 
-    def gather(q):
+    def visit(q):
         td = transition(c, q)
         image = induced_point(c, q)
-        td_inv = transition(inverse, image)
-        new = N_new.temporal.evaluate(image), N_new.spatial.evaluate(image)
-        return td, td_inv, *new, N_old.temporal.evaluate(q), N_old.spatial.evaluate(q)
+        return td, image, transition(inverse, image)
+
+    def read(points, tds, images, tds_inverse):
+        return stack(tds), stack(tds_inverse), *evaluate_together([
+            (N_new.temporal, images), (N_new.spatial, images),
+            (N_old.temporal, points), (N_old.spatial, points),
+        ])
 
     def law(td, td_inv, new_t, new_s, old_t, old_s):
         A = natural_frame_matrix(td)
@@ -148,5 +152,5 @@ def _verify_blocks(
 
     return check_points(
         points, tol, ("frames.frame_tensoriality", "frames.coframe_tensoriality"),
-        gather, law, chart,
+        visiting(visit, read), law, chart,
     )

@@ -20,9 +20,9 @@ from typing import Sequence
 
 from .charts import CoordChange, induced_point, transition
 from .errors import DimensionError
-from .expr import Components, Point, Var, const, esum, pvar
+from .expr import Components, Point, Var, const, esum, evaluate_together, pvar
 from .metrics import SpaceMetric, TimeMetric, christoffel_time
-from .report import Report, check_points, worst_residuals
+from .report import Report, check_points, stack, visiting, worst_residuals
 from .spray import MomentumSemispray
 
 __all__ = [
@@ -111,11 +111,14 @@ def verify_connection_law(
     if N_old.n != c.n or N_new.n != c.n:
         raise DimensionError("connection and change dimensions differ")
 
-    def gather(q):
-        td = transition(c, q)
-        image = induced_point(c, q)
-        old_t, old_s = N_old.temporal.evaluate(q), N_old.spatial.evaluate(q)
-        return td, old_t, old_s, N_new.temporal.evaluate(image), N_new.spatial.evaluate(image)
+    def visit(q):
+        return transition(c, q), induced_point(c, q)
+
+    def read(points, tds, images):
+        return stack(tds), *evaluate_together([
+            (N_old.temporal, points), (N_old.spatial, points),
+            (N_new.temporal, images), (N_new.spatial, images),
+        ])
 
     def law(td, old_t, old_s, new_t, new_s):
         J = td.jac_inv
@@ -125,5 +128,6 @@ def verify_connection_law(
         return worst_residuals(new_t, want_t), worst_residuals(new_s, want_s)
 
     return check_points(
-        points, tol, ("connection.temporal", "connection.spatial"), gather, law, chart
+        points, tol, ("connection.temporal", "connection.spatial"), visiting(visit, read), law,
+        chart,
     )

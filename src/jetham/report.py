@@ -15,6 +15,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .errors import JethamError
+
 __all__ = [
     "residual",
     "worst_residual",
@@ -23,6 +25,7 @@ __all__ = [
     "CheckRecord",
     "Report",
     "check_points",
+    "visiting",
     "report_to_json",
 ]
 
@@ -117,27 +120,48 @@ def check_points(
 ) -> Report:
     """The records of checks run over all points at once, in point order.
 
-    gather(q) returns what the checks read at q; it is called point by
-    point in order, so an error is the one the first failing point raises.
-    law receives each gathered item stacked on a leading points axis (see
-    ``stack``) and returns, in check_ids order, each check's worst residual
-    at every point.  Each becomes a record of chart that passes when it is
-    within tol.  Array arithmetic that overflows gives inf or NaN silently, as float
-    arithmetic does: the residual it leads to fails the record.
+    gather(points) is called once and returns what the checks read, each
+    item stacked on a leading points axis; where it fails at several
+    points, it raises the first failing point's error (see ``visiting``
+    and ``expr.evaluate_together``).  law receives the gathered items and
+    returns, in check_ids order, each check's worst residual at every
+    point.  Each becomes a record of chart that passes when it is within
+    tol.  Array arithmetic that overflows gives inf or NaN silently, as
+    float arithmetic does: the residual it leads to fails the record.
     """
     points = tuple(points)
     if not points:
         return Report(())
     with np.errstate(over="ignore", invalid="ignore"):
-        gathered = [gather(q) for q in points]
-        stacks = [stack(column) for column in zip(*gathered)]
-        worst = law(*stacks)
+        worst = law(*gather(points))
     records = []
-    for q, row in zip(points, zip(*(np.asarray(w, dtype=float).tolist() for w in worst))):
+    for q, row in zip(points, np.asarray(worst, dtype=float).T.tolist(), strict=True):
         flat = q.flat()
         for c, r in zip(check_ids, row, strict=True):
             records.append(CheckRecord(c, chart, flat, r, r <= tol))
     return Report(tuple(records))
+
+
+def visiting(visit: Callable, read: Callable[..., tuple]) -> Callable[[Sequence], tuple]:
+    """A gather for ``check_points`` that calls visit(q) at each point in
+    turn (a law's chart calls, in its order) and then read(points, *columns),
+    column k holding item k of every visit, for the values read there at
+    once.  Where a visit raises, the values are first read at the points
+    before it, so the error raised is the first failing point's, and at
+    that point the visit's."""
+
+    def gather(points):
+        visits = []
+        try:
+            for q in points:
+                visits.append(visit(q))
+        except JethamError:
+            if visits:
+                read(points[: len(visits)], *zip(*visits))
+            raise
+        return read(points, *zip(*visits))
+
+    return gather
 
 
 def _number_or_null(value: float) -> str:
@@ -154,17 +178,10 @@ def _json_block(items: list[str], indent: str, brackets: str) -> str:
     return f"{brackets[0]}\n{indent}  {inner}\n{indent}{brackets[1]}" if items else brackets
 
 
-def _record_json(r: CheckRecord) -> str:
-    if not all(map(math.isfinite, r.point)):
-        raise ValueError(f"point {r.point} is not finite: JSON has no value for it")
-    point = _json_block(list(map(float.__repr__, r.point)), "      ", "[]")
-    return _json_block([
-        f'"chart": {encode_basestring_ascii(r.chart)}',
-        f'"check_id": {encode_basestring_ascii(r.check_id)}',
-        f'"pass": {_bool(r.passed)}',
-        f'"point": {point}',
-        f'"residual": {_number_or_null(r.residual)}',
-    ], "    ", "{}")
+def _point_json(point: tuple[float, ...]) -> str:
+    if not all(map(math.isfinite, point)):
+        raise ValueError(f"point {point} is not finite: JSON has no value for it")
+    return _json_block(list(map(float.__repr__, point)), "      ", "[]")
 
 
 def report_to_json(report: Report) -> str:
@@ -172,7 +189,11 @@ def report_to_json(report: Report) -> str:
     the bytes ``json.dumps(payload, sort_keys=True, indent=2)`` writes for
     the report's fields, from a writer that knows their schema.  A
     non-finite residual or family maximum is written as null (its record
-    already fails), so the output is always valid JSON."""
+    already fails), so the output is always valid JSON.
+
+    Each point's text is rendered once per report.  The records of one
+    sample point share its tuple (``Point.flat``), so the text is kept by
+    the tuple's identity: equality would confuse 0.0 with -0.0."""
     maxima = [
         f"{encode_basestring_ascii(family)}: {_number_or_null(value)}"
         for family, value in sorted(report.max_residual_by_family().items())
@@ -183,7 +204,19 @@ def report_to_json(report: Report) -> str:
     tail = f',\n  "summary": {_json_block(summary, "  ", "{}")}\n}}\n'
     if not report.records:
         return '{\n  "records": []' + tail
+    points: dict[int, str] = {}  # id of a point tuple -> its text
+    texts = []
+    for r in report.records:
+        point = points.get(id(r.point))
+        if point is None:
+            point = points[id(r.point)] = _point_json(r.point)
+        texts.append(
+            f'{{\n      "chart": {encode_basestring_ascii(r.chart)},'
+            f'\n      "check_id": {encode_basestring_ascii(r.check_id)},'
+            f'\n      "pass": {_bool(r.passed)},'
+            f'\n      "point": {point},'
+            f'\n      "residual": {_number_or_null(r.residual)}\n    }}'
+        )
     # one join of the records and one of the whole: the report is the
     # largest string a verdict builds, so it is copied no more than that
-    records = ",\n    ".join(map(_record_json, report.records))
-    return "".join(('{\n  "records": [\n    ', records, "\n  ]", tail))
+    return "".join(('{\n  "records": [\n    ', ",\n    ".join(texts), "\n  ]", tail))

@@ -15,9 +15,9 @@ from typing import Sequence
 
 from .charts import CoordChange, induced_point, transition
 from .errors import DimensionError
-from .expr import Components, Expr, Point, const, esum, pvar
+from .expr import Components, Expr, Point, const, esum, evaluate_together, pvar
 from .metrics import SpaceMetric, TimeMetric, christoffel_time
-from .report import Report, check_points, worst_residuals
+from .report import Report, check_points, stack, visiting, worst_residuals
 
 __all__ = [
     "MomentumSemispray",
@@ -88,10 +88,12 @@ def _verify_semispray_law(
     if G_old.comps.shape != (c.n, c.n) or G_new.comps.shape != (c.n, c.n):
         raise DimensionError("semispray and change dimensions differ")
 
-    def gather(q):
-        td = transition(c, q)
-        image = induced_point(c, q)
-        return td, q.p, G_old.evaluate(q), G_new.evaluate(image)
+    def visit(q):
+        return transition(c, q), induced_point(c, q)
+
+    def read(points, tds, images):
+        old, new = evaluate_together([(G_old, points), (G_new, images)])
+        return stack(tds), stack([q.p for q in points]), old, new
 
     # both sides are doubled, as the laws are written: below ABS_FLOOR a
     # residual is absolute, so halving them would halve it
@@ -100,7 +102,7 @@ def _verify_semispray_law(
         homogeneous = td.dt_tilde_dt[:, None, None] * (J.mT @ old @ J)
         return (worst_residuals(2.0 * new, 2.0 * homogeneous - inhomogeneous(td, p)),)
 
-    return check_points(points, tol, (check_id,), gather, law, chart)
+    return check_points(points, tol, (check_id,), visiting(visit, read), law, chart)
 
 
 def verify_temporal_law(

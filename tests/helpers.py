@@ -61,7 +61,7 @@ from jetham.charts import (
 from jetham.dtensor import DTensor, IndexKind
 from jetham.metrics import SpaceMetric, TimeMetric
 from jetham.nlconn import NonlinearConnection
-from jetham.report import Report, check_points, residual, worst_residual
+from jetham.report import Report, check_points, residual, stack, worst_residual
 from jetham.spray import MomentumSemispray
 
 # Cardano's closed-form inverse of y = s + s^3 (written in the DSL with the
@@ -389,10 +389,10 @@ def verify_frame_rules(c: CoordChange, q: Point, tol: float = 1e-9) -> Report:
     """
     size = 2 * c.n + 1
 
-    def gather(q):
-        td = transition(c, q)
-        td_inv = transition(c.inverse(), induced_point(c, q))
-        return (natural_coframe_matrix(td, td_inv) @ natural_frame_matrix(td).T,)
+    def gather(points):
+        td = stack([transition(c, q) for q in points])
+        td_inv = stack([transition(c.inverse(), induced_point(c, q)) for q in points])
+        return (natural_coframe_matrix(td, td_inv) @ natural_frame_matrix(td).mT,)
 
     def law(pairings):
         # one residual per matrix entry, row-major, at every point

@@ -814,6 +814,18 @@ def test_a_value_that_starts_with_two_minuses_is_a_bad_value(runner, args):
     assert result.stderr.startswith("error: "), result.stderr
 
 
+@pytest.mark.parametrize(
+    "obj, at",
+    [("liouville", "nan,1.1,1.3,0.7,-1.3"), ("vertical_metrical", "1.2,1.1,1.3,0.7,nan")],
+)
+def test_a_non_finite_at_point_is_a_bad_value(runner, obj, at):
+    # as in a problem file, where the same point is an input error too
+    result = runner.invoke(main, ["eval", "--problem", str(EXAMPLE), "--object", obj, "--at", at])
+    assert result.exit_code == 3, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: bad --at point: "), result.stderr
+
+
 @pytest.mark.parametrize("args", [["--help"], ["verify", "--help"]])
 def test_help_exits_0(runner, args):
     result = runner.invoke(main, args)

@@ -45,6 +45,7 @@ from jetham.expr import (
     const,
     diff,
     evaluate,
+    evaluate_together,
     parse,
     pvar,
     tvar,
@@ -657,33 +658,39 @@ class TestComponentsCompiledTogether:
     def test_signed_zero_points_are_two_points(self):
         grouped, other = self._pair()
         compile_together([grouped, other])
-        for x in (0.0, -0.0, 0.0):
-            q = Point.make(1.0, [x], [1.0])
-            alone, alone_other = self._pair()
-            assert _bits(grouped.evaluate(q)) == _bits(alone.evaluate(q))
-            assert _bits(other.evaluate(q).ravel()) == _bits(alone_other.evaluate(q).ravel())
-        assert _bits(grouped.evaluate(Point.make(1.0, [-0.0], [1.0]))) == _bits([-0.0, 0.0])
+        points = [Point.make(1.0, [x], [1.0]) for x in (0.0, -0.0, 0.0)]
+        alone, alone_other = self._pair()
+        assert _bits(grouped.evaluate(points).ravel()) == _bits(alone.evaluate(points).ravel())
+        assert _bits(other.evaluate(points).ravel()) == _bits(alone_other.evaluate(points).ravel())
+        assert _bits(grouped.evaluate(points)[1]) == _bits([-0.0, 0.0])
+        # a point set read alone is its own table, under its own signs
+        for x in (0.0, -0.0):
+            (row,) = grouped.evaluate([Point.make(1.0, [x], [1.0])])
+            assert _bits(row) == _bits([x, -x])
 
     def test_returned_array_is_the_callers(self):
         grouped, other = self._pair()
         compile_together([grouped, other])
-        q = Point.make(1.0, [0.5], [1.0])
-        first = grouped.evaluate(q)
+        points = [Point.make(1.0, [x], [1.0]) for x in (0.5, 1.5)]
+        first = grouped.evaluate(points)
         first[:] = 99.0
-        other.evaluate(q)[0, 0] = 99.0
-        assert grouped.evaluate(q).tolist() == [math.sin(0.5), -0.5]
-        assert other.evaluate(q).tolist() == [[0.25]]
+        other.evaluate(points)[0, 0, 0] = 99.0
+        assert grouped.evaluate(points).tolist() == [[math.sin(x), -x] for x in (0.5, 1.5)]
+        assert other.evaluate(points).tolist() == [[[0.25]], [[2.25]]]
 
     def test_one_program_runs_once_per_point(self, monkeypatch):
         grouped, other = self._pair()
         compile_together([grouped, other, grouped])
         runs = []
         run = Program.run
-        monkeypatch.setattr(Program, "run", lambda self, q: runs.append(self) or run(self, q))
-        for x in (0.5, 0.5, 1.5):
-            q = Point.make(1.0, [x], [1.0])
-            grouped.evaluate(q), other.evaluate(q)
-        assert len(runs) == 2 and runs[0] is runs[1]
+        monkeypatch.setattr(
+            Program, "run", lambda self, q: runs.append((self, q.x)) or run(self, q)
+        )
+        points = [Point.make(1.0, [x], [1.0]) for x in (0.5, 0.5, 1.5)]
+        for _ in range(2):
+            grouped.evaluate(points), other.evaluate(points)
+        evaluate_together([(grouped, points), (other, points)])
+        assert [x for _, x in runs] == [(0.5,), (1.5,)] and runs[0][0] is runs[1][0]
 
 
 _VARS = st.sampled_from(

@@ -29,8 +29,10 @@ from helpers import (
     sampled_points,
 )
 from jetham import cli
+from jetham.charts import CoordChange
 from jetham.dtensor import DTensor, IndexKind, verify_dtensor
-from jetham.expr import const
+from jetham.errors import JethamError
+from jetham.expr import Point, const, parse, tvar
 from jetham.frames import _verify_blocks
 from jetham.nlconn import verify_connection_law
 from jetham.problem import ChartSpec, Problem, load_problem
@@ -146,3 +148,28 @@ def test_an_overflowing_law_fails_its_record_and_writes_null():
         payload = json.loads(report_to_json(report))
         assert [r["residual"] for r in payload["records"]] == [None, None]
         assert payload["summary"] == {"max_residual": {"dtensor": None}, "pass": False}
+
+
+def _space_vector(text: str) -> DTensor:
+    return DTensor(1, np.array([parse(text, 1)], dtype=object), (IndexKind.SPACE_UP,))
+
+
+@pytest.mark.parametrize(
+    "change, old, new, xs, error",
+    [
+        # the new values fail at the image of point 0, the old ones at point 1
+        (identity_change(1), "1 / (x1 - 2)", "log(x1 - 1.5)", (1.0, 2.0), "log of a non-positive"),
+        # the old values fail at point 0, the change is singular at point 1
+        (
+            CoordChange(1, tvar(), tvar(), (parse("x1^3", 1),), (parse("x1^(1/3)", 1),)),
+            "1 / (x1 - 1)", "x1", (1.0, 0.0), "division by zero",
+        ),
+    ],
+    ids=["values", "chart"],
+)
+def test_the_first_failing_point_raises_its_error(change, old, new, xs, error):
+    # the values are read over all points at once, yet the error is the one
+    # a point-by-point law meets first
+    points = [Point.make(1.0, [x], [1.0]) for x in xs]
+    with pytest.raises(JethamError, match=error):
+        verify_dtensor(_space_vector(old), _space_vector(new), change, points)

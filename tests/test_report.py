@@ -92,7 +92,9 @@ def test_report_maxima_propagate_nan():
 def test_check_points_records_each_check_at_each_point_in_order():
     points = [Point.make(t, [0.0], [0.0]) for t in (1.0, 2.0)]
     report = check_points(
-        points, 0.5, ("a", "b"), lambda q: (q.t / 3, math.nan), lambda a, b: (a, b)
+        points, 0.5, ("a", "b"),
+        lambda points: (np.array([q.t / 3 for q in points]), np.full(len(points), math.nan)),
+        lambda a, b: (a, b),
     )
     assert [(r.check_id, r.point, r.passed) for r in report.records] == [
         ("a", (1.0, 0.0, 0.0), True),
@@ -136,9 +138,11 @@ def _record(chart="c0", point=(1.0, 0.5, -0.25), value=1e-13, check_id="a"):
         [_record(check_id="\u00fcber", chart="\t\n"), _record(check_id="a")],
         [_record(point=(-0.0, 5e-324, 1e16)), _record(point=(0.0, -1e16, 1.7976931348623157e308))],
         [_record(point=(0.1, 2.5e-7, 123456789.0)), _record(value=0.0), _record(value=2.0)],
+        # equal as tuples, yet each is written with its own sign
+        [_record(point=(-0.0, 1.0, 2.0)), _record(point=(0.0, 1.0, 2.0))],
     ],
     ids=["empty", "non_finite", "chart_escapes", "check_id_escapes", "edge_coordinates",
-         "mixed"],
+         "mixed", "signed_zero_twins"],
 )
 def test_writer_matches_json_dumps(records):
     report = Report.of(records)
