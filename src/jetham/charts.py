@@ -11,10 +11,19 @@ momenta.  All transition factors, including the inhomogeneous ones
 (dp~/dt needs the second derivative of t~), come from exact symbolic
 differentiation of the composed momentum expression.
 
-Each change compiles the expressions a transition evaluates into five
-``Program`` stages and keeps, per point, the image and the transition data
-it computed, so the laws that all contract with the same factors evaluate
-them once per (change, point).
+Each change compiles the expressions a transition evaluates into three
+``Program``s, run in this order at a point new to it: the regularity
+program (dt~/dt, checked, then the Jacobian, whose determinant is
+checked), the forward program (the image and the momentum derivatives
+dp~/dt, dp~/dx) and, at the image, the inverse factor program (dt/dt~ and
+dx/dx~, for the inverse cross-checks).  Regularity runs apart from the
+momentum map, which usually leaves its domain at a singular point (x~ =
+x^3 at x = 0), so that the error names the cause.  Of two faults at one
+point, a Jacobian's DomainError comes before a singular dt~/dt, and a
+momentum derivative that is not finite or leaves its domain raises from
+``induced_point``, before the inverse cross-checks.  The change keeps,
+per point, what it computed, so the laws that all contract with the same
+factors evaluate them once per (change, point).
 """
 
 from __future__ import annotations
@@ -133,28 +142,21 @@ class CoordChange:
             for e in self.momentum_map
         )
 
-    # -- compiled evaluation stages, in the order a transition runs them ----
+    # -- compiled evaluation programs, in the order a transition runs them --
 
     @cached_property
-    def _dt_program(self) -> Program:
-        return Program([self.dt_fwd])
+    def _regularity_program(self) -> Program:
+        return Program((self.dt_fwd, *_flat(self.jac_fwd)))
 
     @cached_property
-    def _jac_program(self) -> Program:
-        return Program(_flat(self.jac_fwd))
-
-    @cached_property
-    def _image_program(self) -> Program:
-        return Program((self.t_fwd, *self.x_fwd, *self.momentum_map))
+    def _forward_program(self) -> Program:
+        image = (self.t_fwd, *self.x_fwd, *self.momentum_map)
+        return Program((*image, *self.dmomentum_dt, *_flat(self.dmomentum_dx)))
 
     @cached_property
     def _inverse_factor_program(self) -> Program:
         """dt/dt~ and dx/dx~, run at the image point."""
         return Program((self.dt_inv, *_flat(self.jac_inv)))
-
-    @cached_property
-    def _momentum_derivative_program(self) -> Program:
-        return Program((*self.dmomentum_dt, *_flat(self.dmomentum_dx)))
 
     # -- per-point memo -----------------------------------------------------
 
@@ -188,13 +190,13 @@ class TransitionData:
 
 
 class _Visit:
-    """What a change has computed at one point: the image and the regular
-    forward factors, then the transition data once a transition succeeded."""
+    """What a change has computed at one point: the image and the forward
+    factors, then the transition data once a transition succeeded."""
 
-    __slots__ = ("image", "dt", "jac", "data")
+    __slots__ = ("image", "dt", "jac", "dp", "data")
 
-    def __init__(self, image: Point, dt: float, jac: np.ndarray):
-        self.image, self.dt, self.jac = image, dt, jac
+    def __init__(self, image: Point, dt: float, jac: np.ndarray, dp: list[float]):
+        self.image, self.dt, self.jac, self.dp = image, dt, jac, dp
         self.data: TransitionData | None = None
 
 
@@ -206,10 +208,10 @@ def _read_only(values: list[float], shape: tuple[int, ...]) -> np.ndarray:
 
 def _require_regular(c: CoordChange, q: Point) -> tuple[float, np.ndarray]:
     # negated tests, so that NaN (false under every comparison) is rejected
-    (dt,) = c._dt_program.run(q)
+    dt, *jac = c._regularity_program.run(q)
     if not abs(dt) > REGULARITY_EPS:
         raise RegularityError(f"dt~/dt = {dt} at t = {q.t}")
-    jac = _read_only(c._jac_program.run(q), (c.n, c.n))
+    jac = _read_only(jac, (c.n, c.n))
     det = float(np.linalg.det(jac))
     if not abs(det) > REGULARITY_EPS:
         raise RegularityError(f"det(dx~/dx) = {det} at x = {q.x}")
@@ -221,10 +223,10 @@ def _visit(c: CoordChange, q: Point) -> _Visit:
     visit = c._visits.get(q.key)
     if visit is None:
         dt, jac = _require_regular(c, q)
-        values = c._image_program.run(q)
+        values = c._forward_program.run(q)
         n = c.n
-        image = Point(values[0], tuple(values[1 : n + 1]), tuple(values[n + 1 :]))
-        visit = c._visits[q.key] = _Visit(image, dt, jac)
+        image = Point(values[0], tuple(values[1 : n + 1]), tuple(values[n + 1 : 2 * n + 1]))
+        visit = c._visits[q.key] = _Visit(image, dt, jac, values[2 * n + 1 :])
     return visit
 
 
@@ -237,19 +239,15 @@ def induced_point(c: CoordChange, q: Point) -> Point:
 
 def transition(c: CoordChange, q: Point) -> TransitionData:
     """Evaluate every transition factor of c at q (with inverse cross-checks)."""
-    if q.n != c.n:
-        raise DimensionError(f"point has n={q.n}, change has n={c.n}")
     image = induced_point(c, q)
     visit = _visit(c, q)
     if visit.data is None:
-        visit.data = _transition_data(c, q, image, visit.dt, visit.jac)
+        visit.data = _transition_data(c, q, image, visit)
     return visit.data
 
 
-def _transition_data(
-    c: CoordChange, q: Point, image: Point, dt: float, jac: np.ndarray
-) -> TransitionData:
-    n = c.n
+def _transition_data(c: CoordChange, q: Point, image: Point, visit: _Visit) -> TransitionData:
+    n, dt, jac, dp = c.n, visit.dt, visit.jac, visit.dp
     dt_inv, *inverse_jac = c._inverse_factor_program.run(image)
     jac_inv = _read_only(inverse_jac, (n, n))
 
@@ -262,7 +260,6 @@ def _transition_data(
     if not np.max(np.abs(jac @ jac_inv - np.eye(n))) <= INVERSE_CHECK_TOL:
         raise ChartInverseError(f"x_inv is not the inverse of x_fwd at x={q.x}")
 
-    dp = c._momentum_derivative_program.run(q)
     return TransitionData(
         dt_tilde_dt=dt,
         dt_dt_tilde=dt_inv,

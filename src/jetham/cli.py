@@ -246,8 +246,9 @@ def cmd_christoffel(problem: Problem) -> Report:
         *(Components(n, m) for m in (g.g, g.inverse, g.derivatives, gamma.comps)),
     )
     compile_together((shown, *checked))
-    for q in problem.points[:3]:
-        *values, Hv = shown.evaluate(q).tolist()
+    # the first rows of the table the checks read too
+    for q, row in zip(problem.points[:3], shown.evaluate(problem.points)):
+        *values, Hv = row.tolist()
         gvals = [f"{label}={v:.6g}" for (label, _, _), v in zip(nonzero, values)]
         print(f"  t={q.t:.4g} x={q.x}: H={Hv:.6g} " + " ".join(gvals))
 
@@ -284,8 +285,10 @@ def cmd_canonical(problem: Problem) -> Report:
     print(f"at {q.flat()}:")
     for _, tag, G in sprays:
         print(f"  {tag} = {G.evaluate(q).tolist()}")
-    print(f"  N1 = {N.temporal.evaluate(q).tolist()}")
-    print(f"  N2 = {N.spatial.evaluate(q).tolist()}")
+    # the first rows of the table the consistency check reads too
+    N1, N2 = evaluate_together((part, problem.points) for part in _parts(N))
+    print(f"  N1 = {N1[0].tolist()}")
+    print(f"  N2 = {N2[0].tolist()}")
     return _family(problem, charts, "connection")
 
 

@@ -42,6 +42,7 @@ from .errors import (
     DimensionError,
     DomainError,
     ExprSyntaxError,
+    JethamError,
     MissingSubstitutionError,
 )
 
@@ -515,7 +516,7 @@ def _coerce(value) -> Expr:
     if isinstance(value, Expr):
         return value
     if isinstance(value, (int, float)):
-        return Const(float(value))
+        return const(value)
     raise TypeError(f"cannot use {type(value).__name__} as an expression")
 
 
@@ -601,7 +602,16 @@ def _neg(a: Expr) -> Expr:
 
 
 def const(value: Number) -> Expr:
-    return Const(float(value))
+    """A constant, which must be a finite double: the printed text of an
+    infinity or a NaN does not parse back."""
+    try:
+        number = float(value)
+    except OverflowError:  # an int too large for a double
+        bits = value.bit_length()
+        raise JethamError(f"integer constant of {bits} bits is not a finite double") from None
+    if not math.isfinite(number):
+        raise JethamError(f"constant {value!r} is not a finite double")
+    return Const(number)
 
 
 def tvar() -> Expr:

@@ -19,8 +19,8 @@ from jetham.charts import (
     scalar_to_new_chart,
     transition,
 )
-from jetham.errors import ChartInverseError, DimensionError, RegularityError
-from jetham.expr import Point, evaluate, parse
+from jetham.errors import ChartInverseError, DimensionError, DomainError, RegularityError
+from jetham.expr import Point, Program, evaluate, parse
 
 from helpers import (
     CARDANO_X1,
@@ -91,6 +91,17 @@ class TestInducedPoint:
         c = simple_chart_1d("t^2", "t^(1/2)", "x1", "x1")
         with pytest.raises(RegularityError):
             induced_point(c, Point.make(0.0, [1.0], [1.0]))
+
+    def test_singular_change_reports_regularity_not_domain(self):
+        # at x = 0 the pulled-back inverse Jacobian (x1^3)^(-2/3) of the
+        # momentum map leaves its domain; the singular Jacobian is the cause
+        c = simple_chart_1d("t", "t", "x1^3", "x1^(1/3)")
+        q = Point.make(1.0, [0.0], [1.0])
+        with pytest.raises(DomainError, match="fractional power of a non-positive base"):
+            Program(c.momentum_map).run(q)
+        for call in (induced_point, transition):
+            with pytest.raises(RegularityError, match=r"det\(dx~/dx\) = 0\.0 at x = \(0\.0,\)"):
+                call(c, q)
 
     def test_round_trip_through_inverse(self):
         c = nonlinear_charts_for(2)["cubic_t"]
@@ -371,13 +382,13 @@ class TestNonFiniteChecks:
             transition(c, self.q)
 
     def test_time_regularity(self):
-        c = with_stage(identity_change(2), "_dt_program", [math.nan])
-        with pytest.raises(RegularityError):
+        c = with_stage(identity_change(2), "_regularity_program", [math.nan, 1.0, 0.0, 0.0, 1.0])
+        with pytest.raises(RegularityError, match="dt~/dt"):
             induced_point(c, self.q)
 
     def test_jacobian_regularity(self):
-        c = with_stage(identity_change(2), "_jac_program", [math.nan, 0.0, 0.0, 1.0])
-        with pytest.raises(RegularityError):
+        c = with_stage(identity_change(2), "_regularity_program", [1.0, math.nan, 0.0, 0.0, 1.0])
+        with pytest.raises(RegularityError, match=r"det\(dx~/dx\)"):
             induced_point(c, self.q)
 
 

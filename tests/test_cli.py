@@ -21,13 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jetham.charts
 import jetham.cli
 import jetham.dtensor
 import jetham.expr
 import jetham.metrics
 import jetham.nlconn
 from jetham.charts import induced_point, transition
-from jetham.cli import SUITES, cmd_christoffel, cmd_verify, main
+from jetham.cli import SUITES, cmd_canonical, cmd_christoffel, cmd_verify, main
 from jetham.expr import Components, Point
 from jetham.problem import load_problem, problem_from_dict
 from jetham.report import report_to_json
@@ -534,26 +535,56 @@ class TestOneEvaluation:
     )
     def test_one_run_per_program_and_point(self, monkeypatch, suite, corrupt):
         problem = load_problem(EXAMPLE)
-        runs, compiled = [], []  # runs keep their programs, so no id is reused
-        run, program = jetham.expr.Program.run, jetham.expr.Program
-
-        def counted_run(self, q):
-            runs.append((self, struct.pack(f"{2 * q.n + 1}d", q.t, *q.x, *q.p)))
-            return run(self, q)
-
-        def counted_program(roots):
-            compiled.append(roots)
-            return program(roots)
-
-        monkeypatch.setattr(jetham.expr.Program, "run", counted_run)
+        runs = counted_runs(monkeypatch)
         # components are compiled inside expr; charts compile their own
-        monkeypatch.setattr(jetham.expr, "Program", counted_program)
+        compiled = counted_programs(monkeypatch, jetham.expr)
         report = cmd_verify(problem, suite, corrupt_connection=corrupt)
         assert report.passed is not corrupt
         assert len(runs) == len({(id(p), key) for p, key in runs})
         # one components program per chart, and the corrupted component of
         # each new chart's connection compiles its own
         assert len(compiled) == 1 + len(problem.charts) * (1 + corrupt)
+
+    @pytest.mark.parametrize("command", [cmd_christoffel, cmd_canonical],
+                             ids=["christoffel", "canonical"])
+    def test_printouts_read_the_tables_of_the_checks(self, monkeypatch, command):
+        problem = load_problem(EXAMPLE)
+        runs = counted_runs(monkeypatch)
+        assert command(problem).passed
+        assert len(runs) == len({(id(p), key) for p, key in runs})
+
+    def test_three_programs_per_chart_change(self, monkeypatch):
+        # regularity, forward and inverse factors, for each change and its
+        # inverse
+        compiled = counted_programs(monkeypatch, jetham.charts)
+        problem = load_problem(EXAMPLE)
+        assert cmd_verify(problem).passed
+        assert len(compiled) == 3 * 2 * len(problem.charts) == 12
+
+
+def counted_runs(monkeypatch) -> list:
+    """Every later ``Program.run`` as (program, point bits); the list keeps
+    the programs, so no id is reused."""
+    runs, run = [], jetham.expr.Program.run
+
+    def counted_run(self, q):
+        runs.append((self, struct.pack(f"{2 * q.n + 1}d", q.t, *q.x, *q.p)))
+        return run(self, q)
+
+    monkeypatch.setattr(jetham.expr.Program, "run", counted_run)
+    return runs
+
+
+def counted_programs(monkeypatch, module) -> list:
+    """The roots of every later ``Program`` that module compiles."""
+    compiled, program = [], module.Program
+
+    def counted_program(roots):
+        compiled.append(roots)
+        return program(roots)
+
+    monkeypatch.setattr(module, "Program", counted_program)
+    return compiled
 
 
 def test_each_law_runs_through_its_name_in_cli(monkeypatch):

@@ -19,6 +19,7 @@ from jetham.errors import (
     DimensionError,
     DomainError,
     ExprSyntaxError,
+    JethamError,
     MissingSubstitutionError,
 )
 from jetham.expr import (
@@ -402,6 +403,17 @@ class TestPrinting:
         # the generated dataclass repr recursed into every operand
         e = parse(" + ".join(f"x1^{k}" for k in range(1, 1501)), 2)
         assert repr(e) == f"<Add {e}>"
+
+    @pytest.mark.parametrize(
+        "value, named",
+        [(math.inf, "constant inf"), (-math.inf, "constant -inf"), (math.nan, "constant nan"),
+         (10**400, "integer constant of 1329 bits")],
+    )
+    def test_non_finite_constant_is_refused(self, value, named):
+        # the printed text of inf or nan would not parse back
+        for build in (lambda: const(value), lambda: value + tvar(), lambda: xvar(0) * value):
+            with pytest.raises(JethamError, match=f"^{named} is not a finite double$"):
+                build()
 
     def test_negative_constant_round_trip(self):
         e = const(-2.5) * xvar(0)
