@@ -152,16 +152,20 @@ def _parts(obj) -> tuple[Components, ...]:
     return (obj.temporal, obj.spatial) if isinstance(obj, NonlinearConnection) else (obj,)
 
 
-def _charts(problem: Problem, suites) -> dict[str, _Chart]:
+def _charts(problem: Problem, suites, shown=()) -> dict[str, _Chart]:
     """A verdict's charts by name; "" is the problem's own chart.  Each chart
-    compiles the objects the suites read, and only those, into one program."""
+    compiles the objects the suites read, and only those, into one program;
+    the own chart's program also holds the objects shown names, which a
+    printout reads."""
     charts = {"": _Chart(problem)}
     for spec in problem.charts:
         charts[spec.name] = _Chart(problem, charts[""], spec.change)
     for chart in charts.values():
         reads = [name for suite in suites for name, _ in _SUITES[suite]]
-        if chart.origin is None and "connection" in suites:
-            reads.append("spray_connection")
+        if chart.origin is None:
+            reads += shown
+            if "connection" in suites:
+                reads.append("spray_connection")
         compile_together(part for name in reads for part in _parts(getattr(chart, name)))
     return charts
 
@@ -174,11 +178,10 @@ def _canonical_consistency(problem: Problem, origin: _Chart) -> Report:
     """The connection built from the metrics against the one built from the
     canonical semispray, in the problem's own chart."""
     N, N_from_G = origin.connection, origin.spray_connection
-    parts = (N.temporal, N_from_G.temporal, N.spatial, N_from_G.spatial)
     return check_points(
         problem.points, problem.tolerance, ("connection.canonical_consistency",),
-        lambda points: evaluate_together((part, points) for part in parts),
         lambda a, b, c, d: (np.maximum(worst_residuals(a, b), worst_residuals(c, d)),),
+        reads=(N.temporal, N_from_G.temporal, N.spatial, N_from_G.spatial),
     )
 
 
@@ -187,10 +190,10 @@ def _duality(problem: Problem, origin: _Chart) -> Report:
     N, size = origin.connection, 2 * problem.n + 1
     return check_points(
         problem.points, DUALITY_TOL, ("frames.duality",),
-        lambda points: evaluate_together([(N.temporal, points), (N.spatial, points)]),
         lambda N1, N2: (
             np.max(np.abs(pairing(*frames_from_values(N1, N2)) - np.eye(size)), axis=(1, 2)),
         ),
+        reads=_parts(N),
     )
 
 
@@ -255,18 +258,18 @@ def cmd_christoffel(problem: Problem) -> Report:
     return check_points(
         problem.points, problem.tolerance,
         ("metrics.inverse_time", "metrics.inverse_space", "metrics.compatibility"),
-        lambda points: evaluate_together((obj, points) for obj in checked),
         lambda pair, gmat, ginv, dg, symbols: (
             worst_residuals(pair[:, :1] * pair[:, 1:], np.ones((len(pair), 1))),
             np.max(np.abs(gmat @ ginv - np.eye(n)), axis=(1, 2)),
             compatibility_residuals(dg, symbols, gmat),
         ),
+        reads=checked,
     )
 
 
 def cmd_canonical(problem: Problem) -> Report:
     """Print canonical semisprays and connection; check their consistency."""
-    n, charts = problem.n, _charts(problem, ("connection",))
+    n, charts = problem.n, _charts(problem, ("connection",), shown=("temporal", "spatial"))
     origin = charts[""]
     sprays = (("temporal", "G1", origin.temporal), ("spatial", "G2", origin.spatial))
     N = origin.connection
@@ -281,14 +284,12 @@ def cmd_canonical(problem: Problem) -> Report:
     for j in range(n):
         for i in range(n):
             print(f"  N2_({j + 1}){i + 1} = {N.spatial[j, i]}")
-    q = problem.points[0]
-    print(f"at {q.flat()}:")
-    for _, tag, G in sprays:
-        print(f"  {tag} = {G.evaluate(q).tolist()}")
+    print(f"at {problem.points[0].flat()}:")
     # the first rows of the table the consistency check reads too
-    N1, N2 = evaluate_together((part, problem.points) for part in _parts(N))
-    print(f"  N1 = {N1[0].tolist()}")
-    print(f"  N2 = {N2[0].tolist()}")
+    parts = (origin.temporal, origin.spatial, *_parts(N))
+    values = evaluate_together((part, problem.points) for part in parts)
+    for tag, v in zip(("G1", "G2", "N1", "N2"), values):
+        print(f"  {tag} = {v[0].tolist()}")
     return _family(problem, charts, "connection")
 
 

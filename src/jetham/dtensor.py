@@ -23,9 +23,9 @@ import numpy as np
 
 from .charts import CoordChange, TransitionData, induced_point, transition
 from .errors import SignatureMismatchError
-from .expr import Components, Expr, Point, Var, const, evaluate_together, pvar
+from .expr import Components, Expr, Point, Var, const, pvar
 from .metrics import SpaceMetric, TimeMetric, inverse_time
-from .report import Report, check_points, stack, visiting, worst_residuals
+from .report import Report, check_points, worst_residuals
 
 __all__ = [
     "IndexKind",
@@ -129,16 +129,14 @@ def verify_dtensor(
         image = induced_point(c, q)
         return image, transition(c, q), transition(inverse, image)
 
-    def read(points, images, tds, tds_inverse):
-        old, new = evaluate_together([(T_old, points), (T_new, images)])
-        return stack(tds), old, new, stack(tds_inverse)
-
-    def law(td, old, new, td_inverse):
+    def law(td, td_inverse, old, new):
         pushed = _transform(T_old.signature, td, old)
         pulled = _transform(T_new.signature, td_inverse, new)
         return (np.maximum(worst_residuals(pushed, new), worst_residuals(pulled, old)),)
 
-    return check_points(points, tol, (check_id,), visiting(visit, read), law, chart)
+    return check_points(
+        points, tol, (check_id,), law, chart, reads=(T_old,), image_reads=(T_new,), visit=visit
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -767,7 +767,7 @@ class Program:
     exponent, found bottom-up with no deep comparison; a constant's is
     its value and sign, so 0.0 and -0.0 keep two slots.  Slots fill in
     depth-first order, operands left to right, but a ``Div`` tests its
-    denominator for zero (once per denominator slot) before visiting its
+    denominator for zero (once per denominator slot) before it walks its
     numerator.  That order decides which DomainError comes first, and a
     duplicate never runs before its original.  Each node has one IEEE
     double operation and its domain checks.

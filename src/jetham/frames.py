@@ -23,9 +23,9 @@ from .charts import (
     transition,
 )
 from .errors import DimensionError
-from .expr import Point, evaluate_together
+from .expr import Point
 from .nlconn import NonlinearConnection, verify_connection_law
-from .report import Report, check_points, stack, visiting
+from .report import Report, check_points
 
 __all__ = [
     "adapted_frames",
@@ -125,17 +125,10 @@ def _verify_blocks(
     inverse = c.inverse()
 
     def visit(q):
-        td = transition(c, q)
         image = induced_point(c, q)
-        return td, image, transition(inverse, image)
+        return image, transition(c, q), transition(inverse, image)
 
-    def read(points, tds, images, tds_inverse):
-        return stack(tds), stack(tds_inverse), *evaluate_together([
-            (N_new.temporal, images), (N_new.spatial, images),
-            (N_old.temporal, points), (N_old.spatial, points),
-        ])
-
-    def law(td, td_inv, new_t, new_s, old_t, old_s):
+    def law(td, td_inv, old_t, old_s, new_t, new_s):
         A = natural_frame_matrix(td)
         B = natural_coframe_matrix(td, td_inv)
         Fn, Cn = frames_from_values(new_t, new_s)
@@ -151,6 +144,7 @@ def _verify_blocks(
         return frame, coframe
 
     return check_points(
-        points, tol, ("frames.frame_tensoriality", "frames.coframe_tensoriality"),
-        visiting(visit, read), law, chart,
+        points, tol, ("frames.frame_tensoriality", "frames.coframe_tensoriality"), law, chart,
+        reads=(N_old.temporal, N_old.spatial), image_reads=(N_new.temporal, N_new.spatial),
+        visit=visit,
     )

@@ -20,9 +20,9 @@ from typing import Sequence
 
 from .charts import CoordChange, induced_point, transition
 from .errors import DimensionError
-from .expr import Components, Point, Var, const, esum, evaluate_together, pvar
+from .expr import Components, Point, Var, const, esum, pvar
 from .metrics import SpaceMetric, TimeMetric, christoffel_time
-from .report import Report, check_points, stack, visiting, worst_residuals
+from .report import Report, check_points, worst_residuals
 from .spray import MomentumSemispray
 
 __all__ = [
@@ -112,13 +112,7 @@ def verify_connection_law(
         raise DimensionError("connection and change dimensions differ")
 
     def visit(q):
-        return transition(c, q), induced_point(c, q)
-
-    def read(points, tds, images):
-        return stack(tds), *evaluate_together([
-            (N_old.temporal, points), (N_old.spatial, points),
-            (N_new.temporal, images), (N_new.spatial, images),
-        ])
+        return induced_point(c, q), transition(c, q)
 
     def law(td, old_t, old_s, new_t, new_s):
         J = td.jac_inv
@@ -128,6 +122,7 @@ def verify_connection_law(
         return worst_residuals(new_t, want_t), worst_residuals(new_s, want_s)
 
     return check_points(
-        points, tol, ("connection.temporal", "connection.spatial"), visiting(visit, read), law,
-        chart,
+        points, tol, ("connection.temporal", "connection.spatial"), law, chart,
+        reads=(N_old.temporal, N_old.spatial), image_reads=(N_new.temporal, N_new.spatial),
+        visit=visit,
     )

@@ -1,9 +1,12 @@
 """Check records, reports, and the shared residual metric.
 
 Every verification operation returns a Report: a flat list of per-check
-records plus summary accessors.  The residual metric is absolute when both
-compared values are tiny (canonical objects vanish identically for flat
-metrics, where relative error is undefined) and relative otherwise.
+records plus summary accessors, built by ``check_points``, which also
+gathers what every law reads: the transition data of its chart calls and
+the values of the objects it names, at the points and at their images.
+The residual metric is absolute when both compared values are tiny
+(canonical objects vanish identically for flat metrics, where relative
+error is undefined) and relative otherwise.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import JethamError
+from .expr import evaluate_together
 
 __all__ = [
     "residual",
@@ -25,7 +29,6 @@ __all__ = [
     "CheckRecord",
     "Report",
     "check_points",
-    "visiting",
     "report_to_json",
 ]
 
@@ -114,54 +117,54 @@ def check_points(
     points: Sequence,
     tol: float,
     check_ids: Sequence[str],
-    gather: Callable[..., tuple],
     law: Callable[..., Sequence],
     chart: str = "",
+    *,
+    reads: Sequence = (),
+    image_reads: Sequence = (),
+    visit: Callable | None = None,
 ) -> Report:
     """The records of checks run over all points at once, in point order.
 
-    gather(points) is called once and returns what the checks read, each
-    item stacked on a leading points axis; where it fails at several
-    points, it raises the first failing point's error (see ``visiting``
-    and ``expr.evaluate_together``).  law receives the gathered items and
-    returns, in check_ids order, each check's worst residual at every
-    point.  Each becomes a record of chart that passes when it is within
-    tol.  Array arithmetic that overflows gives inf or NaN silently, as
-    float arithmetic does: the residual it leads to fails the record.
+    visit(q), where given, is called at each point in turn (a law's chart
+    calls, in its order) and returns the image of q, then the law's
+    transition data.  Each object of reads is then read at the points and
+    each of image_reads at the images, in one ``evaluate_together``, and
+    law(*columns, *values at the points, *values at the images) is called
+    once, column k stacking item k + 1 of every visit (``stack``).  Where a
+    visit raises, the values are first read at the points before it, so the
+    error raised is the first failing point's, and at that point the
+    visit's.  law returns, in check_ids order, each check's worst residual
+    at every point.  Each becomes a record of chart that passes when it is
+    within tol.  Array arithmetic that overflows gives inf or NaN silently,
+    as float arithmetic does: the residual it leads to fails the record.
     """
     points = tuple(points)
     if not points:
         return Report(())
+
+    def values(points, images):
+        return evaluate_together(
+            [*((obj, points) for obj in reads), *((obj, images) for obj in image_reads)]
+        )
+
+    visits = []
     with np.errstate(over="ignore", invalid="ignore"):
-        worst = law(*gather(points))
+        try:
+            for q in points if visit else ():
+                visits.append(visit(q))
+        except JethamError:
+            if visits:
+                values(points[: len(visits)], [image for image, *_ in visits])
+            raise
+        images, *columns = zip(*visits) if visits else ((),)
+        worst = law(*map(stack, columns), *values(points, images))
     records = []
     for q, row in zip(points, np.asarray(worst, dtype=float).T.tolist(), strict=True):
         flat = q.flat()
         for c, r in zip(check_ids, row, strict=True):
             records.append(CheckRecord(c, chart, flat, r, r <= tol))
     return Report(tuple(records))
-
-
-def visiting(visit: Callable, read: Callable[..., tuple]) -> Callable[[Sequence], tuple]:
-    """A gather for ``check_points`` that calls visit(q) at each point in
-    turn (a law's chart calls, in its order) and then read(points, *columns),
-    column k holding item k of every visit, for the values read there at
-    once.  Where a visit raises, the values are first read at the points
-    before it, so the error raised is the first failing point's, and at
-    that point the visit's."""
-
-    def gather(points):
-        visits = []
-        try:
-            for q in points:
-                visits.append(visit(q))
-        except JethamError:
-            if visits:
-                read(points[: len(visits)], *zip(*visits))
-            raise
-        return read(points, *zip(*visits))
-
-    return gather
 
 
 def _number_or_null(value: float) -> str:

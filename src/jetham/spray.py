@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .charts import CoordChange, induced_point, transition
 from .errors import DimensionError
-from .expr import Components, Expr, Point, const, esum, evaluate_together, pvar
+from .expr import Components, Expr, Point, const, esum, pvar
 from .metrics import SpaceMetric, TimeMetric, christoffel_time
-from .report import Report, check_points, stack, visiting, worst_residuals
+from .report import Report, check_points, worst_residuals
 
 __all__ = [
     "MomentumSemispray",
@@ -89,20 +91,19 @@ def _verify_semispray_law(
         raise DimensionError("semispray and change dimensions differ")
 
     def visit(q):
-        return transition(c, q), induced_point(c, q)
-
-    def read(points, tds, images):
-        old, new = evaluate_together([(G_old, points), (G_new, images)])
-        return stack(tds), stack([q.p for q in points]), old, new
+        return induced_point(c, q), transition(c, q)
 
     # both sides are doubled, as the laws are written: below ABS_FLOOR a
     # residual is absolute, so halving them would halve it
-    def law(td, p, old, new):
+    def law(td, old, new):
         J = td.jac_inv
         homogeneous = td.dt_tilde_dt[:, None, None] * (J.mT @ old @ J)
+        p = np.array([q.p for q in points])
         return (worst_residuals(2.0 * new, 2.0 * homogeneous - inhomogeneous(td, p)),)
 
-    return check_points(points, tol, (check_id,), visiting(visit, read), law, chart)
+    return check_points(
+        points, tol, (check_id,), law, chart, reads=(G_old,), image_reads=(G_new,), visit=visit
+    )
 
 
 def verify_temporal_law(

@@ -553,6 +553,13 @@ class TestOneEvaluation:
         assert command(problem).passed
         assert len(runs) == len({(id(p), key) for p, key in runs})
 
+    def test_canonical_compiles_one_program_per_chart(self, monkeypatch):
+        # the printed sprays are rows of the problem's own chart's table
+        compiled = counted_programs(monkeypatch, jetham.expr)
+        problem = load_problem(EXAMPLE)
+        assert cmd_canonical(problem).passed
+        assert len(compiled) == 1 + len(problem.charts) == 3
+
     def test_three_programs_per_chart_change(self, monkeypatch):
         # regularity, forward and inverse factors, for each change and its
         # inverse

@@ -34,7 +34,7 @@ from jetham.dtensor import DTensor, IndexKind, verify_dtensor
 from jetham.errors import JethamError
 from jetham.expr import Point, const, parse, tvar
 from jetham.frames import _verify_blocks
-from jetham.nlconn import verify_connection_law
+from jetham.nlconn import NonlinearConnection, verify_connection_law
 from jetham.problem import ChartSpec, Problem, load_problem
 from jetham.report import report_to_json
 from jetham.spray import verify_spatial_law, verify_temporal_law
@@ -154,6 +154,26 @@ def _space_vector(text: str) -> DTensor:
     return DTensor(1, np.array([parse(text, 1)], dtype=object), (IndexKind.SPACE_UP,))
 
 
+def _connection(text: str) -> NonlinearConnection:
+    e = parse(text, 1)
+    return NonlinearConnection(1, (e,), ((e,),))
+
+
+# the laws whose values are read at the points and then at the images
+_FIRST_ERROR_LAWS = {
+    "dtensor": lambda old, new, c, points: verify_dtensor(
+        _space_vector(old), _space_vector(new), c, points
+    ),
+    "connection": lambda old, new, c, points: verify_connection_law(
+        _connection(old), _connection(new), c, points
+    ),
+    "frames": lambda old, new, c, points: _verify_blocks(
+        _connection(old), _connection(new), c, points, 1e-9
+    ),
+}
+
+
+@pytest.mark.parametrize("law", _FIRST_ERROR_LAWS)
 @pytest.mark.parametrize(
     "change, old, new, xs, error",
     [
@@ -167,9 +187,9 @@ def _space_vector(text: str) -> DTensor:
     ],
     ids=["values", "chart"],
 )
-def test_the_first_failing_point_raises_its_error(change, old, new, xs, error):
+def test_the_first_failing_point_raises_its_error(change, old, new, xs, error, law):
     # the values are read over all points at once, yet the error is the one
     # a point-by-point law meets first
     points = [Point.make(1.0, [x], [1.0]) for x in xs]
     with pytest.raises(JethamError, match=error):
-        verify_dtensor(_space_vector(old), _space_vector(new), change, points)
+        _FIRST_ERROR_LAWS[law](old, new, change, points)

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import identity_change, reference_report_json
 from jetham.charts import transition
-from jetham.expr import Components, Point, const
+from jetham.expr import Components, Point, const, tvar
 from jetham.report import (
     CheckRecord,
     Report,
@@ -93,8 +93,8 @@ def test_check_points_records_each_check_at_each_point_in_order():
     points = [Point.make(t, [0.0], [0.0]) for t in (1.0, 2.0)]
     report = check_points(
         points, 0.5, ("a", "b"),
-        lambda points: (np.array([q.t / 3 for q in points]), np.full(len(points), math.nan)),
-        lambda a, b: (a, b),
+        lambda t: (t[:, 0] / 3, np.full(len(t), math.nan)),
+        reads=(Components(1, [tvar()]),),
     )
     assert [(r.check_id, r.point, r.passed) for r in report.records] == [
         ("a", (1.0, 0.0, 0.0), True),
@@ -104,6 +104,23 @@ def test_check_points_records_each_check_at_each_point_in_order():
     ]
     assert [r.residual for r in report.records][::2] == [1.0 / 3, 2.0 / 3]
     assert all(math.isnan(r.residual) for r in report.records[1::2])
+
+
+def test_check_points_reads_at_the_points_and_at_the_images_the_visits_return():
+    points = [Point.make(t, [0.0], [0.0]) for t in (1.0, 2.0)]
+    t = Components(1, [tvar()])
+
+    def law(shift, at_points, at_images):
+        assert shift.tolist() == [10.0, 10.0] and at_points[:, 0].tolist() == [1.0, 2.0]
+        return (at_images[:, 0] - at_points[:, 0] - shift,)
+
+    report = check_points(
+        points, 0.0, ("a",), law, reads=(t,), image_reads=(t,),
+        visit=lambda q: (Point.make(q.t + 10, q.x, q.p), 10.0),
+    )
+    assert [(r.point, r.residual) for r in report.records] == [
+        ((1.0, 0.0, 0.0), 0.0), ((2.0, 0.0, 0.0), 0.0)
+    ]
 
 
 def test_json_writes_null_for_non_finite_residuals():
