@@ -669,6 +669,56 @@ def test_hamiltonian_n2_report_bytes_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == HAMILTONIAN_N2_SHA256["report"]
 
 
+def _program_digest(programs) -> str:
+    """sha256 over programs in compile order: each one's slot count, every
+    instruction (opcode, destination slot or "check", operand slots,
+    exponent, a load's variable name), the constant bits of its template
+    and its root slots."""
+    h = hashlib.sha256()
+    for program in programs:
+        h.update(f"program {len(program)}\n".encode())
+        for op, dst, a, b in zip(*program._code):
+            if op == jetham.expr._CHECK:
+                dst = "check"
+            elif op == jetham.expr._LOAD:
+                a = a.name
+            h.update(f"{op} {dst} {a} {b!r}\n".encode())
+        h.update(struct.pack(f"<{len(program)}d", *program._template))
+        h.update(f"roots {program._roots}\n".encode())
+    return h.hexdigest()
+
+
+# sha256 of every program that verify compiles for each bundled problem, the
+# per-chart programs and each chart change's transition programs, in compile
+# order, and their number and total slots.  The trees that diff, substitute
+# and the smart constructors build, and Program's slot numbering, decide
+# every byte; the reports above pin only their values.
+VERIFY_PROGRAMS = {
+    "example.json":
+        (15, 565, "104b0504b3a87aeab9b3ea9ac8364c15c77b025e916a84971350fa67060c362f"),
+    "full_n4.json":
+        (8, 1881, "157f26af59e54fc59aaf8d9c2382f86ddbba07d82c4f083e4ca0db4c05e8b635"),
+    "hamiltonian_n2.json":
+        (15, 9261, "b0df0cfc4615950ee0e2c0f80ce94726051395840e5b500c4ec942cd520b6c8f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_PROGRAMS))
+def test_verify_programs_are_pinned(monkeypatch, name):
+    problem = load_problem(EXAMPLE.with_name(name))
+    programs = []
+    init = jetham.expr.Program.__init__
+
+    def recorded(self, roots):
+        init(self, roots)
+        programs.append(self)
+
+    monkeypatch.setattr(jetham.expr.Program, "__init__", recorded)
+    cmd_verify(problem)
+    got = (len(programs), sum(map(len, programs)), _program_digest(programs))
+    assert got == VERIFY_PROGRAMS[name]
+
+
 def test_hamiltonian_n2_vertical_metrical_is_pinned(runner):
     point = json.loads(HAMILTONIAN_N2.read_text())["sample"]["points"][0]
     at = ",".join(repr(v) for v in point)
