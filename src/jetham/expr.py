@@ -221,7 +221,7 @@ class Expr:
     def substitute(self, mapping: Mapping[Var, "Expr"]) -> "Expr":
         """Simultaneous substitution; variables absent from the map are kept.
         Memoized by node identity, so shared subtrees stay shared."""
-        return _rebuild(self, lambda node, done: _substituted(node, done, mapping))
+        return _substitute(self, mapping)
 
     def free_vars(self) -> frozenset[Var]:
         mask = self._mask
@@ -483,8 +483,8 @@ ZERO = Const(0.0)
 ONE = Const(1.0)
 _NEG_ZERO = Const(-0.0)
 
-_BINARY = (Add, Sub, Mul, Div)
-_LEAVES = (Const, Coord)
+_BINARY = frozenset((Add, Sub, Mul, Div))
+_LEAVES = frozenset((Const, Coord))
 
 
 def _operands(e: Expr) -> tuple[Expr, ...]:
@@ -520,10 +520,6 @@ def _coerce(value) -> Expr:
     raise TypeError(f"cannot use {type(value).__name__} as an expression")
 
 
-def _is_const(e: Expr, value: float | None = None) -> bool:
-    return isinstance(e, Const) and (value is None or e.value == value)
-
-
 _ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
 
 
@@ -534,45 +530,63 @@ def _fold(cls, a: Const, b: Const) -> Expr:
     return Const(value) if math.isfinite(value) else cls(a, b)
 
 
+# Each smart constructor tests each operand's class once; the folds, in
+# order: a zero operand, a one operand, then two constants.
+
 def _add(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
+    if type(a) is Const:
+        if a.value == 0.0:
+            return b
+        if type(b) is Const:
+            return a if b.value == 0.0 else _fold(Add, a, b)
+    elif type(b) is Const and b.value == 0.0:
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _fold(Add, a, b)
     return Add(a, b)
 
 
 def _sub(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
+    if type(b) is Const:
+        if b.value == 0.0:
+            return a
+        if type(a) is Const:
+            return _neg(b) if a.value == 0.0 else _fold(Sub, a, b)
+    elif type(a) is Const and a.value == 0.0:
         return _neg(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _fold(Sub, a, b)
     return Sub(a, b)
 
 
 def _mul(a: Expr, b: Expr) -> Expr:
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return ZERO
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _fold(Mul, a, b)
+    if type(a) is Const:
+        x = a.value
+        if x == 0.0:
+            return ZERO
+        if type(b) is Const:
+            y = b.value
+            if y == 0.0:
+                return ZERO
+            if x == 1.0:
+                return b
+            return a if y == 1.0 else _fold(Mul, a, b)
+        if x == 1.0:
+            return b
+    elif type(b) is Const:
+        y = b.value
+        if y == 0.0:
+            return ZERO
+        if y == 1.0:
+            return a
     return Mul(a, b)
 
 
 def _div(a: Expr, b: Expr) -> Expr:
-    if _is_const(b, 1.0):
-        return a
-    if _is_const(a, 0.0) and not _is_const(b, 0.0):
+    if type(b) is Const:
+        y = b.value
+        if y == 1.0:
+            return a
+        if y != 0.0 and type(a) is Const:
+            return ZERO if a.value == 0.0 else _fold(Div, a, b)
+    elif type(a) is Const and a.value == 0.0:
         return ZERO
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
-        return _fold(Div, a, b)
     return Div(a, b)
 
 
@@ -582,7 +596,7 @@ def _pow(base: Expr, exponent: Fraction) -> Expr:
     if exponent == 0:
         return ONE
     if (
-        isinstance(base, Const)
+        type(base) is Const
         and exponent.denominator == 1
         and (base.value != 0.0 or exponent > 0)
     ):
@@ -594,9 +608,10 @@ def _pow(base: Expr, exponent: Fraction) -> Expr:
 
 
 def _neg(a: Expr) -> Expr:
-    if isinstance(a, Const):
+    cls = type(a)
+    if cls is Const:
         return Const(-a.value)
-    if isinstance(a, Neg):
+    if cls is Neg:
         return a.arg
     return Neg(a)
 
@@ -650,56 +665,48 @@ def diff(e: Expr, v: Var) -> Expr:
     recursive derivative and differs only in sharing.
     """
     bit = _bit(v)
-
-    def d(node: Expr) -> Expr | None:
-        """node's derivative by v if it is known without a walk."""
-        mask = node._mask
-        if not mask & bit:
-            return _NEG_ZERO if mask & _SIGN else ZERO
-        if type(node) is Coord:
-            return ONE
-        kept = node._derivs  # (bit, derivative, bit, derivative, ...)
-        for i in range(0, len(kept), 2):
-            if kept[i] == bit:
-                return kept[i + 1]
-        return None
-
-    stack = [(e, False)]
+    done: dict[Expr, Expr] = {}  # node -> its derivative by v
+    d = done.__getitem__  # how each rule reads its operands' derivatives
+    # a node, or None over a node whose operands are all in done
+    stack: list = [e]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            _set(node, "_derivs", node._derivs + (bit, node._derivative(d, v)))
-        elif d(node) is None:
-            stack.append((node, True))
-            stack.extend((k, False) for k in _operands(node) if d(k) is None)
-    return d(e)
-
-
-def _rebuild(e: Expr, rule) -> Expr:
-    """The image of e under a per-node rule, built bottom-up without
-    recursion.  rule(node, done) returns the image of node given
-    done[id(operand)] for each of its operands; every node object is
-    visited once, however many parents share it."""
-    done: dict[int, Expr] = {}
-    stack = [(e, False)]
-    while stack:
-        node, expanded = stack.pop()
-        key = id(node)
-        if expanded:
-            done[key] = rule(node, done)
-        elif key not in done:
-            if type(node) in _LEAVES:
-                done[key] = rule(node, done)
+        node = stack.pop()
+        if node is None:
+            node = stack.pop()
+        elif node in done:  # stacked by two parents
+            continue
+        else:
+            mask = node._mask
+            if not mask & bit:
+                done[node] = _NEG_ZERO if mask & _SIGN else ZERO
                 continue
-            stack.append((node, True))
-            for k in _operands(node):
-                if id(k) in done:
+            cls = type(node)
+            if cls is Coord:
+                done[node] = ONE
+                continue
+            kept = node._derivs  # (bit, derivative, bit, derivative, ...)
+            if bit in kept:
+                done[node] = kept[kept.index(bit) + 1]
+                continue
+            if cls in _BINARY:
+                left, right = node.left, node.right
+                if right not in done:
+                    stack += (node, None, right)
+                    if left not in done:
+                        stack.append(left)
                     continue
-                if type(k) in _LEAVES:  # settled here, never stacked
-                    done[id(k)] = rule(k, done)
-                else:
-                    stack.append((k, False))
-    return done[id(e)]
+                if left not in done:
+                    stack += (node, None, left)
+                    continue
+            else:
+                arg = node.base if cls is Pow else node.arg
+                if arg not in done:
+                    stack += (node, None, arg)
+                    continue
+        derivative = node._derivative(d, v)
+        done[node] = derivative
+        _set(node, "_derivs", node._derivs + (bit, derivative))
+    return done[e]
 
 
 # the smart constructor that rebuilds each node class from new operands
@@ -707,18 +714,50 @@ _REBUILDERS = {Add: _add, Sub: _sub, Mul: _mul, Div: _div, Neg: _neg,
                Exp: Exp, Log: Log, Sin: Sin, Cos: Cos}
 
 
-def _substituted(node: Expr, done: dict[int, Expr], mapping: Mapping[Var, Expr]) -> Expr:
-    """The image of node under a substitution, given done[id(operand)]."""
-    cls = type(node)
-    if cls is Coord:
-        return mapping.get(node.var, node)
-    if cls is Const:
-        return node
-    if cls is Pow:
-        return _pow(done[id(node.base)], node.exponent)
-    if cls in _BINARY:
-        return _REBUILDERS[cls](done[id(node.left)], done[id(node.right)])
-    return _REBUILDERS[cls](done[id(node.arg)])
+def _substitute(e: Expr, mapping: Mapping[Var, Expr]) -> Expr:
+    """The image of e under a simultaneous substitution, built bottom-up
+    without recursion; every node object is rebuilt once, however many
+    parents share it."""
+    done: dict[Expr, Expr] = {}  # node -> its image
+    # a node, or None over a node whose operands are all in done
+    stack: list = [e]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            node = stack.pop()
+            cls = type(node)
+        elif node in done:  # stacked by two parents
+            continue
+        else:
+            cls = type(node)
+            if cls is Coord:
+                done[node] = mapping.get(node.var, node)
+                continue
+            if cls is Const:
+                done[node] = node
+                continue
+            if cls in _BINARY:
+                left, right = node.left, node.right
+                if right not in done:
+                    stack += (node, None, right)
+                    if left not in done:
+                        stack.append(left)
+                    continue
+                if left not in done:
+                    stack += (node, None, left)
+                    continue
+            else:
+                arg = node.base if cls is Pow else node.arg
+                if arg not in done:
+                    stack += (node, None, arg)
+                    continue
+        if cls is Pow:
+            done[node] = _pow(done[node.base], node.exponent)
+        elif cls in _BINARY:
+            done[node] = _REBUILDERS[cls](done[node.left], done[node.right])
+        else:
+            done[node] = _REBUILDERS[cls](done[node.arg])
+    return done[e]
 
 
 def evaluate(e: Expr, q: Point) -> float:
@@ -757,6 +796,8 @@ def compose(e: Expr, subst: Mapping[Var, Expr]) -> Expr:
 _OPCODES = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV, Neg: _NEG,
             Exp: _EXP, Log: _LOG, Sin: _SIN, Cos: _COS}
 
+_TEST = object()  # Program's stack mark for a Div's denominator test
+
 
 class Program:
     """A list of root expressions compiled to one straight-line program.
@@ -781,7 +822,7 @@ class Program:
 
     def __init__(self, roots: Iterable[Expr]):
         roots = tuple(roots)
-        slots: dict[int, int] = {}  # id(node) -> slot
+        slots: dict[Expr, int] = {}  # node -> slot
         numbers: dict[tuple, int] = {}  # value number -> slot
         checked: set[int] = set()  # denominator slots tested for zero
         template: list[float] = []  # constants in place, 0.0 elsewhere
@@ -792,61 +833,78 @@ class Program:
         dsts: list = []
         lhs: list = []
         rhs: list = []
-
-        def emit(op, dst, a, b):
-            ops.append(op)
-            dsts.append(dst)
-            lhs.append(a)
-            rhs.append(b)
-
         for root in roots:
-            # (node, step): 0 visits the node, 1 numbers it once its
-            # operands have slots, 2 tests a Div's denominator before its
-            # numerator is visited
-            stack = [(root, 0)]
+            # a node to visit, None over an operation whose operands have
+            # slots, or _TEST over a Div whose denominator has one
+            stack: list = [root]
             while stack:
-                node, step = stack.pop()
-                cls = type(node)
-                if step == 2:
-                    denominator = slots[id(node.right)]
+                node = stack.pop()
+                if node is None:
+                    node = stack.pop()
+                    cls = type(node)
+                elif node is _TEST:
+                    node = stack.pop()
+                    denominator = slots[node.right]
                     if denominator not in checked:
                         checked.add(denominator)
                         # a check carries its Div node where others carry a slot
-                        emit(_CHECK, node, denominator, 0)
+                        ops.append(_CHECK)
+                        dsts.append(node)
+                        lhs.append(denominator)
+                        rhs.append(0)
                     continue
-                if step == 0 and id(node) in slots:
+                elif node in slots:
                     continue
-                if step == 0 and cls not in _LEAVES:
+                else:
+                    cls = type(node)
+                    # operands without slots, visited left to right, but a
+                    # Div's denominator first
                     if cls is Div:
-                        stack += ((node, 1), (node.left, 0), (node, 2), (node.right, 0))
-                    elif cls in _BINARY:
-                        stack += ((node, 1), (node.right, 0), (node.left, 0))
-                    else:
-                        stack += ((node, 1), (node.base if cls is Pow else node.arg, 0))
-                    continue
+                        stack += (node, None, node.left, node, _TEST, node.right)
+                        continue
+                    if cls in _BINARY:
+                        left, right = node.left, node.right
+                        if right not in slots:
+                            stack += (node, None, right)
+                            if left not in slots:
+                                stack.append(left)
+                            continue
+                        if left not in slots:
+                            stack += (node, None, left)
+                            continue
+                    elif cls not in _LEAVES:
+                        arg = node.base if cls is Pow else node.arg
+                        if arg not in slots:
+                            stack += (node, None, arg)
+                            continue
                 # a leaf, or an operation whose operands have slots
                 if cls is Const:
                     key = (node.value, math.copysign(1.0, node.value))
                 elif cls is Coord:
                     key = (_LOAD, node.var, 0)
                 elif cls is Pow:
-                    key = _power(node.exponent, slots[id(node.base)])
+                    key = _power(node.exponent, slots[node.base])
                 elif cls in _BINARY:
-                    key = (_OPCODES[cls], slots[id(node.left)], slots[id(node.right)])
+                    key = (_OPCODES[cls], slots[node.left], slots[node.right])
                 else:
-                    key = (_OPCODES[cls], slots[id(node.arg)], 0)
+                    key = (_OPCODES[cls], slots[node.arg], 0)
                 slot = numbers.get(key)
                 if slot is None:
                     numbers[key] = slot = len(template)
-                    template.append(node.value if cls is Const else 0.0)
                     nodes.append(node)
-                    if cls is not Const:
-                        emit(key[0], slot, key[1], key[2])
-                slots[id(node)] = slot
+                    if cls is Const:
+                        template.append(node.value)
+                    else:
+                        template.append(0.0)
+                        ops.append(key[0])
+                        dsts.append(slot)
+                        lhs.append(key[1])
+                        rhs.append(key[2])
+                slots[node] = slot
         self._code = (ops, dsts, lhs, rhs)
         self._template = template
         self._nodes = nodes
-        self._roots = [slots[id(r)] for r in roots]
+        self._roots = [slots[r] for r in roots]
 
     def __len__(self) -> int:
         """Number of value slots: one per distinct structure."""

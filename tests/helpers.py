@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -374,6 +375,41 @@ def reference_diff(e: Expr, v: Var) -> Expr:
     no pruning of subtrees free of v.  ``diff`` is compared against it node
     for node."""
     return e._derivative(lambda k: reference_diff(k, v), v)
+
+
+# ---------------------------------------------------------------------------
+# Recursive reference substitution
+# ---------------------------------------------------------------------------
+
+_OPERATORS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+def reference_substitute(e: Expr, mapping, memo: dict | None = None) -> Expr:
+    """Rebuild each node by recursion with the operator of its class, which
+    goes through the same smart constructor, and keep variables absent from
+    mapping.  With no memo every path is rebuilt apart; with a memo (by node
+    identity) each node object has one image.  ``substitute`` is compared
+    against it node for node."""
+    if memo is not None and id(e) in memo:
+        return memo[id(e)]
+    cls = type(e)
+    if cls is Coord:
+        image = mapping.get(e.var, e)
+    elif cls is Const:
+        image = e
+    elif cls is Pow:
+        image = reference_substitute(e.base, mapping, memo) ** e.exponent
+    elif cls in _OPERATORS:
+        left = reference_substitute(e.left, mapping, memo)
+        right = reference_substitute(e.right, mapping, memo)
+        image = _OPERATORS[cls](left, right)
+    elif cls is Neg:
+        image = -reference_substitute(e.arg, mapping, memo)
+    else:  # exp, log, sin and cos build their node as it is
+        image = cls(reference_substitute(e.arg, mapping, memo))
+    if memo is not None:
+        memo[id(e)] = image
+    return image
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,7 @@ from helpers import (
     random_point,
     reference_diff,
     reference_eval,
+    reference_substitute,
     same_structure,
 )
 
@@ -774,6 +775,19 @@ class TestSharing:
         s = parse("sin(x1*p1)", 1)
         d = diff(s * s, Var.space(0))  # ds*s + s*ds
         assert d.left.left is d.right.right
+
+    @settings(max_examples=400, deadline=None)
+    @given(shared_dags(), shared_dags(), st.lists(_VARS, unique=True, max_size=5))
+    def test_substitute_matches_the_recursive_reference_node_for_node(
+        self, roots, values, replaced
+    ):
+        mapping = {v: values[i % len(values)] for i, v in enumerate(replaced)}
+        for root in roots:
+            got = root.substitute(mapping)
+            assert _same_bits(got, reference_substitute(root, mapping))
+            # one image per node object: a shared subtree stays one object
+            shared = reference_substitute(root, mapping, memo={})
+            assert distinct_nodes([got]) == distinct_nodes([shared])
 
     def test_substitute_keeps_shared_subtrees_shared(self):
         s = parse("exp(x1) + t", 1)
