@@ -75,7 +75,11 @@ def _is_number(value) -> bool:
 def _interval(value, where: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
         raise ProblemFormatError(f"{where}: expected [lo, hi] of finite numbers")
-    return float(value[0]), float(value[1])
+    lo, hi = float(value[0]), float(value[1])
+    # a sample is lo + (hi - lo) * u, so a width that overflows samples inf
+    if not math.isfinite(hi - lo):
+        raise ProblemFormatError(f"{where}: hi - lo is {hi - lo}, not a finite double")
+    return lo, hi
 
 
 def _axis_intervals(value, n: int, where: str) -> tuple[tuple[float, float], ...]:
@@ -279,4 +283,6 @@ def load_problem(path: str | Path) -> Problem:
         raise ProblemFormatError(f"cannot read {path}: {ex}") from ex
     except ValueError as ex:  # a JSONDecodeError, or an integer of too many digits
         raise ProblemFormatError(f"{path}: invalid JSON: {ex}") from ex
+    except RecursionError:  # arrays or objects nested past the interpreter's limit
+        raise ProblemFormatError(f"{path}: invalid JSON: nested too deeply") from None
     return problem_from_dict(doc)

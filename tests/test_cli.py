@@ -855,6 +855,32 @@ def test_long_json_integer_exits_3(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [["verify"], ["eval", "--object", "liouville", "--at", "1.2,1.1,1.3,0.7,-1.3"]],
+    ids=["verify", "eval"],
+)
+def test_deeply_nested_json_exits_3(runner, tmp_path, command):
+    # json raises RecursionError past the interpreter's limit, which used to
+    # end in a traceback (exit 1)
+    path = tmp_path / "problem.json"
+    path.write_text('{"n": ' + "[" * 3000 + "]" * 3000 + "}")
+    result = runner.invoke(main, [command[0], "--problem", str(path), *command[1:]])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "invalid JSON: nested too deeply" in result.stderr
+
+
+def test_overflowing_sample_box_exits_3(runner, tmp_path):
+    # every sampled momentum used to be inf, and verify stopped naming
+    # no field: "non-finite value inf in 'p1'"
+    doc = small_doc(sample={"seed": 1, "count": 3, "box": {"p": [-1.7e308, 1.7e308]}})
+    result = runner.invoke(main, ["verify", "--problem", write_problem(tmp_path, doc)])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "error: sample.box.p: hi - lo is inf, not a finite double" in result.stderr
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["verify", "--bogus"],
