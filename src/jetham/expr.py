@@ -530,8 +530,9 @@ def _fold(cls, a: Const, b: Const) -> Expr:
     return Const(value) if math.isfinite(value) else cls(a, b)
 
 
-# Each smart constructor tests each operand's class once; the folds, in
-# order: a zero operand, a one operand, then two constants.
+# The smart constructors test each operand's class once, by type.  The
+# order of the folds decides some results, so it must not change: -0.0 * 1
+# is ZERO, the zero fold, not the operand -0.0 that the one fold returns.
 
 def _add(a: Expr, b: Expr) -> Expr:
     if type(a) is Const:
@@ -685,7 +686,7 @@ def diff(e: Expr, v: Var) -> Expr:
                 done[node] = ONE
                 continue
             kept = node._derivs  # (bit, derivative, bit, derivative, ...)
-            if bit in kept:
+            if bit in kept:  # nodes compare by identity, so only a bit matches
                 done[node] = kept[kept.index(bit) + 1]
                 continue
             if cls in _BINARY:

@@ -76,6 +76,8 @@ def _interval(value, where: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
         raise ProblemFormatError(f"{where}: expected [lo, hi] of finite numbers")
     lo, hi = float(value[0]), float(value[1])
+    if not lo < hi:
+        raise ProblemFormatError(f"{where}: empty interval [{lo}, {hi}]")
     # a sample is lo + (hi - lo) * u, so a width that overflows samples inf
     if not math.isfinite(hi - lo):
         raise ProblemFormatError(f"{where}: hi - lo is {hi - lo}, not a finite double")

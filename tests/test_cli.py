@@ -870,16 +870,6 @@ def test_deeply_nested_json_exits_3(runner, tmp_path, command):
     assert "invalid JSON: nested too deeply" in result.stderr
 
 
-def test_overflowing_sample_box_exits_3(runner, tmp_path):
-    # every sampled momentum used to be inf, and verify stopped naming
-    # no field: "non-finite value inf in 'p1'"
-    doc = small_doc(sample={"seed": 1, "count": 3, "box": {"p": [-1.7e308, 1.7e308]}})
-    result = runner.invoke(main, ["verify", "--problem", write_problem(tmp_path, doc)])
-    assert result.exit_code == 3, result.output
-    assert isinstance(result.exception, SystemExit)
-    assert "error: sample.box.p: hi - lo is inf, not a finite double" in result.stderr
-
-
 @pytest.mark.parametrize(
     "args",
     [
