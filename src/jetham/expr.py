@@ -23,6 +23,15 @@ limited by the interpreter's stack; the parser caps nesting at
 Construction goes through smart constructors that fold the 0/1 identities
 (x+0, x*1, x*0, x^1, ...).  No further simplification is attempted:
 correctness is defined by evaluation, not by canonical form.
+
+Nodes are immutable by contract, not by a runtime guard: nothing assigns
+to a node's fields once it is built, except ``diff``, which appends to its
+kept derivatives.  Every node is shared by identity among the objects,
+memos and programs built from it, so a change to one would change all of
+them.  The node classes are not frozen dataclasses because a frozen
+class's stores go through ``object.__setattr__``, at about twice the cost
+of a plain slot store, and those stores in every constructor were the
+largest per-node cost of ``diff``.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import reprlib
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,22 +95,35 @@ class Var:
         if self.index < 0:
             raise ValueError("variable index must be non-negative")
 
+    # time, space and momentum return one shared Var per (kind, index), so
+    # a coordinate leaf costs no new Var and no __post_init__; a Var is
+    # frozen and compares by value, so the sharing cannot be observed
     @classmethod
     def time(cls) -> "Var":
-        return cls("t")
+        return _shared_var("t", 0)
 
     @classmethod
     def space(cls, i: int) -> "Var":
-        return cls("x", i)
+        return _shared_var("x", i)
 
     @classmethod
     def momentum(cls, i: int) -> "Var":
-        return cls("p", i)
+        return _shared_var("p", i)
 
     @property
     def name(self) -> str:
         # 1-based in the surface syntax, 0-based internally
         return "t" if self.kind == "t" else f"{self.kind}{self.index + 1}"
+
+
+_VARS: dict[tuple[str, int], Var] = {}  # (kind, index) -> its shared Var
+
+
+def _shared_var(kind: str, index: int) -> Var:
+    var = _VARS.get((kind, index))
+    if var is None:
+        var = _VARS[kind, index] = Var(kind, index)
+    return var
 
 
 @dataclass(frozen=True)
@@ -169,6 +192,10 @@ class Expr:
     nodes and by ``Program``'s value numbers.  ``repr`` is the printed
     text behind the node's class name, so it does not recurse.
 
+    Immutability is a contract, not a guard: assigning to a field does not
+    raise, and no code does so once the node is built but ``diff``, which
+    keeps derivatives (see the module docstring).
+
     Every node carries a free-variable mask, set when it is built, and the
     derivatives ``diff`` has taken of it, kept for as long as it lives as
     a flat tuple (bit, derivative, bit, derivative, ...), a quarter of the
@@ -203,7 +230,7 @@ class Expr:
         return _div(_coerce(other), self)
 
     def __pow__(self, exponent):
-        return _pow(self, Fraction(exponent))
+        return _pow(self, _exponent(exponent))
 
     def __neg__(self):
         return _neg(self)
@@ -256,7 +283,7 @@ def _var_of_bit(k: int) -> Var:
     if k == 1:
         return Var.time()
     i, momentum = divmod(k - 2, 2)
-    return Var("p" if momentum else "x", i)
+    return Var.momentum(i) if momentum else Var.space(i)
 
 
 def _walked_mask(e: "Expr") -> int:
@@ -274,12 +301,13 @@ def _walked_mask(e: "Expr") -> int:
     return mask & ~_SIGN
 
 
-_set = object.__setattr__
-
 # Each node class writes its own __init__, which sets its fields, its mask
 # from its operands' masks, and no kept derivative yet: the generated one
-# followed by a __post_init__ cost about a third more per node.
-_node = dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
+# followed by a __post_init__ cost about a third more per node.  These are
+# plain slot stores, as nodes are not frozen (see the module docstring).
+# They stay dataclasses, whose fields name each node's parts for a generic
+# walk.
+_node = dataclass(slots=True, eq=False, repr=False, init=False)
 
 
 @_node
@@ -287,9 +315,9 @@ class Const(Expr):
     value: float
 
     def __init__(self, value: float):
-        _set(self, "value", value)
-        _set(self, "_mask", 0)
-        _set(self, "_derivs", ())
+        self.value = value
+        self._mask = 0
+        self._derivs = ()
 
     def _derivative(self, d, v):
         return ZERO
@@ -300,9 +328,9 @@ class Coord(Expr):
     var: Var
 
     def __init__(self, var: Var):
-        _set(self, "var", var)
-        _set(self, "_mask", _bit(var))
-        _set(self, "_derivs", ())
+        self.var = var
+        self._mask = _bit(var)
+        self._derivs = ()
 
     def _derivative(self, d, v):
         return ONE if self.var == v else ZERO
@@ -314,11 +342,11 @@ class Add(Expr):
     right: Expr
 
     def __init__(self, left: Expr, right: Expr):
-        _set(self, "left", left)
-        _set(self, "right", right)
+        self.left = left
+        self.right = right
         # the sum of two zeros is the right one (_add drops a zero left)
-        _set(self, "_mask", (left._mask | right._mask) & ~_SIGN | right._mask & _SIGN)
-        _set(self, "_derivs", ())
+        self._mask = (left._mask | right._mask) & ~_SIGN | right._mask & _SIGN
+        self._derivs = ()
 
     def _derivative(self, d, v):
         return _add(d(self.left), d(self.right))
@@ -330,11 +358,11 @@ class Sub(Expr):
     right: Expr
 
     def __init__(self, left: Expr, right: Expr):
-        _set(self, "left", left)
-        _set(self, "right", right)
+        self.left = left
+        self.right = right
         # the difference of two zeros is the left one (_sub drops a zero right)
-        _set(self, "_mask", (left._mask | right._mask) & ~_SIGN | left._mask & _SIGN)
-        _set(self, "_derivs", ())
+        self._mask = (left._mask | right._mask) & ~_SIGN | left._mask & _SIGN
+        self._derivs = ()
 
     def _derivative(self, d, v):
         return _sub(d(self.left), d(self.right))
@@ -346,10 +374,10 @@ class Mul(Expr):
     right: Expr
 
     def __init__(self, left: Expr, right: Expr):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "_mask", (left._mask | right._mask) & ~_SIGN)
-        _set(self, "_derivs", ())
+        self.left = left
+        self.right = right
+        self._mask = (left._mask | right._mask) & ~_SIGN
+        self._derivs = ()
 
     def _derivative(self, d, v):
         return _add(
@@ -364,15 +392,15 @@ class Div(Expr):
     right: Expr
 
     def __init__(self, left: Expr, right: Expr):
-        _set(self, "left", left)
-        _set(self, "right", right)
+        self.left = left
+        self.right = right
         # over a constant whose square is 0.0 the rule builds 0 / 0.0,
         # which _div keeps as a Div
         if type(right) is Const and abs(right.value) < 1.0 and right.value ** 2 == 0.0:
-            _set(self, "_mask", _EVERY)
+            self._mask = _EVERY
         else:
-            _set(self, "_mask", (left._mask | right._mask) & ~_SIGN)
-        _set(self, "_derivs", ())
+            self._mask = (left._mask | right._mask) & ~_SIGN
+        self._derivs = ()
 
     def _derivative(self, d, v):
         num = _sub(
@@ -394,10 +422,10 @@ class Pow(Expr):
     exponent: Fraction
 
     def __init__(self, base: Expr, exponent: Fraction):
-        _set(self, "base", base)
-        _set(self, "exponent", exponent)
-        _set(self, "_mask", base._mask & ~_SIGN)
-        _set(self, "_derivs", ())
+        self.base = base
+        self.exponent = exponent
+        self._mask = base._mask & ~_SIGN
+        self._derivs = ()
 
     def _derivative(self, d, v):
         r = self.exponent
@@ -412,9 +440,9 @@ class Neg(Expr):
     arg: Expr
 
     def __init__(self, arg: Expr):
-        _set(self, "arg", arg)
-        _set(self, "_mask", arg._mask ^ _SIGN)
-        _set(self, "_derivs", ())
+        self.arg = arg
+        self._mask = arg._mask ^ _SIGN
+        self._derivs = ()
 
     def _derivative(self, d, v):
         return _neg(d(self.arg))
@@ -425,9 +453,9 @@ class Exp(Expr):
     arg: Expr
 
     def __init__(self, arg: Expr):
-        _set(self, "arg", arg)
-        _set(self, "_mask", arg._mask & ~_SIGN)
-        _set(self, "_derivs", ())
+        self.arg = arg
+        self._mask = arg._mask & ~_SIGN
+        self._derivs = ()
 
     def _derivative(self, d, v):
         # a new exp node: a derivative kept on this one must not refer back
@@ -440,13 +468,13 @@ class Log(Expr):
     arg: Expr
 
     def __init__(self, arg: Expr):
-        _set(self, "arg", arg)
+        self.arg = arg
         # of the constant 0 the rule builds 0 / 0, which _div keeps
         if type(arg) is Const and arg.value == 0.0:
-            _set(self, "_mask", _EVERY)
+            self._mask = _EVERY
         else:
-            _set(self, "_mask", arg._mask & ~_SIGN)
-        _set(self, "_derivs", ())
+            self._mask = arg._mask & ~_SIGN
+        self._derivs = ()
 
     def _derivative(self, d, v):
         return _div(d(self.arg), self.arg)
@@ -457,9 +485,9 @@ class Sin(Expr):
     arg: Expr
 
     def __init__(self, arg: Expr):
-        _set(self, "arg", arg)
-        _set(self, "_mask", arg._mask & ~_SIGN)
-        _set(self, "_derivs", ())
+        self.arg = arg
+        self._mask = arg._mask & ~_SIGN
+        self._derivs = ()
 
     def _derivative(self, d, v):
         return _mul(Cos(self.arg), d(self.arg))
@@ -470,10 +498,10 @@ class Cos(Expr):
     arg: Expr
 
     def __init__(self, arg: Expr):
-        _set(self, "arg", arg)
+        self.arg = arg
         # the rule negates a zero product: -0.0
-        _set(self, "_mask", arg._mask | _SIGN)
-        _set(self, "_derivs", ())
+        self._mask = arg._mask | _SIGN
+        self._derivs = ()
 
     def _derivative(self, d, v):
         return _neg(_mul(Sin(self.arg), d(self.arg)))
@@ -630,6 +658,17 @@ def const(value: Number) -> Expr:
     return Const(number)
 
 
+def _exponent(value) -> Fraction:
+    """value as an exact rational exponent, which, as in the parser, must
+    be finite with a finite double: derivatives and programs use it as one."""
+    try:
+        r = Fraction(value)
+        float(r)
+    except (OverflowError, ValueError):  # an infinity, a NaN, or too large
+        raise JethamError(f"exponent {reprlib.repr(value)} is not a finite double") from None
+    return r
+
+
 def tvar() -> Expr:
     return Coord(Var.time())
 
@@ -706,7 +745,7 @@ def diff(e: Expr, v: Var) -> Expr:
                     continue
         derivative = node._derivative(d, v)
         done[node] = derivative
-        _set(node, "_derivs", node._derivs + (bit, derivative))
+        node._derivs += (bit, derivative)
     return done[e]
 
 
@@ -1318,7 +1357,7 @@ class _Parser:
                 raise ExprSyntaxError(
                     f"index of {text!r} out of range for dimension n={self.n}", offset
                 )
-            return Var(head, index - 1)
+            return _shared_var(head, index - 1)
         raise ExprSyntaxError(f"unknown identifier {text!r}", offset)
 
     def rational(self) -> Fraction:

@@ -7,8 +7,9 @@ check, the paper objects no command runs (the identity and composed chart
 changes, the push-forward of a d-tensor, the semispray of a connection, and
 the split of a vector field over the adapted frame), the point-by-point
 references for every law and for the JSON report, a count of distinct node
-objects, the structural comparison of two trees, the finite-difference
-oracle, and an in-process runner for the command line."""
+objects, a snapshot of every node an object holds, the structural
+comparison of two trees, the finite-difference oracle, and an in-process
+runner for the command line."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import operator
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -758,6 +759,45 @@ def distinct_nodes(roots) -> int:
             seen.add(id(e))
             stack.extend(children(e))
     return len(seen)
+
+
+def node_parts(e: Expr) -> tuple:
+    """Every field of e and its free-variable mask, but not its kept
+    derivatives: an operand by identity, any other part by its repr, so
+    that 0.0 and -0.0 differ."""
+    parts = [getattr(e, f.name) for f in fields(e)]
+    return (e._mask, *(("node", id(p)) if isinstance(p, Expr) else repr(p) for p in parts))
+
+
+def node_snapshot(root) -> dict[int, tuple[Expr, tuple]]:
+    """Every node reachable from root, by id, with its ``node_parts``.
+    The walk goes through containers, object arrays, the attributes of the
+    engine's own objects, node operands and kept derivatives."""
+    snapshot, seen, stack = {}, set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Expr):
+            snapshot[id(obj)] = (obj, node_parts(obj))
+            stack.extend(children(obj))
+            stack.extend(obj._derivs[1::2])
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, np.ndarray):
+            if obj.dtype == object:
+                stack.extend(obj.flat)
+        elif type(obj).__module__.startswith("jetham."):
+            if hasattr(obj, "__dict__"):
+                stack.extend(vars(obj).values())
+            for cls in type(obj).__mro__:
+                stack.extend(getattr(obj, name) for name in getattr(cls, "__slots__", ())
+                             if hasattr(obj, name))
+    return snapshot
 
 
 def same_structure(a: Expr, b: Expr) -> bool:

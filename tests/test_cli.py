@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import struct
 import subprocess
 import sys
@@ -33,7 +34,14 @@ from jetham.expr import Components, Point
 from jetham.problem import load_problem, problem_from_dict
 from jetham.report import report_to_json
 
-from helpers import InProcessRunner, reference_adapted_frames, reference_eval
+from helpers import (
+    InProcessRunner,
+    node_parts,
+    node_snapshot,
+    random_expr,
+    reference_adapted_frames,
+    reference_eval,
+)
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "problems" / "example.json"
 FULL_N4 = EXAMPLE.with_name("full_n4.json")
@@ -522,6 +530,23 @@ class TestBuildOnce:
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
+
+
+@pytest.mark.parametrize("path", [EXAMPLE, HAMILTONIAN_N2], ids=lambda p: p.stem)
+def test_a_verdict_mutates_no_node(path):
+    # nodes are immutable by contract, not by a guard: no verdict may assign
+    # to a field of a node the problem holds, save diff's kept derivatives
+    problem = load_problem(path)
+    before = node_snapshot(problem)
+    assert cmd_verify(problem).passed
+    # the nodes the first verdict left reachable, its kept derivatives among them
+    between = node_snapshot(problem)
+    assert cmd_verify(problem).passed
+    assert len(between) > len(before) > 0
+    for snapshot in (before, between):
+        assert {key: parts for key, (_, parts) in snapshot.items()} == {
+            key: node_parts(node) for key, (node, _) in snapshot.items()
+        }
 
 
 class TestOneEvaluation:
@@ -1138,15 +1163,16 @@ def _locations(doc):
 @st.composite
 def _broken_examples(draw):
     """A pinned problem at two sample points, with one part broken: a key
-    dropped, a value of another type, an edge token in a DSL string, or a
-    sample point that is not finite or not 2n + 1 long."""
+    dropped, a value of another type, an edge token in a DSL string, a
+    random expression's text in a DSL string, or a sample point that is
+    not finite or not 2n + 1 long."""
     doc = json.loads(draw(st.sampled_from([EXAMPLE, FULL_N4, HAMILTONIAN_N2])).read_text())
     n, sample = doc["n"], doc["sample"]
     if "points" in sample:
         sample["points"] = sample["points"][:2]
     else:
         sample["count"] = 2
-    kind = draw(st.sampled_from(["drop", "type", "dsl", "point"]))
+    kind = draw(st.sampled_from(["drop", "type", "dsl", "random", "point"]))
     places = _locations(doc)
     if kind == "drop":
         node, key = draw(st.sampled_from([(n, k) for n, k in places if isinstance(n, dict)]))
@@ -1154,10 +1180,15 @@ def _broken_examples(draw):
     elif kind == "type":
         node, key = draw(st.sampled_from(places))
         node[key] = draw(st.sampled_from(_TYPE_CHANGES))
-    elif kind == "dsl":
+    elif kind in ("dsl", "random"):
         strings = [(n, k) for n, k in places if isinstance(n[k], str) and k != "name"]
         node, key = draw(st.sampled_from(strings))
-        node[key] = draw(st.sampled_from(_DSL_EDGES))(node[key])
+        if kind == "dsl":
+            node[key] = draw(st.sampled_from(_DSL_EDGES))(node[key])
+        else:
+            # a generated tree's text, run through parse, diff, substitute
+            # and Program by whichever object the field feeds
+            node[key] = str(random_expr(random.Random(draw(st.integers(0, 2**32 - 1))), n))
     else:
         row = [1.2, *[1.1] * n, *[0.7] * n]
         if draw(st.booleans()):

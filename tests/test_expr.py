@@ -1,5 +1,6 @@
 """Expression DSL: parsing, evaluation, exact differentiation, substitution."""
 
+import dataclasses
 import gc
 import math
 import operator
@@ -416,6 +417,24 @@ class TestPrinting:
             with pytest.raises(JethamError, match=f"^{named} is not a finite double$"):
                 build()
 
+    @pytest.mark.parametrize(
+        "exponent, named",
+        [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+         (10**400, r"10+\.\.\.0+"), (-(10**400), r"-10+\.\.\.0+"),
+         (Fraction(10**400, 3), r"Fraction\(10+\.\.\.0+, 3\)")],
+        ids=["inf", "minus_inf", "nan", "huge_int", "huge_negative_int", "huge_fraction"],
+    )
+    def test_bad_exponent_is_refused(self, exponent, named):
+        # as the parser refuses it: a Pow whose exponent overflows a double
+        # could not be differentiated, and its printed text does not parse
+        with pytest.raises(JethamError, match=f"^exponent {named} is not a finite double$"):
+            xvar(0) ** exponent
+
+    def test_exponent_with_a_finite_double_is_kept_exactly(self):
+        r = Fraction(10**400 + 1, 10**400)
+        assert (xvar(0) ** r).exponent == r
+        assert (xvar(0) ** 0.5).exponent == Fraction(1, 2)
+
     def test_negative_constant_round_trip(self):
         e = const(-2.5) * xvar(0)
         assert evaluate(parse(str(e), 1), q_of(x=(2.0,))) == -5.0
@@ -460,6 +479,44 @@ class TestImmutability:
         e2 = base + 2
         assert not same_structure(e1, e2)
         assert evaluate(base, q_of(x=(4.0,))) == 4.0
+
+
+_NODE_CLASSES = [
+    cls for cls in vars(jetham.expr).values()
+    if isinstance(cls, type) and issubclass(cls, jetham.expr.Expr) and cls is not jetham.expr.Expr
+]
+
+
+class TestPlainStores:
+    """Nodes are immutable by contract, not frozen: building one is plain
+    slot stores.  ``test_cli.test_a_verdict_mutates_no_node`` checks the
+    contract."""
+
+    def test_every_node_class_is_found(self):
+        assert {cls.__name__ for cls in _NODE_CLASSES} == {
+            "Const", "Coord", "Add", "Sub", "Mul", "Div", "Pow", "Neg", "Exp", "Log", "Sin", "Cos",
+        }
+
+    @pytest.mark.parametrize("cls", _NODE_CLASSES, ids=lambda cls: cls.__name__)
+    def test_node_class_stores_plainly(self, cls):
+        assert cls.__setattr__ is object.__setattr__
+        # a generic walk of a node's parts reads them by its fields
+        assert tuple(f.name for f in dataclasses.fields(cls)) == cls.__slots__
+
+    def test_coordinate_vars_are_shared_and_frozen(self):
+        assert Var.space(1) is Var.space(1)
+        assert Var.momentum(1) is Var.momentum(1) and Var.time() is Var.time()
+        assert xvar(1).var is Var.space(1) and pvar(0).var is Var.momentum(0)
+        assert tvar().var is Var.time() and parse("x2", 2).var is Var.space(1)
+        # free_vars maps each mask bit back to its shared Var
+        shared = {id(Var.space(1)), id(Var.momentum(0)), id(Var.time())}
+        assert {id(v) for v in parse("x2*p1*t", 2).free_vars()} == shared
+        assert Var.space(1) == Var("x", 1) and Var.space(1) is not Var("x", 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Var.space(1).index = 2
+        assert Var.space(1).index == 1
+        with pytest.raises(ValueError, match="non-negative"):
+            Var.space(-1)
 
 
 # -- compiled programs ---------------------------------------------------------
