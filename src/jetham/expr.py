@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-import reprlib
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,35 +94,22 @@ class Var:
         if self.index < 0:
             raise ValueError("variable index must be non-negative")
 
-    # time, space and momentum return one shared Var per (kind, index), so
-    # a coordinate leaf costs no new Var and no __post_init__; a Var is
-    # frozen and compares by value, so the sharing cannot be observed
     @classmethod
     def time(cls) -> "Var":
-        return _shared_var("t", 0)
+        return cls("t")
 
     @classmethod
     def space(cls, i: int) -> "Var":
-        return _shared_var("x", i)
+        return cls("x", i)
 
     @classmethod
     def momentum(cls, i: int) -> "Var":
-        return _shared_var("p", i)
+        return cls("p", i)
 
     @property
     def name(self) -> str:
         # 1-based in the surface syntax, 0-based internally
         return "t" if self.kind == "t" else f"{self.kind}{self.index + 1}"
-
-
-_VARS: dict[tuple[str, int], Var] = {}  # (kind, index) -> its shared Var
-
-
-def _shared_var(kind: str, index: int) -> Var:
-    var = _VARS.get((kind, index))
-    if var is None:
-        var = _VARS[kind, index] = Var(kind, index)
-    return var
 
 
 @dataclass(frozen=True)
@@ -283,7 +269,7 @@ def _var_of_bit(k: int) -> Var:
     if k == 1:
         return Var.time()
     i, momentum = divmod(k - 2, 2)
-    return Var.momentum(i) if momentum else Var.space(i)
+    return Var("p" if momentum else "x", i)
 
 
 def _walked_mask(e: "Expr") -> int:
@@ -659,14 +645,29 @@ def const(value: Number) -> Expr:
 
 
 def _exponent(value) -> Fraction:
-    """value as an exact rational exponent, which, as in the parser, must
-    be finite with a finite double: derivatives and programs use it as one."""
+    """value as an exact rational exponent, for ``**`` and the parser alike.
+
+    It must have a finite double, which derivatives and programs use, and
+    printed text that parses back.  One that has not is named by the bits
+    of its larger term, as its digits may be too many to print."""
     try:
-        r = Fraction(value)
+        # the parser passes a Fraction: copying it would cost 1.5 us per exponent
+        r = value if type(value) is Fraction else Fraction(value)
+    except (OverflowError, ValueError):  # an infinity or a NaN
+        raise JethamError(f"exponent {value!r} is not a finite double") from None
+    try:
         float(r)
-    except (OverflowError, ValueError):  # an infinity, a NaN, or too large
-        raise JethamError(f"exponent {reprlib.repr(value)} is not a finite double") from None
+    except OverflowError:
+        raise JethamError(f"exponent is too large for a double: {_bits(r)} bits") from None
+    try:
+        str(r)
+    except ValueError:  # a term past the interpreter's limit on digits
+        raise JethamError(f"exponent has too many digits: {_bits(r)} bits") from None
     return r
+
+
+def _bits(r: Fraction) -> int:
+    return max(r.numerator.bit_length(), r.denominator.bit_length())
 
 
 def tvar() -> Expr:
@@ -1357,7 +1358,7 @@ class _Parser:
                 raise ExprSyntaxError(
                     f"index of {text!r} out of range for dimension n={self.n}", offset
                 )
-            return _shared_var(head, index - 1)
+            return Var(head, index - 1)
         raise ExprSyntaxError(f"unknown identifier {text!r}", offset)
 
     def rational(self) -> Fraction:
@@ -1381,12 +1382,10 @@ class _Parser:
             raise ExprSyntaxError("expected an integer or (integer/integer) exponent", offset)
         if den == 0:
             raise ExprSyntaxError("exponent has a zero denominator", start)
-        r = Fraction(sign * num, den)
         try:
-            float(r)  # derivatives and programs use it as a double
-        except OverflowError:
-            raise ExprSyntaxError("exponent is too large for a double", start) from None
-        return r
+            return _exponent(Fraction(sign * num, den))
+        except JethamError as ex:
+            raise ExprSyntaxError(str(ex), start) from None
 
     def _integer(self, start: int) -> int:
         sign = 1

@@ -532,16 +532,33 @@ class TestBuildOnce:
             gc.enable()
 
 
+def _eval_every_object(problem):
+    with redirect_stdout(io.StringIO()):
+        for name in jetham.cli._EVAL_OBJECTS:
+            jetham.cli.cmd_eval(problem, name, problem.points[0])
+    return True
+
+
+# every command that builds objects from the problem's nodes, and whether it passed
+_BUILDING_COMMANDS = {
+    "verify": lambda problem: cmd_verify(problem).passed,
+    "canonical": lambda problem: cmd_canonical(problem).passed,
+    "christoffel": lambda problem: cmd_christoffel(problem).passed,
+    "eval": _eval_every_object,
+}
+
+
+@pytest.mark.parametrize("command", sorted(_BUILDING_COMMANDS))
 @pytest.mark.parametrize("path", [EXAMPLE, HAMILTONIAN_N2], ids=lambda p: p.stem)
-def test_a_verdict_mutates_no_node(path):
-    # nodes are immutable by contract, not by a guard: no verdict may assign
+def test_no_command_mutates_a_node(path, command):
+    # nodes are immutable by contract, not by a guard: no command may assign
     # to a field of a node the problem holds, save diff's kept derivatives
-    problem = load_problem(path)
+    problem, run = load_problem(path), _BUILDING_COMMANDS[command]
     before = node_snapshot(problem)
-    assert cmd_verify(problem).passed
-    # the nodes the first verdict left reachable, its kept derivatives among them
+    assert run(problem)
+    # the nodes the first run left reachable, its kept derivatives among them
     between = node_snapshot(problem)
-    assert cmd_verify(problem).passed
+    assert run(problem)
     assert len(between) > len(before) > 0
     for snapshot in (before, between):
         assert {key: parts for key, (_, parts) in snapshot.items()} == {
