@@ -3,6 +3,7 @@
 import copy
 import gc
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -709,6 +710,44 @@ HAMILTONIAN_N2_SHA256 = {
 def test_hamiltonian_n2_report_bytes_are_pinned():
     text = report_to_json(cmd_verify(load_problem(HAMILTONIAN_N2)))
     assert hashlib.sha256(text.encode()).hexdigest() == HAMILTONIAN_N2_SHA256["report"]
+
+
+def _bench_workloads():
+    """bench/workloads.py, read as a module and not edited: the generated
+    problems are richer than the bundled ones (2-4 charts, 40 points,
+    300-term Hamiltonians, a negative control)."""
+    path = EXAMPLE.parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+# sha256 over the JSON reports of one period of each benchmark workload, in
+# stream order, at the default seed and the held-out seed.
+WORKLOAD_REPORTS_SHA256 = {
+    ("points_n2", 1): "4a7beb5e4a2b2fc13a73daab75c1b097f4a33e72c21eced5411ed30081577b95",
+    ("points_n2", 7919): "deae2b93a71cb2163ad4c9734c6bbf58fbbf21948c4c09fbe5350b6977bfe147",
+    ("deep_n4", 1): "ee3f6d0bf78e4accbdcfa107b6a1f9136eed90aa3afe02ff970cfb3e84461a19",
+    ("deep_n4", 7919): "10375cfd6c6919d7661344d8b5d5e8b163d39132bfc82892d526870ad874c6b9",
+    ("hamiltonian_n2", 1): "13c0bf146b1c77be003f41ce3f9542b49d34e9212942e084c2262c286da548d1",
+    ("hamiltonian_n2", 7919): "76daf00a963e04e4bcd9f061018af5e62122b89469f10aae3bce020906189890",
+}
+
+
+@pytest.mark.parametrize("workload, seed", sorted(WORKLOAD_REPORTS_SHA256))
+def test_workload_report_bytes_are_pinned(workload, seed):
+    workloads = _bench_workloads()
+    h = hashlib.sha256()
+    for index in range(workloads.WORKLOADS[workload].period):
+        c = workloads.case(workload, seed, index)
+        report = cmd_verify(problem_from_dict(c.doc), corrupt_connection=c.corrupt_connection)
+        h.update(report_to_json(report).encode())
+    assert h.hexdigest() == WORKLOAD_REPORTS_SHA256[workload, seed]
 
 
 def _program_digest(programs) -> str:
