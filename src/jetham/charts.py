@@ -21,15 +21,18 @@ momentum map, which usually leaves its domain at a singular point (x~ =
 x^3 at x = 0), so that the error names the cause.  Of two faults at one
 point, a Jacobian's DomainError comes before a singular dt~/dt, and a
 momentum derivative that is not finite or leaves its domain raises from
-``induced_point``, before the inverse cross-checks.  The change keeps,
-per point, what it computed, so the laws that all contract with the same
-factors evaluate them once per (change, point).
+``induced_point``, before the inverse cross-checks, which run on floats.
+The change keeps, per point, what it computed, so the laws that all
+contract with the same factors evaluate them once per (change, point):
+the transition factors as one read-only float row, which the fields of
+its ``TransitionData`` view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 import numpy as np
 
@@ -176,9 +179,12 @@ class TransitionData:
     jac[i][j] = dx~^i/dx^j at x(q); jac_inv[i][j] = dx^i/dx~^j at x~(x(q));
     dp_tilde_dt[k] = dp~_k/dt and dp_tilde_dx[k][i] = dp~_k/dx^i, both taken
     from the composed momentum expression at fixed remaining coordinates.
-    One object is shared by every caller at the same (change, point), so
-    its arrays are read-only.  ``report.stack`` of several gives every
-    field a leading points axis, as the laws read them.
+    One object is shared by every caller at the same (change, point): its
+    arrays are read-only views of one float64 row, ``row``, that holds
+    (dt~/dt, dt/dt~, jac, jac_inv, dp~/dt, dp~/dx) flat, and its two time
+    factors are floats.  ``report.stack`` of several makes one array of
+    their rows (``of_rows``), which gives every field a leading points axis,
+    as the laws read them.
     """
 
     dt_tilde_dt: float
@@ -188,31 +194,47 @@ class TransitionData:
     dp_tilde_dt: np.ndarray
     dp_tilde_dx: np.ndarray
 
+    @property
+    def row(self) -> np.ndarray:
+        """The array every field views: one row, or one row per point."""
+        return self.jac.base
+
+    @classmethod
+    def of_rows(cls, rows: np.ndarray, n: int) -> "TransitionData":
+        """The transition data of rows (points, 2 + 3n^2 + n), one row per
+        point: every field is a view of rows, with the points first."""
+        return cls(rows[:, 0], rows[:, 1], *_array_views(rows, n))
+
+
+def _array_views(rows: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """jac, jac_inv, dp~/dt and dp~/dx as views of rows (..., 2 + 3n^2 + n)."""
+    lead, nn = rows.shape[:-1], n * n
+    return (
+        rows[..., 2 : 2 + nn].reshape(*lead, n, n),
+        rows[..., 2 + nn : 2 + 2 * nn].reshape(*lead, n, n),
+        rows[..., 2 + 2 * nn : 2 + 2 * nn + n],
+        rows[..., 2 + 2 * nn + n :].reshape(*lead, n, n),
+    )
+
 
 class _Visit:
     """What a change has computed at one point: the image and the forward
-    factors, then the transition data once a transition succeeded."""
+    factors as floats (the Jacobian row by row), then the transition data
+    once a transition succeeded."""
 
     __slots__ = ("image", "dt", "jac", "dp", "data")
 
-    def __init__(self, image: Point, dt: float, jac: np.ndarray, dp: list[float]):
+    def __init__(self, image: Point, dt: float, jac: list[float], dp: list[float]):
         self.image, self.dt, self.jac, self.dp = image, dt, jac, dp
         self.data: TransitionData | None = None
 
 
-def _read_only(values: list[float], shape: tuple[int, ...]) -> np.ndarray:
-    a = np.array(values).reshape(shape)
-    a.flags.writeable = False
-    return a
-
-
-def _require_regular(c: CoordChange, q: Point) -> tuple[float, np.ndarray]:
+def _require_regular(c: CoordChange, q: Point) -> tuple[float, list[float]]:
     # negated tests, so that NaN (false under every comparison) is rejected
     dt, *jac = c._regularity_program.run(q)
     if not abs(dt) > REGULARITY_EPS:
         raise RegularityError(f"dt~/dt = {dt} at t = {q.t}")
-    jac = _read_only(jac, (c.n, c.n))
-    det = float(np.linalg.det(jac))
+    det = float(np.linalg.det(np.reshape(jac, (c.n, c.n))))
     if not abs(det) > REGULARITY_EPS:
         raise RegularityError(f"det(dx~/dx) = {det} at x = {q.x}")
     return dt, jac
@@ -240,16 +262,15 @@ def induced_point(c: CoordChange, q: Point) -> Point:
 def transition(c: CoordChange, q: Point) -> TransitionData:
     """Evaluate every transition factor of c at q (with inverse cross-checks)."""
     image = induced_point(c, q)
-    visit = _visit(c, q)
+    visit = c._visits[q.key]  # the entry that call found or stored
     if visit.data is None:
         visit.data = _transition_data(c, q, image, visit)
     return visit.data
 
 
 def _transition_data(c: CoordChange, q: Point, image: Point, visit: _Visit) -> TransitionData:
-    n, dt, jac, dp = c.n, visit.dt, visit.jac, visit.dp
-    dt_inv, *inverse_jac = c._inverse_factor_program.run(image)
-    jac_inv = _read_only(inverse_jac, (n, n))
+    n, dt, jac = c.n, visit.dt, visit.jac
+    dt_inv, *jac_inv = c._inverse_factor_program.run(image)
 
     # user-supplied inverses are cross-checked, not trusted; the tests are
     # negated, so that NaN (false under every comparison) is rejected
@@ -257,17 +278,17 @@ def _transition_data(c: CoordChange, q: Point, image: Point, visit: _Visit) -> T
         raise ChartInverseError(
             f"t_inv is not the inverse of t_fwd at t={q.t}: dt~/dt * dt/dt~ = {dt * dt_inv}"
         )
-    if not np.max(np.abs(jac @ jac_inv - np.eye(n))) <= INVERSE_CHECK_TOL:
-        raise ChartInverseError(f"x_inv is not the inverse of x_fwd at x={q.x}")
+    # jac @ jac_inv - I, entry by entry
+    columns = [jac_inv[j::n] for j in range(n)]
+    for i in range(n):
+        jac_row = jac[i * n : i * n + n]
+        for j, column in enumerate(columns):
+            if not abs(sum(map(mul, jac_row, column)) - (i == j)) <= INVERSE_CHECK_TOL:
+                raise ChartInverseError(f"x_inv is not the inverse of x_fwd at x={q.x}")
 
-    return TransitionData(
-        dt_tilde_dt=dt,
-        dt_dt_tilde=dt_inv,
-        jac=jac,
-        jac_inv=jac_inv,
-        dp_tilde_dt=_read_only(dp[:n], (n,)),
-        dp_tilde_dx=_read_only(dp[n:], (n, n)),
-    )
+    row = np.array([dt, dt_inv, *jac, *jac_inv, *visit.dp])
+    row.flags.writeable = False
+    return TransitionData(dt, dt_inv, *_array_views(row, n))
 
 
 def natural_frame_matrix(td: TransitionData) -> np.ndarray:

@@ -12,12 +12,13 @@ error is undefined) and relative otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .charts import TransitionData
 from .errors import JethamError
 from .expr import evaluate_together
 
@@ -70,11 +71,12 @@ def worst_residuals(got: np.ndarray, want: np.ndarray) -> np.ndarray:
 
 
 def stack(values: Sequence):
-    """One value per point on a leading points axis: a dataclass (such as
-    ``TransitionData``) field by field, anything else as one array."""
+    """One value per point on a leading points axis, as one array: of
+    ``TransitionData``, the array of their rows, whose views are its
+    fields; of anything else, the values themselves."""
     first = values[0]
-    if is_dataclass(first):
-        return type(first)(*(stack([getattr(v, f.name) for v in values]) for f in fields(first)))
+    if isinstance(first, TransitionData):
+        return TransitionData.of_rows(np.array([td.row for td in values]), first.jac.shape[-1])
     return np.array(values)
 
 

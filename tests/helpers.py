@@ -20,7 +20,7 @@ import operator
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -441,6 +441,18 @@ def verify_frame_rules(c: CoordChange, q: Point, tol: float = 1e-9) -> Report:
 # ---------------------------------------------------------------------------
 # Paper objects no command runs
 # ---------------------------------------------------------------------------
+
+def reference_stack(values: Sequence):
+    """One value per point on a leading points axis, built field by field:
+    a dataclass (such as ``TransitionData``) one ``np.array`` per field,
+    anything else as one array.  ``report.stack`` must give the same bits."""
+    first = values[0]
+    if is_dataclass(first):
+        return type(first)(
+            *(reference_stack([getattr(v, f.name) for v in values]) for f in fields(first))
+        )
+    return np.array(values)
+
 
 def identity_change(n: int) -> CoordChange:
     xs = tuple(Coord(Var.space(i)) for i in range(n))

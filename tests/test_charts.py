@@ -21,6 +21,7 @@ from jetham.charts import (
 )
 from jetham.errors import ChartInverseError, DimensionError, DomainError, RegularityError
 from jetham.expr import Point, Program, evaluate, parse
+from jetham.report import stack
 
 from helpers import (
     CARDANO_X1,
@@ -30,6 +31,7 @@ from helpers import (
     identity_change,
     nonlinear_charts_for,
     reference_eval,
+    reference_stack,
     sampled_points,
     verify_frame_rules,
 )
@@ -176,6 +178,20 @@ class TestTransition:
         c = simple_chart_1d("t", "t", "2*x1", "x1/3")
         with pytest.raises(ChartInverseError):
             transition(c, Point.make(1.0, [1.0], [1.0]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("error, caught", [(2e-9, True), (5e-10, False)])
+    def test_spatial_inverse_check_at_its_tolerance(self, n, error, caught):
+        # x_inv's last component gains error * x1, so one entry of
+        # jac @ jac_inv - I is off by error (the diagonal one at n = 1)
+        x = [f"x{i + 1}" for i in range(n)]
+        c = chart(n, "2*t", "t/2", x, [*x[:-1], f"{x[-1]} + {error!r}*x1"])
+        q = Point.make(1.0, [1.0] * n, [1.0] * n)
+        if caught:
+            with pytest.raises(ChartInverseError, match="x_inv"):
+                transition(c, q)
+        else:
+            transition(c, q)
 
 
 def eval_reference(c: CoordChange, q: Point) -> tuple[Point, TransitionData]:
@@ -348,6 +364,56 @@ class TestCompiledTransition:
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestTransitionRows:
+    """A change keeps its factors at a point as one read-only float64 row,
+    (dt~/dt, dt/dt~, jac, jac_inv, dp~/dt, dp~/dx) flat, and a stack of
+    transition data is one array of their rows."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_fields_are_read_only_views_of_one_row(self, n):
+        shapes = {"jac": (n, n), "jac_inv": (n, n), "dp_tilde_dt": (n,), "dp_tilde_dx": (n, n)}
+        for c in charts_for(n).values():
+            for q in sampled_points(n, 3, seed=29):
+                td = transition(c, q)
+                row = td.row
+                assert row.shape == (2 + 3 * n * n + n,) and row.dtype == np.float64
+                assert not row.flags.writeable
+                assert type(td.dt_tilde_dt) is float and type(td.dt_dt_tilde) is float
+                arrays = []
+                for name, shape in shapes.items():
+                    a = getattr(td, name)
+                    assert a.base is row and a.shape == shape and a.dtype == np.float64
+                    assert not a.flags.writeable
+                    arrays.append(a.ravel())
+                # in row order, the fields tile the row
+                assert same_bits(np.concatenate([[td.dt_tilde_dt, td.dt_dt_tilde], *arrays]), row)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stack_equals_the_field_by_field_stack(self, n):
+        negative_zeros_seen = 0
+        for c in charts_for(n).values():
+            points = sampled_points(n, 4, seed=31)
+            points += [negative_zeros(Point(q.t, q.x, (0.0,) * n)) for q in points[:2]]
+            images = [induced_point(c, q) for q in points]
+            for column in (
+                [transition(c, q) for q in points],
+                [transition(c.inverse(), image) for image in images],
+            ):
+                got, want = stack(column), reference_stack(column)
+                assert got.row.shape == (len(points), 2 + 3 * n * n + n)
+                for field in dataclasses.fields(TransitionData):
+                    value = getattr(got, field.name)
+                    assert value.base is got.row
+                    assert same_bits(value, getattr(want, field.name)), field.name
+                negative_zeros_seen += np.count_nonzero((got.row == 0.0) & np.signbit(got.row))
+        assert negative_zeros_seen  # -0.0 is among the stacked bits
 
 
 class _Stage:
