@@ -234,29 +234,31 @@ def _require_regular(c: CoordChange, q: Point) -> tuple[float, list[float]]:
     dt, *jac = c._regularity_program.run(q)
     if not abs(dt) > REGULARITY_EPS:
         raise RegularityError(f"dt~/dt = {dt} at t = {q.t}")
-    det = float(np.linalg.det(np.reshape(jac, (c.n, c.n))))
+    det = float(np.linalg.det(np.array(jac).reshape(c.n, c.n)))
     if not abs(det) > REGULARITY_EPS:
         raise RegularityError(f"det(dx~/dx) = {det} at x = {q.x}")
     return dt, jac
 
 
 def _visit(c: CoordChange, q: Point) -> _Visit:
-    """c's memo entry for q; a miss checks regularity and maps q."""
-    visit = c._visits.get(q.key)
-    if visit is None:
-        dt, jac = _require_regular(c, q)
-        values = c._forward_program.run(q)
-        n = c.n
-        image = Point(values[0], tuple(values[1 : n + 1]), tuple(values[n + 1 : 2 * n + 1]))
-        visit = c._visits[q.key] = _Visit(image, dt, jac, values[2 * n + 1 :])
+    """c's memo entry for q, made on a miss: check q's dimension and
+    regularity, then map q."""
+    if q.n != c.n:
+        raise DimensionError(f"point has n={q.n}, change has n={c.n}")
+    dt, jac = _require_regular(c, q)
+    values = c._forward_program.run(q)
+    n = c.n
+    image = Point(values[0], tuple(values[1 : n + 1]), tuple(values[n + 1 : 2 * n + 1]))
+    visit = c._visits[q.key] = _Visit(image, dt, jac, values[2 * n + 1 :])
     return visit
 
 
 def induced_point(c: CoordChange, q: Point) -> Point:
     """Image of q under the induced change on the dual 1-jet space."""
-    if q.n != c.n:
-        raise DimensionError(f"point has n={q.n}, change has n={c.n}")
-    return _visit(c, q).image
+    visit = c._visits.get(q.key)
+    if visit is None:  # a miss; a point of another dimension always misses
+        visit = _visit(c, q)
+    return visit.image
 
 
 def transition(c: CoordChange, q: Point) -> TransitionData:
