@@ -442,18 +442,6 @@ def verify_frame_rules(c: CoordChange, q: Point, tol: float = 1e-9) -> Report:
 # Paper objects no command runs
 # ---------------------------------------------------------------------------
 
-def reference_stack(values: Sequence):
-    """One value per point on a leading points axis, built field by field:
-    a dataclass (such as ``TransitionData``) one ``np.array`` per field,
-    anything else as one array.  ``report.stack`` must give the same bits."""
-    first = values[0]
-    if is_dataclass(first):
-        return type(first)(
-            *(reference_stack([getattr(v, f.name) for v in values]) for f in fields(first))
-        )
-    return np.array(values)
-
-
 def identity_change(n: int) -> CoordChange:
     xs = tuple(Coord(Var.space(i)) for i in range(n))
     t = Coord(Var.time())
@@ -543,6 +531,18 @@ def reconstruct(
 # stacked residual must equal the reference's exactly (or both be NaN).
 # Each takes the values the law reads at q, evaluated by the objects' own
 # programs, and returns the worst residual of each check at q.
+
+def reference_stack(values: Sequence):
+    """One value per point on a leading points axis, built field by field:
+    a dataclass (such as ``TransitionData``) one ``np.array`` per field,
+    anything else as one array.  ``report.stack`` must give the same bits."""
+    first = values[0]
+    if is_dataclass(first):
+        return type(first)(
+            *(reference_stack([getattr(v, f.name) for v in values]) for f in fields(first))
+        )
+    return np.array(values)
+
 
 def reference_worst_array_residual(got: np.ndarray, want: np.ndarray) -> float:
     """The worst ``residual`` between two arrays of one shape, element by
