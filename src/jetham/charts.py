@@ -196,7 +196,9 @@ class TransitionData:
 
     @property
     def row(self) -> np.ndarray:
-        """The array every field views: one row, or one row per point."""
+        """The array every field views, for transition data that
+        ``transition`` or ``report.stack`` made: one row, or one row per
+        point."""
         return self.jac.base
 
     @classmethod

@@ -8,10 +8,12 @@ source file is edited.  A mutant is caught on a bundled problem when
 The covariance laws of a tensorial object are homogeneous, so a constant
 factor on that object, made alike in every chart, passes them.  Four of
 the seven mutants are not caught for this reason.  That is a known defect,
-not a wanted result, so those rows are strict xfails: a value check in the
-problem's own chart (ROADMAP item 7) turns them into failures, which
-forces the marks off.
+not a wanted result, so those rows are strict xfails.  Once a value check
+in the problem's own chart (ROADMAP item 7) makes ``verify`` fail them,
+each strict xfail that passes is an error, which forces its mark off.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +25,7 @@ from jetham.expr import Components, const
 from jetham.nlconn import NonlinearConnection
 from jetham.problem import load_problem
 
-from test_cli import EXAMPLE
-
+BUNDLED = Path(__file__).resolve().parent.parent / "problems"
 PROBLEMS = ("example.json", "full_n4.json", "hamiltonian_n2.json")
 
 
@@ -105,7 +106,7 @@ def test_mutant_fails_verify(monkeypatch, mutant, problem):
         return wrong(*args)
 
     monkeypatch.setattr(jetham.cli, builder, counted)
-    report = cmd_verify(load_problem(EXAMPLE.with_name(problem)))
+    report = cmd_verify(load_problem(BUNDLED / problem))
     if not built:
         raise LookupError(f"cmd_verify never built {builder}")
     assert not report.passed
