@@ -37,7 +37,7 @@ from operator import mul
 import numpy as np
 
 from .errors import ChartInverseError, DimensionError, RegularityError
-from .expr import Coord, Expr, Point, Program, Var, check_vars, compose, esum
+from .expr import Expr, Point, Program, Var, check_vars, compose, diff, esum, pvar
 
 __all__ = [
     "CoordChange",
@@ -107,18 +107,12 @@ class CoordChange:
     @cached_property
     def jac_fwd(self) -> tuple[tuple[Expr, ...], ...]:
         """[i][j] = dx~^i/dx^j, as expressions in the old x."""
-        return tuple(
-            tuple(self.x_fwd[i].diff(Var.space(j)) for j in range(self.n))
-            for i in range(self.n)
-        )
+        return _jacobian(self.x_fwd, [Var.space(j) for j in range(self.n)])
 
     @cached_property
     def jac_inv(self) -> tuple[tuple[Expr, ...], ...]:
         """[i][j] = dx^i/dx~^j, as expressions in the tilde x."""
-        return tuple(
-            tuple(self.x_inv[i].diff(Var.space(j)) for j in range(self.n))
-            for i in range(self.n)
-        )
+        return _jacobian(self.x_inv, [Var.space(j) for j in range(self.n)])
 
     @cached_property
     def momentum_map(self) -> tuple[Expr, ...]:
@@ -130,20 +124,17 @@ class CoordChange:
             for j in range(self.n):
                 # dx^j/dx~^k pulled back to the old chart
                 factor = self.jac_inv[j][k].substitute(x_subst)
-                terms.append(factor * self.dt_fwd * Coord(Var.momentum(j)))
+                terms.append(factor * self.dt_fwd * pvar(j))
             out.append(esum(terms))
         return tuple(out)
 
     @cached_property
     def dmomentum_dt(self) -> tuple[Expr, ...]:
-        return tuple(e.diff(Var.time()) for e in self.momentum_map)
+        return tuple(row[0] for row in _jacobian(self.momentum_map, [Var.time()]))
 
     @cached_property
     def dmomentum_dx(self) -> tuple[tuple[Expr, ...], ...]:
-        return tuple(
-            tuple(e.diff(Var.space(i)) for i in range(self.n))
-            for e in self.momentum_map
-        )
+        return _jacobian(self.momentum_map, [Var.space(i) for i in range(self.n)])
 
     # -- compiled evaluation programs, in the order a transition runs them --
 
@@ -166,6 +157,15 @@ class CoordChange:
     @cached_property
     def _visits(self) -> dict[bytes, "_Visit"]:
         return {}
+
+
+def _jacobian(exprs, variables: list[Var]) -> tuple[tuple[Expr, ...], ...]:
+    """[i][j] = d exprs[i] / d variables[j], with one derivative memo per
+    variable, so a subtree the expressions share is differentiated once."""
+    memos = [{} for _ in variables]
+    return tuple(
+        tuple(diff(e, v, memo) for v, memo in zip(variables, memos)) for e in exprs
+    )
 
 
 def _flat(rows: tuple[tuple[Expr, ...], ...]) -> list[Expr]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .charts import CoordChange, TransitionData, induced_point, transition
 from .errors import SignatureMismatchError
-from .expr import Components, Expr, Point, Var, const, pvar
+from .expr import Components, Expr, Point, Var, const, diff, pvar
 from .metrics import SpaceMetric, TimeMetric, inverse_time
 from .report import Report, check_points, worst_residuals
 
@@ -148,10 +148,11 @@ def vertical_metrical(H: Expr, n: int) -> DTensor:
     signature [MOM_UP, MOM_UP]."""
     comps = np.empty((n, n), dtype=object)
     half = const(0.5)
+    memos = [{} for _ in range(n)]  # one per momentum, shared by both orders
     for i in range(n):
-        di = H.diff(Var.momentum(i))
+        di = diff(H, Var.momentum(i), memos[i])
         for j in range(i, n):
-            entry = half * di.diff(Var.momentum(j))
+            entry = half * diff(di, Var.momentum(j), memos[j])
             comps[i, j] = entry
             comps[j, i] = entry
     return DTensor(n, comps, (IndexKind.MOM_UP, IndexKind.MOM_UP))

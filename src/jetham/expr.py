@@ -10,28 +10,33 @@ differentiation error.
 Objects built from one another share subtrees by object identity, so the
 trees are really DAGs.  A parse gives each distinct structure in its
 string one object, so a term repeated in the text (``p1^2``, ``t^2``) is
-one node that every later walk meets once.  Each node knows its free
-variables from the moment it is built and keeps every derivative taken of
-it, so differentiation skips subtrees free of the variable and
-differentiates each node object once per variable over its lifetime.
-Substitution rebuilds each node object once per call, and a compiled
-``Program`` evaluates each distinct structure once per point; it is the
-only evaluator.  None of these, nor printing, recurses, so depth is not
-limited by the interpreter's stack; the parser caps nesting at
-``MAX_NESTING`` levels instead.
+one node that every later walk meets once.  The builders' leaves are
+shared too: ``tvar``, ``xvar`` and ``pvar`` return one ``Coord`` per
+variable, while two parses share nothing.  Each node knows its free
+variables from the moment it is built, so differentiation skips subtrees
+free of the variable.  ``diff`` keeps the derivatives it takes in a memo
+the caller may pass: a builder that differentiates several roots by one
+variable passes one memo per variable for as long as it runs, so a
+subtree shared by those roots is differentiated once, and the memo is
+dropped with the build.  Substitution rebuilds each node object once per
+call, and a compiled ``Program`` evaluates each distinct structure once
+per point; it is the only evaluator.  None of these, nor printing,
+recurses, so depth is not limited by the interpreter's stack; the parser
+caps nesting at ``MAX_NESTING`` levels instead.
 
 Construction goes through smart constructors that fold the 0/1 identities
 (x+0, x*1, x*0, x^1, ...).  No further simplification is attempted:
 correctness is defined by evaluation, not by canonical form.
 
 Nodes are immutable by contract, not by a runtime guard: nothing assigns
-to a node's fields once it is built, except ``diff``, which appends to its
-kept derivatives.  Every node is shared by identity among the objects,
-memos and programs built from it, so a change to one would change all of
-them.  The node classes are not frozen dataclasses because a frozen
-class's stores go through ``object.__setattr__``, at about twice the cost
-of a plain slot store, and those stores in every constructor were the
-largest per-node cost of ``diff``.
+to a node's fields once it is built.  A node holds its operands and its
+fields alone, so it is the only object a build leaves behind per node
+for the cycle collector to walk.  Every node is shared by identity among
+the objects, memos and programs built from it, so a change to one would
+change all of them.  The node classes are not frozen dataclasses because
+a frozen class's stores go through ``object.__setattr__``, at about twice
+the cost of a plain slot store, and those stores in every constructor
+were the largest per-node cost of ``diff``.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import math
 import operator
 import re
 import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -179,16 +185,15 @@ class Expr:
     text behind the node's class name, so it does not recurse.
 
     Immutability is a contract, not a guard: assigning to a field does not
-    raise, and no code does so once the node is built but ``diff``, which
-    keeps derivatives (see the module docstring).
+    raise, and no code does so once the node is built (see the module
+    docstring).
 
-    Every node carries a free-variable mask, set when it is built, and the
-    derivatives ``diff`` has taken of it, kept for as long as it lives as
-    a flat tuple (bit, derivative, bit, derivative, ...), a quarter of the
-    memory of a dict.
+    Besides its fields, every node carries only a free-variable mask, set
+    when it is built; the derivatives taken of it live in the memo of the
+    ``diff`` call or build that took them.
     """
 
-    __slots__ = ("_mask", "_derivs")
+    __slots__ = ("_mask",)
 
     # -- construction sugar -------------------------------------------------
     def __add__(self, other):
@@ -287,9 +292,9 @@ def _walked_mask(e: "Expr") -> int:
     return mask & ~_SIGN
 
 
-# Each node class writes its own __init__, which sets its fields, its mask
-# from its operands' masks, and no kept derivative yet: the generated one
-# followed by a __post_init__ cost about a third more per node.  These are
+# Each node class writes its own __init__, which sets its fields and its
+# mask from its operands' masks: the generated one followed by a
+# __post_init__ cost about a third more per node.  These are
 # plain slot stores, as nodes are not frozen (see the module docstring).
 # They stay dataclasses, whose fields name each node's parts for a generic
 # walk.
@@ -303,7 +308,6 @@ class Const(Expr):
     def __init__(self, value: float):
         self.value = value
         self._mask = 0
-        self._derivs = ()
 
     def _derivative(self, d, v):
         return ZERO
@@ -316,7 +320,6 @@ class Coord(Expr):
     def __init__(self, var: Var):
         self.var = var
         self._mask = _bit(var)
-        self._derivs = ()
 
     def _derivative(self, d, v):
         return ONE if self.var == v else ZERO
@@ -332,7 +335,6 @@ class Add(Expr):
         self.right = right
         # the sum of two zeros is the right one (_add drops a zero left)
         self._mask = (left._mask | right._mask) & ~_SIGN | right._mask & _SIGN
-        self._derivs = ()
 
     def _derivative(self, d, v):
         return _add(d(self.left), d(self.right))
@@ -348,7 +350,6 @@ class Sub(Expr):
         self.right = right
         # the difference of two zeros is the left one (_sub drops a zero right)
         self._mask = (left._mask | right._mask) & ~_SIGN | left._mask & _SIGN
-        self._derivs = ()
 
     def _derivative(self, d, v):
         return _sub(d(self.left), d(self.right))
@@ -363,7 +364,6 @@ class Mul(Expr):
         self.left = left
         self.right = right
         self._mask = (left._mask | right._mask) & ~_SIGN
-        self._derivs = ()
 
     def _derivative(self, d, v):
         return _add(
@@ -386,7 +386,6 @@ class Div(Expr):
             self._mask = _EVERY
         else:
             self._mask = (left._mask | right._mask) & ~_SIGN
-        self._derivs = ()
 
     def _derivative(self, d, v):
         num = _sub(
@@ -411,7 +410,6 @@ class Pow(Expr):
         self.base = base
         self.exponent = exponent
         self._mask = base._mask & ~_SIGN
-        self._derivs = ()
 
     def _derivative(self, d, v):
         r = self.exponent
@@ -428,7 +426,6 @@ class Neg(Expr):
     def __init__(self, arg: Expr):
         self.arg = arg
         self._mask = arg._mask ^ _SIGN
-        self._derivs = ()
 
     def _derivative(self, d, v):
         return _neg(d(self.arg))
@@ -441,12 +438,9 @@ class Exp(Expr):
     def __init__(self, arg: Expr):
         self.arg = arg
         self._mask = arg._mask & ~_SIGN
-        self._derivs = ()
 
     def _derivative(self, d, v):
-        # a new exp node: a derivative kept on this one must not refer back
-        # to it, or the two would be freed only by the cycle collector
-        return _mul(Exp(self.arg), d(self.arg))
+        return _mul(self, d(self.arg))
 
 
 @_node
@@ -460,7 +454,6 @@ class Log(Expr):
             self._mask = _EVERY
         else:
             self._mask = arg._mask & ~_SIGN
-        self._derivs = ()
 
     def _derivative(self, d, v):
         return _div(d(self.arg), self.arg)
@@ -473,7 +466,6 @@ class Sin(Expr):
     def __init__(self, arg: Expr):
         self.arg = arg
         self._mask = arg._mask & ~_SIGN
-        self._derivs = ()
 
     def _derivative(self, d, v):
         return _mul(Cos(self.arg), d(self.arg))
@@ -487,7 +479,6 @@ class Cos(Expr):
         self.arg = arg
         # the rule negates a zero product: -0.0
         self._mask = arg._mask | _SIGN
-        self._derivs = ()
 
     def _derivative(self, d, v):
         return _neg(_mul(Sin(self.arg), d(self.arg)))
@@ -670,16 +661,31 @@ def _bits(r: Fraction) -> int:
     return max(r.numerator.bit_length(), r.denominator.bit_length())
 
 
+# the builders' leaves: one Coord per variable, built on first use.  A
+# parse makes its own, so two parses share nothing.
+_SHARED_COORDS: dict[tuple[str, int], Coord] = {}
+
+
+def _shared_coord(kind: str, i: int) -> Coord:
+    leaf = _SHARED_COORDS.get((kind, i))
+    if leaf is None:
+        leaf = _SHARED_COORDS[kind, i] = Coord(Var(kind, i))
+    return leaf
+
+
 def tvar() -> Expr:
-    return Coord(Var.time())
+    """The time leaf: the same ``Coord`` on every call."""
+    return _shared_coord("t", 0)
 
 
 def xvar(i: int) -> Expr:
-    return Coord(Var.space(i))
+    """The leaf of x^(i+1): the same ``Coord`` on every call."""
+    return _shared_coord("x", i)
 
 
 def pvar(i: int) -> Expr:
-    return Coord(Var.momentum(i))
+    """The leaf of p_(i+1): the same ``Coord`` on every call."""
+    return _shared_coord("p", i)
 
 
 def esum(terms: Iterable[Expr]) -> Expr:
@@ -694,19 +700,24 @@ def esum(terms: Iterable[Expr]) -> Expr:
 # Module-level operations
 # ---------------------------------------------------------------------------
 
-def diff(e: Expr, v: Var) -> Expr:
+def diff(e: Expr, v: Var, memo: dict | None = None) -> Expr:
     """Exact algebraic derivative of e with respect to the variable v.
 
-    The walk is iterative, and each node keeps its derivative by v for as
-    long as it lives: a subtree shared by several parents, or met again
-    in a later call, is differentiated once, and its derivative is shared
-    in turn.  A subtree free of v is not walked; its derivative is the
-    zero its rules would build, sign included.  Each node's rule and the
-    smart constructors decide the result, so it equals a node-by-node
-    recursive derivative and differs only in sharing.
+    The walk is iterative and keeps each node's derivative by v in memo,
+    a dict from node to derivative: a subtree shared by several parents
+    is differentiated once, and its derivative is shared in turn.  A
+    builder that differentiates several roots by v passes one memo to
+    every call, so a subtree the roots share, or a root met again, is
+    differentiated once over the build; the memo is for v alone and is
+    dropped with the build.  Without one, the call keeps its own.  A
+    subtree free of v is not walked; its derivative is the zero its rules
+    would build, sign included.  Each node's rule and the smart
+    constructors decide the result, so it equals a node-by-node recursive
+    derivative and differs only in sharing.
     """
     bit = _bit(v)
-    done: dict[Expr, Expr] = {}  # node -> its derivative by v
+    # node -> its derivative by v
+    done: dict[Expr, Expr] = {} if memo is None else memo
     d = done.__getitem__  # how each rule reads its operands' derivatives
     # a node, or None over a node whose operands are all in done
     stack: list = [e]
@@ -725,10 +736,6 @@ def diff(e: Expr, v: Var) -> Expr:
             if cls is Coord:
                 done[node] = ONE
                 continue
-            kept = node._derivs  # (bit, derivative, bit, derivative, ...)
-            if bit in kept:  # nodes compare by identity, so only a bit matches
-                done[node] = kept[kept.index(bit) + 1]
-                continue
             if cls in _BINARY:
                 left, right = node.left, node.right
                 if right not in done:
@@ -744,9 +751,7 @@ def diff(e: Expr, v: Var) -> Expr:
                 if arg not in done:
                     stack += (node, None, arg)
                     continue
-        derivative = node._derivative(d, v)
-        done[node] = derivative
-        node._derivs += (bit, derivative)
+        done[node] = node._derivative(d, v)
     return done[e]
 
 
@@ -839,6 +844,14 @@ _OPCODES = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV, Neg: _NEG,
 
 _TEST = object()  # Program's stack mark for a Div's denominator test
 
+# An operation's value number is one int: (b << _SLOT_BITS | a) << _OP_BITS
+# | op, for opcode op, first operand slot a and second operand slot or
+# integer exponent b (0 for a function of one operand).  No slot reaches
+# sys.maxsize, as no list can hold that many items, so a fits its field and
+# the int is injective; b may be negative or of any size.
+_OP_BITS = 4
+_SLOT_BITS = sys.maxsize.bit_length()
+
 
 class Program:
     """A list of root expressions compiled to one straight-line program.
@@ -846,13 +859,14 @@ class Program:
     Slots are value-numbered: one per distinct structure, so a subtree
     shared by many parents or roots, or built twice as equal trees, runs
     once per point.  A node's number is its opcode, operand slots and
-    exponent, found bottom-up with no deep comparison; a constant's is
-    its value and sign, so 0.0 and -0.0 keep two slots.  Slots fill in
-    depth-first order, operands left to right, but a ``Div`` tests its
-    denominator for zero (once per denominator slot) before it walks its
-    numerator.  That order decides which DomainError comes first, and a
-    duplicate never runs before its original.  Each node has one IEEE
-    double operation and its domain checks.
+    exponent packed in one int (a fractional power's is a tuple), found
+    bottom-up with no deep comparison; a coordinate's is its variable,
+    and a constant's its value and sign, so 0.0 and -0.0 keep two slots.
+    Slots fill in depth-first order, operands left to right, but a
+    ``Div`` tests its denominator for zero (once per denominator slot)
+    before it walks its numerator.  That order decides which DomainError
+    comes first, and a duplicate never runs before its original.  Each
+    node has one IEEE double operation and its domain checks.
 
     ``run`` also rejects non-finite values: a NaN or an infinity in any
     slot raises DomainError naming the first node that produced one.
@@ -864,7 +878,7 @@ class Program:
     def __init__(self, roots: Iterable[Expr]):
         roots = tuple(roots)
         slots: dict[Expr, int] = {}  # node -> slot
-        numbers: dict[tuple, int] = {}  # value number -> slot
+        numbers: dict = {}  # value number -> slot
         checked: set[int] = set()  # denominator slots tested for zero
         template: list[float] = []  # constants in place, 0.0 elsewhere
         nodes: list[Expr] = []  # slot -> first node computing it
@@ -922,13 +936,23 @@ class Program:
                 if cls is Const:
                     key = (node.value, math.copysign(1.0, node.value))
                 elif cls is Coord:
-                    key = (_LOAD, node.var, 0)
+                    op, a, b = _LOAD, node.var, 0
+                    key = a
                 elif cls is Pow:
-                    key = _power(node.exponent, slots[node.base])
+                    r, a = node.exponent, slots[node.base]
+                    if r.denominator == 1:
+                        b = int(r)
+                        op = _POW if b >= 0 else _NPOW
+                        key = (b << _SLOT_BITS | a) << _OP_BITS | op
+                    else:
+                        op, b = _FPOW, float(r)
+                        key = (_FPOW, a, b)
                 elif cls in _BINARY:
-                    key = (_OPCODES[cls], slots[node.left], slots[node.right])
+                    op, a, b = _OPCODES[cls], slots[node.left], slots[node.right]
+                    key = (b << _SLOT_BITS | a) << _OP_BITS | op
                 else:
-                    key = (_OPCODES[cls], slots[node.arg], 0)
+                    op, a, b = _OPCODES[cls], slots[node.arg], 0
+                    key = a << _OP_BITS | op
                 slot = numbers.get(key)
                 if slot is None:
                     numbers[key] = slot = len(template)
@@ -937,10 +961,10 @@ class Program:
                         template.append(node.value)
                     else:
                         template.append(0.0)
-                        ops.append(key[0])
+                        ops.append(op)
                         dsts.append(slot)
-                        lhs.append(key[1])
-                        rhs.append(key[2])
+                        lhs.append(a)
+                        rhs.append(b)
                 slots[node] = slot
         self._code = (ops, dsts, lhs, rhs)
         self._template = template
@@ -1013,13 +1037,6 @@ class Program:
         for slot, value in enumerate(v):
             if not math.isfinite(value):
                 raise DomainError(f"non-finite value {value!r}", self._nodes[slot])
-
-
-def _power(r: Fraction, base: int) -> tuple[int, int, int | float]:
-    if r.denominator != 1:
-        return (_FPOW, base, float(r))
-    e = int(r)
-    return (_POW if e >= 0 else _NPOW, base, e)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .charts import CoordChange
 from .errors import DimensionError
-from .expr import Components, Expr, Var, check_vars, const, esum
+from .expr import Components, Expr, Var, check_vars, const, diff, esum
 
 __all__ = [
     "TimeMetric",
@@ -91,8 +91,10 @@ class SpaceMetric:
     def derivatives(self) -> tuple[tuple[tuple[Expr, ...], ...], ...]:
         """derivatives[i][j][k] = dg_ij/dx^k."""
         n = self.n
+        memos = [{} for _ in range(n)]  # one per x^k, shared by every entry
         return tuple(
-            tuple(tuple(self.g[i][j].diff(Var.space(k)) for k in range(n)) for j in range(n))
+            tuple(tuple(diff(self.g[i][j], Var.space(k), memos[k]) for k in range(n))
+                  for j in range(n))
             for i in range(n)
         )
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .charts import CoordChange, induced_point, transition
 from .errors import DimensionError
-from .expr import Components, Point, Var, const, esum, pvar
+from .expr import Components, Point, Var, const, diff, esum, pvar
 from .metrics import SpaceMetric, TimeMetric, christoffel_time
 from .report import Report, check_points, worst_residuals
 from .spray import MomentumSemispray
@@ -75,9 +75,10 @@ def connection_from_spray(G: MomentumSemispray, g: SpaceMetric) -> NonlinearConn
     if g.n != n:
         raise DimensionError("semispray and metric dimensions differ")
     ginv = g.inverse
+    memos = [{} for _ in range(n)]  # one per p_i, shared by every component
     dG = [
         [
-            [G.temporal[j, k].diff(Var.momentum(i)) for i in range(n)]
+            [diff(G.temporal[j, k], Var.momentum(i), memos[i]) for i in range(n)]
             for k in range(n)
         ]
         for j in range(n)

@@ -774,9 +774,8 @@ def distinct_nodes(roots) -> int:
 
 
 def node_parts(e: Expr) -> tuple:
-    """Every field of e and its free-variable mask, but not its kept
-    derivatives: an operand by identity, any other part by its repr, so
-    that 0.0 and -0.0 differ."""
+    """Every field of e and its free-variable mask: an operand by
+    identity, any other part by its repr, so that 0.0 and -0.0 differ."""
     parts = [getattr(e, f.name) for f in fields(e)]
     return (e._mask, *(("node", id(p)) if isinstance(p, Expr) else repr(p) for p in parts))
 
@@ -784,7 +783,7 @@ def node_parts(e: Expr) -> tuple:
 def node_snapshot(root) -> dict[int, tuple[Expr, tuple]]:
     """Every node reachable from root, by id, with its ``node_parts``.
     The walk goes through containers, object arrays, the attributes of the
-    engine's own objects, node operands and kept derivatives."""
+    engine's own objects and node operands."""
     snapshot, seen, stack = {}, set(), [root]
     while stack:
         obj = stack.pop()
@@ -794,7 +793,6 @@ def node_snapshot(root) -> dict[int, tuple[Expr, tuple]]:
         if isinstance(obj, Expr):
             snapshot[id(obj)] = (obj, node_parts(obj))
             stack.extend(children(obj))
-            stack.extend(obj._derivs[1::2])
         elif isinstance(obj, dict):
             stack.extend(obj.keys())
             stack.extend(obj.values())

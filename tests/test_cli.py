@@ -553,11 +553,12 @@ _BUILDING_COMMANDS = {
 @pytest.mark.parametrize("path", [EXAMPLE, HAMILTONIAN_N2], ids=lambda p: p.stem)
 def test_no_command_mutates_a_node(path, command):
     # nodes are immutable by contract, not by a guard: no command may assign
-    # to a field of a node the problem holds, save diff's kept derivatives
+    # to a field of a node the problem holds
     problem, run = load_problem(path), _BUILDING_COMMANDS[command]
     before = node_snapshot(problem)
     assert run(problem)
-    # the nodes the first run left reachable, its kept derivatives among them
+    # the nodes the first run left reachable, through what the problem's
+    # metrics and chart changes cache
     between = node_snapshot(problem)
     assert run(problem)
     assert len(between) > len(before) > 0
@@ -565,6 +566,26 @@ def test_no_command_mutates_a_node(path, command):
         assert {key: parts for key, (_, parts) in snapshot.items()} == {
             key: node_parts(node) for key, (node, _) in snapshot.items()
         }
+
+
+def test_charts_leave_at_most_one_tracked_object_per_node():
+    # a node is the only object construction and compilation leave behind
+    # per node for the cycle collector: no derivative memo or value number
+    # outlives the build that made it
+    problem = load_problem(HAMILTONIAN_N2)
+    suites = [suite for suite in SUITES if suite != "all"]
+    gc.disable()
+    try:
+        gc.collect()
+        before = gc.get_objects()  # held, so that no id is reused
+        known = {id(obj) for obj in before}
+        charts = jetham.cli._charts(problem, suites)
+        left = [obj for obj in gc.get_objects() if id(obj) not in known]
+    finally:
+        gc.enable()
+    nodes = len(node_snapshot(charts))
+    assert nodes > 10_000
+    assert len(left) <= nodes
 
 
 class TestOneEvaluation:

@@ -665,6 +665,89 @@ class TestValueNumbering:
             program.run(q)
 
 
+def _structures(roots) -> int:
+    """The number of distinct structures in roots, each numbered by a
+    tuple of its class and its operands' numbers, a constant by its bits:
+    the count a value-numbered program must have as slots."""
+    numbers: dict[int, int] = {}  # id(node) -> its structure's number
+    table: dict[tuple, int] = {}
+    stack = list(roots)
+    while stack:
+        node = stack[-1]
+        if id(node) in numbers:
+            stack.pop()
+            continue
+        operands = children(node)
+        pending = [e for e in operands if id(e) not in numbers]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        cls = type(node)
+        if cls is Const:
+            key = (cls, _bits([node.value])[0])
+        elif cls is Coord:
+            key = (cls, node.var)
+        else:
+            key = (cls, getattr(node, "exponent", None), *(numbers[id(e)] for e in operands))
+        numbers[id(node)] = table.setdefault(key, len(table))
+    return len(table)
+
+
+class TestValueNumberKeys:
+    """Distinct operations never share a slot: an operation's value number
+    packs its opcode, operand slots and exponent into one int."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shared_dags(), shared_dags())
+    def test_one_slot_per_distinct_structure(self, first, second):
+        roots = first + second
+        assert len(Program(roots)) == _structures(roots)
+
+    def test_powers_of_one_base_keep_a_slot_each(self):
+        x = xvar(0)
+        exponents = [Fraction(2), Fraction(-2), Fraction(1, 2), Fraction(-1, 2),
+                     Fraction(10**18), Fraction(10**18 + 1), Fraction(-(10**18)),
+                     Fraction(2**63), Fraction(2**63 + 2)]
+        program = Program([Pow(x, r) for r in exponents])
+        assert len(program) == 1 + len(exponents)
+        integral = [r for r in exponents if r.denominator == 1]
+        got = Program([Pow(x, r) for r in integral]).run(q_of(x=(-1.0,)))
+        assert got == [(-1.0) ** int(r) for r in integral]
+
+    def test_operand_order_keeps_two_slots(self):
+        a, b = xvar(0), pvar(0)
+        program = Program([Sub(a, b), Sub(b, a), Div(a, b), Div(b, a)])
+        assert len(program) == 2 + 4
+        assert program.run(q_of(x=(3.0,), p=(2.0,))) == [1.0, -1.0, 1.5, 2.0 / 3.0]
+
+    def test_every_ordered_pair_of_many_operands_keeps_a_slot(self):
+        # operand slots up to 2^6, so the pairs fill every low bit of both
+        # operand fields, and the powers an exponent's field
+        leaves = [Const(float(k)) for k in range(1, 65)]
+        pairs = [Sub(a, b) for a in leaves for b in leaves if a is not b]
+        powers = [Pow(a, Fraction(e)) for a in leaves for e in (2, 3, 10**18)]
+        assert len(Program([*pairs, *powers])) == len(leaves) + len(pairs) + len(powers)
+
+    def test_each_function_of_one_operand_keeps_a_slot(self):
+        x = xvar(0)
+        # the first root takes slot 0, so each Add's second operand has the
+        # slot number a function of one operand packs as none
+        roots = [x, *(cls(x) for cls in _UNARY), Add(x, x), Mul(x, x), Pow(x, Fraction(0))]
+        program = Program(roots)
+        assert len(program) == len(roots)
+        q = q_of(x=(0.5,))
+        assert program.run(q) == [reference_eval(r, q) for r in roots]
+
+    def test_signed_zero_operands_keep_two_slots(self):
+        x = xvar(0)
+        roots = [Add(x, Const(0.0)), Add(x, Const(-0.0)), Mul(Const(0.0), x), Mul(Const(-0.0), x)]
+        program = Program(roots)
+        assert len(program) == 3 + 4
+        got = program.run(q_of(x=(-0.0,)))
+        assert _bits(got) == _bits([0.0, -0.0, -0.0, 0.0])
+
+
 HAMILTONIAN_N2 = Path(__file__).resolve().parent.parent / "problems" / "hamiltonian_n2.json"
 
 
@@ -802,11 +885,16 @@ class TestKeptDerivatives:
             assert _same_bits(diff(root, v), first)
             assert _same_bits(diff(diff(root, v), w), reference_diff(first, w))
 
-    def test_a_second_diff_returns_the_kept_object(self):
-        e = parse("sin(x1*p1) * exp(p2) / (1 + p1^2)", 2)
-        first = diff(e, Var.momentum(0))
-        assert diff(e, Var.momentum(0)) is first
-        assert diff(e, Var.momentum(1)) is not first
+    def test_roots_sharing_a_subtree_get_one_derivative_through_one_memo(self):
+        shared = parse("sin(x1*p1) * exp(p2) / (1 + p1^2)", 2)
+        a, b = shared * xvar(0), shared + pvar(1)
+        memo = {}
+        da = diff(a, Var.momentum(0), memo)
+        db = diff(b, Var.momentum(0), memo)
+        assert da.left is db  # d(shared) * x1 and d(shared) + 0: one object
+        assert memo[shared] is db
+        # the same roots in calls of their own share nothing
+        assert diff(a, Var.momentum(0)).left is not diff(b, Var.momentum(0))
 
     def test_kept_derivatives_hold_no_reference_cycle(self):
         # dropping an expression and its derivatives frees them at once
@@ -822,8 +910,9 @@ class TestKeptDerivatives:
 
     def test_derivative_free_of_the_variable_skips_the_tree(self):
         e = parse(" + ".join(f"x1^{k}" for k in range(1, 3001)), 1)
-        assert diff(e, Var.momentum(0)) is ZERO
-        assert e._derivs == ()  # nothing was walked, so nothing was kept
+        memo = {}
+        assert diff(e, Var.momentum(0), memo) is ZERO
+        assert memo == {e: ZERO}  # nothing below the root was walked
 
 
 class TestSharing:

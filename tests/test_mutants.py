@@ -1,27 +1,35 @@
 """A mutant matrix: which wrong engines does ``verify`` still pass?
 
-Each mutant builds one paper-level object wrongly.  It is made in process,
-by wrapping the object's builder where ``jetham.cli`` looks it up, so no
-source file is edited.  A mutant is caught on a bundled problem when
-``cmd_verify`` gives a failing report there (``jetham verify`` exits 2).
+Each mutant builds one paper-level object wrongly, or feeds one law wrong
+transition data.  It is made in process, by wrapping the builder where
+``jetham.cli`` looks it up, the chart change's cached property, or the
+``transition`` a law module calls, so no source file is edited.  A mutant
+is caught on a bundled problem when ``cmd_verify`` gives a failing report
+there (``jetham verify`` exits 2).
 
 The covariance laws of a tensorial object are homogeneous, so a constant
 factor on that object, made alike in every chart, passes them.  Four of
-the seven mutants are not caught for this reason.  That is a known defect,
-not a wanted result, so those rows are strict xfails.  Once a value check
-in the problem's own chart (ROADMAP item 7) makes ``verify`` fail them,
-each strict xfail that passes is an error, which forces its mark off.
+the eleven mutants are not caught for this reason.  That is a known
+defect, not a wanted result, so those rows are strict xfails.  Once a
+value check in the problem's own chart (ROADMAP item 7) makes ``verify``
+fail them, each strict xfail that passes is an error, which forces its
+mark off.
 """
 
+import inspect
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import jetham.cli
+import jetham.nlconn
+import jetham.spray
+from jetham.charts import CoordChange, TransitionData, _array_views
 from jetham.cli import cmd_verify
 from jetham.dtensor import DTensor
-from jetham.expr import Components, const
+from jetham.expr import Components, const, esum, pvar
 from jetham.nlconn import NonlinearConnection
 from jetham.problem import load_problem
 
@@ -62,18 +70,72 @@ def _connection_temporal_times_2(build):
     return mutant
 
 
-# name -> (the builder's name in jetham.cli, its mutation, caught)
+def _canonical_spatial_indices_swapped(build):
+    # G_(j)k = -(1/2) gamma^k_ji p_i in place of -(1/2) gamma^i_jk p_i
+    def mutant(g):
+        gamma, n, half = g.christoffel, g.n, const(0.5)
+        return Components(n, [
+            [-(half * esum(gamma[k, j, i] * pvar(i) for i in range(n))) for k in range(n)]
+            for j in range(n)
+        ])
+    return mutant
+
+
+def _momentum_map_without_dt(build):
+    # p~_k = (dx^j/dx~^k) p_j, without the factor dt~/dt
+    return lambda c: tuple(e / c.dt_fwd for e in build(c))
+
+
+def _replaced(td: TransitionData, **fields) -> TransitionData:
+    """td with some array fields replaced, all of them views of a new row,
+    as the laws stack transition data by their rows."""
+    parts = {name: getattr(td, name) for name in ("jac", "jac_inv", "dp_tilde_dt", "dp_tilde_dx")}
+    parts.update(fields)
+    row = np.concatenate([[td.dt_tilde_dt, td.dt_dt_tilde], *(a.ravel() for a in parts.values())])
+    return TransitionData(td.dt_tilde_dt, td.dt_dt_tilde, *_array_views(row, td.jac.shape[-1]))
+
+
+def _jacobian_transposed(transition):
+    def mutant(c, q):
+        td = transition(c, q)
+        return _replaced(td, jac_inv=td.jac_inv.T)
+    return mutant
+
+
+def _dp_dt_sign_flipped(transition):
+    def mutant(c, q):
+        td = transition(c, q)
+        return _replaced(td, dp_tilde_dt=-td.dp_tilde_dt)
+    return mutant
+
+
+# name -> (the object holding the builder, the builder's name there, its
+# mutation, caught)
 MUTANTS = {
     # 1/2 becomes 1
-    "vertical_metrical_without_half": ("vertical_metrical", _dtensor_times(2.0), False),
-    "momentum_liouville_times_2": ("momentum_liouville", _dtensor_times(2.0), False),
-    "h_normalization_times_3": ("h_normalization", _dtensor_times(3.0), False),
-    "metric_hamiltonian_times_2": ("metric_hamiltonian", _hamiltonian_times_2, False),
+    "vertical_metrical_without_half":
+        (jetham.cli, "vertical_metrical", _dtensor_times(2.0), False),
+    "momentum_liouville_times_2": (jetham.cli, "momentum_liouville", _dtensor_times(2.0), False),
+    "h_normalization_times_3": (jetham.cli, "h_normalization", _dtensor_times(3.0), False),
+    "metric_hamiltonian_times_2": (jetham.cli, "metric_hamiltonian", _hamiltonian_times_2, False),
     # 1/2 becomes 1: the inhomogeneous term of the law is not doubled
-    "canonical_temporal_without_half": ("canonical_temporal", _components_times(2.0), True),
-    "canonical_spatial_sign_flipped": ("canonical_spatial", _components_times(-1.0), True),
+    "canonical_temporal_without_half":
+        (jetham.cli, "canonical_temporal", _components_times(2.0), True),
+    "canonical_spatial_sign_flipped":
+        (jetham.cli, "canonical_spatial", _components_times(-1.0), True),
     "canonical_connection_temporal_times_2":
-        ("canonical_connection", _connection_temporal_times_2, True),
+        (jetham.cli, "canonical_connection", _connection_temporal_times_2, True),
+    "canonical_spatial_indices_swapped":
+        (jetham.cli, "canonical_spatial", _canonical_spatial_indices_swapped, True),
+    "momentum_map_without_dt": (CoordChange, "momentum_map", _momentum_map_without_dt, True),
+    # the connection law (and the frames suite, which runs it first) reads
+    # dx^i/dx~^j transposed
+    "connection_law_jacobian_transposed":
+        (jetham.nlconn, "transition", _jacobian_transposed, True),
+    # both semispray laws read dp~/dt negated; only the temporal one has it,
+    # in its inhomogeneous term
+    "spray_temporal_inhomogeneous_sign_flipped":
+        (jetham.spray, "transition", _dp_dt_sign_flipped, True),
 }
 
 # only the report's assertion may fail: a mutant that is never built is an
@@ -86,26 +148,35 @@ UNCAUGHT = pytest.mark.xfail(
 
 
 def _cases():
-    for name, (_, _, caught) in MUTANTS.items():
+    for name, (*_, caught) in MUTANTS.items():
         for problem in PROBLEMS:
             # hamiltonian_n2.json gives its own Hamiltonian, so no chart
             # builds the metric one there: no check can see this mutant
             if name == "metric_hamiltonian_times_2" and problem == "hamiltonian_n2.json":
+                continue
+            # full_n4.json's one chart change has a diagonal Jacobian, which
+            # its transpose equals: no check can see this mutant there
+            if name == "connection_law_jacobian_transposed" and problem == "full_n4.json":
                 continue
             yield pytest.param(name, problem, marks=() if caught else UNCAUGHT)
 
 
 @pytest.mark.parametrize("mutant, problem", _cases())
 def test_mutant_fails_verify(monkeypatch, mutant, problem):
-    builder, mutate, _ = MUTANTS[mutant]
-    wrong = mutate(getattr(jetham.cli, builder))
+    owner, builder, mutate, _ = MUTANTS[mutant]
+    original = inspect.getattr_static(owner, builder)
+    cached = isinstance(original, cached_property)
+    wrong = mutate(original.func if cached else original)
     built = []
 
     def counted(*args):
         built.append(args)
         return wrong(*args)
 
-    monkeypatch.setattr(jetham.cli, builder, counted)
+    if cached:  # a cached property of the change, computed once per change
+        counted = cached_property(counted)
+        counted.__set_name__(owner, builder)
+    monkeypatch.setattr(owner, builder, counted)
     report = cmd_verify(load_problem(BUNDLED / problem))
     if not built:
         raise LookupError(f"cmd_verify never built {builder}")
