@@ -92,7 +92,11 @@ class CoordChange:
 
     @cached_property
     def _inverse(self) -> "CoordChange":
-        return CoordChange(self.n, self.t_inv, self.t_fwd, self.x_inv, self.x_fwd)
+        inverse = CoordChange(self.n, self.t_inv, self.t_fwd, self.x_inv, self.x_fwd)
+        # its derivatives are this change's, swapped: preset its caches
+        vars(inverse).update(dt_fwd=self.dt_inv, dt_inv=self.dt_fwd,
+                             jac_fwd=self.jac_inv, jac_inv=self.jac_fwd)
+        return inverse
 
     # -- cached symbolic derivatives ----------------------------------------
 

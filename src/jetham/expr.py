@@ -72,6 +72,7 @@ __all__ = [
     "xvar",
     "pvar",
     "esum",
+    "symmetric",
     "parse",
     "diff",
     "evaluate",
@@ -694,6 +695,16 @@ def esum(terms: Iterable[Expr]) -> Expr:
     for term in terms:
         total = _add(total, term)
     return total
+
+
+def symmetric(n: int, entry) -> tuple[tuple[Expr, ...], ...]:
+    """The n x n rows whose [j][k] and [k][j] are one object, entry(j, k)
+    for j <= k, built in row order."""
+    rows: list[list] = [[None] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j, n):
+            rows[j][k] = rows[k][j] = entry(j, k)
+    return tuple(map(tuple, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from .charts import CoordChange
 from .errors import DimensionError
-from .expr import Components, Expr, Var, check_vars, const, diff, esum
+from .expr import Components, Expr, Var, check_vars, const, diff, esum, pvar, symmetric
 
 __all__ = [
     "TimeMetric",
@@ -50,6 +50,11 @@ class TimeMetric:
     def __post_init__(self):
         check_vars(self.h11, {Var.time()}, "time metric")
 
+    @cached_property
+    def christoffel(self) -> Expr:
+        """H_11^1(t) = (h^11 / 2) dh_11/dt, built once per metric object."""
+        return const(0.5) * inverse_time(self) * self.h11.diff(Var.time())
+
 
 @dataclass(frozen=True)
 class SpaceMetric:
@@ -72,6 +77,8 @@ class SpaceMetric:
                         f"space metric entries [{i}][{j}] and [{j}][{i}] differ; "
                         "use identical expressions"
                     )
+        # the upper entry stands for both, so what is built from a pair is built once
+        object.__setattr__(self, "g", symmetric(self.n, lambda i, j: self.g[i][j]))
 
     # built once per metric object and shared by everything built from it
     @cached_property
@@ -81,6 +88,13 @@ class SpaceMetric:
     @cached_property
     def christoffel(self) -> Components:
         return christoffel_space(self)
+
+    @cached_property
+    def contracted_christoffel(self) -> tuple[tuple[Expr, ...], ...]:
+        """[j][k] = gamma^i_jk p_i, read by the canonical spatial semispray
+        and by the canonical connection alike."""
+        gamma = self.christoffel
+        return symmetric(self.n, lambda j, k: esum(gamma[i, j, k] * pvar(i) for i in range(self.n)))
 
     @cached_property
     def _subdets(self) -> dict[tuple[tuple[int, ...], tuple[int, ...]], Expr]:
@@ -163,8 +177,9 @@ def inverse_space(g: SpaceMetric) -> tuple[tuple[Expr, ...], ...]:
 
 
 def christoffel_time(h: TimeMetric) -> Expr:
-    """H_11^1(t) = (h^11 / 2) dh_11/dt, the single time Christoffel symbol."""
-    return const(0.5) * inverse_time(h) * h.h11.diff(Var.time())
+    """H_11^1(t), the single time Christoffel symbol: the same object on
+    every call with one metric."""
+    return h.christoffel
 
 
 def christoffel_space(g: SpaceMetric) -> Components:
@@ -219,17 +234,11 @@ def transform_space_metric(g: SpaceMetric, c: CoordChange) -> SpaceMetric:
     g~_ij = g_ab (dx^a/dx~^i)(dx^b/dx~^j), written in the tilde x."""
     if g.n != c.n:
         raise DimensionError("metric and change dimensions differ")
-    n = g.n
+    n, J = g.n, c.jac_inv
     x_sub = {Var.space(i): c.x_inv[i] for i in range(n)}
-    pulled = [[g.g[a][b].substitute(x_sub) for b in range(n)] for a in range(n)]
-    new: list[list[Expr]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
-    for i in range(n):
-        for j in range(i, n):
-            entry = esum(
-                pulled[a][b] * c.jac_inv[a][i] * c.jac_inv[b][j]
-                for a in range(n)
-                for b in range(n)
-            )
-            new[i][j] = entry
-            new[j][i] = entry
-    return SpaceMetric(n, tuple(tuple(row) for row in new))
+    images = {e: e.substitute(x_sub) for e in dict.fromkeys(e for row in g.g for e in row)}
+    # [i][a][b] = g_ab (dx^a/dx~^i), shared by every j
+    left = [[[images[g.g[a][b]] * J[a][i] for b in range(n)] for a in range(n)] for i in range(n)]
+    return SpaceMetric(n, symmetric(n, lambda i, j: esum(
+        left[i][a][b] * J[b][j] for a in range(n) for b in range(n)
+    )))

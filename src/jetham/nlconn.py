@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .charts import CoordChange, induced_point, transition
 from .errors import DimensionError
-from .expr import Components, Point, Var, const, diff, esum, pvar
+from .expr import Components, Point, Var, const, diff, esum, pvar, symmetric
 from .metrics import SpaceMetric, TimeMetric, christoffel_time
 from .report import Report, check_points, worst_residuals
 from .spray import MomentumSemispray
@@ -58,15 +58,9 @@ class NonlinearConnection:
 def canonical_connection(h: TimeMetric, g: SpaceMetric) -> NonlinearConnection:
     """temporal: H_11^1 p_j; spatial: -gamma^k_ji p_k (the metric pair's
     canonical connection, also produced by its canonical semisprays)."""
-    n = g.n
-    H = christoffel_time(h)
-    gamma = g.christoffel
+    n, H, S = g.n, christoffel_time(h), g.contracted_christoffel
     temporal = tuple(H * pvar(j) for j in range(n))
-    spatial = tuple(
-        tuple(-esum(gamma[k, j, i] * pvar(k) for k in range(n)) for i in range(n))
-        for j in range(n)
-    )
-    return NonlinearConnection(n, temporal, spatial)
+    return NonlinearConnection(n, temporal, symmetric(n, lambda j, i: -S[j][i]))
 
 
 def connection_from_spray(G: MomentumSemispray, g: SpaceMetric) -> NonlinearConnection:
@@ -76,23 +70,25 @@ def connection_from_spray(G: MomentumSemispray, g: SpaceMetric) -> NonlinearConn
         raise DimensionError("semispray and metric dimensions differ")
     ginv = g.inverse
     memos = [{} for _ in range(n)]  # one per p_i, shared by every component
-    dG = [
+    # [j][k][i] = g^jk dG1_(j)k/dp_i, shared by every r
+    weighted = [
         [
-            [diff(G.temporal[j, k], Var.momentum(i), memos[i]) for i in range(n)]
+            [ginv[j][k] * diff(G.temporal[j, k], Var.momentum(i), memos[i]) for i in range(n)]
             for k in range(n)
         ]
         for j in range(n)
     ]
     temporal = tuple(
         esum(
-            ginv[j][k] * dG[j][k][i] * g.g[i][r]
+            weighted[j][k][i] * g.g[i][r]
             for j in range(n)
             for k in range(n)
             for i in range(n)
         )
         for r in range(n)
     )
-    spatial = tuple(tuple(const(2) * e for e in row) for row in G.spatial)
+    two = const(2)
+    spatial = tuple(tuple(two * e for e in row) for row in G.spatial)
     return NonlinearConnection(n, temporal, spatial)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .charts import CoordChange, induced_point, transition
 from .errors import DimensionError
-from .expr import Components, Expr, Point, const, esum, pvar
+from .expr import Components, Point, const, pvar, symmetric
 from .metrics import SpaceMetric, TimeMetric, christoffel_time
 from .report import Report, check_points, worst_residuals
 
@@ -51,29 +51,15 @@ class MomentumSemispray:
 
 def canonical_temporal(h: TimeMetric, n: int) -> Components:
     """G_(j)k = (1/2) H_11^1 p_j p_k, quadratic in the momenta."""
-    H = christoffel_time(h)
-    half = const(0.5)
-    rows: list[list[Expr]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
-    for j in range(n):
-        for k in range(j, n):
-            entry = half * H * pvar(j) * pvar(k)
-            rows[j][k] = entry
-            rows[k][j] = entry
-    return Components(n, rows)
+    half_H = const(0.5) * christoffel_time(h)
+    half_H_p = [half_H * pvar(j) for j in range(n)]
+    return Components(n, symmetric(n, lambda j, k: half_H_p[j] * pvar(k)))
 
 
 def canonical_spatial(g: SpaceMetric) -> Components:
     """G_(j)k = -(1/2) gamma^i_jk p_i, linear in the momenta."""
-    gamma = g.christoffel
-    n = g.n
-    half = const(0.5)
-    rows: list[list[Expr]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
-    for j in range(n):
-        for k in range(j, n):
-            entry = -(half * esum(gamma[i, j, k] * pvar(i) for i in range(n)))
-            rows[j][k] = entry
-            rows[k][j] = entry
-    return Components(n, rows)
+    S, half = g.contracted_christoffel, const(0.5)
+    return Components(g.n, symmetric(g.n, lambda j, k: -(half * S[j][k])))
 
 
 def _verify_semispray_law(

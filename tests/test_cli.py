@@ -32,11 +32,14 @@ import jetham.nlconn
 from jetham.charts import induced_point, transition
 from jetham.cli import SUITES, cmd_canonical, cmd_christoffel, cmd_verify, main
 from jetham.expr import Components, Point
+from jetham.metrics import christoffel_time
+from jetham.nlconn import NonlinearConnection
 from jetham.problem import load_problem, problem_from_dict
 from jetham.report import report_to_json
 
 from helpers import (
     InProcessRunner,
+    distinct_nodes,
     node_parts,
     node_snapshot,
     random_expr,
@@ -586,6 +589,44 @@ def test_charts_leave_at_most_one_tracked_object_per_node():
     nodes = len(node_snapshot(charts))
     assert nodes > 10_000
     assert len(left) <= nodes
+
+
+class TestSharedStructures:
+    """The builders hand out one object for each structure they repeat: a
+    metric's mirrored entries, one contraction gamma^i_jk p_i, one time
+    Christoffel symbol, the inverse change's derivatives."""
+
+    def test_each_chart_group_holds_few_duplicates(self):
+        # building each repeated structure anew gives 1.27-1.39 objects per
+        # slot in these groups
+        problem = load_problem(FULL_N4)
+        charts = jetham.cli._charts(problem, [suite for suite in SUITES if suite != "all"])
+        for chart in charts.values():
+            parts = [
+                part
+                for value in vars(chart).values()
+                if isinstance(value, (Components, NonlinearConnection))
+                for part in jetham.cli._parts(value)
+            ]
+            (program,) = {id(part._span[0]): part._span[0] for part in parts}.values()
+            roots = [e for part in parts for e in part.comps.flat]
+            assert distinct_nodes(roots) <= 1.10 * len(program)
+
+    def test_repeated_structures_are_one_object(self):
+        problem = load_problem(FULL_N4)
+        g, h = problem.space_metric, problem.time_metric
+        assert g.g[1][0] is g.g[0][1]
+        assert christoffel_time(h) is christoffel_time(h)
+        for spec in problem.charts:
+            c = spec.change
+            assert c.inverse().jac_fwd is c.jac_inv and c.inverse().jac_inv is c.jac_fwd
+            assert c.inverse().dt_fwd is c.dt_inv and c.inverse().dt_inv is c.dt_fwd
+        origin = jetham.cli._charts(problem, ("connection",))[""]
+        N, G = origin.connection, origin.spatial
+        assert N.spatial[0, 1] is N.spatial[1, 0]
+        # -gamma^k_ji p_k and -(1/2) gamma^i_jk p_i negate one contraction
+        S = g.contracted_christoffel
+        assert N.spatial[0, 1].arg is S[0][1] is G[0, 1].arg.right
 
 
 class TestOneEvaluation:

@@ -2,14 +2,15 @@
 
 Each mutant builds one paper-level object wrongly, or feeds one law wrong
 transition data.  It is made in process, by wrapping the builder where
-``jetham.cli`` looks it up, the chart change's cached property, or the
-``transition`` a law module calls, so no source file is edited.  A mutant
+``jetham.cli`` looks it up, a cached property of the chart change or of
+the space metric, or the ``transition`` a law module calls, so no source
+file is edited.  A mutant
 is caught on a bundled problem when ``cmd_verify`` gives a failing report
 there (``jetham verify`` exits 2).
 
 The covariance laws of a tensorial object are homogeneous, so a constant
 factor on that object, made alike in every chart, passes them.  Four of
-the eleven mutants are not caught for this reason.  That is a known
+the twelve mutants are not caught for this reason.  That is a known
 defect, not a wanted result, so those rows are strict xfails.  Once a
 value check in the problem's own chart (ROADMAP item 7) makes ``verify``
 fail them, each strict xfail that passes is an error, which forces its
@@ -30,6 +31,7 @@ from jetham.charts import CoordChange, TransitionData, _array_views
 from jetham.cli import cmd_verify
 from jetham.dtensor import DTensor
 from jetham.expr import Components, const, esum, pvar
+from jetham.metrics import SpaceMetric
 from jetham.nlconn import NonlinearConnection
 from jetham.problem import load_problem
 
@@ -81,6 +83,19 @@ def _canonical_spatial_indices_swapped(build):
     return mutant
 
 
+def _contraction_indices_swapped(build):
+    # [j][k] = gamma^k_ji p_i in place of gamma^i_jk p_i.  The spatial
+    # semispray and the connection both read this one object, so they agree
+    # and the canonical consistency check cannot see it: the laws must
+    def mutant(g):
+        gamma, n = g.christoffel, g.n
+        return tuple(
+            tuple(esum(gamma[k, j, i] * pvar(i) for i in range(n)) for k in range(n))
+            for j in range(n)
+        )
+    return mutant
+
+
 def _momentum_map_without_dt(build):
     # p~_k = (dx^j/dx~^k) p_j, without the factor dt~/dt
     return lambda c: tuple(e / c.dt_fwd for e in build(c))
@@ -127,6 +142,8 @@ MUTANTS = {
         (jetham.cli, "canonical_connection", _connection_temporal_times_2, True),
     "canonical_spatial_indices_swapped":
         (jetham.cli, "canonical_spatial", _canonical_spatial_indices_swapped, True),
+    "contracted_christoffel_indices_swapped":
+        (SpaceMetric, "contracted_christoffel", _contraction_indices_swapped, True),
     "momentum_map_without_dt": (CoordChange, "momentum_map", _momentum_map_without_dt, True),
     # the connection law (and the frames suite, which runs it first) reads
     # dx^i/dx~^j transposed
@@ -173,7 +190,7 @@ def test_mutant_fails_verify(monkeypatch, mutant, problem):
         built.append(args)
         return wrong(*args)
 
-    if cached:  # a cached property of the change, computed once per change
+    if cached:  # a cached property, computed once per change or metric
         counted = cached_property(counted)
         counted.__set_name__(owner, builder)
     monkeypatch.setattr(owner, builder, counted)
