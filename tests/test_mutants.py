@@ -4,9 +4,8 @@ Each mutant builds one paper-level object wrongly, or feeds one law wrong
 transition data.  It is made in process, by wrapping the builder where
 ``jetham.cli`` looks it up, a cached property of the chart change or of
 the space metric, or the ``transition`` a law module calls, so no source
-file is edited.  A mutant
-is caught on a bundled problem when ``cmd_verify`` gives a failing report
-there (``jetham verify`` exits 2).
+file is edited.  A mutant is caught on a bundled problem when
+``cmd_verify`` gives a failing report there (``jetham verify`` exits 2).
 
 The covariance laws of a tensorial object are homogeneous, so a constant
 factor on that object, made alike in every chart, passes them.  Four of
