@@ -19,8 +19,8 @@ the caller may pass: a builder that differentiates several roots by one
 variable passes one memo per variable for as long as it runs, so a
 subtree shared by those roots is differentiated once, and the memo is
 dropped with the build.  Substitution rebuilds each node object once per
-call, and a compiled ``Program`` evaluates each distinct structure once
-per point; it is the only evaluator.  None of these, nor printing,
+call, and a compiled ``Program`` evaluates each node object once per
+point; it is the only evaluator.  None of these, nor printing,
 recurses, so depth is not limited by the interpreter's stack; the parser
 caps nesting at ``MAX_NESTING`` levels instead.
 
@@ -45,7 +45,6 @@ import math
 import operator
 import re
 import struct
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -181,8 +180,8 @@ Number = Union[int, float]
 class Expr:
     """Base class; all nodes are immutable and compare and hash by
     identity: two trees built apart are two objects, whatever their
-    structure.  A structure is decided only by a parse's table of shared
-    nodes and by ``Program``'s value numbers.  ``repr`` is the printed
+    structure, and a ``Program`` gives each its own slots.  Only a parse's
+    table of shared nodes decides a structure.  ``repr`` is the printed
     text behind the node's class name, so it does not recurse.
 
     Immutability is a contract, not a guard: assigning to a field does not
@@ -244,9 +243,7 @@ class Expr:
 
     def free_vars(self) -> frozenset[Var]:
         mask = self._mask
-        if mask < 0:
-            mask = _walked_mask(self)
-        return frozenset(_var_of_bit(k) for k in range(1, mask.bit_length()) if mask >> k & 1)
+        return frozenset(_var_of_bit(k) for k in range(2, mask.bit_length()) if mask >> k & 1)
 
     # -- per-node rules -------------------------------------------------------
     def _derivative(self, d, v: Var) -> "Expr":
@@ -255,42 +252,27 @@ class Expr:
         raise NotImplementedError
 
 
-# Free-variable masks.  The variable t has bit 1, x^i bit 2i+2 and p_i bit
-# 2i+3.  Bit 0 is not a variable: it says that the node's derivative by a
-# variable outside its mask is -0.0 rather than 0.0, the zero the node's
-# rule builds from its operands' zeros.  A mask of every bit (a negative
-# int) marks a node whose rule builds no zero at all; ``diff`` never skips
-# it, nor any node above it.
+# Free-variable masks.  The variable t has bit 2, x^i bit 2i+3 and p_i bit
+# 2i+4.  Bit 0 says that the node's derivative by a variable outside its
+# mask is -0.0 rather than 0.0, the zero the node's rule builds from its
+# operands' zeros.  Bit 1 marks a node whose rule builds no zero at all;
+# it passes to every node above, as a variable's bit does, and ``diff``
+# never skips a node that carries it.
 _SIGN = 1
-_EVERY = -1
+_NO_SKIP = 2
 
 
 def _bit(v: Var) -> int:
     if v.kind == "t":
-        return 2
-    return 1 << (2 * v.index + (2 if v.kind == "x" else 3))
+        return 4
+    return 1 << (2 * v.index + (3 if v.kind == "x" else 4))
 
 
 def _var_of_bit(k: int) -> Var:
-    if k == 1:
+    if k == 2:
         return Var.time()
-    i, momentum = divmod(k - 2, 2)
+    i, momentum = divmod(k - 3, 2)
     return Var("p" if momentum else "x", i)
-
-
-def _walked_mask(e: "Expr") -> int:
-    """The variables of e, read below the nodes marked with every bit."""
-    mask = 0
-    seen = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if node._mask >= 0:
-            mask |= node._mask
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(_operands(node))
-    return mask & ~_SIGN
 
 
 # Each node class writes its own __init__, which sets its fields and its
@@ -381,12 +363,11 @@ class Div(Expr):
     def __init__(self, left: Expr, right: Expr):
         self.left = left
         self.right = right
+        self._mask = (left._mask | right._mask) & ~_SIGN
         # over a constant whose square is 0.0 the rule builds 0 / 0.0,
         # which _div keeps as a Div
         if type(right) is Const and abs(right.value) < 1.0 and right.value ** 2 == 0.0:
-            self._mask = _EVERY
-        else:
-            self._mask = (left._mask | right._mask) & ~_SIGN
+            self._mask |= _NO_SKIP
 
     def _derivative(self, d, v):
         num = _sub(
@@ -451,10 +432,7 @@ class Log(Expr):
     def __init__(self, arg: Expr):
         self.arg = arg
         # of the constant 0 the rule builds 0 / 0, which _div keeps
-        if type(arg) is Const and arg.value == 0.0:
-            self._mask = _EVERY
-        else:
-            self._mask = arg._mask & ~_SIGN
+        self._mask = _NO_SKIP if type(arg) is Const and arg.value == 0.0 else arg._mask & ~_SIGN
 
     def _derivative(self, d, v):
         return _div(d(self.arg), self.arg)
@@ -726,7 +704,7 @@ def diff(e: Expr, v: Var, memo: dict | None = None) -> Expr:
     constructors decide the result, so it equals a node-by-node recursive
     derivative and differs only in sharing.
     """
-    bit = _bit(v)
+    bit = _bit(v) | _NO_SKIP
     # node -> its derivative by v
     done: dict[Expr, Expr] = {} if memo is None else memo
     d = done.__getitem__  # how each rule reads its operands' derivatives
@@ -855,29 +833,18 @@ _OPCODES = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV, Neg: _NEG,
 
 _TEST = object()  # Program's stack mark for a Div's denominator test
 
-# An operation's value number is one int: (b << _SLOT_BITS | a) << _OP_BITS
-# | op, for opcode op, first operand slot a and second operand slot or
-# integer exponent b (0 for a function of one operand).  No slot reaches
-# sys.maxsize, as no list can hold that many items, so a fits its field and
-# the int is injective; b may be negative or of any size.
-_OP_BITS = 4
-_SLOT_BITS = sys.maxsize.bit_length()
-
 
 class Program:
     """A list of root expressions compiled to one straight-line program.
 
-    Slots are value-numbered: one per distinct structure, so a subtree
-    shared by many parents or roots, or built twice as equal trees, runs
-    once per point.  A node's number is its opcode, operand slots and
-    exponent packed in one int (a fractional power's is a tuple), found
-    bottom-up with no deep comparison; a coordinate's is its variable,
-    and a constant's its value and sign, so 0.0 and -0.0 keep two slots.
-    Slots fill in depth-first order, operands left to right, but a
-    ``Div`` tests its denominator for zero (once per denominator slot)
-    before it walks its numerator.  That order decides which DomainError
-    comes first, and a duplicate never runs before its original.  Each
-    node has one IEEE double operation and its domain checks.
+    Slots are numbered by identity: one per node object reached from the
+    roots, so a subtree shared by many parents or roots runs once per
+    point, while two equal trees built apart run once each.  Sharing is
+    the builders' and the parser's to give.  Slots fill in depth-first
+    order, operands left to right, but a ``Div`` tests its denominator
+    for zero (once per denominator slot) before it walks its numerator.
+    That order decides which DomainError comes first.  Each node has one
+    IEEE double operation and its domain checks.
 
     ``run`` also rejects non-finite values: a NaN or an infinity in any
     slot raises DomainError naming the first node that produced one.
@@ -889,10 +856,9 @@ class Program:
     def __init__(self, roots: Iterable[Expr]):
         roots = tuple(roots)
         slots: dict[Expr, int] = {}  # node -> slot
-        numbers: dict = {}  # value number -> slot
         checked: set[int] = set()  # denominator slots tested for zero
         template: list[float] = []  # constants in place, 0.0 elsewhere
-        nodes: list[Expr] = []  # slot -> first node computing it
+        nodes: list[Expr] = []  # slot -> its node
         # instruction k is (ops[k], dsts[k], lhs[k], rhs[k]); four flat
         # lists hold a large program in less memory than one tuple each
         ops: list[int] = []
@@ -944,46 +910,36 @@ class Program:
                             stack += (node, None, arg)
                             continue
                 # a leaf, or an operation whose operands have slots
+                slots[node] = slot = len(template)
+                nodes.append(node)
                 if cls is Const:
-                    key = (node.value, math.copysign(1.0, node.value))
-                elif cls is Coord:
+                    template.append(node.value)
+                    continue
+                if cls is Coord:
                     op, a, b = _LOAD, node.var, 0
-                    key = a
                 elif cls is Pow:
                     r, a = node.exponent, slots[node.base]
                     if r.denominator == 1:
                         b = int(r)
                         op = _POW if b >= 0 else _NPOW
-                        key = (b << _SLOT_BITS | a) << _OP_BITS | op
                     else:
                         op, b = _FPOW, float(r)
-                        key = (_FPOW, a, b)
                 elif cls in _BINARY:
                     op, a, b = _OPCODES[cls], slots[node.left], slots[node.right]
-                    key = (b << _SLOT_BITS | a) << _OP_BITS | op
                 else:
                     op, a, b = _OPCODES[cls], slots[node.arg], 0
-                    key = a << _OP_BITS | op
-                slot = numbers.get(key)
-                if slot is None:
-                    numbers[key] = slot = len(template)
-                    nodes.append(node)
-                    if cls is Const:
-                        template.append(node.value)
-                    else:
-                        template.append(0.0)
-                        ops.append(op)
-                        dsts.append(slot)
-                        lhs.append(a)
-                        rhs.append(b)
-                slots[node] = slot
+                template.append(0.0)
+                ops.append(op)
+                dsts.append(slot)
+                lhs.append(a)
+                rhs.append(b)
         self._code = (ops, dsts, lhs, rhs)
         self._template = template
         self._nodes = nodes
         self._roots = [slots[r] for r in roots]
 
     def __len__(self) -> int:
-        """Number of value slots: one per distinct structure."""
+        """Number of value slots: one per distinct node object."""
         return len(self._template)
 
     def run(self, q: Point) -> list[float]:
@@ -1238,8 +1194,8 @@ _TOKEN_RE = re.compile(
 
 def _structure(node: Expr):
     """The key of node in a parse's table of shared nodes: a constant's
-    value and sign, as ``Program`` numbers it, a coordinate's variable, and
-    an operation's class, operand ids and exponent."""
+    value and sign, so 0.0 and -0.0 stay two nodes, a coordinate's
+    variable, and an operation's class, operand ids and exponent."""
     cls = type(node)
     if cls is Const:
         return (node.value, math.copysign(1.0, node.value))

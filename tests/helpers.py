@@ -6,8 +6,8 @@ compatibility residual, the natural frame rules
 check, the paper objects no command runs (the identity and composed chart
 changes, the push-forward of a d-tensor, the semispray of a connection, and
 the split of a vector field over the adapted frame), the point-by-point
-references for every law and for the JSON report, a count of distinct node
-objects, a snapshot of every node an object holds, the structural
+references for every law and for the JSON report, counts of distinct node
+objects and of distinct structures, a snapshot of every node an object holds, the structural
 comparison of two trees, the finite-difference oracle, and an in-process
 runner for the command line."""
 
@@ -18,6 +18,7 @@ import json
 import math
 import operator
 import random
+import struct
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, fields, is_dataclass
@@ -771,6 +772,35 @@ def distinct_nodes(roots) -> int:
             seen.add(id(e))
             stack.extend(children(e))
     return len(seen)
+
+
+def structures(roots) -> int:
+    """Number of distinct structures in the trees of roots, each numbered
+    by a tuple of its class and its operands' numbers, a constant by its
+    bits; structurally equal objects count once together."""
+    numbers: dict[int, int] = {}  # id(node) -> its structure's number
+    table: dict[tuple, int] = {}
+    stack = list(roots)
+    while stack:
+        node = stack[-1]
+        if id(node) in numbers:
+            stack.pop()
+            continue
+        operands = children(node)
+        pending = [e for e in operands if id(e) not in numbers]
+        if pending:
+            stack += pending
+            continue
+        stack.pop()
+        cls = type(node)
+        if cls is Const:
+            key = (cls, struct.pack("<d", node.value))
+        elif cls is Coord:
+            key = (cls, node.var)
+        else:
+            key = (cls, getattr(node, "exponent", None), *(numbers[id(e)] for e in operands))
+        numbers[id(node)] = table.setdefault(key, len(table))
+    return len(table)
 
 
 def node_parts(e: Expr) -> tuple:

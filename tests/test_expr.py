@@ -67,6 +67,7 @@ from helpers import (
     reference_eval,
     reference_substitute,
     same_structure,
+    structures,
 )
 
 Q1 = Point.make(0.0, [1.0], [1.0])
@@ -621,10 +622,13 @@ class TestProgram:
         assert Program([const(1e308), const(1e308)]).run(Q1) == [1e308, 1e308]
 
 
-class TestValueNumbering:
+class TestIdentitySlots:
+    """A program gives each node object its own slot: equal trees built
+    apart are compiled and run once each."""
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 10**9), _COORDS, _COORDS, _COORDS, _COORDS, _COORDS)
-    def test_equal_structures_share_slots(self, seed, t, x1, x2, p1, p2):
+    def test_equal_structures_built_apart_keep_their_own_slots(self, seed, t, x1, x2, p1, p2):
         # each root parsed twice from its text: equal trees, distinct objects
         rng = random.Random(seed)
         texts = [str(random_expr(rng, 2)) for _ in range(rng.randint(1, 3))]
@@ -632,7 +636,7 @@ class TestValueNumbering:
         assert all(a is not b and same_structure(a, b) for a, b in zip(first, second))
         roots = first + second
         program = Program(roots)
-        assert len(program) == len(Program(first))
+        assert len(program) == len(Program(first)) + len(Program(second))
         q = Point.make(t, [x1, x2], [p1, p2])
         try:
             want = [reference_eval(r, q) for r in roots]
@@ -649,60 +653,36 @@ class TestValueNumbering:
             return
         assert _bits(got) == _bits(want)
 
-    def test_signed_zeros_keep_two_slots(self):
+    def test_signed_zeros_keep_their_bits(self):
         program = Program([Const(0.0), Const(-0.0), Const(0.0), Const(-0.0)])
-        assert len(program) == 2
+        assert len(program) == 4
         assert _bits(program.run(Q1)) == _bits([0.0, -0.0, 0.0, -0.0])
 
-    def test_one_check_per_denominator(self):
-        # two equal denominators, three divisions: one zero test
+    def test_one_check_per_denominator_object(self):
+        # one shared denominator, three divisions: one zero test
         x, y, p = xvar(0), xvar(1), pvar(0)
-        roots = [Div(x, Sub(x, y)), Div(p, Sub(x, y)), Div(y, Sub(x, y))]
-        program = Program(roots)
+        shared = Sub(x, y)
+        program = Program([Div(x, shared), Div(p, shared), Div(y, shared)])
         assert program._code[0].count(jetham.expr._CHECK) == 1
         q = Point.make(1.0, [2.0, 2.0], [1.0, 1.0])
         with pytest.raises(DomainError, match=r"division by zero in 'x1 / \(x1 - x2\)'"):
             program.run(q)
-
-
-def _structures(roots) -> int:
-    """The number of distinct structures in roots, each numbered by a
-    tuple of its class and its operands' numbers, a constant by its bits:
-    the count a value-numbered program must have as slots."""
-    numbers: dict[int, int] = {}  # id(node) -> its structure's number
-    table: dict[tuple, int] = {}
-    stack = list(roots)
-    while stack:
-        node = stack[-1]
-        if id(node) in numbers:
-            stack.pop()
-            continue
-        operands = children(node)
-        pending = [e for e in operands if id(e) not in numbers]
-        if pending:
-            stack += pending
-            continue
-        stack.pop()
-        cls = type(node)
-        if cls is Const:
-            key = (cls, _bits([node.value])[0])
-        elif cls is Coord:
-            key = (cls, node.var)
-        else:
-            key = (cls, getattr(node, "exponent", None), *(numbers[id(e)] for e in operands))
-        numbers[id(node)] = table.setdefault(key, len(table))
-    return len(table)
+        # equal denominators built apart: one zero test each, the first wins
+        program = Program([Div(x, Sub(x, y)), Div(p, Sub(x, y)), Div(y, Sub(x, y))])
+        assert program._code[0].count(jetham.expr._CHECK) == 3
+        with pytest.raises(DomainError, match=r"division by zero in 'x1 / \(x1 - x2\)'"):
+            program.run(q)
 
 
 class TestValueNumberKeys:
-    """Distinct operations never share a slot: an operation's value number
-    packs its opcode, operand slots and exponent into one int."""
+    """Distinct operations never share a slot, whatever their opcodes,
+    operand slots and exponents."""
 
     @settings(max_examples=300, deadline=None)
     @given(shared_dags(), shared_dags())
-    def test_one_slot_per_distinct_structure(self, first, second):
+    def test_one_slot_per_node_object(self, first, second):
         roots = first + second
-        assert len(Program(roots)) == _structures(roots)
+        assert len(Program(roots)) == distinct_nodes(roots)
 
     def test_powers_of_one_base_keep_a_slot_each(self):
         x = xvar(0)
@@ -743,7 +723,7 @@ class TestValueNumberKeys:
         x = xvar(0)
         roots = [Add(x, Const(0.0)), Add(x, Const(-0.0)), Mul(Const(0.0), x), Mul(Const(-0.0), x)]
         program = Program(roots)
-        assert len(program) == 3 + 4
+        assert len(program) == 1 + 4 + 4 == distinct_nodes(roots)
         got = program.run(q_of(x=(-0.0,)))
         assert _bits(got) == _bits([0.0, -0.0, -0.0, 0.0])
 
@@ -769,7 +749,7 @@ class TestSharedParse:
             )
         e = parse(src, 2)
         assert same_structure(e, unshared)
-        assert distinct_nodes([e]) == len(Program([e]))
+        assert distinct_nodes([e]) == structures([e])
         q = Point.make(t, [x1, x2], [p1, p2])
         try:
             want = reference_eval(unshared, q)
@@ -796,10 +776,10 @@ class TestSharedParse:
         problem = load_problem(HAMILTONIAN_N2)
         origin = _Chart(problem)
         hamiltonian = origin.hamiltonian
-        assert distinct_nodes([hamiltonian]) == len(Program([hamiltonian]))
+        assert distinct_nodes([hamiltonian]) == structures([hamiltonian])
         for chart in [origin, *(_Chart(problem, origin, spec.change) for spec in problem.charts)]:
             comps = list(chart.vertical_metrical.comps.flat)
-            assert distinct_nodes(comps) <= 1.1 * len(Program(comps))
+            assert distinct_nodes(comps) <= 1.1 * structures(comps)
 
 
 class TestComponentsCompiledTogether:
@@ -907,6 +887,20 @@ class TestKeptDerivatives:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @settings(max_examples=300, deadline=None)
+    @given(shared_dags())
+    @example([Add(Log(Const(0.0)), pvar(0))])
+    @example([Mul(Div(xvar(0), Const(1e-200)), tvar())])
+    def test_free_vars_are_the_variables_of_a_walk(self, roots):
+        for root in roots:
+            stack, seen = [root], set()
+            while stack:
+                node = stack.pop()
+                if node not in seen:
+                    seen.add(node)
+                    stack.extend(children(node))
+            assert root.free_vars() == {node.var for node in seen if type(node) is Coord}
 
     def test_derivative_free_of_the_variable_skips_the_tree(self):
         e = parse(" + ".join(f"x1^{k}" for k in range(1, 3001)), 1)
