@@ -573,8 +573,8 @@ def test_no_command_mutates_a_node(path, command):
 
 def test_charts_leave_at_most_one_tracked_object_per_node():
     # a node is the only object construction and compilation leave behind
-    # per node for the cycle collector: no derivative memo or value number
-    # outlives the build that made it
+    # per node for the cycle collector: no derivative memo outlives the
+    # build that made it
     problem = load_problem(HAMILTONIAN_N2)
     suites = [suite for suite in SUITES if suite != "all"]
     gc.disable()

@@ -702,8 +702,6 @@ class TestValueNumberKeys:
         assert program.run(q_of(x=(3.0,), p=(2.0,))) == [1.0, -1.0, 1.5, 2.0 / 3.0]
 
     def test_every_ordered_pair_of_many_operands_keeps_a_slot(self):
-        # operand slots up to 2^6, so the pairs fill every low bit of both
-        # operand fields, and the powers an exponent's field
         leaves = [Const(float(k)) for k in range(1, 65)]
         pairs = [Sub(a, b) for a in leaves for b in leaves if a is not b]
         powers = [Pow(a, Fraction(e)) for a in leaves for e in (2, 3, 10**18)]
@@ -711,8 +709,6 @@ class TestValueNumberKeys:
 
     def test_each_function_of_one_operand_keeps_a_slot(self):
         x = xvar(0)
-        # the first root takes slot 0, so each Add's second operand has the
-        # slot number a function of one operand packs as none
         roots = [x, *(cls(x) for cls in _UNARY), Add(x, x), Mul(x, x), Pow(x, Fraction(0))]
         program = Program(roots)
         assert len(program) == len(roots)
