@@ -1,5 +1,6 @@
 """Problem file parsing, validation, and load-time sanity checks."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -41,6 +42,41 @@ def base_doc():
     }
 
 
+def sample_doc(sample):
+    doc = base_doc()
+    doc["sample"] = sample
+    return doc
+
+
+# sha256 of the exact bits (float.hex) of every coordinate of every seeded
+# sample point: a change in draw order or in the arithmetic of a draw moves
+# them, where comparing two loads by the same code would not
+SAMPLE_SHA256 = {
+    "example": (
+        lambda: json.loads(EXAMPLE.read_text()),
+        "437be57da71ce4df766aa90d62de21a974a735a70840efbe2be0810ad3b2c558",
+    ),
+    "per_axis": (
+        lambda: sample_doc(
+            {
+                "seed": 11,
+                "count": 6,
+                "box": {"t": [1, 1.5], "x": [[0.5, 1.0], [1.0, 2.0]], "p": [[-1, 0], [2, 4]]},
+            }
+        ),
+        "8c964b1e2158bee0af2610892610576479e4fcdf479e8140fead88281f0ffb5c",
+    ),
+    "defaults": (
+        lambda: sample_doc({"seed": 3, "count": 6, "box": {}}),
+        "b7fe6da92d175f51bdcf871aa5c3873bf9901d7160e91b87619898219b81397a",
+    ),
+    "t_only": (
+        lambda: sample_doc({"seed": 5, "count": 6, "box": {"t": [1.0, 1.25]}}),
+        "9e9bc97e87bed123a1159cd76b71794d9a093ce0d04be10634e6c69ece3e8882",
+    ),
+}
+
+
 class TestLoading:
     def test_round_trips(self):
         problem = problem_from_dict(base_doc())
@@ -58,6 +94,13 @@ class TestLoading:
         a = problem_from_dict(base_doc())
         b = problem_from_dict(base_doc())
         assert a.points == b.points
+
+    @pytest.mark.parametrize("box", sorted(SAMPLE_SHA256))
+    def test_seeded_sample_bits_are_pinned(self, box):
+        make_doc, digest = SAMPLE_SHA256[box]
+        points = problem_from_dict(make_doc()).points
+        text = "\n".join(" ".join(map(float.hex, q.flat())) for q in points)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_explicit_points(self):
         doc = base_doc()
