@@ -70,7 +70,6 @@ from .nlconn import (
 )
 from .problem import Problem, load_problem, problem_from_dict
 from .report import CheckRecord, Report, report_to_json, residual
-from .sampling import Box, sample_points
 from .spray import (
     MomentumSemispray,
     canonical_spatial,

@@ -47,7 +47,7 @@ import re
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -1168,8 +1168,8 @@ def _fmt_number(value: float) -> str:
 # ---------------------------------------------------------------------------
 # Parser: recursive descent over the surface grammar
 #
-#   expr   := term (("+"|"-") term)*
-#   term   := factor (("*"|"/") factor)*
+#   expr   := term (("+"|"-") term)*         (_Parser.expr at level 0)
+#   term   := factor (("*"|"/") factor)*     (level 1)
 #   factor := base ("^" rational)?
 #   base   := number | ident | "(" expr ")" | func "(" expr ")" | "-" base
 #   ident  := "t" | "x" digits | "p" digits      (1-based indices)
@@ -1190,6 +1190,10 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE | re.DOTALL,
 )
+
+
+# the binary operators of each precedence level, loosest first
+_LEVELS = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
 
 
 def _structure(node: Expr):
@@ -1262,24 +1266,16 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected {text!r} after expression", offset)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while self._peek()[1] in ("+", "-"):
+    def expr(self, level: int = 0) -> Expr:
+        """Operands joined from the left by one precedence level's
+        operators: terms by + and - at level 0, factors by * and / at 1."""
+        ops = _LEVELS[level]
+        operand = partial(self.expr, level + 1) if level + 1 < len(_LEVELS) else self.factor
+        e = operand()
+        while self._peek()[1] in ops:
             _, op, offset = self._next()
-            cls = Add if op == "+" else Sub
-            rhs = self.term()
-            e = self._share((cls, id(e), id(rhs)), cls, _REBUILDERS[cls], e, rhs)
-            if type(rhs) is Const and type(e) is cls and type(e.left) is Const and rhs.value != 0.0:
-                value = _ARITHMETIC[cls](e.left.value, rhs.value)  # overflowed, not x/0
-                raise ExprSyntaxError(f"{op!r} folds to {value}, not a finite double", offset)
-        return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while self._peek()[1] in ("*", "/"):
-            _, op, offset = self._next()
-            cls = Mul if op == "*" else Div
-            rhs = self.factor()
+            cls = ops[op]
+            rhs = operand()
             e = self._share((cls, id(e), id(rhs)), cls, _REBUILDERS[cls], e, rhs)
             if type(rhs) is Const and type(e) is cls and type(e.left) is Const and rhs.value != 0.0:
                 value = _ARITHMETIC[cls](e.left.value, rhs.value)  # overflowed, not x/0

@@ -1,16 +1,21 @@
 """Problem files: a JSON document with embedded DSL expressions.
 
 Keys are exactly {n, time_metric, space_metric, hamiltonian?, charts,
-sample, tolerance?}.  Sampling is seeded and boxed per problem so that
-singular loci are excluded by configuration; a bad box fails loudly at
-load time (metric invertibility and chart round trips are checked on the
-actual sample points, never silently skipped).
+sample, tolerance?}.  The sample is a list of points or a seeded box: one
+interval each for t, x^i and p_i, drawn uniformly, so identical (box,
+count, seed) give identical points on every platform.  The box keeps
+every evaluation away from singular loci (t = 0 for t^2-style
+reparametrizations, x = 0 for polar-style metrics): they are excluded by
+configuration, never skipped.  A bad box fails loudly at load time
+(metric invertibility and chart round trips are checked on the actual
+sample points).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +25,6 @@ from .errors import DomainError, JethamError, ProblemFormatError
 from .expr import Expr, Point, Program, parse
 from .metrics import MAX_DIM, SpaceMetric, TimeMetric, space_metric_det
 from .report import residual, worst_residual
-from .sampling import Box, sample_points
 
 __all__ = ["ChartSpec", "Problem", "load_problem", "problem_from_dict"]
 
@@ -31,6 +35,10 @@ CHART_KEYS = {"name", "t_fwd", "t_inv", "x_fwd", "x_inv"}
 INVERTIBILITY_EPS = 1e-12
 ROUND_TRIP_TOL = 1e-9
 MAX_POINTS = 10_000  # sample points per problem: a verdict's time grows with them
+# the box of an axis the sample's box leaves out
+DEFAULT_T_RANGE = (0.5, 2.0)
+DEFAULT_X_RANGE = (0.5, 2.0)
+DEFAULT_P_RANGE = (-3.0, 3.0)
 
 
 @dataclass(frozen=True)
@@ -98,7 +106,7 @@ def _at_most_max_points(count: int, where: str) -> None:
         raise ProblemFormatError(f"{where}: at most {MAX_POINTS} points allowed, got {count}")
 
 
-def _sample_points_from(doc, n: int) -> tuple[Point, ...]:
+def _points_from(doc, n: int) -> tuple[Point, ...]:
     if not isinstance(doc, dict):
         raise ProblemFormatError("sample: expected an object")
     if "points" in doc:
@@ -133,18 +141,22 @@ def _sample_points_from(doc, n: int) -> tuple[Point, ...]:
     if doc["count"] < 1:
         raise ProblemFormatError("sample.count: must be >= 1")
     _at_most_max_points(doc["count"], "sample.count")
-    kwargs = {}
-    box_doc = doc.get("box", {})
-    if not isinstance(box_doc, dict) or set(box_doc) - {"t", "x", "p"}:
+    box = doc.get("box", {})
+    if not isinstance(box, dict) or set(box) - {"t", "x", "p"}:
         raise ProblemFormatError("sample.box: expected keys among {t, x, p}")
-    if "t" in box_doc:
-        kwargs["t"] = _interval(box_doc["t"], "sample.box.t")
-    if "x" in box_doc:
-        kwargs["x"] = _axis_intervals(box_doc["x"], n, "sample.box.x")
-    if "p" in box_doc:
-        kwargs["p"] = _axis_intervals(box_doc["p"], n, "sample.box.p")
-    box = Box(n, **kwargs)
-    return tuple(sample_points(box, doc["count"], doc["seed"]))
+    t = _interval(box["t"], "sample.box.t") if "t" in box else DEFAULT_T_RANGE
+    x = _axis_intervals(box["x"], n, "sample.box.x") if "x" in box else (DEFAULT_X_RANGE,) * n
+    p = _axis_intervals(box["p"], n, "sample.box.p") if "p" in box else (DEFAULT_P_RANGE,) * n
+    rng = random.Random(doc["seed"])
+    # arguments evaluate left to right: t, then each x^i, then each p_i
+    return tuple(
+        Point(
+            rng.uniform(*t),
+            tuple(rng.uniform(lo, hi) for lo, hi in x),
+            tuple(rng.uniform(lo, hi) for lo, hi in p),
+        )
+        for _ in range(doc["count"])
+    )
 
 
 def _load_chart(doc, n: int, index: int) -> ChartSpec:
@@ -263,7 +275,7 @@ def problem_from_dict(doc) -> Problem:
     if not _is_number(tolerance) or tolerance <= 0:
         raise ProblemFormatError("tolerance: positive finite number required")
 
-    points = _sample_points_from(doc["sample"], n)
+    points = _points_from(doc["sample"], n)
     problem = Problem(
         n=n,
         time_metric=time_metric,

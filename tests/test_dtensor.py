@@ -17,7 +17,8 @@ from jetham.dtensor import (
 )
 from jetham.errors import SignatureMismatchError
 from jetham.expr import Point, const, evaluate, parse
-from jetham.metrics import SpaceMetric, TimeMetric, transform_time_metric
+from jetham.metrics import SpaceMetric, TimeMetric, inverse_time, transform_time_metric
+from jetham.problem import load_problem
 from jetham.spray import canonical_temporal
 
 from helpers import (
@@ -31,8 +32,10 @@ from helpers import (
     sampled_points,
 )
 import random
+from pathlib import Path
 
 Q = Point.make(1.2, [2.0, 1.3], [3.0, 5.0])
+EXAMPLE = Path(__file__).resolve().parent.parent / "problems" / "example.json"
 
 
 def dtensor_pairs(n, h, g, hamiltonian, c):
@@ -173,6 +176,32 @@ class TestVerifyDTensor:
                         (IndexKind.MOM_DOWN, IndexKind.SPACE_DOWN))
         report = verify_dtensor(T, T_new, c, sampled_points(n, 10, seed=89))
         assert report.passed, report.max_residual
+
+    @pytest.mark.parametrize(
+        "second, passes",
+        [(IndexKind.TIME_UP, True), (IndexKind.TIME_DOWN, False)],
+        ids=["time_up", "time_down"],
+    )
+    def test_inverse_time_metric_has_two_upper_time_indices(self, second, passes):
+        # h^11 = 1/h_11 scales by (dt~/dt)^2 under a change of t, so it
+        # passes as [TIME_UP, TIME_UP] and fails with one index lowered
+        problem = load_problem(EXAMPLE)
+        signature = (IndexKind.TIME_UP, second)
+
+        def h_up(h):
+            comps = np.empty((), dtype=object)
+            comps[()] = inverse_time(h)
+            return DTensor(problem.n, comps, signature)
+
+        h = problem.time_metric
+        for spec in problem.charts:
+            h_new = transform_time_metric(h, spec.change)
+            report = verify_dtensor(h_up(h), h_up(h_new), spec.change, problem.points)
+            assert report.passed is passes, (spec.name, report.max_residual)
+            if passes:
+                assert report.max_residual < 1e-12
+            else:
+                assert report.max_residual > 0.5
 
 
 class TestContractionInvariance:

@@ -621,6 +621,20 @@ class TestProgram:
     def test_overflowing_sum_of_finite_values_is_not_an_error(self):
         assert Program([const(1e308), const(1e308)]).run(Q1) == [1e308, 1e308]
 
+    @pytest.mark.parametrize(
+        "text, x1",
+        [("x1^-2", 1e-200), ("x1^(3/2)", 1e300)],
+        ids=["negative_integer", "fractional"],
+    )
+    def test_overflowing_power_names_its_node(self, text, x1):
+        # float ** raises OverflowError here, where * and + give inf
+        e = parse(text, 1)
+        q = q_of(x=(x1,))
+        for run in (lambda: Program([e]).run(q), lambda: reference_eval(e, q)):
+            with pytest.raises(DomainError) as err:
+                run()
+            assert str(err.value) == f"overflow in power in '{text}'"
+
 
 class TestIdentitySlots:
     """A program gives each node object its own slot: equal trees built
@@ -761,6 +775,24 @@ class TestSharedParse:
             assert not math.isfinite(reference_eval(err.subexpr, q))
             return
         assert _bits([got]) == _bits([want])
+
+    @pytest.mark.parametrize(
+        "src, cls",
+        [
+            ("0 - x1 + -x1", Neg),
+            ("(x1 + x2)*1 + (x1 + x2)", Add),
+            ("x1^2*1 + x1^2", Pow),
+            ("2*3*x1 + 6*x1", Mul),
+        ],
+        ids=["neg", "add", "pow", "mul"],
+    )
+    def test_folded_result_is_filed_under_its_structure(self, src, cls):
+        # 0 - y, y*1 and 2*3 fold to a node of another class than the one
+        # parsed; the table files it under its own structure too, so the
+        # equal subterm parsed after it is the same object
+        e = parse(src, 2)
+        assert type(e) is Add and type(e.left) is cls
+        assert e.left is e.right
 
     def test_signed_zeros_stay_two_objects(self):
         # a table keyed on the value alone would give sin(0) - sin(0) = 0.0
