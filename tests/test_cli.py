@@ -31,7 +31,7 @@ import jetham.metrics
 import jetham.nlconn
 from jetham.charts import induced_point, transition
 from jetham.cli import SUITES, cmd_canonical, cmd_christoffel, cmd_verify, main
-from jetham.expr import Components, Point
+from jetham.expr import Components, Point, parse
 from jetham.metrics import christoffel_time
 from jetham.nlconn import NonlinearConnection
 from jetham.problem import load_problem, problem_from_dict
@@ -811,6 +811,47 @@ def test_workload_report_bytes_are_pinned(workload, seed):
         report = cmd_verify(problem_from_dict(c.doc), corrupt_connection=c.corrupt_connection)
         h.update(report_to_json(report).encode())
     assert h.hexdigest() == WORKLOAD_REPORTS_SHA256[workload, seed]
+
+
+def _dsl_strings(doc):
+    """Every DSL string of a problem document, in document order: the time
+    metric, the space metric's entries row by row, the Hamiltonian and each
+    chart's four maps."""
+    yield doc["time_metric"]
+    for row in doc["space_metric"]:
+        yield from row
+    if "hamiltonian" in doc:
+        yield doc["hamiltonian"]
+    for chart_doc in doc["charts"]:
+        yield chart_doc["t_fwd"]
+        yield chart_doc["t_inv"]
+        yield from chart_doc["x_fwd"]
+        yield from chart_doc["x_inv"]
+
+
+# sha256 over the program compiled from each parsed DSL string of one period
+# of each benchmark workload, in stream order, at the default seed and the
+# held-out seed.  A program has one slot per node object, so the digest pins
+# each parse's tree, its association and its sharing; the generated
+# Hamiltonians run to 300 terms, where the bundled problems hold one.
+WORKLOAD_PARSES_SHA256 = {
+    ("points_n2", 1): "ce1501091b6ac2e7213e5d486e057f896df62985c5ed8baf988e90772ca38fd1",
+    ("points_n2", 7919): "de7a368fd6b4b2b20782737fe6901eac937f0477a180310107ceba82d50f6e8a",
+    ("deep_n4", 1): "b4602d6690757b811933769294560b50794c1c91d0a7e311d4995acdee876e4d",
+    ("deep_n4", 7919): "d9d05ac48b1f77d24bebdbd356c5388d3b3180bba23c0eede9e1a64abee84d0a",
+    ("hamiltonian_n2", 1): "30e3ef4eba924c195258ecbe168d17810bc452e842d982a6b1ab3c130bdff275",
+    ("hamiltonian_n2", 7919): "0e2be6aaa29819f9e18e51a972b1c14b4f04af594c6c8ab3203c0dc92c3b63db",
+}
+
+
+@pytest.mark.parametrize("workload, seed", sorted(WORKLOAD_PARSES_SHA256))
+def test_workload_parses_are_pinned(workload, seed):
+    workloads = _bench_workloads()
+    programs = []
+    for index in range(workloads.WORKLOADS[workload].period):
+        doc = workloads.case(workload, seed, index).doc
+        programs += (jetham.expr.Program([parse(s, doc["n"])]) for s in _dsl_strings(doc))
+    assert _program_digest(programs) == WORKLOAD_PARSES_SHA256[workload, seed]
 
 
 def _program_digest(programs) -> str:
