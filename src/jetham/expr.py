@@ -47,7 +47,8 @@ import re
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
+from itertools import islice
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -1166,34 +1167,41 @@ def _fmt_number(value: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parser: recursive descent over the surface grammar
+# Parser: one lexing pass and one loop over the tokens
 #
-#   expr   := term (("+"|"-") term)*         (_Parser.expr at level 0)
-#   term   := factor (("*"|"/") factor)*     (level 1)
+#   expr   := term (("+"|"-") term)*
+#   term   := factor (("*"|"/") factor)*
 #   factor := base ("^" rational)?
 #   base   := number | ident | "(" expr ")" | func "(" expr ")" | "-" base
 #   ident  := "t" | "x" digits | "p" digits      (1-based indices)
 #
-# Parentheses, function calls and unary minus signs nest at most
-# MAX_NESTING deep.
+# Digits, letters and spaces are ASCII.  One findall lexes the string, and a
+# token's offset is found again only for an error.  The loop climbs
+# precedence with explicit stacks, in the manner of Pratt (POPL 1973): a left
+# operand waits with its operator until one that binds no tighter arrives,
+# so each node is built where recursive descent would build it.
+# Parentheses, calls and unary minus signs nest at most MAX_NESTING deep.
 # ---------------------------------------------------------------------------
 
 MAX_NESTING = 100
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z]+\d*)
-  | (?P<op>[-+*/^()])
-  | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
+_SPACES = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "  # the ASCII characters str.isspace accepts
+_TOKEN_RE = re.compile(  # spaces, then a number, an identifier or one other character
+    r"[\t-\r\x1c- ]*([0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
+    r"|[A-Za-z]+[0-9]*|[^\t-\r\x1c- ])"
 )
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_TOKEN_CHARS = _DIGITS | _LETTERS | frozenset("+-*/^()")  # the one-character tokens
+# a binary operator's (precedence, class, smart constructor); any other token
+# ends the group, and each group's floor on the operator stack stops a join
+_INFIX = {"+": (0, Add, _add), "-": (0, Sub, _sub), "*": (1, Mul, _mul), "/": (1, Div, _div)}
+_GROUP_END, _FLOOR = (-1, None, None), (-2, None, None, None)
+_SMALL_POWERS = {str(k): (Fraction(k), k, 1) for k in range(10)}  # (r, numerator, denominator)
 
 
-# the binary operators of each precedence level, loosest first
-_LEVELS = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
+class _Fault(Exception):
+    """A syntax error's message and token index; parse finds the offset."""
 
 
 def _structure(node: Expr):
@@ -1210,175 +1218,14 @@ def _structure(node: Expr):
     return (cls, *map(id, _operands(node)))
 
 
-class _Parser:
-    def __init__(self, src: str, n: int):
-        self.src = src
-        self.n = n
-        self.tokens: list[tuple[str, str, int]] = []  # (kind, text, offset)
-        self._lex()
-        self.pos = 0
-        self.depth = 0  # open parentheses, calls and unary minus signs
-        self.shared: dict = {}  # see _share; it lives only as long as the parse
-
-    def _lex(self):
-        for m in _TOKEN_RE.finditer(self.src):
-            kind = m.lastgroup
-            if kind == "bad":
-                raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start())
-            if kind != "ws":
-                self.tokens.append((kind, m.group(), m.start()))
-        self.tokens.append(("eof", "", len(self.src)))
-
-    def _share(self, key, cls, build, a, b=None) -> Expr:
-        """The node for key, built by build(a) or build(a, b) the first
-        time, so each distinct structure in the string is one object.  An
-        operation's key is its class, its operands' ids (the operands are
-        shared already) and its exponent; a constant's is its value and
-        sign, an identifier's its text.  A node of another class than cls
-        is a folded result (x*1, 2*3, 0 - y), which is also filed under its
-        own structure, so it too is one object."""
-        node = self.shared.get(key)
-        if node is None:
-            node = build(a) if b is None else build(a, b)
-            if type(node) is not cls:
-                node = self.shared.setdefault(_structure(node), node)
-            self.shared[key] = node
-        return node
-
-    def _peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def _next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def _expect(self, text: str):
-        kind, got, offset = self._peek()
-        if got != text:
-            raise ExprSyntaxError(f"expected {text!r}, found {got or 'end of input'!r}", offset)
-        self._next()
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        kind, text, offset = self._peek()
-        if kind != "eof":
-            raise ExprSyntaxError(f"unexpected {text!r} after expression", offset)
-        return e
-
-    def expr(self, level: int = 0) -> Expr:
-        """Operands joined from the left by one precedence level's
-        operators: terms by + and - at level 0, factors by * and / at 1."""
-        ops = _LEVELS[level]
-        operand = partial(self.expr, level + 1) if level + 1 < len(_LEVELS) else self.factor
-        e = operand()
-        while self._peek()[1] in ops:
-            _, op, offset = self._next()
-            cls = ops[op]
-            rhs = operand()
-            e = self._share((cls, id(e), id(rhs)), cls, _REBUILDERS[cls], e, rhs)
-            if type(rhs) is Const and type(e) is cls and type(e.left) is Const and rhs.value != 0.0:
-                value = _ARITHMETIC[cls](e.left.value, rhs.value)  # overflowed, not x/0
-                raise ExprSyntaxError(f"{op!r} folds to {value}, not a finite double", offset)
-        return e
-
-    def factor(self) -> Expr:
-        e = self.base()
-        if self._peek()[1] == "^":
-            self._next()
-            r = self.rational()
-            e = self._share((Pow, id(e), r.numerator, r.denominator), Pow, _pow, e, r)
-        return e
-
-    def base(self) -> Expr:
-        kind, text, offset = self._next()
-        if text == "-":
-            arg = self._nested(self.base, offset)
-            return self._share((Neg, id(arg)), Neg, _neg, arg)
-        if text == "(":
-            e = self._nested(self.expr, offset)
-            self._expect(")")
-            return e
-        if kind == "number":
-            value = float(text)  # a literal has no sign
-            if not math.isfinite(value):
-                raise ExprSyntaxError(f"number {text!r} is not a finite double", offset)
-            return self._share((value, 1.0), Const, Const, value)
-        if kind == "ident":
-            if text in _FUNCS:
-                self._expect("(")
-                arg = self._nested(self.expr, offset)
-                self._expect(")")
-                cls = _FUNCS[text]
-                return self._share((cls, id(arg)), cls, cls, arg)
-            return self._share(text, Coord, self._coord, text, offset)
-        raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}", offset)
-
-    def _nested(self, rule, offset: int) -> Expr:
-        # each level costs a few interpreter frames, so depth is capped
-        if self.depth == MAX_NESTING:
-            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", offset)
-        self.depth += 1
-        e = rule()
-        self.depth -= 1
-        return e
-
-    def _coord(self, text: str, offset: int) -> Coord:
-        # x1 and x01 are one variable
-        var = self._resolve_var(text, offset)
-        return self.shared.setdefault(var, Coord(var))
-
-    def _resolve_var(self, text: str, offset: int) -> Var:
-        if text == "t":
-            return Var.time()
-        head, digits = text[0], text[1:]
-        if head in ("x", "p") and digits.isdigit():
-            index = int(digits)
-            if not 1 <= index <= self.n:
-                raise ExprSyntaxError(
-                    f"index of {text!r} out of range for dimension n={self.n}", offset
-                )
-            return Var(head, index - 1)
-        raise ExprSyntaxError(f"unknown identifier {text!r}", offset)
-
-    def rational(self) -> Fraction:
-        start = self._peek()[2]  # errors in the exponent's value point here
-        sign = 1
-        if self._peek()[1] == "-":
-            self._next()
-            sign = -1
-        kind, text, offset = self._peek()
-        if kind == "number" and text.isdigit():
-            num, den = self._integer(start), 1
-        elif text == "(":
-            self._next()
-            num = self._integer(start)
-            den = 1
-            if self._peek()[1] == "/":
-                self._next()
-                den = self._integer(start)
-            self._expect(")")
-        else:
-            raise ExprSyntaxError("expected an integer or (integer/integer) exponent", offset)
-        if den == 0:
-            raise ExprSyntaxError("exponent has a zero denominator", start)
-        try:
-            return _exponent(Fraction(sign * num, den))
-        except JethamError as ex:
-            raise ExprSyntaxError(str(ex), start) from None
-
-    def _integer(self, start: int) -> int:
-        sign = 1
-        if self._peek()[1] == "-":
-            self._next()
-            sign = -1
-        kind, text, offset = self._next()
-        if kind != "number" or not text.isdigit():
-            raise ExprSyntaxError("expected an integer", offset)
-        try:
-            return sign * int(text)
-        except ValueError:  # past the interpreter's limit on digits
-            raise ExprSyntaxError("exponent has too many digits", start) from None
+def _filed(shared: dict, key, cls, node: Expr) -> Expr:
+    """node, just built, filed under key.  A node of another class than cls
+    is a folded result (x*1, 2*3, 0 - y), filed under its own structure too
+    so that it also is one object."""
+    if type(node) is not cls:
+        node = shared.setdefault(_structure(node), node)
+    shared[key] = node
+    return node
 
 
 def parse(src: str, n: int) -> Expr:
@@ -1388,4 +1235,157 @@ def parse(src: str, n: int) -> Expr:
     is built once and shared.  Two calls share nothing."""
     if n < 1:
         raise DimensionError(f"ambient dimension must be >= 1, got {n}")
-    return _Parser(src, n).parse()
+    text = src.rstrip(_SPACES)  # so that no match backtracks over trailing spaces
+    tokens = _TOKEN_RE.findall(text) + [""]  # and the end of the input
+    try:
+        return _parse_tokens(tokens, n)
+    except _Fault as fault:
+        message, k = fault.args
+    for j, tok in enumerate(tokens):  # a character that begins no token is the error
+        if len(tok) == 1 and tok not in _TOKEN_CHARS:
+            message, k = f"unexpected character {tok!r}", j
+            break
+    m = next(islice(_TOKEN_RE.finditer(text), k, None), None)
+    raise ExprSyntaxError(message, len(src) if m is None else m.start(1))
+
+
+def _parse_tokens(tokens: list[str], n: int) -> Expr:
+    # The shared nodes, for this parse only: a constant is keyed by its value
+    # and sign, an identifier by its text and then by its variable, and an
+    # operation by its class, its (shared) operands' ids and its exponent.
+    shared: dict = {}
+    get = shared.get
+    lefts: list[Expr] = []  # left operands waiting for their right operand
+    ops: list[tuple] = [_FLOOR]  # their (precedence, class, build, token index)
+    groups: list[tuple] = []  # each open group's outer minus signs and function
+    negs = depth = i = 0  # minus signs before this base; open groups and signs
+    while True:
+        tok = tokens[i]
+        node = get(tok)  # an identifier read before
+        if node is None:
+            if tok == "-" or tok == "(" or tok in _FUNCS:
+                at, func = i, _FUNCS.get(tok)
+                if func is not None:
+                    i += 1
+                    if tokens[i] != "(":
+                        raise _Fault(f"expected '(', found {tokens[i] or 'end of input'!r}", i)
+                if depth == MAX_NESTING:
+                    raise _Fault(f"nesting deeper than {MAX_NESTING} levels", at)
+                depth += 1
+                i += 1
+                if tok == "-":
+                    negs += 1
+                else:
+                    groups.append((negs, func))
+                    ops.append(_FLOOR)
+                    negs = 0
+                continue
+            c = tok[:1]
+            if c in _LETTERS:
+                var = _var(tok, i, n)
+                node = shared[tok] = shared.setdefault(var, Coord(var))
+            elif c in _DIGITS or c == "." and tok != ".":
+                value = float(tok)  # a literal has no sign
+                if not math.isfinite(value):
+                    raise _Fault(f"number {tok!r} is not a finite double", i)
+                node = get((value, 1.0)) or _filed(shared, (value, 1.0), Const, Const(value))
+            else:
+                raise _Fault(f"unexpected {tok or 'end of input'!r}", i)
+        i += 1
+        while True:  # node is a whole base
+            while negs:  # its minus signs, innermost first
+                key = (Neg, id(node))
+                node = get(key) or _filed(shared, key, Neg, _neg(node))
+                negs -= 1
+                depth -= 1
+            tok = tokens[i]
+            if tok == "^":
+                power = _SMALL_POWERS.get(tokens[i + 1])
+                if power is None:
+                    power, i = _rational(tokens, i + 1)
+                else:
+                    i += 2
+                r, num, den = power
+                key = (Pow, id(node), num, den)
+                node = get(key) or _filed(shared, key, Pow, _pow(node, r))
+                tok = tokens[i]
+            prec, cls, build = _INFIX.get(tok, _GROUP_END)
+            while ops[-1][0] >= prec:  # join the operands that bind at least as tight
+                _, op, join, at = ops.pop()
+                left, right = lefts.pop(), node
+                key = (op, id(left), id(right))
+                node = get(key) or _filed(shared, key, op, join(left, right))
+                if type(node) is op and type(left) is type(right) is Const and right.value != 0.0:
+                    value = _ARITHMETIC[op](left.value, right.value)  # overflowed, not x/0
+                    raise _Fault(f"{tokens[at]!r} folds to {value}, not a finite double", at)
+            if prec >= 0:
+                lefts.append(node)
+                ops.append((prec, cls, build, i))
+                i += 1
+                break
+            if not groups:
+                if tok:
+                    raise _Fault(f"unexpected {tok!r} after expression", i)
+                return node
+            if tok != ")":
+                raise _Fault(f"expected ')', found {tok or 'end of input'!r}", i)
+            ops.pop()  # the group's floor
+            negs, func = groups.pop()
+            depth -= 1
+            i += 1
+            if func is not None:
+                key = (func, id(node))
+                node = get(key) or _filed(shared, key, func, func(node))
+
+
+def _var(text: str, i: int, n: int) -> Var:
+    # x1 and x01 are one variable
+    if text == "t":
+        return Var.time()
+    head, digits = text[0], text[1:]
+    if head not in ("x", "p") or not digits.isdigit():
+        raise _Fault(f"unknown identifier {text!r}", i)
+    try:
+        index = int(digits)
+    except ValueError:  # past the interpreter's limit on digits
+        raise _Fault(f"index of {head!r} has too many digits", i) from None
+    if not 1 <= index <= n:
+        raise _Fault(f"index of {text!r} out of range for dimension n={n}", i)
+    return Var(head, index - 1)
+
+
+def _rational(tokens: list[str], i: int) -> tuple[tuple, int]:
+    """The exponent at token i as (r, numerator, denominator), and the index
+    past it.  An error in its value names token i."""
+    start, sign = i, 1
+    if tokens[i] == "-":
+        i, sign = i + 1, -1
+    if tokens[i] == "(":
+        num, i = _integer(tokens, i + 1, start)
+        den, i = _integer(tokens, i + 1, start) if tokens[i] == "/" else (1, i)
+        if tokens[i] != ")":
+            raise _Fault(f"expected ')', found {tokens[i] or 'end of input'!r}", i)
+        i += 1
+    elif tokens[i].isdigit() and tokens[i].isascii():
+        (num, i), den = _integer(tokens, i, start), 1
+    else:
+        raise _Fault("expected an integer or (integer/integer) exponent", i)
+    if den == 0:
+        raise _Fault("exponent has a zero denominator", start)
+    try:
+        r = _exponent(Fraction(sign * num, den))
+    except JethamError as ex:
+        raise _Fault(str(ex), start) from None
+    return (r, r.numerator, r.denominator), i
+
+
+def _integer(tokens: list[str], i: int, start: int) -> tuple[int, int]:
+    sign = 1
+    if tokens[i] == "-":
+        i, sign = i + 1, -1
+    if not (tokens[i].isdigit() and tokens[i].isascii()):  # isdigit alone takes "\u0662"
+        raise _Fault("expected an integer", i)
+    try:
+        return sign * int(tokens[i]), i + 1
+    except ValueError:  # past the interpreter's limit on digits
+        raise _Fault("exponent has too many digits", start) from None

@@ -18,17 +18,20 @@ import json
 import math
 import operator
 import random
+import re
 import struct
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from jetham.errors import DimensionError, DomainError
+from jetham.errors import DimensionError, DomainError, ExprSyntaxError, JethamError
 from jetham.expr import (
+    MAX_NESTING,
     Add,
     Components,
     Const,
@@ -52,6 +55,13 @@ from jetham.expr import (
     esum,
     parse,
     pvar,
+    _ARITHMETIC,
+    _FUNCS,
+    _REBUILDERS,
+    _exponent,
+    _neg,
+    _pow,
+    _structure,
 )
 from jetham.charts import (
     CoordChange,
@@ -244,6 +254,205 @@ def reference_eval(e: Expr, q: Point) -> float:
         return fn(value)
     except ValueError:  # math.sin and math.cos raise on +-inf
         raise DomainError(f"{fn.__name__} of an infinite value", e) from None
+
+
+# ---------------------------------------------------------------------------
+# Recursive-descent reference parser
+# ---------------------------------------------------------------------------
+
+# Unicode \s and \d, which on ASCII text match what parse's ASCII classes match
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<number>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
+  | (?P<ident>[A-Za-z]+\d*)
+  | (?P<op>[-+*/^()])
+  | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+# the binary operators of each precedence level, loosest first
+_LEVELS = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
+
+
+def reference_parse(src: str, n: int) -> Expr:
+    """Parse src by recursive descent over a list of (kind, text, offset)
+    tokens, one method per grammar rule: the trees, the sharing and every
+    ExprSyntaxError of ``parse`` on ASCII text, the reference it is
+    compared against."""
+    return _ReferenceParser(src, n).parse()
+
+
+class _ReferenceParser:
+    def __init__(self, src: str, n: int):
+        self.src = src
+        self.n = n
+        self.tokens: list[tuple[str, str, int]] = []  # (kind, text, offset)
+        self._lex()
+        self.pos = 0
+        self.depth = 0  # open parentheses, calls and unary minus signs
+        self.shared: dict = {}  # see _share; it lives only as long as the parse
+
+    def _lex(self):
+        for m in _REFERENCE_TOKEN_RE.finditer(self.src):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start())
+            if kind != "ws":
+                self.tokens.append((kind, m.group(), m.start()))
+        self.tokens.append(("eof", "", len(self.src)))
+
+    def _share(self, key, cls, build, a, b=None) -> Expr:
+        """The node for key, built by build(a) or build(a, b) the first
+        time, so each distinct structure in the string is one object.  An
+        operation's key is its class, its operands' ids (the operands are
+        shared already) and its exponent; a constant's is its value and
+        sign, an identifier's its text.  A node of another class than cls
+        is a folded result (x*1, 2*3, 0 - y), which is also filed under its
+        own structure, so it too is one object."""
+        node = self.shared.get(key)
+        if node is None:
+            node = build(a) if b is None else build(a, b)
+            if type(node) is not cls:
+                node = self.shared.setdefault(_structure(node), node)
+            self.shared[key] = node
+        return node
+
+    def _peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def _next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def _expect(self, text: str):
+        kind, got, offset = self._peek()
+        if got != text:
+            raise ExprSyntaxError(f"expected {text!r}, found {got or 'end of input'!r}", offset)
+        self._next()
+
+    def parse(self) -> Expr:
+        e = self.expr()
+        kind, text, offset = self._peek()
+        if kind != "eof":
+            raise ExprSyntaxError(f"unexpected {text!r} after expression", offset)
+        return e
+
+    def expr(self, level: int = 0) -> Expr:
+        """Operands joined from the left by one precedence level's
+        operators: terms by + and - at level 0, factors by * and / at 1."""
+        ops = _LEVELS[level]
+        operand = partial(self.expr, level + 1) if level + 1 < len(_LEVELS) else self.factor
+        e = operand()
+        while self._peek()[1] in ops:
+            _, op, offset = self._next()
+            cls = ops[op]
+            rhs = operand()
+            e = self._share((cls, id(e), id(rhs)), cls, _REBUILDERS[cls], e, rhs)
+            if type(rhs) is Const and type(e) is cls and type(e.left) is Const and rhs.value != 0.0:
+                value = _ARITHMETIC[cls](e.left.value, rhs.value)  # overflowed, not x/0
+                raise ExprSyntaxError(f"{op!r} folds to {value}, not a finite double", offset)
+        return e
+
+    def factor(self) -> Expr:
+        e = self.base()
+        if self._peek()[1] == "^":
+            self._next()
+            r = self.rational()
+            e = self._share((Pow, id(e), r.numerator, r.denominator), Pow, _pow, e, r)
+        return e
+
+    def base(self) -> Expr:
+        kind, text, offset = self._next()
+        if text == "-":
+            arg = self._nested(self.base, offset)
+            return self._share((Neg, id(arg)), Neg, _neg, arg)
+        if text == "(":
+            e = self._nested(self.expr, offset)
+            self._expect(")")
+            return e
+        if kind == "number":
+            value = float(text)  # a literal has no sign
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {text!r} is not a finite double", offset)
+            return self._share((value, 1.0), Const, Const, value)
+        if kind == "ident":
+            if text in _FUNCS:
+                self._expect("(")
+                arg = self._nested(self.expr, offset)
+                self._expect(")")
+                cls = _FUNCS[text]
+                return self._share((cls, id(arg)), cls, cls, arg)
+            return self._share(text, Coord, self._coord, text, offset)
+        raise ExprSyntaxError(f"unexpected {text or 'end of input'!r}", offset)
+
+    def _nested(self, rule, offset: int) -> Expr:
+        # each level costs a few interpreter frames, so depth is capped
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", offset)
+        self.depth += 1
+        e = rule()
+        self.depth -= 1
+        return e
+
+    def _coord(self, text: str, offset: int) -> Coord:
+        # x1 and x01 are one variable
+        var = self._resolve_var(text, offset)
+        return self.shared.setdefault(var, Coord(var))
+
+    def _resolve_var(self, text: str, offset: int) -> Var:
+        if text == "t":
+            return Var.time()
+        head, digits = text[0], text[1:]
+        if head in ("x", "p") and digits.isdigit():
+            index = int(digits)
+            if not 1 <= index <= self.n:
+                raise ExprSyntaxError(
+                    f"index of {text!r} out of range for dimension n={self.n}", offset
+                )
+            return Var(head, index - 1)
+        raise ExprSyntaxError(f"unknown identifier {text!r}", offset)
+
+    def rational(self) -> Fraction:
+        start = self._peek()[2]  # errors in the exponent's value point here
+        sign = 1
+        if self._peek()[1] == "-":
+            self._next()
+            sign = -1
+        kind, text, offset = self._peek()
+        if kind == "number" and text.isdigit():
+            num, den = self._integer(start), 1
+        elif text == "(":
+            self._next()
+            num = self._integer(start)
+            den = 1
+            if self._peek()[1] == "/":
+                self._next()
+                den = self._integer(start)
+            self._expect(")")
+        else:
+            raise ExprSyntaxError("expected an integer or (integer/integer) exponent", offset)
+        if den == 0:
+            raise ExprSyntaxError("exponent has a zero denominator", start)
+        try:
+            return _exponent(Fraction(sign * num, den))
+        except JethamError as ex:
+            raise ExprSyntaxError(str(ex), start) from None
+
+    def _integer(self, start: int) -> int:
+        sign = 1
+        if self._peek()[1] == "-":
+            self._next()
+            sign = -1
+        kind, text, offset = self._next()
+        if kind != "number" or not text.isdigit():
+            raise ExprSyntaxError("expected an integer", offset)
+        try:
+            return sign * int(text)
+        except ValueError:  # past the interpreter's limit on digits
+            raise ExprSyntaxError("exponent has too many digits", start) from None
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,21 @@ class TestVerify:
     @pytest.mark.parametrize(
         "hamiltonian, message",
         [
+            ("p1 + * p2", "hamiltonian: unexpected '*' (at offset 5)"),
+            ("p\u0661^2 + p2^2", "hamiltonian: unexpected character '\u0661' (at offset 1)"),
+        ],
+        ids=["operator", "arabic_indic_digit"],
+    )
+    def test_hamiltonian_syntax_error_exits_3(self, runner, tmp_path, hamiltonian, message):
+        # p\u0661 is no p1: a digit outside ASCII is not read as one
+        path = write_problem(tmp_path, small_doc(hamiltonian=hamiltonian))
+        result = runner.invoke(main, ["verify", "--problem", path])
+        assert result.exit_code == 3
+        assert message in result.stderr
+
+    @pytest.mark.parametrize(
+        "hamiltonian, message",
+        [
             # exp(380)^2 overflows to inf, and inf - inf is NaN: this used to
             # pass with residual 0
             (

@@ -65,6 +65,7 @@ from helpers import (
     random_point,
     reference_diff,
     reference_eval,
+    reference_parse,
     reference_substitute,
     same_structure,
     structures,
@@ -183,6 +184,37 @@ class TestParse:
 
     def test_large_exponent_still_parses(self):
         assert parse("x1^99999999999999999999", 1).exponent == 99999999999999999999
+
+    @pytest.mark.parametrize(
+        "src, offset",
+        [
+            ("p\u0661^2 + p2^2", 1),
+            ("x\u0663", 1),
+            ("1\u0662 * t", 1),
+            ("x1^\u0662", 3),
+            ("x1\u00a0+ 1", 2),
+            ("x1 +\u2003x2", 4),
+            ("t\u0085", 1),
+        ],
+        ids=["arabic_indic_one", "arabic_indic_three", "digit_in_number", "exponent_digit",
+             "no_break_space", "em_space", "next_line"],
+    )
+    def test_digits_and_spaces_are_ascii(self, src, offset):
+        # p\u0661 is not p1, nor x\u0663 x3, and a no-break space is no space
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(src, 3)
+        assert str(err.value) == f"unexpected character {src[offset]!r} (at offset {offset})"
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("src", ["x1 +\x1c x2", "\x1fx1\x1d\x1e+\x0bx2\x0c\r"])
+    def test_ascii_separators_are_spaces(self, src):
+        # every ASCII character that str.isspace accepts separates tokens
+        assert same_structure(parse(src, 2), parse("x1 + x2", 2))
+
+    def test_index_past_the_digit_limit_is_a_syntax_error(self):
+        # int() refuses more than 4,300 digits; its ValueError must not escape
+        with pytest.raises(ExprSyntaxError, match=r"^index of 'x' has too many digits \(at offset 4\)$"):
+            parse("t + x" + "1" * 5000, 2)
 
     def test_trailing_garbage(self):
         with pytest.raises(ExprSyntaxError):
@@ -373,6 +405,13 @@ class TestNesting:
         with pytest.raises(ExprSyntaxError, match="nesting deeper than 100 levels") as err:
             parse(nested(deep), 1)
         assert err.value.offset == MAX_NESTING * width
+
+    @pytest.mark.parametrize(
+        "level", ["-x1", "-(x1)", "(x1)", "exp(x1)"], ids=["minus", "minus_group", "group", "call"]
+    )
+    def test_closed_levels_do_not_count(self, level):
+        # 150 levels side by side, none of them open at once
+        assert str(parse(" + ".join([level] * 150), 1)).count("x1") == 150
 
 
 class TestPrinting:
@@ -794,6 +833,12 @@ class TestSharedParse:
         assert type(e) is Add and type(e.left) is cls
         assert e.left is e.right
 
+    def test_spellings_of_one_exponent_are_one_node(self):
+        # a small exponent is read from a table, any other one is built;
+        # both are keyed by the exponent's value
+        e = parse("x1^2 * x1^(2) * x1^(4/2) * x1^02 * x1^-(-2)", 1)
+        assert distinct_nodes([e]) == structures([e]) == 6  # x1, x1^2 and four products
+
     def test_signed_zeros_stay_two_objects(self):
         # a table keyed on the value alone would give sin(0) - sin(0) = 0.0
         assert _bits([evaluate(parse("sin(-0) - sin(0)", 1), Q1)]) == _bits([-0.0])
@@ -808,6 +853,56 @@ class TestSharedParse:
         for chart in [origin, *(_Chart(problem, origin, spec.change) for spec in problem.charts)]:
             comps = list(chart.vertical_metrical.comps.flat)
             assert distinct_nodes(comps) <= 1.1 * structures(comps)
+
+
+# in printed text: an exponent or a function name, kept whole, or a leaf
+_EXPONENT_NAME_OR_LEAF = re.compile(
+    r"\^(?:\([^)]*\)|-?[0-9]+)|[a-z]+(?=\()|([a-z]+[0-9]*|[0-9]+(?:\.[0-9]*)?(?:e[+-]?[0-9]+)?)"
+)
+# what a corruption writes in place of one character
+_CORRUPTIONS = "+-*/^()., @0123456789"
+
+
+def _spelled(rng: random.Random, e) -> str:
+    """The printed text of e with its spaces varied and redundant
+    parentheses around some leaves and around the whole."""
+    text = _EXPONENT_NAME_OR_LEAF.sub(
+        lambda m: f"({m[1]})" if m[1] and rng.random() < 0.3 else m[0], str(e)
+    )
+    text = re.sub(" ", lambda m: rng.choice(["", " ", "  ", "\t", "\n "]), text)
+    wraps = rng.randrange(3)
+    return rng.choice(["", " "]) + "(" * wraps + text + ")" * wraps + rng.choice(["", "\n"])
+
+
+def _parsed(parser, src: str, n: int):
+    """The tree, or the text and offset of the syntax error."""
+    try:
+        return parser(src, n)
+    except ExprSyntaxError as err:
+        return (str(err), err.offset)
+
+
+class TestReferenceParse:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(1, 3))
+    def test_parse_matches_the_recursive_descent_reference(self, seed, n):
+        # the same tree and the same sharing for a printed tree, and for each
+        # corruption of its text the same error, or the same tree again
+        rng = random.Random(seed)
+        src = _spelled(rng, random_expr(rng, n))
+        e = parse(src, n)
+        assert same_structure(e, reference_parse(src, n))
+        assert distinct_nodes([e]) == structures([e])
+        for _ in range(8):
+            k = rng.randrange(len(src))
+            written = rng.choice(["", src[k] * 2, rng.choice(_CORRUPTIONS)])  # delete, double, replace
+            corrupt = src[:k] + written + src[k + 1:]
+            got, want = _parsed(parse, corrupt, n), _parsed(reference_parse, corrupt, n)
+            if type(want) is tuple:
+                assert got == want, corrupt
+            else:
+                assert same_structure(got, want), corrupt
+                assert distinct_nodes([got]) == structures([got])
 
 
 class TestComponentsCompiledTogether:
