@@ -1,6 +1,6 @@
 """Shared fixtures: chart suites per dimension, metric pairs, the seeded
 random expression generator, the recursive references for evaluation,
-derivatives and adapted frames, the unshared references for the metric's
+derivatives and adapted frames, the recursive-descent reference parser, the unshared references for the metric's
 determinant, inverse and Christoffel symbols, the point-by-point metric
 compatibility residual, the natural frame rules
 check, the paper objects no command runs (the identity and composed chart
