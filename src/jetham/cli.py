@@ -387,7 +387,7 @@ def _run(args) -> int:
     return 0 if report.passed else EXIT_VERIFICATION_FAILED
 
 
-class _Parser(argparse.ArgumentParser):
+class _ArgumentParser(argparse.ArgumentParser):
     """argparse's parser, except that a usage error (an unknown option,
     command or choice, a missing option) exits 3, not 2, the code of a failed
     check, and that a command names an option it does not know under its own
@@ -411,8 +411,8 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
-def _parser() -> _Parser:
-    parser = _Parser(
+def _parser() -> _ArgumentParser:
+    parser = _ArgumentParser(
         prog="jetham",
         description="Canonical geometry of a time-dependent metric pair on the momentum "
         "phase space, with numeric verification of every transformation law.",
