@@ -11,21 +11,21 @@ momenta.  All transition factors, including the inhomogeneous ones
 (dp~/dt needs the second derivative of t~), come from exact symbolic
 differentiation of the composed momentum expression.
 
-Each change compiles the expressions a transition evaluates into three
-``Program``s, run in this order at a point new to it: the regularity
-program (dt~/dt, checked, then the Jacobian, whose determinant is
-checked), the forward program (the image and the momentum derivatives
-dp~/dt, dp~/dx) and, at the image, the inverse factor program (dt/dt~ and
-dx/dx~, for the inverse cross-checks).  Regularity runs apart from the
-momentum map, which usually leaves its domain at a singular point (x~ =
-x^3 at x = 0), so that the error names the cause.  Of two faults at one
-point, a Jacobian's DomainError comes before a singular dt~/dt, and a
-momentum derivative that is not finite or leaves its domain raises from
-``induced_point``, before the inverse cross-checks, which run on floats.
-The change keeps, per point, what it computed, so the laws that all
-contract with the same factors evaluate them once per (change, point):
-the transition factors as one read-only float row, which the fields of
-its ``TransitionData`` view.
+Each change compiles what a transition evaluates into two ``Program``s,
+run in this order at a point new to it: the regularity program (dt~/dt,
+checked, then the Jacobian, whose determinant is checked) and the forward
+program (the image and the momentum derivatives).  dt/dt~ and dx/dx~ at
+the image are the inverse change's dt~/dt and Jacobian there, read by the
+inverse cross-checks from the inverse's memo, which its regularity run
+fills once per point.  Regularity runs apart from the momentum map, which
+usually leaves its domain at a singular point (x~ = x^3 at x = 0), so that
+the error names the cause.  Of two faults at one point, a Jacobian's
+DomainError comes before a singular dt~/dt, and a momentum derivative that
+is not finite or leaves its domain raises from ``induced_point``, before
+the inverse cross-checks, which run on floats.  The change keeps, per
+point, what it computed, so the laws that all contract with the same
+factors evaluate them once per (change, point): the transition factors as
+one read-only float row, which the fields of its ``TransitionData`` view.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ class CoordChange:
 
     The change memoizes its results per point, keyed on the exact float
     bits of the point (so -0.0 and 0.0 are different keys), for as long as
-    the change lives.  Only successes are kept; a point that raised is
-    evaluated again on the next call.
+    the change lives.  Only programs that ran are kept; a check that failed
+    is made again on the next call.
     """
 
     n: int
@@ -151,11 +151,6 @@ class CoordChange:
         image = (self.t_fwd, *self.x_fwd, *self.momentum_map)
         return Program((*image, *self.dmomentum_dt, *_flat(self.dmomentum_dx)))
 
-    @cached_property
-    def _inverse_factor_program(self) -> Program:
-        """dt/dt~ and dx/dx~, run at the image point."""
-        return Program((self.dt_inv, *_flat(self.jac_inv)))
-
     # -- per-point memo -----------------------------------------------------
 
     @cached_property
@@ -224,61 +219,67 @@ def _array_views(rows: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
 
 
 class _Visit:
-    """What a change has computed at one point: the image and the forward
-    factors as floats (the Jacobian row by row), then the transition data
-    once a transition succeeded."""
+    """What a change has computed at one point: its regularity program's
+    values (dt~/dt, then the Jacobian row by row), then the image and dp~
+    once the point is regular and mapped, then the transition data."""
 
-    __slots__ = ("image", "dt", "jac", "dp", "data")
+    __slots__ = ("factors", "image", "dp", "data")
 
-    def __init__(self, image: Point, dt: float, jac: list[float], dp: list[float]):
-        self.image, self.dt, self.jac, self.dp = image, dt, jac, dp
-        self.data: TransitionData | None = None
+    def __init__(self, factors: list[float]):
+        self.factors, self.image, self.dp, self.data = factors, None, [], None
 
 
-def _require_regular(c: CoordChange, q: Point) -> tuple[float, list[float]]:
+def _entry(c: CoordChange, q: Point) -> _Visit:
+    """c's memo entry for q, made on a miss by a regularity run (unchecked)."""
+    visit = c._visits.get(q.key)
+    if visit is None:
+        visit = c._visits[q.key] = _Visit(c._regularity_program.run(q))
+    return visit
+
+
+def _require_regular(c: CoordChange, q: Point) -> _Visit:
     # negated tests, so that NaN (false under every comparison) is rejected
-    dt, *jac = c._regularity_program.run(q)
+    visit = _entry(c, q)
+    dt, *jac = visit.factors
     if not abs(dt) > REGULARITY_EPS:
         raise RegularityError(f"dt~/dt = {dt} at t = {q.t}")
     det = float(np.linalg.det(np.array(jac).reshape(c.n, c.n)))
     if not abs(det) > REGULARITY_EPS:
         raise RegularityError(f"det(dx~/dx) = {det} at x = {q.x}")
-    return dt, jac
+    return visit
 
 
 def _visit(c: CoordChange, q: Point) -> _Visit:
-    """c's memo entry for q, made on a miss: check q's dimension and
-    regularity, then map q."""
+    """c's memo entry for q, mapped: check q's dimension and regularity, then map q."""
     if q.n != c.n:
         raise DimensionError(f"point has n={q.n}, change has n={c.n}")
-    dt, jac = _require_regular(c, q)
-    values = c._forward_program.run(q)
-    n = c.n
-    image = Point(values[0], tuple(values[1 : n + 1]), tuple(values[n + 1 : 2 * n + 1]))
-    visit = c._visits[q.key] = _Visit(image, dt, jac, values[2 * n + 1 :])
+    visit = _require_regular(c, q)
+    values, n = c._forward_program.run(q), c.n
+    visit.image = Point(values[0], tuple(values[1 : n + 1]), tuple(values[n + 1 : 2 * n + 1]))
+    visit.dp = values[2 * n + 1 :]
     return visit
 
 
 def induced_point(c: CoordChange, q: Point) -> Point:
     """Image of q under the induced change on the dual 1-jet space."""
     visit = c._visits.get(q.key)
-    if visit is None:  # a miss; a point of another dimension always misses
+    if visit is None or visit.image is None:  # a point of another dimension always misses
         visit = _visit(c, q)
     return visit.image
 
 
 def transition(c: CoordChange, q: Point) -> TransitionData:
     """Evaluate every transition factor of c at q (with inverse cross-checks)."""
-    image = induced_point(c, q)
-    visit = c._visits[q.key]  # the entry that call found or stored
+    induced_point(c, q)
+    visit = c._visits[q.key]  # the entry that call found or mapped
     if visit.data is None:
-        visit.data = _transition_data(c, q, image, visit)
+        visit.data = _transition_data(c, q, visit)
     return visit.data
 
 
-def _transition_data(c: CoordChange, q: Point, image: Point, visit: _Visit) -> TransitionData:
-    n, dt, jac = c.n, visit.dt, visit.jac
-    dt_inv, *jac_inv = c._inverse_factor_program.run(image)
+def _transition_data(c: CoordChange, q: Point, visit: _Visit) -> TransitionData:
+    factors, inverse_factors = visit.factors, _entry(c.inverse(), visit.image).factors
+    n, dt, dt_inv = c.n, factors[0], inverse_factors[0]
 
     # user-supplied inverses are cross-checked, not trusted; the tests are
     # negated, so that NaN (false under every comparison) is rejected
@@ -287,14 +288,14 @@ def _transition_data(c: CoordChange, q: Point, image: Point, visit: _Visit) -> T
             f"t_inv is not the inverse of t_fwd at t={q.t}: dt~/dt * dt/dt~ = {dt * dt_inv}"
         )
     # jac @ jac_inv - I, entry by entry
-    columns = [jac_inv[j::n] for j in range(n)]
+    columns = [inverse_factors[1 + j :: n] for j in range(n)]
     for i in range(n):
-        jac_row = jac[i * n : i * n + n]
+        jac_row = factors[1 + i * n : 1 + i * n + n]
         for j, column in enumerate(columns):
             if not abs(sum(map(mul, jac_row, column)) - (i == j)) <= INVERSE_CHECK_TOL:
                 raise ChartInverseError(f"x_inv is not the inverse of x_fwd at x={q.x}")
 
-    row = np.array([dt, dt_inv, *jac, *jac_inv, *visit.dp])
+    row = np.array([dt, dt_inv, *factors[1:], *inverse_factors[1:], *visit.dp])
     row.flags.writeable = False
     return TransitionData(dt, dt_inv, *_array_views(row, n))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from contextlib import suppress
 from dataclasses import replace
@@ -33,7 +34,7 @@ from .dtensor import (
     vertical_metrical,
 )
 from .errors import JethamError
-from .expr import Components, Expr, Point, compile_together, evaluate_together
+from .expr import NUMBER, Components, Expr, Point, compile_together, evaluate_together
 from .frames import adapted_frames, frames_from_values, pairing, verify_adapted_tensoriality
 from .metrics import (
     SpaceMetric,
@@ -361,7 +362,10 @@ def _run(args) -> int:
     problem = load_problem(args.problem)
     if args.command == "eval":
         try:
-            at = Point.from_flat([float(v) for v in args.at.split(",")], problem.n)
+            values = args.at.split(",")  # each an optional ASCII sign, then a DSL number
+            if not all(re.fullmatch(f"[+-]?{NUMBER}", v) for v in values):
+                raise ValueError(f"{args.at!r} has a coordinate that is not a number")
+            at = Point.from_flat([float(v) for v in values], problem.n)
             if not all(map(math.isfinite, at.flat())):
                 raise ValueError(f"{args.at!r} has a coordinate that is not finite")
         except (ValueError, JethamError) as ex:

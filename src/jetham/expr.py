@@ -1186,9 +1186,9 @@ def _fmt_number(value: float) -> str:
 MAX_NESTING = 100
 
 _SPACES = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "  # the ASCII characters str.isspace accepts
+NUMBER = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"  # a literal, ASCII, unsigned
 _TOKEN_RE = re.compile(  # spaces, then a number, an identifier or one other character
-    r"[\t-\r\x1c- ]*([0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
-    r"|[A-Za-z]+[0-9]*|[^\t-\r\x1c- ])"
+    rf"[\t-\r\x1c- ]*({NUMBER}|[A-Za-z]+[0-9]*|[^\t-\r\x1c- ])"
 )
 _DIGITS = frozenset("0123456789")
 _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")

@@ -349,6 +349,16 @@ class TestCompiledTransition:
                 transition(c, q)
         assert induced_point(c, q) == Point.make(2.0, [1.0], [2.0])
 
+    def test_inverse_factors_are_the_inverse_change_factors_at_the_image(self):
+        # dt/dt~ and dx/dx~ at the image are read from the inverse's own
+        # regularity run there, so both transitions hold the same bits
+        for c in nonlinear_charts_for(2).values():
+            for q in sampled_points(2, 3, seed=37):
+                td, image = transition(c, q), induced_point(c, q)
+                td_inv = transition(c.inverse(), image)
+                assert same_bits(td.dt_dt_tilde, td_inv.dt_tilde_dt)
+                assert same_bits(td.jac_inv, td_inv.jac)
+
     def test_change_freed_without_gc(self):
         # a change, its cached inverse and its memo hold no reference cycle,
         # so dropping the change frees them at once
@@ -437,13 +447,17 @@ class TestNonFiniteChecks:
 
     q = Point.make(1.0, [1.0, 1.0], [1.0, 1.0])
 
+    # the inverse cross-checks read the inverse's regularity values at the
+    # image, unchecked: a NaN there is a ChartInverseError, not a RegularityError
     def test_time_inverse_check(self):
-        c = with_stage(identity_change(2), "_inverse_factor_program", [math.nan, 1.0, 0.0, 0.0, 1.0])
+        c = identity_change(2)
+        with_stage(c.inverse(), "_regularity_program", [math.nan, 1.0, 0.0, 0.0, 1.0])
         with pytest.raises(ChartInverseError, match="t_inv"):
             transition(c, self.q)
 
     def test_space_inverse_check(self):
-        c = with_stage(identity_change(2), "_inverse_factor_program", [1.0, math.nan, 0.0, 0.0, 1.0])
+        c = identity_change(2)
+        with_stage(c.inverse(), "_regularity_program", [1.0, math.nan, 0.0, 0.0, 1.0])
         with pytest.raises(ChartInverseError, match="x_inv"):
             transition(c, self.q)
 

@@ -681,13 +681,17 @@ class TestOneEvaluation:
         assert cmd_canonical(problem).passed
         assert len(compiled) == 1 + len(problem.charts) == 3
 
-    def test_three_programs_per_chart_change(self, monkeypatch):
-        # regularity, forward and inverse factors, for each change and its
-        # inverse
+    def test_two_programs_per_chart_change(self, monkeypatch):
+        # regularity and forward, for each change and its inverse; the
+        # inverse's cross-checks at the round trips compile the regularity
+        # program of the inverse's inverse, a new change
         compiled = counted_programs(monkeypatch, jetham.charts)
         problem = load_problem(EXAMPLE)
         assert cmd_verify(problem).passed
-        assert len(compiled) == 3 * 2 * len(problem.charts) == 12
+        changes = [c for spec in problem.charts for c in (spec.change, spec.change.inverse())]
+        kept = [v for c in changes for v in vars(c).values() if isinstance(v, jetham.expr.Program)]
+        assert len(kept) == 2 * 2 * len(problem.charts) == 8
+        assert len(compiled) == len(kept) + len(problem.charts)
 
 
 def counted_runs(monkeypatch) -> list:
@@ -790,12 +794,14 @@ def test_hamiltonian_n2_report_bytes_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == HAMILTONIAN_N2_SHA256["report"]
 
 
-def _bench_workloads():
-    """bench/workloads.py, read as a module and not edited: the generated
-    problems are richer than the bundled ones (2-4 charts, 40 points,
-    300-term Hamiltonians, a negative control)."""
-    path = EXAMPLE.parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def _bench_module(name: str):
+    """A module of bench/, read from its file and not edited: the generated
+    problems of workloads.py are richer than the bundled ones (2-4 charts,
+    40 points, 300-term Hamiltonians, a negative control), and
+    known_answer.py judges each report against the answer they were built
+    with."""
+    path = EXAMPLE.parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up
     try:
@@ -806,7 +812,9 @@ def _bench_workloads():
 
 
 # sha256 over the JSON reports of one period of each benchmark workload, in
-# stream order, at the default seed and the held-out seed.
+# stream order, at the default seed and the held-out seed.  Each report is
+# also judged against its known answer, so a pin is never taken of a wrong
+# verdict.
 WORKLOAD_REPORTS_SHA256 = {
     ("points_n2", 1): "4a7beb5e4a2b2fc13a73daab75c1b097f4a33e72c21eced5411ed30081577b95",
     ("points_n2", 7919): "deae2b93a71cb2163ad4c9734c6bbf58fbbf21948c4c09fbe5350b6977bfe147",
@@ -819,12 +827,17 @@ WORKLOAD_REPORTS_SHA256 = {
 
 @pytest.mark.parametrize("workload, seed", sorted(WORKLOAD_REPORTS_SHA256))
 def test_workload_report_bytes_are_pinned(workload, seed):
-    workloads = _bench_workloads()
+    workloads, known_answer = _bench_module("workloads"), _bench_module("known_answer")
     h = hashlib.sha256()
     for index in range(workloads.WORKLOADS[workload].period):
         c = workloads.case(workload, seed, index)
         report = cmd_verify(problem_from_dict(c.doc), corrupt_connection=c.corrupt_connection)
-        h.update(report_to_json(report).encode())
+        text = report_to_json(report)
+        charts = [chart["name"] for chart in c.doc["charts"]]
+        assert known_answer.check_report(
+            text, charts, c.doc["sample"]["points"], c.doc["tolerance"], c.corrupt_connection
+        ) == [], index
+        h.update(text.encode())
     assert h.hexdigest() == WORKLOAD_REPORTS_SHA256[workload, seed]
 
 
@@ -861,7 +874,7 @@ WORKLOAD_PARSES_SHA256 = {
 
 @pytest.mark.parametrize("workload, seed", sorted(WORKLOAD_PARSES_SHA256))
 def test_workload_parses_are_pinned(workload, seed):
-    workloads = _bench_workloads()
+    workloads = _bench_module("workloads")
     programs = []
     for index in range(workloads.WORKLOADS[workload].period):
         doc = workloads.case(workload, seed, index).doc
@@ -895,11 +908,11 @@ def _program_digest(programs) -> str:
 # every byte; the reports above pin only their values.
 VERIFY_PROGRAMS = {
     "example.json":
-        (15, 664, "d55069f5d508d93ceebe9a767f9a9358fb0391512d4dfd6c76e789f1fb5a0359"),
+        (13, 638, "8d4ff0571ff2e4526ef360004f0a5a55e4a5c2bff16fe1a5c1f7093f8f686d1b"),
     "full_n4.json":
-        (8, 1995, "68641c9c85593bbdcdb2ef57a84f4f13515c9e14ae8097a11416ae74a54b995d"),
+        (7, 1980, "8b87b50430618c728487166effeda8417b3507c15150666dcd4d10d291ffe6b9"),
     "hamiltonian_n2.json":
-        (15, 9541, "1fb7666682343428286ae84966b999f917dc2902e76ba5ec6bba64ede5f8b3a2"),
+        (13, 9518, "507144384f0099da59fa6334ce3b6515db07617be05284ec9c1f5704a443ecc3"),
 }
 
 
@@ -1120,14 +1133,29 @@ def test_a_value_that_starts_with_two_minuses_is_a_bad_value(runner, args):
 
 @pytest.mark.parametrize(
     "obj, at",
-    [("liouville", "nan,1.1,1.3,0.7,-1.3"), ("vertical_metrical", "1.2,1.1,1.3,0.7,nan")],
+    [("liouville", "nan,1.1,1.3,0.7,-1.3"), ("vertical_metrical", "1.2,1.1,1.3,0.7,nan"),
+     ("liouville", "1_2,1.1,1.3,0.7,-1.3"), ("liouville", "\u0661.2,1.1,1.3,0.7,-1.3")],
 )
 def test_a_non_finite_at_point_is_a_bad_value(runner, obj, at):
-    # as in a problem file, where the same point is an input error too
+    # as in a problem file, where the same point is an input error too; a
+    # coordinate is an optional ASCII sign and a DSL number, so neither an
+    # underscore nor a digit outside ASCII (ARABIC-INDIC DIGIT ONE) is read
     result = runner.invoke(main, ["eval", "--problem", str(EXAMPLE), "--object", obj, "--at", at])
     assert result.exit_code == 3, result.output
     assert result.stdout == ""
     assert result.stderr.startswith("error: bad --at point: "), result.stderr
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 4))
+def test_the_repr_of_every_finite_float_is_an_at_coordinate(value, index):
+    # so a point printed with repr, as the docs' --at examples are, reads back;
+    # the object's values there may still be out of its domain
+    coordinates = _AT.split(",")
+    coordinates[index] = repr(value)
+    args = ["eval", "--problem", str(EXAMPLE), "--object", "liouville", "--at", ",".join(coordinates)]
+    result = InProcessRunner().invoke(main, args)
+    assert "bad --at point" not in result.stderr, result.stderr
 
 
 @pytest.mark.parametrize("args", [["--help"], ["verify", "--help"]])
