@@ -14,22 +14,24 @@ differentiation of the composed momentum expression.
 Each change compiles what a transition evaluates into two ``Program``s,
 run in this order at a point new to it: the regularity program (dt~/dt,
 checked, then the Jacobian, whose determinant is checked) and the forward
-program (the image and the momentum derivatives).  dt/dt~ and dx/dx~ at
-the image are the inverse change's dt~/dt and Jacobian there, read by the
-inverse cross-checks from the inverse's memo, which its regularity run
-fills once per point.  Regularity runs apart from the momentum map, which
-usually leaves its domain at a singular point (x~ = x^3 at x = 0), so that
-the error names the cause.  Of two faults at one point, a Jacobian's
-DomainError comes before a singular dt~/dt, and a momentum derivative that
-is not finite or leaves its domain raises from ``induced_point``, before
-the inverse cross-checks, which run on floats.  The change keeps, per
-point, what it computed, so the laws that all contract with the same
-factors evaluate them once per (change, point): the transition factors as
-one read-only float row, which the fields of its ``TransitionData`` view.
+program (the image and the momentum derivatives).  A change's inverse is
+one object whose inverse is the change, so dt/dt~ and dx/dx~ at the image
+are the inverse's dt~/dt and Jacobian there, read by the cross-checks from
+the inverse's memo, which its regularity run fills once per point.
+Regularity runs apart from the momentum map, which usually leaves its
+domain at a singular point (x~ = x^3 at x = 0), so that the error names
+the cause.  Of two faults at one point, a Jacobian's DomainError comes
+before a singular dt~/dt, and a momentum derivative that is not finite or
+leaves its domain raises from ``induced_point``, before the inverse
+cross-checks, which run on floats.  The change keeps, per point, what it
+computed, so the laws that all contract with the same factors evaluate
+them once per (change, point): the transition factors as one read-only
+float row, which the fields of its ``TransitionData`` view.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -86,16 +88,16 @@ class CoordChange:
 
     def inverse(self) -> "CoordChange":
         """The reverse change: the same object on every call, so its cached
-        derivatives, programs and memo are kept.  It holds no reference
-        back to this change."""
-        return self._inverse
+        derivatives, programs and memo are kept, and ``c.inverse().inverse()
+        is c``.  The inverse holds this change by a weak reference; once this
+        change is dropped, the inverse builds an equal one."""
+        forward = vars(self).get("_forward")
+        return (forward and forward()) or self._inverse
 
     @cached_property
     def _inverse(self) -> "CoordChange":
         inverse = CoordChange(self.n, self.t_inv, self.t_fwd, self.x_inv, self.x_fwd)
-        # its derivatives are this change's, swapped: preset its caches
-        vars(inverse).update(dt_fwd=self.dt_inv, dt_inv=self.dt_fwd,
-                             jac_fwd=self.jac_inv, jac_inv=self.jac_fwd)
+        vars(inverse)["_forward"] = weakref.ref(self)
         return inverse
 
     # -- cached symbolic derivatives ----------------------------------------
@@ -104,19 +106,19 @@ class CoordChange:
     def dt_fwd(self) -> Expr:
         return self.t_fwd.diff(Var.time())
 
-    @cached_property
+    @property
     def dt_inv(self) -> Expr:
-        return self.t_inv.diff(Var.time())
+        return self.inverse().dt_fwd
 
     @cached_property
     def jac_fwd(self) -> tuple[tuple[Expr, ...], ...]:
         """[i][j] = dx~^i/dx^j, as expressions in the old x."""
         return _jacobian(self.x_fwd, [Var.space(j) for j in range(self.n)])
 
-    @cached_property
+    @property
     def jac_inv(self) -> tuple[tuple[Expr, ...], ...]:
         """[i][j] = dx^i/dx~^j, as expressions in the tilde x."""
-        return _jacobian(self.x_inv, [Var.space(j) for j in range(self.n)])
+        return self.inverse().jac_fwd
 
     @cached_property
     def momentum_map(self) -> tuple[Expr, ...]:

@@ -8,11 +8,12 @@ changes, the push-forward of a d-tensor, the semispray of a connection, and
 the split of a vector field over the adapted frame), the point-by-point
 references for every law and for the JSON report, counts of distinct node
 objects and of distinct structures, a snapshot of every node an object holds, the structural
-comparison of two trees, the finite-difference oracle, and an in-process
-runner for the command line."""
+comparison of two trees, the finite-difference oracle, an in-process
+runner for the command line, and the benchmark's modules, loaded unedited."""
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import json
 import math
@@ -25,6 +26,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -349,10 +351,12 @@ class _ReferenceParser:
         while self._peek()[1] in ops:
             _, op, offset = self._next()
             cls = ops[op]
-            rhs = operand()
-            e = self._share((cls, id(e), id(rhs)), cls, _REBUILDERS[cls], e, rhs)
-            if type(rhs) is Const and type(e) is cls and type(e.left) is Const and rhs.value != 0.0:
-                value = _ARITHMETIC[cls](e.left.value, rhs.value)  # overflowed, not x/0
+            lhs, rhs = e, operand()
+            e = self._share((cls, id(lhs), id(rhs)), cls, _REBUILDERS[cls], lhs, rhs)
+            # the operands the join received: a fold may return one of them
+            # (x*1, x/1), whose own left is no operand of this join
+            if type(e) is cls and type(lhs) is type(rhs) is Const and rhs.value != 0.0:
+                value = _ARITHMETIC[cls](lhs.value, rhs.value)  # overflowed, not x/0
                 raise ExprSyntaxError(f"{op!r} folds to {value}, not a finite double", offset)
         return e
 
@@ -1211,3 +1215,20 @@ class InProcessRunner:
         except Exception as ex:
             code, exception = 1, ex
         return CliResult(code, out.getvalue(), err.getvalue(), both.getvalue(), exception)
+
+
+def bench_module(name: str):
+    """A module of bench/, read from its file and not edited: the generated
+    problems of workloads.py are richer than the bundled ones (2-4 charts,
+    40 points, 300-term Hamiltonians, a negative control), and
+    known_answer.py judges each report against the answer they were built
+    with."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module

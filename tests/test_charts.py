@@ -5,6 +5,7 @@ import gc
 import math
 import struct
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from jetham.charts import (
 )
 from jetham.errors import ChartInverseError, DimensionError, DomainError, RegularityError
 from jetham.expr import Point, Program, evaluate, parse
+from jetham.problem import load_problem
 from jetham.report import stack
 
 from helpers import (
@@ -35,6 +37,9 @@ from helpers import (
     sampled_points,
     verify_frame_rules,
 )
+
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def simple_chart_1d(t_fwd, t_inv, x_fwd, x_inv):
@@ -367,11 +372,62 @@ class TestCompiledTransition:
             c = chart(2, "exp(t)", "log(t)", ["2*x1", "x1*x2"], ["x1/2", "2*x2/x1"])
             q = Point.make(0.8, [1.1, 1.6], [2.0, -1.0])
             inv = c.inverse()
+            assert inv.inverse() is c
             image = induced_point(c, q)
             kept = [c, inv, image, transition(c, q), transition(inv, image)]
             refs = [weakref.ref(obj) for obj in kept]
             del c, inv, image, kept
             assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+
+class TestInverse:
+    """A change and its inverse are one object each: the inverse of the
+    inverse is the change, and each direction's derivatives, programs and
+    memo serve both."""
+
+    @pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")), ids=lambda p: p.stem)
+    def test_inverse_of_the_inverse_is_the_change(self, path):
+        for spec in load_problem(path).charts:
+            c, inv = spec.change, spec.change.inverse()
+            assert inv.inverse() is c and c.inverse() is inv
+            assert c.dt_inv is inv.dt_fwd and c.jac_inv is inv.jac_fwd
+            assert inv.dt_inv is c.dt_fwd and inv.jac_inv is c.jac_fwd
+
+    def test_round_trip_reads_the_change_memo(self, monkeypatch):
+        # the inverse's cross-checks at the round trip read the change's
+        # own entry there, made by its regularity run at q (this round trip
+        # is exact in floats); its regularity run at the image was made by
+        # the change's cross-checks, so only its forward program runs
+        c = chart(2, "2*t", "t/2", ["x1 + x2", "x2"], ["x1 - x2", "x2"])
+        q = Point.make(0.75, [1.5, 1.25], [2.0, -1.0])
+        td, image = transition(c, q), induced_point(c, q)
+        runs, run = [], Program.run
+        monkeypatch.setattr(Program, "run", lambda self, p: runs.append(self) or run(self, p))
+        td_inv = transition(c.inverse(), image)
+        assert induced_point(c.inverse(), image).key == q.key
+        assert runs == [c.inverse()._forward_program]
+        assert same_bits(td_inv.dt_dt_tilde, td.dt_tilde_dt) and same_bits(td_inv.jac_inv, td.jac)
+
+    def test_a_dropped_change_is_built_again(self):
+        # the inverse holds its change by a weak reference: once the change
+        # is dropped, the inverse builds an equal one, whose inverse it is
+        gc.disable()
+        try:
+            c = chart(2, "exp(t)", "log(t)", ["2*x1", "x1*x2"], ["x1/2", "2*x2/x1"])
+            q = Point.make(0.8, [1.1, 1.6], [2.0, -1.0])
+            fields = [getattr(c, f.name) for f in dataclasses.fields(c)]
+            want = bits(induced_point(c, q), transition(c, q))
+            inv, image = c.inverse(), induced_point(c, q)
+            ref = weakref.ref(c)
+            del c
+            assert ref() is None
+            again = inv.inverse()
+            assert [getattr(again, f.name) for f in dataclasses.fields(again)] == fields
+            assert again.inverse() is inv and inv.inverse() is again
+            transition(inv, image)
+            assert bits(induced_point(again, q), transition(again, q)) == want
         finally:
             gc.enable()
 

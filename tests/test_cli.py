@@ -3,7 +3,6 @@
 import copy
 import gc
 import hashlib
-import importlib.util
 import io
 import json
 import math
@@ -39,6 +38,7 @@ from jetham.report import report_to_json
 
 from helpers import (
     InProcessRunner,
+    bench_module,
     node_parts,
     node_snapshot,
     random_expr,
@@ -661,7 +661,7 @@ class TestOneEvaluation:
         compiled = counted_programs(monkeypatch, jetham.expr)
         report = cmd_verify(problem, suite, corrupt_connection=corrupt)
         assert report.passed is not corrupt
-        assert len(runs) == len({(id(p), key) for p, key in runs})
+        assert_one_run_each(runs)
         # one components program per chart, and the corrupted component of
         # each new chart's connection compiles its own
         assert len(compiled) == 1 + len(problem.charts) * (1 + corrupt)
@@ -672,7 +672,7 @@ class TestOneEvaluation:
         problem = load_problem(EXAMPLE)
         runs = counted_runs(monkeypatch)
         assert command(problem).passed
-        assert len(runs) == len({(id(p), key) for p, key in runs})
+        assert_one_run_each(runs)
 
     def test_canonical_compiles_one_program_per_chart(self, monkeypatch):
         # the printed sprays are rows of the problem's own chart's table
@@ -682,16 +682,13 @@ class TestOneEvaluation:
         assert len(compiled) == 1 + len(problem.charts) == 3
 
     def test_two_programs_per_chart_change(self, monkeypatch):
-        # regularity and forward, for each change and its inverse; the
-        # inverse's cross-checks at the round trips compile the regularity
-        # program of the inverse's inverse, a new change
+        # regularity and forward, for each change and its inverse
         compiled = counted_programs(monkeypatch, jetham.charts)
         problem = load_problem(EXAMPLE)
         assert cmd_verify(problem).passed
         changes = [c for spec in problem.charts for c in (spec.change, spec.change.inverse())]
         kept = [v for c in changes for v in vars(c).values() if isinstance(v, jetham.expr.Program)]
-        assert len(kept) == 2 * 2 * len(problem.charts) == 8
-        assert len(compiled) == len(kept) + len(problem.charts)
+        assert len(compiled) == len(kept) == 2 * 2 * len(problem.charts) == 8
 
 
 def counted_runs(monkeypatch) -> list:
@@ -705,6 +702,13 @@ def counted_runs(monkeypatch) -> list:
 
     monkeypatch.setattr(jetham.expr.Program, "run", counted_run)
     return runs
+
+
+def assert_one_run_each(runs) -> None:
+    """No program runs twice at one point, and no two programs run the same
+    root nodes at one point (a program keeps its nodes, so no id is reused)."""
+    assert len(runs) == len({(id(p), key) for p, key in runs})
+    assert len(runs) == len({(tuple(id(p._nodes[s]) for s in p._roots), key) for p, key in runs})
 
 
 def counted_programs(monkeypatch, module) -> list:
@@ -794,23 +798,6 @@ def test_hamiltonian_n2_report_bytes_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == HAMILTONIAN_N2_SHA256["report"]
 
 
-def _bench_module(name: str):
-    """A module of bench/, read from its file and not edited: the generated
-    problems of workloads.py are richer than the bundled ones (2-4 charts,
-    40 points, 300-term Hamiltonians, a negative control), and
-    known_answer.py judges each report against the answer they were built
-    with."""
-    path = EXAMPLE.parent.parent / "bench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
-
 # sha256 over the JSON reports of one period of each benchmark workload, in
 # stream order, at the default seed and the held-out seed.  Each report is
 # also judged against its known answer, so a pin is never taken of a wrong
@@ -827,7 +814,7 @@ WORKLOAD_REPORTS_SHA256 = {
 
 @pytest.mark.parametrize("workload, seed", sorted(WORKLOAD_REPORTS_SHA256))
 def test_workload_report_bytes_are_pinned(workload, seed):
-    workloads, known_answer = _bench_module("workloads"), _bench_module("known_answer")
+    workloads, known_answer = bench_module("workloads"), bench_module("known_answer")
     h = hashlib.sha256()
     for index in range(workloads.WORKLOADS[workload].period):
         c = workloads.case(workload, seed, index)
@@ -874,7 +861,7 @@ WORKLOAD_PARSES_SHA256 = {
 
 @pytest.mark.parametrize("workload, seed", sorted(WORKLOAD_PARSES_SHA256))
 def test_workload_parses_are_pinned(workload, seed):
-    workloads = _bench_module("workloads")
+    workloads = bench_module("workloads")
     programs = []
     for index in range(workloads.WORKLOADS[workload].period):
         doc = workloads.case(workload, seed, index).doc
@@ -908,11 +895,11 @@ def _program_digest(programs) -> str:
 # every byte; the reports above pin only their values.
 VERIFY_PROGRAMS = {
     "example.json":
-        (13, 638, "8d4ff0571ff2e4526ef360004f0a5a55e4a5c2bff16fe1a5c1f7093f8f686d1b"),
+        (11, 623, "b531deecf8b9005980624dd83165b3aff2b8242d8ac3d34b21709cf308d9dc91"),
     "full_n4.json":
-        (7, 1980, "8b87b50430618c728487166effeda8417b3507c15150666dcd4d10d291ffe6b9"),
+        (6, 1968, "0c55feaa967cca015752c978b8c6f3e0aa3ec7668775aea77b8246b0f54d3f4c"),
     "hamiltonian_n2.json":
-        (13, 9518, "507144384f0099da59fa6334ce3b6515db07617be05284ec9c1f5704a443ecc3"),
+        (11, 9501, "a3e74af7196318a9eea714ce2e97c9adc42efd4e055939a7b6d1aeb42295be03"),
 }
 
 

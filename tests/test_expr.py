@@ -178,6 +178,15 @@ class TestParse:
             parse(src, 1)
         assert err.value.offset == offset
 
+    @pytest.mark.parametrize("parser", [parse, reference_parse], ids=["parse", "reference"])
+    def test_a_fold_that_returns_an_operand_is_no_overflow(self, parser):
+        # x*1 and x/1 return x, whose left operand is a constant here
+        assert str(parser("2*p1^2*1", 1)) == "2 * p1^2"
+        assert str(parser("1/cos(2)/1", 1)) == "1 / cos(2)"
+        with pytest.raises(ExprSyntaxError) as err:
+            parser("1e300*1e300*1", 1)
+        assert str(err.value) == "'*' folds to inf, not a finite double (at offset 5)"
+
     def test_underflow_and_large_powers_still_parse(self):
         assert str(parse("1e-999 + x1", 1)) == "x1"
         assert str(parse("10^400 * t", 1)) == "10^400 * t"
@@ -885,6 +894,7 @@ def _parsed(parser, src: str, n: int):
 class TestReferenceParse:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10**9), st.integers(1, 3))
+    @example(seed=4945, n=1)  # a fold that returns its left operand: 1/cos(2)/1
     def test_parse_matches_the_recursive_descent_reference(self, seed, n):
         # the same tree and the same sharing for a printed tree, and for each
         # corruption of its text the same error, or the same tree again

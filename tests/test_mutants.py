@@ -4,8 +4,10 @@ Each mutant builds one paper-level object wrongly, or feeds one law wrong
 transition data.  It is made in process, by wrapping the builder where
 ``jetham.cli`` looks it up, a cached property of the chart change or of
 the space metric, or the ``transition`` a law module calls, so no source
-file is edited.  A mutant is caught on a bundled problem when
-``cmd_verify`` gives a failing report there (``jetham verify`` exits 2).
+file is edited.  A mutant is caught on a problem when ``cmd_verify`` gives
+a failing report there (``jetham verify`` exits 2).  Each row runs on every
+bundled problem, and on the eight generated problems of one seed-1 period
+of the benchmark's points_n2 workload, where it must fail at least one.
 
 The covariance laws of a tensorial object are homogeneous, so a constant
 factor on that object, made alike in every chart, passes them.  Four of
@@ -17,7 +19,7 @@ mark off.
 """
 
 import inspect
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +31,12 @@ import jetham.spray
 from jetham.charts import CoordChange, TransitionData, _array_views
 from jetham.cli import cmd_verify
 from jetham.dtensor import DTensor
-from jetham.expr import Components, const, esum, pvar
+from jetham.expr import Components, Const, const, esum, pvar
 from jetham.metrics import SpaceMetric
 from jetham.nlconn import NonlinearConnection
-from jetham.problem import load_problem
+from jetham.problem import load_problem, problem_from_dict
+
+from helpers import bench_module
 
 BUNDLED = Path(__file__).resolve().parent.parent / "problems"
 PROBLEMS = ("example.json", "full_n4.json", "hamiltonian_n2.json")
@@ -177,8 +181,9 @@ def _cases():
             yield pytest.param(name, problem, marks=() if caught else UNCAUGHT)
 
 
-@pytest.mark.parametrize("mutant, problem", _cases())
-def test_mutant_fails_verify(monkeypatch, mutant, problem):
+def _install(monkeypatch, mutant) -> list:
+    """Put the mutant in place of its builder; the list gets the arguments
+    of every build."""
     owner, builder, mutate, _ = MUTANTS[mutant]
     original = inspect.getattr_static(owner, builder)
     cached = isinstance(original, cached_property)
@@ -193,7 +198,66 @@ def test_mutant_fails_verify(monkeypatch, mutant, problem):
         counted = cached_property(counted)
         counted.__set_name__(owner, builder)
     monkeypatch.setattr(owner, builder, counted)
+    return built
+
+
+@pytest.mark.parametrize("mutant, problem", _cases())
+def test_mutant_fails_verify(monkeypatch, mutant, problem):
+    built = _install(monkeypatch, mutant)
     report = cmd_verify(load_problem(BUNDLED / problem))
     if not built:
-        raise LookupError(f"cmd_verify never built {builder}")
+        raise LookupError(f"cmd_verify never built {MUTANTS[mutant][1]}")
     assert not report.passed
+
+
+@cache
+def _generated() -> tuple[dict, ...]:
+    """The documents of one seed-1 period of the benchmark's points_n2
+    workload: 2-4 charts, 40 points and a metric drawn anew for each."""
+    workloads = bench_module("workloads")
+    period = workloads.WORKLOADS["points_n2"].period
+    return tuple(workloads.case("points_n2", 1, index).doc for index in range(period))
+
+
+def _separable(problem) -> bool:
+    """Whether each Christoffel symbol but gamma^i_ii and each chart
+    Jacobian entry off the diagonal is the constant 0: a diagonal metric
+    whose g_ii depends on x^i alone, and charts x~^i(x^i)."""
+    n, gamma = problem.n, problem.space_metric.christoffel
+    zeros = [gamma[i, j, k] for i in range(n) for j in range(n) for k in range(n)
+             if not i == j == k]
+    zeros += [spec.change.jac_fwd[i][j] for spec in problem.charts
+              for i in range(n) for j in range(n) if i != j]
+    return all(type(e) is Const and e.value == 0.0 for e in zeros)
+
+
+# where a problem is separable, gamma^k_ji p_i is gamma^i_jk p_i and each
+# Jacobian is its own transpose, so these mutants build the engine's values
+EQUIVALENT_WHERE_SEPARABLE = {
+    "canonical_spatial_indices_swapped",
+    "contracted_christoffel_indices_swapped",
+    "connection_law_jacobian_transposed",
+}
+
+
+def test_generated_problems_pass():
+    assert all(cmd_verify(problem_from_dict(doc)).passed for doc in _generated())
+
+
+@pytest.mark.parametrize(
+    "mutant", [pytest.param(name, marks=() if caught else UNCAUGHT)
+               for name, (*_, caught) in MUTANTS.items()]
+)
+def test_mutant_fails_verify_on_a_generated_problem(monkeypatch, mutant):
+    built = _install(monkeypatch, mutant)
+    problems = [problem_from_dict(doc) for doc in _generated()]
+    missed = [problem for problem in problems if cmd_verify(problem).passed]
+    if not built:
+        raise LookupError(f"cmd_verify never built {MUTANTS[mutant][1]}")
+    assert len(missed) < len(problems)
+    # a caught mutant passes only a problem on which it is the engine:
+    # documents 0 and 7 of the period are separable
+    if mutant in EQUIVALENT_WHERE_SEPARABLE:
+        assert all(_separable(problem) for problem in missed)
+    else:
+        assert missed == []
