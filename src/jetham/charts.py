@@ -23,28 +23,41 @@ domain at a singular point (x~ = x^3 at x = 0), so that the error names
 the cause.  Of two faults at one point, a Jacobian's DomainError comes
 before a singular dt~/dt, and a momentum derivative that is not finite or
 leaves its domain raises from ``induced_point``, before the inverse
-cross-checks, which run on floats.  The change keeps, per point, what it
-computed, so the laws that all contract with the same factors evaluate
-them once per (change, point): the transition factors as one read-only
-float row, which the fields of its ``TransitionData`` view.
+cross-checks.  The change keeps, per point, what it computed, so the laws
+that all contract with the same factors evaluate them once per (change,
+point): the transition factors as one read-only float row, which the
+fields of its ``TransitionData`` view.
+
+``map_points`` fills that memo for a whole point set in one pass: each
+stage runs over all the points before the next, the checks run on stacks
+(one ``np.linalg.det`` call, the cross-checks summed left to right as
+floats are), and the rows of one pass are the rows of one array.  The
+laws call it before visiting their points one by one, so those visits
+find the memo filled.  On a miss, ``induced_point`` and ``transition``
+make the same pass over their one point, which raises the point's first
+error.  A pass over more points that meets an error keeps what the
+one-point passes would have kept up to and at the first failing point,
+and leaves that point to its own pass, so the error raised is still the
+one a point-by-point visit meets first.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ChartInverseError, DimensionError, RegularityError
+from .errors import ChartInverseError, DimensionError, JethamError, RegularityError
 from .expr import Expr, Point, Program, Var, check_vars, compose, diff, esum, pvar
 
 __all__ = [
     "CoordChange",
     "TransitionData",
     "induced_point",
+    "map_points",
     "transition",
     "natural_frame_matrix",
     "natural_coframe_matrix",
@@ -185,7 +198,8 @@ class TransitionData:
     (dt~/dt, dt/dt~, jac, jac_inv, dp~/dt, dp~/dx) flat, and its two time
     factors are floats.  ``report.stack`` of several makes one array of
     their rows (``of_rows``), which gives every field a leading points axis,
-    as the laws read them.
+    as the laws read them.  Transition data built field by field have no
+    row, and cannot be stacked.
     """
 
     dt_tilde_dt: float
@@ -194,19 +208,13 @@ class TransitionData:
     jac_inv: np.ndarray
     dp_tilde_dt: np.ndarray
     dp_tilde_dx: np.ndarray
-
-    @property
-    def row(self) -> np.ndarray:
-        """The array every field views, for transition data that
-        ``transition`` or ``report.stack`` made: one row, or one row per
-        point."""
-        return self.jac.base
+    row: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def of_rows(cls, rows: np.ndarray, n: int) -> "TransitionData":
         """The transition data of rows (points, 2 + 3n^2 + n), one row per
         point: every field is a view of rows, with the points first."""
-        return cls(rows[:, 0], rows[:, 1], *_array_views(rows, n))
+        return cls(rows[:, 0], rows[:, 1], *_array_views(rows, n), rows)
 
 
 def _array_views(rows: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
@@ -231,42 +239,14 @@ class _Visit:
         self.factors, self.image, self.dp, self.data = factors, None, [], None
 
 
-def _entry(c: CoordChange, q: Point) -> _Visit:
-    """c's memo entry for q, made on a miss by a regularity run (unchecked)."""
-    visit = c._visits.get(q.key)
-    if visit is None:
-        visit = c._visits[q.key] = _Visit(c._regularity_program.run(q))
-    return visit
-
-
-def _require_regular(c: CoordChange, q: Point) -> _Visit:
-    # negated tests, so that NaN (false under every comparison) is rejected
-    visit = _entry(c, q)
-    dt, *jac = visit.factors
-    if not abs(dt) > REGULARITY_EPS:
-        raise RegularityError(f"dt~/dt = {dt} at t = {q.t}")
-    det = float(np.linalg.det(np.array(jac).reshape(c.n, c.n)))
-    if not abs(det) > REGULARITY_EPS:
-        raise RegularityError(f"det(dx~/dx) = {det} at x = {q.x}")
-    return visit
-
-
-def _visit(c: CoordChange, q: Point) -> _Visit:
-    """c's memo entry for q, mapped: check q's dimension and regularity, then map q."""
-    if q.n != c.n:
-        raise DimensionError(f"point has n={q.n}, change has n={c.n}")
-    visit = _require_regular(c, q)
-    values, n = c._forward_program.run(q), c.n
-    visit.image = Point(values[0], tuple(values[1 : n + 1]), tuple(values[n + 1 : 2 * n + 1]))
-    visit.dp = values[2 * n + 1 :]
-    return visit
-
-
 def induced_point(c: CoordChange, q: Point) -> Point:
-    """Image of q under the induced change on the dual 1-jet space."""
+    """Image of q under the induced change on the dual 1-jet space.  A point
+    new to c is mapped by ``map_points`` over q alone, so the transition
+    data there are computed and checked too."""
     visit = c._visits.get(q.key)
     if visit is None or visit.image is None:  # a point of another dimension always misses
-        visit = _visit(c, q)
+        map_points(c, (q,))
+        visit = c._visits[q.key]
     return visit.image
 
 
@@ -274,32 +254,158 @@ def transition(c: CoordChange, q: Point) -> TransitionData:
     """Evaluate every transition factor of c at q (with inverse cross-checks)."""
     induced_point(c, q)
     visit = c._visits[q.key]  # the entry that call found or mapped
-    if visit.data is None:
-        visit.data = _transition_data(c, q, visit)
+    if visit.data is None:  # its cross-checks failed before: make them again
+        map_points(c, (q,))
     return visit.data
 
 
-def _transition_data(c: CoordChange, q: Point, visit: _Visit) -> TransitionData:
-    factors, inverse_factors = visit.factors, _entry(c.inverse(), visit.image).factors
-    n, dt, dt_inv = c.n, factors[0], inverse_factors[0]
+def map_points(c: CoordChange, points: Sequence[Point]) -> list[Point]:
+    """Fill c's memo at the points: each point's regularity values, image
+    and transition data.  Returns the images of the points, in order, up to
+    the first point that failed.
 
-    # user-supplied inverses are cross-checked, not trusted; the tests are
-    # negated, so that NaN (false under every comparison) is rejected
-    if not abs(dt * dt_inv - 1.0) <= INVERSE_CHECK_TOL:
-        raise ChartInverseError(
-            f"t_inv is not the inverse of t_fwd at t={q.t}: dt~/dt * dt/dt~ = {dt * dt_inv}"
+    The points new to c are taken once each, in order, and every program
+    runs once per point, a whole stage over the points before the next:
+    the regularity program, then the checks of dt~/dt and of the
+    Jacobian's determinant (one ``np.linalg.det`` over the stack), then the
+    forward program, then the inverse's regularity program at the images,
+    then the inverse cross-checks over the stack.  Once a point fails a
+    stage, the later stages run only at the points before it.  A pass over
+    one point raises the first error it meets, the one ``induced_point``
+    and ``transition`` raise.  A pass over more points keeps what the
+    one-point passes before the first failing point would have kept, and
+    what that point's pass keeps before it raises, and returns: the
+    failing point's own one-point pass then raises its error.
+    """
+    memo, todo, images = c._visits, {}, []
+    for q in points:
+        visit = memo.get(q.key)
+        if visit is None or visit.data is None:
+            todo.setdefault(q.key, q)
+        else:
+            images.append(visit.image)
+    if not todo:
+        return images
+    error = _fill(c, list(todo.values()))
+    if error is not None and len(points) == 1:
+        raise error
+    images = []
+    for q in points:
+        visit = memo.get(q.key)
+        if visit is None or visit.data is None:
+            break
+        images.append(visit.image)
+    return images
+
+
+def _fill(c: CoordChange, todo: list[Point]) -> JethamError | None:
+    """``map_points`` over points new to c: the first failing point's error,
+    or None."""
+    memo, inverse, n = c._visits, c.inverse(), c.n
+    stop, error = len(todo), None  # the first failing point, and its error
+
+    def fail(k: int, exc: JethamError) -> None:
+        nonlocal stop, error
+        if k < stop:
+            stop, error = k, exc
+
+    def check(ok: np.ndarray, error_at) -> None:
+        """Fail at the first point where ok is false, with error_at(k)."""
+        if not ok.all():
+            k = int(np.argmin(ok))
+            fail(k, error_at(k))
+
+    def each(step) -> list:
+        """step(i) at each point before stop, up to the first that raises."""
+        out = []
+        try:
+            for i in range(stop):
+                out.append(step(i))
+        except JethamError as exc:
+            fail(len(out), exc)
+        return out
+
+    check(
+        np.array([q.n == n for q in todo]),
+        lambda k: DimensionError(f"point has n={todo[k].n}, change has n={n}"),
+    )
+    visits = [memo.get(q.key) for q in todo[:stop]]
+    factors = each(
+        lambda i: visits[i].factors if visits[i] else c._regularity_program.run(todo[i])
+    )
+
+    # negated tests, so that NaN (false under every comparison) is rejected
+    if stop:
+        fwd = np.array(factors[:stop])
+        check(
+            np.abs(fwd[:, 0]) > REGULARITY_EPS,
+            lambda k: RegularityError(f"dt~/dt = {factors[k][0]} at t = {todo[k].t}"),
         )
-    # jac @ jac_inv - I, entry by entry
-    columns = [inverse_factors[1 + j :: n] for j in range(n)]
-    for i in range(n):
-        jac_row = factors[1 + i * n : 1 + i * n + n]
-        for j, column in enumerate(columns):
-            if not abs(sum(map(mul, jac_row, column)) - (i == j)) <= INVERSE_CHECK_TOL:
-                raise ChartInverseError(f"x_inv is not the inverse of x_fwd at x={q.x}")
+    if stop:
+        det = np.linalg.det(fwd[:stop, 1:].reshape(stop, n, n))
+        check(
+            np.abs(det) > REGULARITY_EPS,
+            lambda k: RegularityError(f"det(dx~/dx) = {float(det[k])} at x = {todo[k].x}"),
+        )
 
-    row = np.array([dt, dt_inv, *factors[1:], *inverse_factors[1:], *visit.dp])
-    row.flags.writeable = False
-    return TransitionData(dt, dt_inv, *_array_views(row, n))
+    def forward(i: int) -> tuple[Point, list[float]]:
+        if visits[i] and visits[i].image is not None:
+            return visits[i].image, visits[i].dp
+        values = c._forward_program.run(todo[i])
+        image = Point(values[0], tuple(values[1 : n + 1]), tuple(values[n + 1 : 2 * n + 1]))
+        return image, values[2 * n + 1 :]
+
+    mapped = each(forward)
+    ran = {}  # the inverse's regularity values at images new to its memo
+
+    def at_image(i: int) -> _Visit:
+        image = mapped[i][0]
+        visit = inverse._visits.get(image.key) or ran.get(image.key)
+        if visit is None:
+            visit = ran[image.key] = _Visit(inverse._regularity_program.run(image))
+        return visit
+
+    inverse_visits = each(at_image)
+
+    # user-supplied inverses are cross-checked, not trusted, as floats would
+    # be: dt~/dt * dt/dt~, then each entry of jac @ jac_inv summed left to
+    # right, as sum() adds
+    if stop:
+        fwd, inv = fwd[:stop], np.array([v.factors for v in inverse_visits[:stop]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            check(
+                np.abs(fwd[:, 0] * inv[:, 0] - 1.0) <= INVERSE_CHECK_TOL,
+                lambda k: ChartInverseError(
+                    f"t_inv is not the inverse of t_fwd at t={todo[k].t}: "
+                    f"dt~/dt * dt/dt~ = {factors[k][0] * inverse_visits[k].factors[0]}"
+                ),
+            )
+            jac, jac_inv = fwd[:stop, 1:].reshape(-1, n, n), inv[:stop, 1:].reshape(-1, n, n)
+            product = jac[:, :, :1] * jac_inv[:, :1, :]
+            for m in range(1, n):
+                product = product + jac[:, :, m : m + 1] * jac_inv[:, m : m + 1, :]
+            check(
+                (np.abs(product - np.eye(n)) <= INVERSE_CHECK_TOL).all(axis=(1, 2)),
+                lambda k: ChartInverseError(f"x_inv is not the inverse of x_fwd at x={todo[k].x}"),
+            )
+
+    # keep what each point's own pass keeps: all of it before stop, and at
+    # stop what its stages computed before the one that failed
+    for i, q in enumerate(todo[: stop + 1]):
+        if i < len(factors) and visits[i] is None:
+            visits[i] = memo[q.key] = _Visit(factors[i])
+        if i < len(mapped):
+            visits[i].image, visits[i].dp = mapped[i]
+        if i < len(inverse_visits):
+            inverse._visits.setdefault(mapped[i][0].key, inverse_visits[i])
+    if stop:
+        fwd, inv, dp = fwd[:stop], inv[:stop], np.array([values for _, values in mapped[:stop]])
+        rows = np.concatenate((fwd[:, :1], inv[:, :1], fwd[:, 1:], inv[:, 1:], dp), axis=1)
+        rows.flags.writeable = False
+        times = rows[:, 0].tolist(), rows[:, 1].tolist()
+        for visit, *fields in zip(visits[:stop], *times, *_array_views(rows, n), rows):
+            visit.data = TransitionData(*fields)
+    return error
 
 
 def natural_frame_matrix(td: TransitionData) -> np.ndarray:

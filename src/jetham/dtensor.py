@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charts import CoordChange, TransitionData, induced_point, transition
+from .charts import CoordChange, TransitionData, induced_point, map_points, transition
 from .errors import SignatureMismatchError
 from .expr import Components, Expr, Point, Var, const, diff, pvar
 from .metrics import SpaceMetric, TimeMetric, inverse_time
@@ -124,6 +124,7 @@ def verify_dtensor(
             f"signatures differ: {T_old.signature} vs {T_new.signature}"
         )
     inverse = c.inverse()
+    map_points(inverse, map_points(c, points))
 
     def visit(q):
         image = induced_point(c, q)

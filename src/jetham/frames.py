@@ -18,6 +18,7 @@ import numpy as np
 from .charts import (
     CoordChange,
     induced_point,
+    map_points,
     natural_coframe_matrix,
     natural_frame_matrix,
     transition,
@@ -123,6 +124,7 @@ def _verify_blocks(
     block = np.repeat([0, 1, 2], [1, c.n, c.n])
     blocks = block[:, None] == block[None, :]
     inverse = c.inverse()
+    map_points(inverse, map_points(c, points))
 
     def visit(q):
         image = induced_point(c, q)

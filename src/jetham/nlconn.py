@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .charts import CoordChange, induced_point, transition
+from .charts import CoordChange, induced_point, map_points, transition
 from .errors import DimensionError
 from .expr import Components, Point, Var, const, diff, esum, pvar, symmetric
 from .metrics import SpaceMetric, TimeMetric, christoffel_time
@@ -107,6 +107,7 @@ def verify_connection_law(
     """
     if N_old.n != c.n or N_new.n != c.n:
         raise DimensionError("connection and change dimensions differ")
+    map_points(c, points)
 
     def visit(q):
         return induced_point(c, q), transition(c, q)

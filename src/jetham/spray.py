@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charts import CoordChange, induced_point, transition
+from .charts import CoordChange, induced_point, map_points, transition
 from .errors import DimensionError
 from .expr import Components, Point, const, pvar, symmetric
 from .metrics import SpaceMetric, TimeMetric, christoffel_time
@@ -75,6 +75,7 @@ def _verify_semispray_law(
     """One semispray law; inhomogeneous(td, p) gets stacks, points first."""
     if G_old.comps.shape != (c.n, c.n) or G_new.comps.shape != (c.n, c.n):
         raise DimensionError("semispray and change dimensions differ")
+    map_points(c, points)
 
     def visit(q):
         return induced_point(c, q), transition(c, q)

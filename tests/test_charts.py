@@ -17,6 +17,7 @@ from jetham.charts import (
     CoordChange,
     TransitionData,
     induced_point,
+    map_points,
     scalar_to_new_chart,
     transition,
 )
@@ -322,20 +323,19 @@ class TestCompiledTransition:
         assert math.copysign(1.0, image_neg.p[0]) == -1.0  # ... different bits
 
     def test_regularity_checked_once_per_point(self, monkeypatch):
-        calls = []
-        original = jetham.charts._require_regular
-
-        def counted(c, q):
-            calls.append(q)
-            return original(c, q)
-
-        monkeypatch.setattr(jetham.charts, "_require_regular", counted)
+        # one run of the regularity program and one determinant, however
+        # often the point is asked for
+        runs, run = [], Program.run
+        monkeypatch.setattr(Program, "run", lambda self, p: runs.append((self, p)) or run(self, p))
+        dets, det = [], np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda a: dets.append(a) or det(a))
         c = nonlinear_charts_for(2)["stretch"]
         q = Point.make(0.8, [1.1, 1.6], [2.0, -1.0])
         for _ in range(3):
             transition(c, q)
             induced_point(c, q)
-        assert calls == [q]
+        assert [p for program, p in runs if program is c._regularity_program] == [q]
+        assert len(dets) == 1
 
     def test_returned_arrays_are_read_only(self):
         td = transition(nonlinear_charts_for(2)["stretch"], Point.make(0.8, [1.1, 1.6], [2.0, -1.0]))
@@ -380,6 +380,57 @@ class TestCompiledTransition:
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
+
+
+class TestPointSetPass:
+    """One ``map_points`` pass over a point set keeps, at each point, the
+    bits that a fresh change taken at that point alone computes, for the
+    change at the points and for its inverse at the images, and runs each
+    program once per distinct point."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_chart_suites(self, monkeypatch, n):
+        for c in charts_for(n).values():
+            self.assert_pass_matches_one_point_changes(
+                monkeypatch, c, sampled_points(n, 4, seed=41 + n)
+            )
+
+    @pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")), ids=lambda p: p.stem)
+    def test_bundled_problems(self, monkeypatch, path):
+        problem = load_problem(path)
+        for spec in problem.charts:
+            self.assert_pass_matches_one_point_changes(
+                monkeypatch, spec.change, list(problem.points[:3])
+            )
+
+    @staticmethod
+    def assert_pass_matches_one_point_changes(monkeypatch, c, points):
+        # a repeated point, and a pair that differs only in the sign of zero
+        zero = Point(points[0].t, points[0].x, (0.0,) * c.n)
+        points = [*points, points[-1], zero, negative_zeros(zero)]
+        runs, run, inv = [], Program.run, c.inverse()
+        with monkeypatch.context() as patch:
+            patch.setattr(Program, "run", lambda self, p: runs.append((self, p.key)) or run(self, p))
+            images = map_points(c, points)
+            assert map_points(inv, images) == [induced_point(inv, image) for image in images]
+        assert len(runs) == len(set(runs))
+        for program in (c._regularity_program, c._forward_program):
+            assert [key for p, key in runs if p is program][: len(points) - 1] == list(
+                dict.fromkeys(q.key for q in points)
+            )
+        assert len(images) == len(points)
+        for q, image in zip(points, images):
+            fresh = CoordChange(c.n, c.t_fwd, c.t_inv, c.x_fwd, c.x_inv)
+            fresh_image = induced_point(fresh, q)
+            assert bits(image, transition(c, q)) == bits(fresh_image, transition(fresh, q))
+            fresh_inv = fresh.inverse()
+            assert bits(induced_point(inv, image), transition(inv, image)) == bits(
+                induced_point(fresh_inv, fresh_image), transition(fresh_inv, fresh_image)
+            )
+        assert transition(c, points[-1]) is not transition(c, points[-2])
+        assert bits(images[-1], transition(c, points[-1])) != bits(
+            images[-2], transition(c, points[-2])
+        )
 
 
 class TestInverse:
@@ -440,25 +491,32 @@ def same_bits(a, b) -> bool:
 class TestTransitionRows:
     """A change keeps its factors at a point as one read-only float64 row,
     (dt~/dt, dt/dt~, jac, jac_inv, dp~/dt, dp~/dx) flat, and a stack of
-    transition data is one array of their rows."""
+    transition data is one array of their rows.  Rows made by one pass over
+    a point set are rows of one array, so a field views its row's memory
+    rather than the row object itself."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_fields_are_read_only_views_of_one_row(self, n):
         shapes = {"jac": (n, n), "jac_inv": (n, n), "dp_tilde_dt": (n,), "dp_tilde_dx": (n, n)}
         for c in charts_for(n).values():
-            for q in sampled_points(n, 3, seed=29):
+            points = sampled_points(n, 3, seed=29)
+            map_points(c, points[1:])  # one row alone, then two rows of one pass
+            for q in points:
                 td = transition(c, q)
                 row = td.row
                 assert row.shape == (2 + 3 * n * n + n,) and row.dtype == np.float64
                 assert not row.flags.writeable
                 assert type(td.dt_tilde_dt) is float and type(td.dt_dt_tilde) is float
-                arrays = []
+                arrays, start = [], 2
                 for name, shape in shapes.items():
                     a = getattr(td, name)
-                    assert a.base is row and a.shape == shape and a.dtype == np.float64
+                    assert a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
                     assert not a.flags.writeable
+                    # in row order, the fields tile the row's memory
+                    assert byte_offset(a, row) == 8 * start
+                    start += a.size
                     arrays.append(a.ravel())
-                # in row order, the fields tile the row
+                assert start == row.size
                 assert same_bits(np.concatenate([[td.dt_tilde_dt, td.dt_dt_tilde], *arrays]), row)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -476,10 +534,17 @@ class TestTransitionRows:
                 assert got.row.shape == (len(points), 2 + 3 * n * n + n)
                 for field in dataclasses.fields(TransitionData):
                     value = getattr(got, field.name)
-                    assert value.base is got.row
+                    assert value is got.row or value.base is got.row
                     assert same_bits(value, getattr(want, field.name)), field.name
                 negative_zeros_seen += np.count_nonzero((got.row == 0.0) & np.signbit(got.row))
         assert negative_zeros_seen  # -0.0 is among the stacked bits
+
+
+def byte_offset(a: np.ndarray, row: np.ndarray) -> int:
+    """Where a's memory starts in row's, which must hold all of it."""
+    offset = a.__array_interface__["data"][0] - row.__array_interface__["data"][0]
+    assert 0 <= offset and offset + a.nbytes <= row.nbytes
+    return offset
 
 
 class _Stage:

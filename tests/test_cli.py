@@ -690,6 +690,40 @@ class TestOneEvaluation:
         kept = [v for c in changes for v in vars(c).values() if isinstance(v, jetham.expr.Program)]
         assert len(compiled) == len(kept) == 2 * 2 * len(problem.charts) == 8
 
+    def test_repeated_and_signed_zero_points(self, monkeypatch):
+        # a point given twice is one point of every memo and table, and 0.0
+        # and -0.0 are two; the verdict compiles the example's programs
+        problem = problem_from_dict(repeated_points_doc())
+        runs = counted_runs(monkeypatch)
+        programs, init = [], jetham.expr.Program.__init__
+
+        def recorded(self, roots):
+            init(self, roots)
+            programs.append(self)
+
+        monkeypatch.setattr(jetham.expr.Program, "__init__", recorded)
+        report = cmd_verify(problem)
+        assert report.passed and len(report.records) == 88
+        assert_one_run_each(runs)
+        got = (len(programs), sum(map(len, programs)), _program_digest(programs))
+        assert got == VERIFY_PROGRAMS["example.json"]
+        changes = [c for spec in problem.charts for c in (spec.change, spec.change.inverse())]
+        kept = [v for c in changes for v in vars(c).values() if isinstance(v, jetham.expr.Program)]
+        assert len(kept) == 8
+        for c in changes[::2]:  # each change ran at the three distinct points
+            assert len({key for p, key in runs if p is c._forward_program}) == 3
+
+
+def repeated_points_doc() -> dict:
+    """The example problem at a point given twice and a pair of points that
+    differ only in the sign of the zero momenta."""
+    doc = json.loads(EXAMPLE.read_text())
+    point = [1.2, 1.1, 1.3, 0.7, -1.3]
+    doc["sample"] = {
+        "points": [point, point, [1.2, 1.1, 1.3, -0.0, 0.0], [1.2, 1.1, 1.3, 0.0, 0.0]]
+    }
+    return doc
+
 
 def counted_runs(monkeypatch) -> list:
     """Every later ``Program.run`` as (program, point bits); the list keeps

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,10 +30,10 @@ from helpers import (
     sampled_points,
 )
 from jetham import cli
-from jetham.charts import CoordChange
+from jetham.charts import CoordChange, induced_point, transition
 from jetham.dtensor import DTensor, IndexKind, verify_dtensor
-from jetham.errors import JethamError
-from jetham.expr import Point, const, parse, tvar
+from jetham.errors import ChartInverseError, DomainError, JethamError, RegularityError
+from jetham.expr import Components, Point, const, parse, tvar
 from jetham.frames import _verify_blocks
 from jetham.nlconn import NonlinearConnection, verify_connection_law
 from jetham.problem import ChartSpec, Problem, load_problem
@@ -159,10 +160,21 @@ def _connection(text: str) -> NonlinearConnection:
     return NonlinearConnection(1, (e,), ((e,),))
 
 
+def _semispray(text: str) -> Components:
+    return Components(1, np.array([[parse(text, 1)]], dtype=object))
+
+
+def _change(t_fwd: str, t_inv: str, x_fwd: str, x_inv: str) -> CoordChange:
+    return CoordChange(1, parse(t_fwd, 1), parse(t_inv, 1), (parse(x_fwd, 1),), (parse(x_inv, 1),))
+
+
 # the laws whose values are read at the points and then at the images
 _FIRST_ERROR_LAWS = {
     "dtensor": lambda old, new, c, points: verify_dtensor(
         _space_vector(old), _space_vector(new), c, points
+    ),
+    "spray": lambda old, new, c, points: verify_temporal_law(
+        _semispray(old), _semispray(new), c, points
     ),
     "connection": lambda old, new, c, points: verify_connection_law(
         _connection(old), _connection(new), c, points
@@ -172,24 +184,85 @@ _FIRST_ERROR_LAWS = {
     ),
 }
 
+# changes that pass at (t, x) = (1, 1) and fail at the point named, each in
+# a stage of its own: (change, point, error type, the error's text)
+_CHART_FAULTS = {
+    "singular_dt": (
+        ("t^3", "t^(1/3)", "x1", "x1"), (0.0, 1.0), RegularityError, "dt~/dt = 0.0 at t = 0.0"
+    ),
+    "singular_jacobian": (
+        ("t", "t", "x1^3", "x1^(1/3)"), (1.0, 0.0), RegularityError,
+        "det(dx~/dx) = 0.0 at x = (0.0,)",
+    ),
+    "forward_domain": (
+        ("t", "t", "log(x1)", "exp(x1)"), (1.0, -1.0), DomainError,
+        "log of a non-positive value in 'log(x1)'",
+    ),
+    "wrong_t_inv": (
+        ("t^2", "t^(1/2)", "x1", "x1"), (-1.0, 1.0), ChartInverseError,
+        "t_inv is not the inverse of t_fwd at t=-1.0: dt~/dt * dt/dt~ = -1.0",
+    ),
+    "wrong_x_inv": (
+        ("t", "t", "x1^2", "x1^(1/2)"), (1.0, -1.0), ChartInverseError,
+        "x_inv is not the inverse of x_fwd at x=(-1.0,)",
+    ),
+}
+
 
 @pytest.mark.parametrize("law", _FIRST_ERROR_LAWS)
 @pytest.mark.parametrize(
-    "change, old, new, xs, error",
+    "change, old, new, points, error",
     [
         # the new values fail at the image of point 0, the old ones at point 1
-        (identity_change(1), "1 / (x1 - 2)", "log(x1 - 1.5)", (1.0, 2.0), "log of a non-positive"),
+        (
+            lambda: identity_change(1), "1 / (x1 - 2)", "log(x1 - 1.5)", ((1.0, 1.0), (1.0, 2.0)),
+            "log of a non-positive",
+        ),
         # the old values fail at point 0, the change is singular at point 1
         (
-            CoordChange(1, tvar(), tvar(), (parse("x1^3", 1),), (parse("x1^(1/3)", 1),)),
-            "1 / (x1 - 1)", "x1", (1.0, 0.0), "division by zero",
+            lambda: CoordChange(1, tvar(), tvar(), (parse("x1^3", 1),), (parse("x1^(1/3)", 1),)),
+            "1 / (x1 - 1)", "x1", ((1.0, 1.0), (1.0, 0.0)), "division by zero",
         ),
+    ]
+    + [
+        # point 0 passes, the change fails at point 1
+        (lambda maps=maps: _change(*maps), "x1", "x1", ((1.0, 1.0), point), re.escape(text))
+        for maps, point, _, text in _CHART_FAULTS.values()
     ],
-    ids=["values", "chart"],
+    ids=["values", "chart", *_CHART_FAULTS],
 )
-def test_the_first_failing_point_raises_its_error(change, old, new, xs, error, law):
+def test_the_first_failing_point_raises_its_error(change, old, new, points, error, law):
     # the values are read over all points at once, yet the error is the one
     # a point-by-point law meets first
-    points = [Point.make(1.0, [x], [1.0]) for x in xs]
-    with pytest.raises(JethamError, match=error):
-        _FIRST_ERROR_LAWS[law](old, new, change, points)
+    points = [Point.make(t, [x], [1.0]) for t, x in points]
+    with pytest.raises(JethamError, match=f"^{error}"):
+        _FIRST_ERROR_LAWS[law](old, new, change(), points)
+
+
+@pytest.mark.parametrize("law", _FIRST_ERROR_LAWS)
+@pytest.mark.parametrize("fault", _CHART_FAULTS)
+def test_a_chart_fault_after_a_passing_point_is_the_per_point_error(law, fault):
+    # the law maps both points in one pass; a fresh change taken one point
+    # at a time, as the laws visit, raises the same error at point 1
+    maps, (t, x), kind, text = _CHART_FAULTS[fault]
+    points = [Point.make(1.0, [1.0], [1.0]), Point.make(t, [x], [1.0])]
+    c, law_change = _change(*maps), _change(*maps)
+    with pytest.raises(JethamError) as want:
+        for q in points:
+            image = induced_point(c, q)
+            transition(c, q)
+            if law in ("dtensor", "frames"):  # the laws that visit the inverse
+                transition(c.inverse(), image)
+    with pytest.raises(JethamError) as got:
+        _FIRST_ERROR_LAWS[law]("x1", "x1", law_change, points)
+    assert type(got.value) is type(want.value) is kind
+    assert str(got.value) == str(want.value) == text
+    # and both keep the same values, in both directions
+    for a, b in ((law_change, c), (law_change.inverse(), c.inverse())):
+        assert _memo(a) == _memo(b)
+
+
+def _memo(c: CoordChange) -> dict:
+    """What c keeps per point: its regularity values, image and whether it
+    has transition data."""
+    return {key: (v.factors, v.image, v.data is not None) for key, v in c._visits.items()}

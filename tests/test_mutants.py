@@ -110,7 +110,7 @@ def _replaced(td: TransitionData, **fields) -> TransitionData:
     parts = {name: getattr(td, name) for name in ("jac", "jac_inv", "dp_tilde_dt", "dp_tilde_dx")}
     parts.update(fields)
     row = np.concatenate([[td.dt_tilde_dt, td.dt_dt_tilde], *(a.ravel() for a in parts.values())])
-    return TransitionData(td.dt_tilde_dt, td.dt_dt_tilde, *_array_views(row, td.jac.shape[-1]))
+    return TransitionData(td.dt_tilde_dt, td.dt_dt_tilde, *_array_views(row, td.jac.shape[-1]), row)
 
 
 def _jacobian_transposed(transition):
