@@ -242,10 +242,11 @@ def test_the_first_failing_point_raises_its_error(change, old, new, points, erro
 @pytest.mark.parametrize("law", _FIRST_ERROR_LAWS)
 @pytest.mark.parametrize("fault", _CHART_FAULTS)
 def test_a_chart_fault_after_a_passing_point_is_the_per_point_error(law, fault):
-    # the law maps both points in one pass; a fresh change taken one point
-    # at a time, as the laws visit, raises the same error at point 1
+    # the law maps the points in one pass; a fresh change taken one point
+    # at a time, as the laws visit, raises the same error at point 1 and
+    # never reaches point 2
     maps, (t, x), kind, text = _CHART_FAULTS[fault]
-    points = [Point.make(1.0, [1.0], [1.0]), Point.make(t, [x], [1.0])]
+    points = [Point.make(t, [x], [1.0]) for t, x in ((1.0, 1.0), (t, x), (1.5, 1.5))]
     c, law_change = _change(*maps), _change(*maps)
     with pytest.raises(JethamError) as want:
         for q in points:
@@ -257,7 +258,7 @@ def test_a_chart_fault_after_a_passing_point_is_the_per_point_error(law, fault):
         _FIRST_ERROR_LAWS[law]("x1", "x1", law_change, points)
     assert type(got.value) is type(want.value) is kind
     assert str(got.value) == str(want.value) == text
-    # and both keep the same values, in both directions
+    # and both keep the same values, in both directions: nothing at point 2
     for a, b in ((law_change, c), (law_change.inverse(), c.inverse())):
         assert _memo(a) == _memo(b)
 
