@@ -409,8 +409,13 @@ class TestPointSetPass:
         zero = Point(points[0].t, points[0].x, (0.0,) * c.n)
         points = [*points, points[-1], zero, negative_zeros(zero)]
         runs, run, inv = [], Program.run, c.inverse()
+
+        def counted_run(self, p):
+            runs.append((self, p.key))
+            return run(self, p)
+
         with monkeypatch.context() as patch:
-            patch.setattr(Program, "run", lambda self, p: runs.append((self, p.key)) or run(self, p))
+            patch.setattr(Program, "run", counted_run)
             images = map_points(c, points)
             assert map_points(inv, images) == [induced_point(inv, image) for image in images]
         # each program once per distinct point, in order (the change's
