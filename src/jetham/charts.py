@@ -29,7 +29,8 @@ point): the transition factors as one read-only float row, which the
 fields of its ``TransitionData`` view.
 
 ``map_points`` fills that memo for a whole point set in one pass: each
-stage runs over all the points before the next, the checks run on stacks
+stage runs over all the points before the next, a program over a large
+point set in one ``Program.run_points`` pass, the checks run on stacks
 (one ``np.linalg.det`` call, the cross-checks summed left to right as
 floats are), and the rows of one pass are the rows of one array.  The
 laws call it before visiting their points one by one, so those visits
@@ -50,6 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import expr
 from .errors import ChartInverseError, DimensionError, JethamError, RegularityError
 from .expr import Expr, Point, Program, Var, check_vars, compose, diff, esum, pvar
 
@@ -265,7 +267,9 @@ def map_points(c: CoordChange, points: Sequence[Point]) -> list[Point]:
     the first point that failed.
 
     The points new to c are taken once each, in order, and every program
-    runs once per point, a whole stage over the points before the next:
+    runs once per point, a whole stage over the points before the next
+    (over at least ``BATCH_POINTS`` of them, in one ``Program.run_points``
+    pass, and point by point where the pass gives None):
     the regularity program, then the checks of dt~/dt and of the
     Jacobian's determinant (one ``np.linalg.det`` over the stack), then the
     forward program, then the inverse's regularity program at the images,
@@ -330,8 +334,10 @@ def _fill(c: CoordChange, todo: list[Point]) -> JethamError | None:
         lambda k: DimensionError(f"point has n={todo[k].n}, change has n={n}"),
     )
     visits = [memo.get(q.key) for q in todo[:stop]]
+    regular = _run_points(c._regularity_program, {i: todo[i] for i in range(stop) if not visits[i]})
     factors = each(
-        lambda i: visits[i].factors if visits[i] else c._regularity_program.run(todo[i])
+        lambda i: visits[i].factors if visits[i]
+        else regular[i] if i in regular else c._regularity_program.run(todo[i])
     )
 
     # negated tests, so that NaN (false under every comparison) is rejected
@@ -348,15 +354,25 @@ def _fill(c: CoordChange, todo: list[Point]) -> JethamError | None:
             lambda k: RegularityError(f"det(dx~/dx) = {float(det[k])} at x = {todo[k].x}"),
         )
 
+    def unmapped(i: int) -> bool:
+        return not visits[i] or visits[i].image is None
+
+    forwarded = _run_points(c._forward_program, {i: todo[i] for i in range(stop) if unmapped(i)})
+
     def forward(i: int) -> tuple[Point, list[float]]:
-        if visits[i] and visits[i].image is not None:
+        if not unmapped(i):
             return visits[i].image, visits[i].dp
-        values = c._forward_program.run(todo[i])
+        values = forwarded[i] if i in forwarded else c._forward_program.run(todo[i])
         image = Point(values[0], tuple(values[1 : n + 1]), tuple(values[n + 1 : 2 * n + 1]))
         return image, values[2 * n + 1 :]
 
     mapped = each(forward)
-    ran = {}  # the inverse's regularity values at images new to its memo
+    # the inverse's regularity values at images new to its memo
+    images = {image.key: image for image, _ in mapped[:stop] if image.key not in inverse._visits}
+    ran = {
+        key: _Visit(values)
+        for key, values in _run_points(inverse._regularity_program, images).items()
+    }
 
     def at_image(i: int) -> _Visit:
         image = mapped[i][0]
@@ -406,6 +422,17 @@ def _fill(c: CoordChange, todo: list[Point]) -> JethamError | None:
         for visit, *fields in zip(visits[:stop], *times, *_array_views(rows, n), rows):
             visit.data = TransitionData(*fields)
     return error
+
+
+def _run_points(program: Program, points: dict) -> dict:
+    """program's values at points, as run returns them and under the same
+    keys, from one ``Program.run_points`` pass where there are at least
+    ``BATCH_POINTS`` of them; {} where there are fewer, or where a run
+    would raise, whose caller then runs the points one by one."""
+    if len(points) < expr.BATCH_POINTS:
+        return {}
+    table = program.run_points(list(points.values()))
+    return {} if table is None else dict(zip(points, table.tolist()))
 
 
 def natural_frame_matrix(td: TransitionData) -> np.ndarray:

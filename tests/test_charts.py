@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jetham.charts
+import jetham.expr
 from jetham.charts import (
     CoordChange,
     TransitionData,
@@ -395,6 +396,12 @@ class TestPointSetPass:
                 monkeypatch, c, sampled_points(n, 4, seed=41 + n)
             )
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_chart_suites_in_run_points_passes(self, monkeypatch, n):
+        # each stage runs over its point set in one Program.run_points pass
+        monkeypatch.setattr(jetham.expr, "BATCH_POINTS", 1)
+        self.test_chart_suites(monkeypatch, n)
+
     @pytest.mark.parametrize("path", sorted(PROBLEMS.glob("*.json")), ids=lambda p: p.stem)
     def test_bundled_problems(self, monkeypatch, path):
         problem = load_problem(path)
@@ -408,14 +415,19 @@ class TestPointSetPass:
         # a repeated point, and a pair that differs only in the sign of zero
         zero = Point(points[0].t, points[0].x, (0.0,) * c.n)
         points = [*points, points[-1], zero, negative_zeros(zero)]
-        runs, run, inv = [], Program.run, c.inverse()
+        runs, run, run_points, inv = [], Program.run, Program.run_points, c.inverse()
 
         def counted_run(self, p):
             runs.append((self, p.key))
             return run(self, p)
 
+        def counted_run_points(self, pass_points):
+            runs.extend((self, p.key) for p in pass_points)
+            return run_points(self, pass_points)
+
         with monkeypatch.context() as patch:
             patch.setattr(Program, "run", counted_run)
+            patch.setattr(Program, "run_points", counted_run_points)
             images = map_points(c, points)
             assert map_points(inv, images) == [induced_point(inv, image) for image in images]
         # each program once per distinct point, in order (the change's

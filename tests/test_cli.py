@@ -714,6 +714,26 @@ class TestOneEvaluation:
             assert len({key for p, key in runs if p is c._forward_program}) == 3
 
 
+    def test_one_run_per_program_and_point_above_the_crossover(self, monkeypatch):
+        # the generated points_n2 problems sample 40 points, so each program
+        # runs over them in one pass, and no pass runs a pair twice
+        case = bench_module("workloads").case("points_n2", 1, 0)
+        problem = problem_from_dict(case.doc)
+        assert len(problem.points) >= jetham.expr.BATCH_POINTS
+        runs = counted_runs(monkeypatch)
+        passes, run_points = [], jetham.expr.Program.run_points
+
+        def recorded(self, points):
+            passes.append(len(points))
+            return run_points(self, points)
+
+        monkeypatch.setattr(jetham.expr.Program, "run_points", recorded)
+        report = cmd_verify(problem, corrupt_connection=case.corrupt_connection)
+        assert report.passed is not case.corrupt_connection
+        assert passes and len(runs) == sum(passes)  # no program ran point by point
+        assert_one_run_each(runs)
+
+
 def repeated_points_doc() -> dict:
     """The example problem at a point given twice and a pair of points that
     differ only in the sign of the zero momenta."""
@@ -726,15 +746,24 @@ def repeated_points_doc() -> dict:
 
 
 def counted_runs(monkeypatch) -> list:
-    """Every later ``Program.run`` as (program, point bits); the list keeps
+    """Every later ``Program.run``, and each point of every later
+    ``Program.run_points`` pass, as (program, point bits); the list keeps
     the programs, so no id is reused."""
-    runs, run = [], jetham.expr.Program.run
+    runs, run, run_points = [], jetham.expr.Program.run, jetham.expr.Program.run_points
+
+    def bits(q):
+        return struct.pack(f"{2 * q.n + 1}d", q.t, *q.x, *q.p)
 
     def counted_run(self, q):
-        runs.append((self, struct.pack(f"{2 * q.n + 1}d", q.t, *q.x, *q.p)))
+        runs.append((self, bits(q)))
         return run(self, q)
 
+    def counted_run_points(self, points):
+        runs.extend((self, bits(q)) for q in points)
+        return run_points(self, points)
+
     monkeypatch.setattr(jetham.expr.Program, "run", counted_run)
+    monkeypatch.setattr(jetham.expr.Program, "run_points", counted_run_points)
     return runs
 
 
@@ -1440,3 +1469,31 @@ def test_every_document_ends_in_a_documented_exit_code(doc):
         parts = line.removeprefix("error: ").split(": ")
         for a, b in zip(parts, parts[1:]):
             assert not b.startswith((a + ".", a + "[")), line
+
+
+# every pinned report above, with each program run over each point set in one
+# Program.run_points pass (a crossover of one point) and point by point (a
+# crossover above every point count): the two paths give the same bytes
+PINNED_REPORTS = {
+    "example_plain": lambda runner, tmp_path: test_example_report_bytes_are_pinned(False),
+    "example_corrupt_connection":
+        lambda runner, tmp_path: test_example_report_bytes_are_pinned(True),
+    "hamiltonian_n2": lambda runner, tmp_path: test_hamiltonian_n2_report_bytes_are_pinned(),
+    **{
+        f"christoffel_{name}": lambda runner, tmp_path, name=name:
+            test_christoffel_report_bytes_are_pinned(runner, tmp_path, name)
+        for name in CHRISTOFFEL_REPORT_SHA256
+    },
+    **{
+        f"{workload}_{seed}": lambda runner, tmp_path, workload=workload, seed=seed:
+            test_workload_report_bytes_are_pinned(workload, seed)
+        for workload, seed in WORKLOAD_REPORTS_SHA256
+    },
+}
+
+
+@pytest.mark.parametrize("crossover", [1, 10**9], ids=["batched", "per_point"])
+@pytest.mark.parametrize("pin", sorted(PINNED_REPORTS))
+def test_report_pins_hold_on_both_paths(monkeypatch, runner, tmp_path, pin, crossover):
+    monkeypatch.setattr(jetham.expr, "BATCH_POINTS", crossover)
+    PINNED_REPORTS[pin](runner, tmp_path)

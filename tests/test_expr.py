@@ -7,11 +7,13 @@ import operator
 import random
 import re
 import struct
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import jetham.expr
@@ -682,6 +684,98 @@ class TestProgram:
             with pytest.raises(DomainError) as err:
                 run()
             assert str(err.value) == f"overflow in power in '{text}'"
+
+
+# coordinates that leave most trees finite, and some that make a run raise:
+# zeros for division, logs and negative powers, a negative base for
+# fractional powers, 400 for exp and 1e200 for powers
+_SET_COORDS = st.sampled_from([0.5, -1.0, 1.3, 2.0, -0.7, 0.0, -0.0, 400.0, 1e200])
+
+
+@st.composite
+def point_sets(draw):
+    """Point sets over a small pool, so that points repeat, in which each
+    point's twin with the signs of its zeros flipped may stand beside it."""
+    pool = []
+    for coords in draw(st.lists(st.tuples(*[_SET_COORDS] * 5), min_size=1, max_size=5)):
+        pool.append(Point.make(coords[0], coords[1:3], coords[3:]))
+        flipped = [-v if v == 0.0 else v for v in coords]
+        pool.append(Point.make(flipped[0], flipped[1:3], flipped[3:]))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16))
+
+
+def _run_each(program, points):
+    """Each point's run values, or its error; None for a point that raised."""
+    values, first_error = [], None
+    for q in points:
+        try:
+            values.append(program.run(q))
+        except JethamError as exc:
+            values.append(None)
+            first_error = first_error or exc
+    return values, first_error
+
+
+class TestRunPoints:
+    """``Program.run_points`` is the per-point ``run`` over a points axis:
+    the same bits wherever no run raises, and None, silently, wherever one
+    does, for the caller to take the per-point path for the error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 10**9), point_sets())
+    def test_matches_run_at_each_point(self, seed, points):
+        rng = random.Random(seed)
+        roots = [random_expr(rng, 2) for _ in range(rng.randint(1, 3))]
+        program = Program(roots)
+        values, first_error = _run_each(program, points)
+        event("a run raises" if first_error else "no run raises")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = program.run_points(points)
+        assert caught == []
+        if first_error is not None:
+            assert got is None
+        else:
+            assert got.dtype == np.float64 and got.shape == (len(points), len(roots))
+            assert [_bits(row) for row in got.tolist()] == [_bits(row) for row in values]
+        # and evaluate_together, batched at every point set, reads the same
+        # values or raises the first failing point's error, as point by point
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(jetham.expr, "BATCH_POINTS", 1)
+            obj = Components(2, roots)
+            if first_error is not None:
+                with pytest.raises(type(first_error)) as err:
+                    obj.evaluate(points)
+                assert str(err.value) == str(first_error)
+            else:
+                assert [_bits(row) for row in obj.evaluate(points).tolist()] == [
+                    _bits(row) for row in values
+                ]
+
+    def test_points_of_another_dimension(self):
+        program = Program([parse("x2 + t", 2)])
+        wide, narrow = Point.make(1.0, [1.0, 2.0], [0.0, 0.0]), Point.make(1.0, [1.0], [0.0])
+        assert program.run_points([wide, wide]).tolist() == [[3.0], [3.0]]
+        assert program.run_points([wide, narrow]) is None
+        assert program.run_points([narrow, narrow]) is None
+        with pytest.raises(DimensionError):
+            program.run(narrow)
+
+    def test_coordinates_that_are_not_floats(self):
+        # run computes on the ints themselves: -0 is 0, where -0.0 is not 0.0
+        program = Program([Neg(xvar(0))])
+        assert program.run(Point(1, (0,), (0,))) == [0]
+        assert program.run_points([Point(1, (0,), (0,))]) is None
+        assert _bits(program.run_points([Point.make(1, [0], [0])])[0]) == _bits([-0.0])
+
+    def test_overflow_is_silent(self):
+        # array arithmetic overflows to inf where run names the first slot
+        e = parse("1 + exp(200*x1)*exp(200*x1) - exp(200*x1)*exp(200*x1)", 1)
+        points = [q_of(x=(1.9,)), q_of(x=(0.5,))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Program([e]).run_points(points) is None
+            assert Program([e]).run_points(points[1:]).tolist() == [Program([e]).run(points[1])]
 
 
 class TestIdentitySlots:

@@ -29,6 +29,7 @@ from helpers import (
     reference_temporal_inhomogeneous,
     sampled_points,
 )
+import jetham.expr
 from jetham import cli
 from jetham.charts import CoordChange, induced_point, transition
 from jetham.dtensor import DTensor, IndexKind, verify_dtensor
@@ -209,8 +210,7 @@ _CHART_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("law", _FIRST_ERROR_LAWS)
-@pytest.mark.parametrize(
+_FIRST_ERRORS = pytest.mark.parametrize(
     "change, old, new, points, error",
     [
         # the new values fail at the image of point 0, the old ones at point 1
@@ -231,6 +231,10 @@ _CHART_FAULTS = {
     ],
     ids=["values", "chart", *_CHART_FAULTS],
 )
+
+
+@pytest.mark.parametrize("law", _FIRST_ERROR_LAWS)
+@_FIRST_ERRORS
 def test_the_first_failing_point_raises_its_error(change, old, new, points, error, law):
     # the values are read over all points at once, yet the error is the one
     # a point-by-point law meets first
@@ -261,6 +265,24 @@ def test_a_chart_fault_after_a_passing_point_is_the_per_point_error(law, fault):
     # and both keep the same values, in both directions: nothing at point 2
     for a, b in ((law_change, c), (law_change.inverse(), c.inverse())):
         assert _memo(a) == _memo(b)
+
+
+# each program runs over each point set in one Program.run_points pass, which
+# gives None wherever a run raises: the per-point path then raises the error
+@pytest.mark.parametrize("law", _FIRST_ERROR_LAWS)
+@_FIRST_ERRORS
+def test_the_first_failing_point_raises_its_error_in_run_points_passes(
+    monkeypatch, change, old, new, points, error, law
+):
+    monkeypatch.setattr(jetham.expr, "BATCH_POINTS", 1)
+    test_the_first_failing_point_raises_its_error(change, old, new, points, error, law)
+
+
+@pytest.mark.parametrize("law", _FIRST_ERROR_LAWS)
+@pytest.mark.parametrize("fault", _CHART_FAULTS)
+def test_a_chart_fault_is_the_per_point_error_in_run_points_passes(monkeypatch, law, fault):
+    monkeypatch.setattr(jetham.expr, "BATCH_POINTS", 1)
+    test_a_chart_fault_after_a_passing_point_is_the_per_point_error(law, fault)
 
 
 def _memo(c: CoordChange) -> dict:
