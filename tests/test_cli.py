@@ -713,7 +713,6 @@ class TestOneEvaluation:
         for c in changes[::2]:  # each change ran at the three distinct points
             assert len({key for p, key in runs if p is c._forward_program}) == 3
 
-
     def test_one_run_per_program_and_point_above_the_crossover(self, monkeypatch):
         # the generated points_n2 problems sample 40 points, so each program
         # runs over them in one pass, and no pass runs a pair twice
