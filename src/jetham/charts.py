@@ -32,13 +32,12 @@ fields of its ``TransitionData`` view.
 stage runs over all the points before the next, a program over a large
 point set in one ``Program.run_points`` pass, the checks run on stacks
 (one ``np.linalg.det`` call, the cross-checks summed left to right as
-floats are), and the rows of one pass are the rows of one array.  The
-laws call it before visiting their points one by one, so those visits
-find the memo filled.  On a miss, ``induced_point`` and ``transition``
-make the same pass over their one point, which raises the point's first
-error.  A pass over more points that meets an error keeps what the
-one-point passes would have kept up to and at the first failing point,
-and leaves that point to its own pass, so the error raised is still the
+floats are), and the rows of one pass are the rows of one array.  A pass
+either fills the memo at every point it was given, or keeps nothing and
+raises.  The laws call it before visiting their points one by one, so
+those visits find the memo filled.  On a miss, as after a failed pass,
+``induced_point`` and ``transition`` make the same pass over their one
+point, which raises the point's first error, so the error raised is the
 one a point-by-point visit meets first.
 """
 
@@ -80,8 +79,8 @@ class CoordChange:
 
     The change memoizes its results per point, keyed on the exact float
     bits of the point (so -0.0 and 0.0 are different keys), for as long as
-    the change lives.  Only programs that ran are kept; a check that failed
-    is made again on the next call.
+    the change lives.  A pass that fails keeps nothing: the next call at
+    its points computes them again.
     """
 
     n: int
@@ -232,13 +231,14 @@ def _array_views(rows: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
 
 class _Visit:
     """What a change has computed at one point: its regularity program's
-    values (dt~/dt, then the Jacobian row by row), then the image and dp~
-    once the point is regular and mapped, then the transition data."""
+    values (dt~/dt, then the Jacobian row by row), then the image and the
+    transition data, kept together once a pass there has passed every
+    check."""
 
-    __slots__ = ("factors", "image", "dp", "data")
+    __slots__ = ("factors", "image", "data")
 
     def __init__(self, factors: list[float]):
-        self.factors, self.image, self.dp, self.data = factors, None, [], None
+        self.factors, self.image, self.data = factors, None, None
 
 
 def induced_point(c: CoordChange, q: Point) -> Point:
@@ -253,186 +253,129 @@ def induced_point(c: CoordChange, q: Point) -> Point:
 
 
 def transition(c: CoordChange, q: Point) -> TransitionData:
-    """Evaluate every transition factor of c at q (with inverse cross-checks)."""
+    """Evaluate every transition factor of c at q (with inverse cross-checks):
+    the data of the entry that ``induced_point`` finds or fills."""
     induced_point(c, q)
-    visit = c._visits[q.key]  # the entry that call found or mapped
-    if visit.data is None:  # its cross-checks failed before: make them again
-        map_points(c, (q,))
-    return visit.data
+    return c._visits[q.key].data
 
 
 def map_points(c: CoordChange, points: Sequence[Point]) -> list[Point]:
     """Fill c's memo at the points: each point's regularity values, image
-    and transition data.  Returns the images of the points, in order, up to
-    the first point that failed.
+    and transition data.  Returns the images of the points, in order, or []
+    where the pass failed.
 
     The points new to c are taken once each, in order, and every program
     runs once per point, a whole stage over the points before the next
-    (over at least ``BATCH_POINTS`` of them, in one ``Program.run_points``
-    pass, and point by point where the pass gives None):
-    the regularity program, then the checks of dt~/dt and of the
-    Jacobian's determinant (one ``np.linalg.det`` over the stack), then the
-    forward program, then the inverse's regularity program at the images,
-    then the inverse cross-checks over the stack.  Once a point fails a
-    stage, the later stages run only at the points before it.  A pass over
-    one point raises the first error it meets, the one ``induced_point``
-    and ``transition`` raise.  A pass over more points keeps what the
-    one-point passes before the first failing point would have kept, and
-    what that point's pass keeps before it raises, and returns: the
-    failing point's own one-point pass then raises its error.
+    (``_rows``): the regularity program, then the checks of dt~/dt and of
+    the Jacobian's determinant (one ``np.linalg.det`` over the stack), then
+    the forward program, then the inverse's regularity program at the
+    images, then the inverse cross-checks over the stack.  A pass fills the
+    memo at every point it was given, or keeps nothing.  Over one point it
+    raises the first error it meets, the one ``induced_point`` and
+    ``transition`` raise; over more points it returns [], and each point's
+    own one-point pass then raises its error as the laws visit the points.
     """
-    memo, todo, images = c._visits, {}, []
+    memo, todo = c._visits, {}
     for q in points:
         visit = memo.get(q.key)
         if visit is None or visit.data is None:
             todo.setdefault(q.key, q)
-        else:
-            images.append(visit.image)
-    if not todo:
-        return images
-    error = _fill(c, list(todo.values()))
-    if error is not None and len(points) == 1:
-        raise error
-    images = []
-    for q in points:
-        visit = memo.get(q.key)
-        if visit is None or visit.data is None:
-            break
-        images.append(visit.image)
-    return images
+    if todo:
+        try:
+            _fill(c, list(todo.values()))
+        except JethamError:
+            if len(points) == 1:
+                raise
+            return []
+    return [memo[q.key].image for q in points]
 
 
-def _fill(c: CoordChange, todo: list[Point]) -> JethamError | None:
-    """``map_points`` over points new to c: the first failing point's error,
-    or None."""
+def _fill(c: CoordChange, todo: list[Point]) -> None:
+    """``map_points`` over points new to c: raises the first failing
+    point's error at the first stage that fails, keeping nothing, or keeps
+    the pass at every point, and the inverse's regularity values at the
+    images."""
     memo, inverse, n = c._visits, c.inverse(), c.n
-    stop, error = len(todo), None  # the first failing point, and its error
-
-    def fail(k: int, exc: JethamError) -> None:
-        nonlocal stop, error
-        if k < stop:
-            stop, error = k, exc
 
     def check(ok: np.ndarray, error_at) -> None:
-        """Fail at the first point where ok is false, with error_at(k)."""
+        """Raise error_at(k) at the first point k where ok is false."""
         if not ok.all():
-            k = int(np.argmin(ok))
-            fail(k, error_at(k))
-
-    def each(step) -> list:
-        """step(i) at each point before stop, up to the first that raises."""
-        out = []
-        try:
-            for i in range(stop):
-                out.append(step(i))
-        except JethamError as exc:
-            fail(len(out), exc)
-        return out
+            raise error_at(int(np.argmin(ok)))
 
     check(
         np.array([q.n == n for q in todo]),
         lambda k: DimensionError(f"point has n={todo[k].n}, change has n={n}"),
     )
-    visits = [memo.get(q.key) for q in todo[:stop]]
-    regular = _run_points(c._regularity_program, {i: todo[i] for i in range(stop) if not visits[i]})
-    factors = each(
-        lambda i: visits[i].factors if visits[i]
-        else regular[i] if i in regular else c._regularity_program.run(todo[i])
-    )
+    visits = [memo.get(q.key) for q in todo]
+    regular = iter(_rows(c._regularity_program, [q for q, v in zip(todo, visits) if v is None]))
+    factors = [v.factors if v else next(regular) for v in visits]
 
     # negated tests, so that NaN (false under every comparison) is rejected
-    if stop:
-        fwd = np.array(factors[:stop])
-        check(
-            np.abs(fwd[:, 0]) > REGULARITY_EPS,
-            lambda k: RegularityError(f"dt~/dt = {factors[k][0]} at t = {todo[k].t}"),
-        )
-    if stop:
-        det = np.linalg.det(fwd[:stop, 1:].reshape(stop, n, n))
-        check(
-            np.abs(det) > REGULARITY_EPS,
-            lambda k: RegularityError(f"det(dx~/dx) = {float(det[k])} at x = {todo[k].x}"),
-        )
+    fwd = np.array(factors)
+    check(
+        np.abs(fwd[:, 0]) > REGULARITY_EPS,
+        lambda k: RegularityError(f"dt~/dt = {factors[k][0]} at t = {todo[k].t}"),
+    )
+    jac = fwd[:, 1:].reshape(-1, n, n)
+    det = np.linalg.det(jac)
+    check(
+        np.abs(det) > REGULARITY_EPS,
+        lambda k: RegularityError(f"det(dx~/dx) = {float(det[k])} at x = {todo[k].x}"),
+    )
 
-    def unmapped(i: int) -> bool:
-        return not visits[i] or visits[i].image is None
-
-    forwarded = _run_points(c._forward_program, {i: todo[i] for i in range(stop) if unmapped(i)})
-
-    def forward(i: int) -> tuple[Point, list[float]]:
-        if not unmapped(i):
-            return visits[i].image, visits[i].dp
-        values = forwarded[i] if i in forwarded else c._forward_program.run(todo[i])
-        image = Point(values[0], tuple(values[1 : n + 1]), tuple(values[n + 1 : 2 * n + 1]))
-        return image, values[2 * n + 1 :]
-
-    mapped = each(forward)
+    mapped = _rows(c._forward_program, todo)
+    images = [Point(v[0], tuple(v[1 : n + 1]), tuple(v[n + 1 : 2 * n + 1])) for v in mapped]
     # the inverse's regularity values at images new to its memo
-    images = {image.key: image for image, _ in mapped[:stop] if image.key not in inverse._visits}
-    ran = {
-        key: _Visit(values)
-        for key, values in _run_points(inverse._regularity_program, images).items()
-    }
-
-    def at_image(i: int) -> _Visit:
-        image = mapped[i][0]
-        visit = inverse._visits.get(image.key) or ran.get(image.key)
-        if visit is None:
-            visit = ran[image.key] = _Visit(inverse._regularity_program.run(image))
-        return visit
-
-    inverse_visits = each(at_image)
+    new = {image.key: image for image in images if image.key not in inverse._visits}
+    ran = dict(zip(new, map(_Visit, _rows(inverse._regularity_program, list(new.values())))))
+    inverse_visits = [inverse._visits.get(image.key) or ran[image.key] for image in images]
 
     # user-supplied inverses are cross-checked, not trusted, as floats would
     # be: dt~/dt * dt/dt~, then each entry of jac @ jac_inv summed left to
     # right, as sum() adds
-    if stop:
-        fwd, inv = fwd[:stop], np.array([v.factors for v in inverse_visits[:stop]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            check(
-                np.abs(fwd[:, 0] * inv[:, 0] - 1.0) <= INVERSE_CHECK_TOL,
-                lambda k: ChartInverseError(
-                    f"t_inv is not the inverse of t_fwd at t={todo[k].t}: "
-                    f"dt~/dt * dt/dt~ = {factors[k][0] * inverse_visits[k].factors[0]}"
-                ),
-            )
-            jac, jac_inv = fwd[:stop, 1:].reshape(-1, n, n), inv[:stop, 1:].reshape(-1, n, n)
-            product = jac[:, :, :1] * jac_inv[:, :1, :]
-            for m in range(1, n):
-                product = product + jac[:, :, m : m + 1] * jac_inv[:, m : m + 1, :]
-            check(
-                (np.abs(product - np.eye(n)) <= INVERSE_CHECK_TOL).all(axis=(1, 2)),
-                lambda k: ChartInverseError(f"x_inv is not the inverse of x_fwd at x={todo[k].x}"),
-            )
+    inv = np.array([v.factors for v in inverse_visits])
+    with np.errstate(over="ignore", invalid="ignore"):
+        check(
+            np.abs(fwd[:, 0] * inv[:, 0] - 1.0) <= INVERSE_CHECK_TOL,
+            lambda k: ChartInverseError(
+                f"t_inv is not the inverse of t_fwd at t={todo[k].t}: "
+                f"dt~/dt * dt/dt~ = {factors[k][0] * inverse_visits[k].factors[0]}"
+            ),
+        )
+        jac_inv = inv[:, 1:].reshape(-1, n, n)
+        product = jac[:, :, :1] * jac_inv[:, :1, :]
+        for m in range(1, n):
+            product = product + jac[:, :, m : m + 1] * jac_inv[:, m : m + 1, :]
+        check(
+            (np.abs(product - np.eye(n)) <= INVERSE_CHECK_TOL).all(axis=(1, 2)),
+            lambda k: ChartInverseError(f"x_inv is not the inverse of x_fwd at x={todo[k].x}"),
+        )
 
-    # keep what each point's own pass keeps: all of it before stop, and at
-    # stop what its stages computed before the one that failed
-    for i, q in enumerate(todo[: stop + 1]):
-        if i < len(factors) and visits[i] is None:
-            visits[i] = memo[q.key] = _Visit(factors[i])
-        if i < len(mapped):
-            visits[i].image, visits[i].dp = mapped[i]
-        if i < len(inverse_visits):
-            inverse._visits.setdefault(mapped[i][0].key, inverse_visits[i])
-    if stop:
-        fwd, inv, dp = fwd[:stop], inv[:stop], np.array([values for _, values in mapped[:stop]])
-        rows = np.concatenate((fwd[:, :1], inv[:, :1], fwd[:, 1:], inv[:, 1:], dp), axis=1)
-        rows.flags.writeable = False
-        times = rows[:, 0].tolist(), rows[:, 1].tolist()
-        for visit, *fields in zip(visits[:stop], *times, *_array_views(rows, n), rows):
-            visit.data = TransitionData(*fields)
-    return error
+    # every check passed: keep the pass at every point
+    dp = np.array([v[2 * n + 1 :] for v in mapped])
+    rows = np.concatenate((fwd[:, :1], inv[:, :1], fwd[:, 1:], inv[:, 1:], dp), axis=1)
+    rows.flags.writeable = False
+    times = rows[:, 0].tolist(), rows[:, 1].tolist()
+    data = [TransitionData(*fields) for fields in zip(*times, *_array_views(rows, n), rows)]
+    for q, visit, values, image, at_image, td in zip(
+        todo, visits, factors, images, inverse_visits, data
+    ):
+        if visit is None:
+            visit = memo[q.key] = _Visit(values)
+        visit.image, visit.data = image, td
+        inverse._visits.setdefault(image.key, at_image)
 
 
-def _run_points(program: Program, points: dict) -> dict:
-    """program's values at points, as run returns them and under the same
-    keys, from one ``Program.run_points`` pass where there are at least
-    ``BATCH_POINTS`` of them; {} where there are fewer, or where a run
-    would raise, whose caller then runs the points one by one."""
-    if len(points) < expr.BATCH_POINTS:
-        return {}
-    table = program.run_points(list(points.values()))
-    return {} if table is None else dict(zip(points, table.tolist()))
+def _rows(program: Program, points: list[Point]) -> list[list[float]]:
+    """program's values at each of the points, as ``run`` returns them: from
+    one ``Program.run_points`` pass over at least ``BATCH_POINTS`` points,
+    or else, where there are fewer or the pass gives None, from one ``run``
+    per point, in order, so that the first point whose run raises raises."""
+    if len(points) >= expr.BATCH_POINTS:
+        table = program.run_points(points)
+        if table is not None:
+            return table.tolist()
+    return [program.run(q) for q in points]
 
 
 def natural_frame_matrix(td: TransitionData) -> np.ndarray:

@@ -132,14 +132,20 @@ class Point:
             raise DimensionError(
                 f"x has length {len(self.x)} but p has length {len(self.p)}"
             )
+        # floats, so that an int and its float, whose keys are equal, are
+        # one point with one set of values (-0 is 0, where -0.0 is not 0.0)
+        if {type(self.t), *map(type, self.x), *map(type, self.p)} != {float}:
+            object.__setattr__(self, "t", float(self.t))
+            object.__setattr__(self, "x", tuple(map(float, self.x)))
+            object.__setattr__(self, "p", tuple(map(float, self.p)))
 
     @classmethod
     def make(cls, t: float, x: Iterable[float], p: Iterable[float]) -> "Point":
-        return cls(float(t), tuple(float(v) for v in x), tuple(float(v) for v in p))
+        return cls(t, tuple(x), tuple(p))
 
     @classmethod
     def from_flat(cls, values: Iterable[float], n: int) -> "Point":
-        vals = [float(v) for v in values]
+        vals = list(values)
         if len(vals) != 2 * n + 1:
             raise DimensionError(f"expected {2 * n + 1} coordinates, got {len(vals)}")
         return cls(vals[0], tuple(vals[1 : n + 1]), tuple(vals[n + 1 :]))
@@ -1029,11 +1035,11 @@ class Program:
         float64 array operation over the points, which rounds as the float
         operation does; a power, exp, log, sin or cos makes run's own call
         per point, on floats, so that the C library rounds every value as
-        it does in ``run``.  Points of mixed dimension or with coordinates
-        that are not floats take the None path too.
+        it does in ``run``.  Points of mixed dimension take the None path
+        too.
         """
         flat = [q.flat() for q in points]
-        if len(set(map(len, flat))) != 1 or set(map(type, chain.from_iterable(flat))) != {float}:
+        if len(set(map(len, flat))) != 1:
             return None
         count, width = len(flat), len(flat[0])
         n = width // 2

@@ -346,14 +346,19 @@ class TestCompiledTransition:
         with pytest.raises(dataclasses.FrozenInstanceError):
             td.jac = np.eye(2)
 
-    def test_failures_are_not_stored(self):
-        # the image is stored, the failed transition is computed again
+    def test_failures_are_not_stored(self, monkeypatch):
+        # a failed pass keeps nothing: the transition is computed again from
+        # its regularity program on, and induced_point raises its error too
         c = simple_chart_1d("2*t", "t/3", "x1", "x1")  # t_inv is wrong
         q = Point.make(1.0, [1.0], [1.0])
+        runs, run = [], Program.run
+        monkeypatch.setattr(Program, "run", lambda self, p: runs.append(self) or run(self, p))
         for _ in range(2):
             with pytest.raises(ChartInverseError):
                 transition(c, q)
-        assert induced_point(c, q) == Point.make(2.0, [1.0], [2.0])
+        assert runs.count(c._regularity_program) == 2
+        with pytest.raises(ChartInverseError):
+            induced_point(c, q)
 
     def test_inverse_factors_are_the_inverse_change_factors_at_the_image(self):
         # dt/dt~ and dx/dx~ at the image are read from the inverse's own

@@ -762,11 +762,17 @@ class TestRunPoints:
             program.run(narrow)
 
     def test_coordinates_that_are_not_floats(self):
-        # run computes on the ints themselves: -0 is 0, where -0.0 is not 0.0
+        # a point holds floats, so -x1 at x1 = 0 is -0.0 on both paths
         program = Program([Neg(xvar(0))])
-        assert program.run(Point(1, (0,), (0,))) == [0]
-        assert program.run_points([Point(1, (0,), (0,))]) is None
-        assert _bits(program.run_points([Point.make(1, [0], [0])])[0]) == _bits([-0.0])
+        assert _bits(program.run(Point(1, (0,), (0,)))) == _bits([-0.0])
+        assert _bits(program.run_points([Point(1, (0,), (0,))])[0]) == _bits([-0.0])
+
+    def test_an_int_point_and_its_float_read_the_same_values(self):
+        # their keys are equal, so the table built at the int point serves
+        # the float point: it holds the float point's values
+        obj = Components(1, [Neg(xvar(0))])
+        for q in (Point(1, (0,), (0,)), Point.make(1, [0], [0])):
+            assert _bits(obj.evaluate([q]).ravel().tolist()) == _bits([-0.0])
 
     def test_overflow_is_silent(self):
         # array arithmetic overflows to inf where run names the first slot

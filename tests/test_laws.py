@@ -31,7 +31,7 @@ from helpers import (
 )
 import jetham.expr
 from jetham import cli
-from jetham.charts import CoordChange, induced_point, transition
+from jetham.charts import CoordChange, induced_point, map_points, transition
 from jetham.dtensor import DTensor, IndexKind, verify_dtensor
 from jetham.errors import ChartInverseError, DomainError, JethamError, RegularityError
 from jetham.expr import Components, Point, const, parse, tvar
@@ -246,25 +246,31 @@ def test_the_first_failing_point_raises_its_error(change, old, new, points, erro
 @pytest.mark.parametrize("law", _FIRST_ERROR_LAWS)
 @pytest.mark.parametrize("fault", _CHART_FAULTS)
 def test_a_chart_fault_after_a_passing_point_is_the_per_point_error(law, fault):
-    # the law maps the points in one pass; a fresh change taken one point
-    # at a time, as the laws visit, raises the same error at point 1 and
-    # never reaches point 2
+    # the fault first, in the middle and last of a point set large enough
+    # for Program.run_points passes: the pass over it keeps nothing, and a
+    # fresh change taken one point at a time, as the laws visit, raises the
+    # same error and keeps the same values
     maps, (t, x), kind, text = _CHART_FAULTS[fault]
-    points = [Point.make(t, [x], [1.0]) for t, x in ((1.0, 1.0), (t, x), (1.5, 1.5))]
-    c, law_change = _change(*maps), _change(*maps)
-    with pytest.raises(JethamError) as want:
-        for q in points:
-            image = induced_point(c, q)
-            transition(c, q)
-            if law in ("dtensor", "frames"):  # the laws that visit the inverse
-                transition(c.inverse(), image)
-    with pytest.raises(JethamError) as got:
-        _FIRST_ERROR_LAWS[law]("x1", "x1", law_change, points)
-    assert type(got.value) is type(want.value) is kind
-    assert str(got.value) == str(want.value) == text
-    # and both keep the same values, in both directions: nothing at point 2
-    for a, b in ((law_change, c), (law_change.inverse(), c.inverse())):
-        assert _memo(a) == _memo(b)
+    passing = [Point.make(1.0 + k / 8, [1.0 + k / 16], [1.0]) for k in range(11)]
+    assert len(passing) + 1 >= jetham.expr.BATCH_POINTS
+    for at in (0, 6, 11):
+        points = [*passing[:at], Point.make(t, [x], [1.0]), *passing[at:]]
+        c, law_change = _change(*maps), _change(*maps)
+        assert map_points(law_change, points) == []
+        assert _memo(law_change) == _memo(law_change.inverse()) == {}
+        with pytest.raises(JethamError) as want:
+            for q in points:
+                image = induced_point(c, q)
+                transition(c, q)
+                if law in ("dtensor", "frames"):  # the laws that visit the inverse
+                    transition(c.inverse(), image)
+        with pytest.raises(JethamError) as got:
+            _FIRST_ERROR_LAWS[law]("x1", "x1", law_change, points)
+        assert type(got.value) is type(want.value) is kind
+        assert str(got.value) == str(want.value) == text
+        # and both keep the same values, in both directions
+        for a, b in ((law_change, c), (law_change.inverse(), c.inverse())):
+            assert _memo(a) == _memo(b)
 
 
 # each program runs over each point set in one Program.run_points pass, which
