@@ -203,21 +203,22 @@ _OWN_CHART_CHECKS = {"connection": _canonical_consistency, "frames": _duality}
 
 
 def _family(problem: Problem, charts: dict[str, _Chart], suite: str, corrupt=False) -> Report:
-    """One suite's records: its own-chart check, then each chart change's
+    """One suite's report: its own-chart check, then each chart change's
     laws.  corrupt adds 1 to each new-chart connection's first temporal
     component; that copy belongs to no chart's program."""
     origin = charts[""]
     own = _OWN_CHART_CHECKS.get(suite)
-    records = list(own(problem, origin).records) if own else []
+    reports = [own(problem, origin)] if own else []
     for spec in problem.charts:
         for name, law in _SUITES[suite]:
             new = getattr(charts[spec.name], name)
             if corrupt:
                 new = replace(new, temporal=(new.temporal[0] + 1, *new.temporal[1:]))
             old = getattr(origin, name)
-            rep = law(old, new, spec.change, problem.points, problem.tolerance, chart=spec.name)
-            records.extend(rep.records)
-    return Report.of(records)
+            reports.append(
+                law(old, new, spec.change, problem.points, problem.tolerance, chart=spec.name)
+            )
+    return Report.join(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +311,8 @@ def cmd_verify(problem: Problem, suite=("all",), corrupt_connection: bool = Fals
     # in a fixed order, so that each chart's program is the same every run
     chosen = [s for s in _SUITES if s in chosen or "all" in chosen]
     charts = _charts(problem, chosen)
-    return Report.of(
-        r
-        for s in chosen
-        for r in _family(problem, charts, s, corrupt_connection and s == "connection").records
+    return Report.join(
+        _family(problem, charts, s, corrupt_connection and s == "connection") for s in chosen
     )
 
 

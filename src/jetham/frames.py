@@ -97,15 +97,16 @@ def verify_adapted_tensoriality(
         delta p_i       -> (dt/dt~)(dx~^j/dx^i) delta p~_j
 
     The claim presumes the connection law, which is checked first.  When
-    the law fails at tol, its records are returned as
+    the law fails at tol, its blocks are returned relabelled as
     frames.connection_precondition, so the failure surfaces as a failed
     check rather than an exception.
     """
     law = verify_connection_law(N_old, N_new, c, points, tol, chart)
     if not law.passed:
-        return Report.of(
-            replace(r, check_id="frames.connection_precondition") for r in law.records
-        )
+        return Report(tuple(
+            replace(b, check_ids=("frames.connection_precondition",) * len(b.check_ids))
+            for b in law.blocks
+        ))
     return _verify_blocks(N_old, N_new, c, points, tol, chart)
 
 

@@ -1,9 +1,12 @@
-"""Check records, reports, and the shared residual metric.
+"""Check blocks, reports, and the shared residual metric.
 
-Every verification operation returns a Report: a flat list of per-check
-records plus summary accessors, built by ``check_points``, which also
-gathers what every law reads: the transition data of its chart calls and
-the values of the objects it names, at the points and at their images.
+Every verification operation returns a Report: a sequence of check blocks,
+each the (points, checks) residual and pass arrays of one ``check_points``
+call, plus summary accessors that read the arrays.  A report's per-check
+records are a view, each ``CheckRecord`` built only when it is read.
+``check_points`` also gathers what every law reads: the transition data
+of its chart calls and the values of the objects it names, at the points
+and at their images.
 The residual metric is absolute when both compared values are tiny
 (canonical objects vanish identically for flat metrics, where relative
 error is undefined) and relative otherwise.
@@ -12,9 +15,11 @@ error is undefined) and relative otherwise.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Sequence
+from operator import getitem
 
 import numpy as np
 
@@ -28,6 +33,7 @@ __all__ = [
     "worst_residuals",
     "stack",
     "CheckRecord",
+    "CheckBlock",
     "Report",
     "check_points",
     "report_to_json",
@@ -90,29 +96,104 @@ class CheckRecord:
 
 
 @dataclass(frozen=True)
+class CheckBlock:
+    """The results of checks run over points in one chart: residuals[i, j]
+    is check_ids[j]'s worst residual at points[i] (``Point.flat`` tuples),
+    and passes[i, j] whether it is within the tolerance.  Its records are
+    point-major: each point's checks in check_ids order."""
+
+    check_ids: tuple[str, ...]
+    chart: str
+    points: tuple[tuple[float, ...], ...]
+    residuals: np.ndarray  # (points, checks), float
+    passes: np.ndarray  # (points, checks), bool
+
+    def record(self, index: int) -> CheckRecord:
+        """The record at a point-major index into the block."""
+        i, j = divmod(index, len(self.check_ids))
+        return CheckRecord(
+            self.check_ids[j], self.chart, self.points[i],
+            float(self.residuals[i, j]), bool(self.passes[i, j]),
+        )
+
+
+def _worst_columns(residuals: np.ndarray) -> list[float]:
+    """``worst_residual`` of each column of a (points, checks) array with at
+    least one point: np.max keeps a NaN, and 0.0 is the floor."""
+    return np.maximum(residuals.max(axis=0), 0.0).tolist()
+
+
+class _Records(Sequence):
+    """A report's records, in order, each built when it is read."""
+
+    def __init__(self, blocks: tuple[CheckBlock, ...]):
+        self._blocks = blocks
+        self._len = sum(b.residuals.size for b in blocks)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        k = range(self._len)[index]  # IndexError outside, negative from the end
+        for b in self._blocks:
+            if k < b.residuals.size:
+                return b.record(k)
+            k -= b.residuals.size
+
+    def __iter__(self):
+        for b in self._blocks:
+            for q, values, passes in zip(b.points, b.residuals.tolist(), b.passes.tolist()):
+                for c, r, ok in zip(b.check_ids, values, passes):
+                    yield CheckRecord(c, b.chart, q, r, ok)
+
+
+@dataclass(frozen=True)
 class Report:
-    records: tuple[CheckRecord, ...]
+    """A sequence of check blocks, one per ``check_points`` call, whose
+    records in order are the report's."""
+
+    blocks: tuple[CheckBlock, ...]
 
     @classmethod
     def of(cls, records: Iterable[CheckRecord]) -> "Report":
-        return cls(tuple(records))
+        """A report of the given records, one block each."""
+        return cls(tuple(
+            CheckBlock((r.check_id,), r.chart, (r.point,),
+                       np.array([[r.residual]], dtype=float), np.array([[r.passed]]))
+            for r in records
+        ))
+
+    @classmethod
+    def join(cls, reports: Iterable["Report"]) -> "Report":
+        """The reports' blocks, in order, as one report."""
+        return cls(tuple(b for report in reports for b in report.blocks))
+
+    @property
+    def records(self) -> Sequence[CheckRecord]:
+        return _Records(self.blocks)
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.records)
+        return all(b.passes.all() for b in self.blocks)
 
     @property
     def max_residual(self) -> float:
-        return worst_residual(r.residual for r in self.records)
+        return worst_residual(self.max_residual_by_family().values())
 
     def max_residual_by_family(self) -> dict[str, float]:
         families: dict[str, list[float]] = {}
-        for r in self.records:
-            families.setdefault(r.check_id, []).append(r.residual)
+        for b in self.blocks:
+            if len(b.points):
+                for family, worst in zip(b.check_ids, _worst_columns(b.residuals)):
+                    families.setdefault(family, []).append(worst)
         return {family: worst_residual(values) for family, values in families.items()}
 
     def failures(self) -> tuple[CheckRecord, ...]:
-        return tuple(r for r in self.records if not r.passed)
+        return tuple(
+            b.record(k) for b in self.blocks for k in np.flatnonzero(~b.passes).tolist()
+        )
 
 
 def check_points(
@@ -126,7 +207,7 @@ def check_points(
     image_reads: Sequence = (),
     visit: Callable | None = None,
 ) -> Report:
-    """The records of checks run over all points at once, in point order.
+    """A report of one block: checks run over all points at once.
 
     visit(q), where given, is called at each point in turn (a law's chart
     calls, in its order) and returns the image of q, then the law's
@@ -137,9 +218,10 @@ def check_points(
     visit raises, the values are first read at the points before it, so the
     error raised is the first failing point's, and at that point the
     visit's.  law returns, in check_ids order, each check's worst residual
-    at every point.  Each becomes a record of chart that passes when it is
-    within tol.  Array arithmetic that overflows gives inf or NaN silently,
-    as float arithmetic does: the residual it leads to fails the record.
+    at every point: the block's (points, checks) residual array, in chart.
+    A check passes where its residual is within tol, so a NaN fails.  Array
+    arithmetic that overflows gives inf or NaN silently, as float
+    arithmetic does: the residual it leads to fails the check.
     """
     points = tuple(points)
     if not points:
@@ -161,12 +243,15 @@ def check_points(
             raise
         images, *columns = zip(*visits) if visits else ((),)
         worst = law(*map(stack, columns), *values(points, images))
-    records = []
-    for q, row in zip(points, np.asarray(worst, dtype=float).T.tolist(), strict=True):
-        flat = q.flat()
-        for c, r in zip(check_ids, row, strict=True):
-            records.append(CheckRecord(c, chart, flat, r, r <= tol))
-    return Report(tuple(records))
+    residuals = np.asarray(worst, dtype=float).T
+    if residuals.shape != (len(points), len(check_ids)):
+        raise ValueError(
+            f"a law gave residuals of shape {residuals.shape[::-1]}, "
+            f"not {len(check_ids)} checks at {len(points)} points"
+        )
+    block = CheckBlock(tuple(check_ids), chart, tuple(q.flat() for q in points), residuals,
+                       residuals <= tol)
+    return Report((block,))
 
 
 def _number_or_null(value: float) -> str:
@@ -196,9 +281,12 @@ def report_to_json(report: Report) -> str:
     non-finite residual or family maximum is written as null (its record
     already fails), so the output is always valid JSON.
 
-    Each point's text is rendered once per report.  The records of one
-    sample point share its tuple (``Point.flat``), so the text is kept by
-    the tuple's identity: equality would confuse 0.0 with -0.0."""
+    The records are written from the blocks' arrays, point-major within a
+    block, and no record is built.  Each (chart, check id, pass) prefix is
+    rendered once per block, and each point's text once per report.  The
+    blocks of one sample point share its tuple (``Point.flat``), so the
+    text is kept by the tuple's identity: equality would confuse 0.0 with
+    -0.0."""
     maxima = [
         f"{encode_basestring_ascii(family)}: {_number_or_null(value)}"
         for family, value in sorted(report.max_residual_by_family().items())
@@ -207,21 +295,36 @@ def report_to_json(report: Report) -> str:
         f'"max_residual": {_json_block(maxima, "    ", "{}")}', f'"pass": {_bool(report.passed)}'
     ]
     tail = f',\n  "summary": {_json_block(summary, "  ", "{}")}\n}}\n'
-    if not report.records:
+    points: dict[int, str] = {}  # id of a point tuple -> its text, then the residual key
+    # each record in turn as four pieces, head, point, residual and close, so
+    # that the report, the largest string a verdict builds, is copied once
+    pieces = ['{\n  "records": [\n    ']
+    for b in report.blocks:
+        chart = encode_basestring_ascii(b.chart)
+        heads = [  # by check, then pass flag (False, True)
+            [
+                f'{{\n      "chart": {chart},\n      "check_id": {encode_basestring_ascii(c)},'
+                f'\n      "pass": {_bool(ok)},\n      "point": '
+                for ok in (False, True)
+            ]
+            for c in b.check_ids
+        ]
+        texts = []
+        for q in b.points:
+            text = points.get(id(q))
+            if text is None:
+                text = points[id(q)] = f'{_point_json(q)},\n      "residual": '
+            texts.append(text)
+        values = list(map(float.__repr__, b.residuals.ravel().tolist()))
+        for k in np.flatnonzero(~np.isfinite(b.residuals)).tolist():
+            values[k] = "null"
+        pieces += chain.from_iterable(zip(  # point-major, as the arrays are laid out
+            map(getitem, heads * len(texts), b.passes.ravel().tolist()),
+            chain.from_iterable(map(repeat, texts, repeat(len(heads)))),
+            values,
+            repeat("\n    },\n    "),
+        ))
+    if len(pieces) == 1:
         return '{\n  "records": []' + tail
-    points: dict[int, str] = {}  # id of a point tuple -> its text
-    texts = []
-    for r in report.records:
-        point = points.get(id(r.point))
-        if point is None:
-            point = points[id(r.point)] = _point_json(r.point)
-        texts.append(
-            f'{{\n      "chart": {encode_basestring_ascii(r.chart)},'
-            f'\n      "check_id": {encode_basestring_ascii(r.check_id)},'
-            f'\n      "pass": {_bool(r.passed)},'
-            f'\n      "point": {point},'
-            f'\n      "residual": {_number_or_null(r.residual)}\n    }}'
-        )
-    # one join of the records and one of the whole: the report is the
-    # largest string a verdict builds, so it is copied no more than that
-    return "".join(('{\n  "records": [\n    ', ",\n    ".join(texts), "\n  ]", tail))
+    pieces[-1] = "\n    }\n  ]" + tail
+    return "".join(pieces)

@@ -34,7 +34,7 @@ from jetham.expr import Components, Point, parse
 from jetham.metrics import christoffel_time
 from jetham.nlconn import NonlinearConnection
 from jetham.problem import load_problem, problem_from_dict
-from jetham.report import report_to_json
+from jetham.report import CheckRecord, report_to_json
 
 from helpers import (
     InProcessRunner,
@@ -731,6 +731,40 @@ class TestOneEvaluation:
         assert report.passed is not case.corrupt_connection
         assert passes and len(runs) == sum(passes)  # no program ran point by point
         assert_one_run_each(runs)
+
+
+class TestNoRecordsBuilt:
+    """A verdict keeps its results as residual blocks: rendering and counting
+    them builds no ``CheckRecord``, and the failures build only their own."""
+
+    @staticmethod
+    def counted_records(monkeypatch) -> list:
+        built, init = [], CheckRecord.__init__
+
+        def counted(self, *args):
+            init(self, *args)
+            built.append(self)
+
+        monkeypatch.setattr(CheckRecord, "__init__", counted)
+        return built
+
+    def test_a_passing_verdict_builds_no_record(self, monkeypatch):
+        problem = load_problem(EXAMPLE)
+        built = self.counted_records(monkeypatch)
+        report = cmd_verify(problem)
+        report_to_json(report)
+        assert report.passed and len(report.records) == 440
+        assert built == []
+        assert report.records[-1] == built[0]  # the counter sees the records read
+
+    def test_a_failing_verdict_builds_its_failures(self, monkeypatch):
+        problem = load_problem(EXAMPLE)
+        built = self.counted_records(monkeypatch)
+        report = cmd_verify(problem, corrupt_connection=True)
+        report_to_json(report)
+        assert not report.passed and len(report.records) == 440 and built == []
+        failures = report.failures()
+        assert failures and built == list(failures)
 
 
 def repeated_points_doc() -> dict:

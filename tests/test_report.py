@@ -1,16 +1,20 @@
 """Residual reductions: a NaN anywhere makes the check fail.  The JSON
-writer: the bytes json.dumps writes."""
+writer: the bytes json.dumps writes.  Reports as blocks: the records they
+stand for, built only when read."""
 
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import identity_change, reference_report_json
 from jetham.charts import transition
 from jetham.expr import Components, Point, const, tvar
 from jetham.report import (
+    CheckBlock,
     CheckRecord,
     Report,
     check_points,
@@ -171,3 +175,82 @@ def test_writer_rejects_a_non_finite_point():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             report_to_json(Report.of([_record(point=(1.0, bad, 0.0))]))
+
+
+# -- reports as blocks -------------------------------------------------------------
+
+_NAMES = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['quote " and back\\slash', "\t\n", "\u00fcber", "\U0001d70f", ""]),
+)
+_COORDINATES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16,
+                     -1.7976931348623157e308]),
+)
+_RESIDUALS = st.one_of(
+    st.floats(0.0, 2e-9),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300]),
+)
+TOL = 1e-9
+
+
+@st.composite
+def _blocks(draw):
+    """Blocks whose points are drawn from one pool of tuples, so blocks (and
+    points of one block) share a tuple, as a verdict's blocks do."""
+    pool = draw(st.lists(st.lists(_COORDINATES, min_size=1, max_size=3).map(tuple),
+                         min_size=1, max_size=3))
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        check_ids = tuple(draw(st.lists(_NAMES, max_size=3)))
+        points = tuple(draw(st.lists(st.sampled_from(pool), max_size=4)))
+        values = draw(st.lists(_RESIDUALS, min_size=len(points) * len(check_ids),
+                               max_size=len(points) * len(check_ids)))
+        residuals = np.array(values, dtype=float).reshape(len(points), len(check_ids))
+        blocks.append(CheckBlock(check_ids, draw(_NAMES), points, residuals, residuals <= TOL))
+    return blocks
+
+
+def _key(r: CheckRecord):
+    # repr tells NaN from NaN-free values and -0.0 from 0.0
+    return r.check_id, r.chart, repr(r.point), repr(r.residual), r.passed
+
+
+@settings(max_examples=150, deadline=None)
+@given(_blocks())
+def test_blocks_stand_for_their_records(blocks):
+    report = Report(tuple(blocks))
+    # the records, point-major within each block, from the arrays by hand
+    want = [
+        CheckRecord(c, b.chart, q, float(r), bool(r <= TOL))
+        for b in blocks
+        for q, row in zip(b.points, b.residuals)
+        for c, r in zip(b.check_ids, row)
+    ]
+    assert len(report.records) == len(want)
+    assert list(map(_key, report.records)) == list(map(_key, want))
+    assert [_key(report.records[k]) for k in range(-len(want), 0)] == list(map(_key, want))
+    assert all(got.point is r.point for got, r in zip(report.records, want))
+    assert list(map(_key, report.failures())) == [_key(r) for r in want if not r.passed]
+    assert report.passed is all(r.passed for r in want)
+    families = {}
+    for r in want:
+        families.setdefault(r.check_id, []).append(r.residual)
+    by_family = report.max_residual_by_family()
+    assert list(by_family) == list(families)
+    assert list(map(repr, by_family.values())) == [
+        repr(worst_residual(v)) for v in families.values()
+    ]
+    assert repr(report.max_residual) == repr(worst_residual(r.residual for r in want))
+    text = report_to_json(report)
+    assert text == reference_report_json(report)
+    assert report_to_json(Report.of(report.records)) == text
+    assert report_to_json(Report.of(want)) == text
+
+
+def test_check_points_rejects_residuals_of_the_wrong_shape():
+    points = [Point.make(t, [0.0], [0.0]) for t in (1.0, 2.0)]
+    with pytest.raises(ValueError, match="shape"):
+        check_points(points, 0.5, ("a", "b"), lambda t: (t[:, 0],), reads=(Components(1, [tvar()]),))
