@@ -69,7 +69,7 @@ from .nlconn import (
     verify_connection_law,
 )
 from .problem import Problem, load_problem, problem_from_dict
-from .report import CheckBlock, CheckRecord, Report, report_to_json, residual
+from .report import CheckRecord, Report, report_to_json, residual
 from .spray import (
     MomentumSemispray,
     canonical_spatial,

@@ -117,12 +117,6 @@ class CheckBlock:
         )
 
 
-def _worst_columns(residuals: np.ndarray) -> list[float]:
-    """``worst_residual`` of each column of a (points, checks) array with at
-    least one point: np.max keeps a NaN, and 0.0 is the floor."""
-    return np.maximum(residuals.max(axis=0), 0.0).tolist()
-
-
 class _Records(Sequence):
     """A report's records, in order, each built when it is read."""
 
@@ -144,9 +138,7 @@ class _Records(Sequence):
 
     def __iter__(self):
         for b in self._blocks:
-            for q, values, passes in zip(b.points, b.residuals.tolist(), b.passes.tolist()):
-                for c, r, ok in zip(b.check_ids, values, passes):
-                    yield CheckRecord(c, b.chart, q, r, ok)
+            yield from map(b.record, range(b.residuals.size))
 
 
 @dataclass(frozen=True)
@@ -185,9 +177,9 @@ class Report:
     def max_residual_by_family(self) -> dict[str, float]:
         families: dict[str, list[float]] = {}
         for b in self.blocks:
-            if len(b.points):
-                for family, worst in zip(b.check_ids, _worst_columns(b.residuals)):
-                    families.setdefault(family, []).append(worst)
+            if len(b.points):  # a check at no point has no residual
+                for family, column in zip(b.check_ids, b.residuals.T.tolist()):
+                    families.setdefault(family, []).append(worst_residual(column))
         return {family: worst_residual(values) for family, values in families.items()}
 
     def failures(self) -> tuple[CheckRecord, ...]:
@@ -299,6 +291,13 @@ def report_to_json(report: Report) -> str:
     # each record in turn as four pieces, head, point, residual and close, so
     # that the report, the largest string a verdict builds, is copied once
     pieces = ['{\n  "records": [\n    ']
+    # every block's residuals and pass flags, in record order, in one list each
+    residuals = np.concatenate([b.residuals.ravel() for b in report.blocks] or [[]])
+    values = list(map(float.__repr__, residuals.tolist()))
+    for k in np.flatnonzero(~np.isfinite(residuals)).tolist():
+        values[k] = "null"
+    passes = np.concatenate([b.passes.ravel() for b in report.blocks] or [[]]).tolist()
+    start = 0
     for b in report.blocks:
         chart = encode_basestring_ascii(b.chart)
         heads = [  # by check, then pass flag (False, True)
@@ -315,15 +314,14 @@ def report_to_json(report: Report) -> str:
             if text is None:
                 text = points[id(q)] = f'{_point_json(q)},\n      "residual": '
             texts.append(text)
-        values = list(map(float.__repr__, b.residuals.ravel().tolist()))
-        for k in np.flatnonzero(~np.isfinite(b.residuals)).tolist():
-            values[k] = "null"
+        end = start + len(heads) * len(texts)
         pieces += chain.from_iterable(zip(  # point-major, as the arrays are laid out
-            map(getitem, heads * len(texts), b.passes.ravel().tolist()),
+            map(getitem, heads * len(texts), passes[start:end]),
             chain.from_iterable(map(repeat, texts, repeat(len(heads)))),
-            values,
+            values[start:end],
             repeat("\n    },\n    "),
         ))
+        start = end
     if len(pieces) == 1:
         return '{\n  "records": []' + tail
     pieces[-1] = "\n    }\n  ]" + tail
