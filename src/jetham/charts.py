@@ -25,8 +25,8 @@ before a singular dt~/dt, and a momentum derivative that is not finite or
 leaves its domain raises from ``induced_point``, before the inverse
 cross-checks.  The change keeps, per point, what it computed, so the laws
 that all contract with the same factors evaluate them once per (change,
-point): the transition factors as one read-only float row, which the
-fields of its ``TransitionData`` view.
+point): the transition factors as one read-only float row, whose views
+are the fields of its ``TransitionData``.
 
 ``map_points`` fills that memo for a whole point set in one pass: each
 stage runs over all the points before the next, a program over a large
@@ -79,8 +79,9 @@ class CoordChange:
 
     The change memoizes its results per point, keyed on the exact float
     bits of the point (so -0.0 and 0.0 are different keys), for as long as
-    the change lives.  A pass that fails keeps nothing: the next call at
-    its points computes them again.
+    the change lives: ``_mapped`` holds a point's image and transition
+    data, ``_regular`` its regularity values.  A pass that fails keeps
+    nothing: the next call at its points computes them again.
     """
 
     n: int
@@ -170,7 +171,11 @@ class CoordChange:
     # -- per-point memo -----------------------------------------------------
 
     @cached_property
-    def _visits(self) -> dict[bytes, "_Visit"]:
+    def _mapped(self) -> dict[bytes, tuple[Point, "TransitionData"]]:
+        return {}
+
+    @cached_property
+    def _regular(self) -> dict[bytes, np.ndarray]:
         return {}
 
 
@@ -229,56 +234,41 @@ def _array_views(rows: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     )
 
 
-class _Visit:
-    """What a change has computed at one point: its regularity program's
-    values (dt~/dt, then the Jacobian row by row), then the image and the
-    transition data, kept together once a pass there has passed every
-    check."""
-
-    __slots__ = ("factors", "image", "data")
-
-    def __init__(self, factors: list[float]):
-        self.factors, self.image, self.data = factors, None, None
-
-
 def induced_point(c: CoordChange, q: Point) -> Point:
     """Image of q under the induced change on the dual 1-jet space.  A point
     new to c is mapped by ``map_points`` over q alone, so the transition
     data there are computed and checked too."""
-    visit = c._visits.get(q.key)
-    if visit is None or visit.image is None:  # a point of another dimension always misses
+    if q.key not in c._mapped:  # a point of another dimension always misses
         map_points(c, (q,))
-        visit = c._visits[q.key]
-    return visit.image
+    return c._mapped[q.key][0]
 
 
 def transition(c: CoordChange, q: Point) -> TransitionData:
     """Evaluate every transition factor of c at q (with inverse cross-checks):
     the data of the entry that ``induced_point`` finds or fills."""
     induced_point(c, q)
-    return c._visits[q.key].data
+    return c._mapped[q.key][1]
 
 
 def map_points(c: CoordChange, points: Sequence[Point]) -> list[Point]:
-    """Fill c's memo at the points: each point's regularity values, image
-    and transition data.  Returns the images of the points, in order, or []
+    """Fill c's memo at the points: each point's image, transition data and
+    regularity values.  Returns the images of the points, in order, or []
     where the pass failed.
 
-    The points new to c are taken once each, in order, and every program
-    runs once per point, a whole stage over the points before the next
-    (``_rows``): the regularity program, then the checks of dt~/dt and of
-    the Jacobian's determinant (one ``np.linalg.det`` over the stack), then
-    the forward program, then the inverse's regularity program at the
-    images, then the inverse cross-checks over the stack.  A pass fills the
-    memo at every point it was given, or keeps nothing.  Over one point it
-    raises the first error it meets, the one ``induced_point`` and
+    The points c has not mapped are taken once each, in order, and every
+    program runs once per point new to it, a whole stage over the points
+    before the next (``_rows``): the regularity program, the checks of
+    dt~/dt and of the Jacobian's determinant (one ``np.linalg.det`` over
+    the stack), the forward program, the inverse's regularity program at
+    the images, then the inverse cross-checks over the stack.  A pass fills
+    the memo at every point it was given, or keeps nothing.  Over one point
+    it raises the first error it meets, the one ``induced_point`` and
     ``transition`` raise; over more points it returns [], and each point's
     own one-point pass then raises its error as the laws visit the points.
     """
-    memo, todo = c._visits, {}
+    mapped, todo = c._mapped, {}
     for q in points:
-        visit = memo.get(q.key)
-        if visit is None or visit.data is None:
+        if q.key not in mapped:
             todo.setdefault(q.key, q)
     if todo:
         try:
@@ -287,15 +277,15 @@ def map_points(c: CoordChange, points: Sequence[Point]) -> list[Point]:
             if len(points) == 1:
                 raise
             return []
-    return [memo[q.key].image for q in points]
+    return [mapped[q.key][0] for q in points]
 
 
 def _fill(c: CoordChange, todo: list[Point]) -> None:
-    """``map_points`` over points new to c: raises the first failing
-    point's error at the first stage that fails, keeping nothing, or keeps
-    the pass at every point, and the inverse's regularity values at the
-    images."""
-    memo, inverse, n = c._visits, c.inverse(), c.n
+    """``map_points`` over distinct points c has not mapped: raises the
+    first failing point's error at the first stage that fails, keeping
+    nothing, or keeps the pass at every point (its data one row of one
+    array), and the inverse's regularity values at the images."""
+    inverse, n = c.inverse(), c.n
 
     def check(ok: np.ndarray, error_at) -> None:
         """Raise error_at(k) at the first point k where ok is false."""
@@ -306,15 +296,12 @@ def _fill(c: CoordChange, todo: list[Point]) -> None:
         np.array([q.n == n for q in todo]),
         lambda k: DimensionError(f"point has n={todo[k].n}, change has n={n}"),
     )
-    visits = [memo.get(q.key) for q in todo]
-    regular = iter(_rows(c._regularity_program, [q for q, v in zip(todo, visits) if v is None]))
-    factors = [v.factors if v else next(regular) for v in visits]
+    fwd, fresh = _regular_rows(c, todo)
 
     # negated tests, so that NaN (false under every comparison) is rejected
-    fwd = np.array(factors)
     check(
         np.abs(fwd[:, 0]) > REGULARITY_EPS,
-        lambda k: RegularityError(f"dt~/dt = {factors[k][0]} at t = {todo[k].t}"),
+        lambda k: RegularityError(f"dt~/dt = {float(fwd[k, 0])} at t = {todo[k].t}"),
     )
     jac = fwd[:, 1:].reshape(-1, n, n)
     det = np.linalg.det(jac)
@@ -323,23 +310,19 @@ def _fill(c: CoordChange, todo: list[Point]) -> None:
         lambda k: RegularityError(f"det(dx~/dx) = {float(det[k])} at x = {todo[k].x}"),
     )
 
-    mapped = _rows(c._forward_program, todo)
-    images = [Point(v[0], tuple(v[1 : n + 1]), tuple(v[n + 1 : 2 * n + 1])) for v in mapped]
-    # the inverse's regularity values at images new to its memo
-    new = {image.key: image for image in images if image.key not in inverse._visits}
-    ran = dict(zip(new, map(_Visit, _rows(inverse._regularity_program, list(new.values())))))
-    inverse_visits = [inverse._visits.get(image.key) or ran[image.key] for image in images]
+    table = _rows(c._forward_program, todo)
+    images = [Point.from_flat(v, n) for v in table[:, : 2 * n + 1].tolist()]
+    inv, at_images = _regular_rows(inverse, images)
 
     # user-supplied inverses are cross-checked, not trusted, as floats would
     # be: dt~/dt * dt/dt~, then each entry of jac @ jac_inv summed left to
     # right, as sum() adds
-    inv = np.array([v.factors for v in inverse_visits])
     with np.errstate(over="ignore", invalid="ignore"):
         check(
             np.abs(fwd[:, 0] * inv[:, 0] - 1.0) <= INVERSE_CHECK_TOL,
             lambda k: ChartInverseError(
                 f"t_inv is not the inverse of t_fwd at t={todo[k].t}: "
-                f"dt~/dt * dt/dt~ = {factors[k][0] * inverse_visits[k].factors[0]}"
+                f"dt~/dt * dt/dt~ = {float(fwd[k, 0] * inv[k, 0])}"
             ),
         )
         jac_inv = inv[:, 1:].reshape(-1, n, n)
@@ -352,30 +335,37 @@ def _fill(c: CoordChange, todo: list[Point]) -> None:
         )
 
     # every check passed: keep the pass at every point
-    dp = np.array([v[2 * n + 1 :] for v in mapped])
-    rows = np.concatenate((fwd[:, :1], inv[:, :1], fwd[:, 1:], inv[:, 1:], dp), axis=1)
+    # in C order, not a run_points table's: matmul may round strided views otherwise
+    parts = fwd[:, :1], inv[:, :1], fwd[:, 1:], inv[:, 1:], table[:, 2 * n + 1 :]
+    rows = np.ascontiguousarray(np.concatenate(parts, axis=1))
     rows.flags.writeable = False
     times = rows[:, 0].tolist(), rows[:, 1].tolist()
     data = [TransitionData(*fields) for fields in zip(*times, *_array_views(rows, n), rows)]
-    for q, visit, values, image, at_image, td in zip(
-        todo, visits, factors, images, inverse_visits, data
-    ):
-        if visit is None:
-            visit = memo[q.key] = _Visit(values)
-        visit.image, visit.data = image, td
-        inverse._visits.setdefault(image.key, at_image)
+    c._mapped.update(zip([q.key for q in todo], zip(images, data)))
+    c._regular.update(fresh)
+    inverse._regular.update(at_images)
 
 
-def _rows(program: Program, points: list[Point]) -> list[list[float]]:
-    """program's values at each of the points, as ``run`` returns them: from
-    one ``Program.run_points`` pass over at least ``BATCH_POINTS`` points,
-    or else, where there are fewer or the pass gives None, from one ``run``
-    per point, in order, so that the first point whose run raises raises."""
-    if len(points) >= expr.BATCH_POINTS:
-        table = program.run_points(points)
-        if table is not None:
-            return table.tolist()
-    return [program.run(q) for q in points]
+def _regular_rows(c: CoordChange, points: list[Point]) -> tuple[np.ndarray, dict]:
+    """c's regularity values at the points, one row per point, from c's memo
+    or one ``_rows`` call over the other distinct points, with those rows."""
+    known = c._regular
+    new = {q.key: q for q in points if q.key not in known}
+    table = _rows(c._regularity_program, list(new.values()))
+    ran = dict(zip(new, table))
+    if len(table) < len(points):
+        table = np.array([ran[q.key] if q.key in ran else known[q.key] for q in points])
+    return table, ran
+
+
+def _rows(program: Program, points: list[Point]) -> np.ndarray:
+    """program's values at the points, a (points, roots) float64 array: one
+    ``Program.run_points`` pass over at least ``BATCH_POINTS`` points, or
+    else, where there are fewer or the pass gives None, one ``run`` per
+    point, in order, so that the first point whose run raises raises."""
+    if len(points) >= expr.BATCH_POINTS and (table := program.run_points(points)) is not None:
+        return table
+    return np.array([program.run(q) for q in points], dtype=float)
 
 
 def natural_frame_matrix(td: TransitionData) -> np.ndarray:

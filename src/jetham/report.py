@@ -82,6 +82,8 @@ def stack(values: Sequence):
     fields; of anything else, the values themselves."""
     first = values[0]
     if isinstance(first, TransitionData):
+        if any(td.row is None for td in values):
+            raise ValueError("transition data built field by field have no row to stack")
         return TransitionData.of_rows(np.array([td.row for td in values]), first.jac.shape[-1])
     return np.array(values)
 

@@ -415,6 +415,47 @@ class TestPointSetPass:
                 monkeypatch, spec.change, list(problem.points[:3])
             )
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_memo_hits_after_a_pass_run_nothing(self, monkeypatch, n):
+        # after a run_points pass and a point-by-point pass, for the change
+        # at the points and for its inverse at the images, every
+        # induced_point and transition there reads the memo: no program runs,
+        # and each row is its pass's row, of one C-ordered array
+        tables, run_points = [], Program.run_points
+
+        def counted_run_points(self, points):
+            tables.append(run_points(self, points))
+            return tables[-1]
+
+        for c in charts_for(n).values():
+            inv, passes = c.inverse(), []
+            for count in (jetham.expr.BATCH_POINTS, 2):
+                points = sampled_points(n, count, seed=53 + count)
+                with monkeypatch.context() as patch:
+                    patch.setattr(Program, "run_points", counted_run_points)
+                    images = map_points(c, points)
+                    passes += [(c, points, images), (inv, images, map_points(inv, images))]
+                # the large pass's four stages are run_points passes
+                assert len(tables) >= 4 if count >= jetham.expr.BATCH_POINTS else not tables
+                assert all(table is not None for table in tables)
+                tables.clear()
+            rows = [[transition(d, q).row for q in points] for d, points, _ in passes]
+
+            def ran(*args):
+                pytest.fail("a memo hit ran a program")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Program, "run", ran)
+                patch.setattr(Program, "run_points", ran)
+                for (d, points, images), pass_rows in zip(passes, rows):
+                    array = pass_rows[0].base
+                    assert array.shape[0] == len(points) and array.flags.c_contiguous
+                    for k, (q, image, row) in enumerate(zip(points, images, pass_rows)):
+                        assert induced_point(d, q).key == image.key
+                        td = transition(d, q)
+                        assert td.row is row and row.base is array
+                        assert same_bits(td.row, array[k])
+
     @staticmethod
     def assert_pass_matches_one_point_changes(monkeypatch, c, points):
         # a repeated point, and a pair that differs only in the sign of zero
@@ -561,6 +602,14 @@ class TestTransitionRows:
                     assert same_bits(value, getattr(want, field.name)), field.name
                 negative_zeros_seen += np.count_nonzero((got.row == 0.0) & np.signbit(got.row))
         assert negative_zeros_seen  # -0.0 is among the stacked bits
+
+
+def test_stack_of_transition_data_without_rows_is_a_value_error():
+    td = transition(identity_change(2), Point.make(1.0, [1.0, 2.0], [0.5, -0.5]))
+    fields = [getattr(td, f.name) for f in dataclasses.fields(TransitionData)][:-1]
+    for column in ([TransitionData(*fields)] * 2, [td, TransitionData(*fields)]):
+        with pytest.raises(ValueError, match="^transition data built field by field have no row"):
+            stack(column)
 
 
 def byte_offset(a: np.ndarray, row: np.ndarray) -> int:

@@ -186,10 +186,19 @@ _FIRST_ERROR_LAWS = {
 }
 
 # changes that pass at (t, x) = (1, 1) and fail at the point named, each in
-# a stage of its own: (change, point, error type, the error's text)
+# a stage of its own, and two more at the dt~/dt check, whose texts print a
+# value that is not round and -0.0: (change, point, error type, the error's text)
 _CHART_FAULTS = {
     "singular_dt": (
         ("t^3", "t^(1/3)", "x1", "x1"), (0.0, 1.0), RegularityError, "dt~/dt = 0.0 at t = 0.0"
+    ),
+    "near_singular_dt": (
+        ("t^3", "t^(1/3)", "x1", "x1"), (1.1e-7, 1.0), RegularityError,
+        "dt~/dt = 3.630000000000001e-14 at t = 1.1e-07",
+    ),
+    "negative_zero_dt": (
+        ("2 - t^3", "(2 - t)^(1/3)", "x1", "x1"), (0.0, 1.0), RegularityError,
+        "dt~/dt = -0.0 at t = 0.0",
     ),
     "singular_jacobian": (
         ("t", "t", "x1^3", "x1^(1/3)"), (1.0, 0.0), RegularityError,
@@ -294,4 +303,9 @@ def test_a_chart_fault_is_the_per_point_error_in_run_points_passes(monkeypatch, 
 def _memo(c: CoordChange) -> dict:
     """What c keeps per point: its regularity values, image and whether it
     has transition data."""
-    return {key: (v.factors, v.image, v.data is not None) for key, v in c._visits.items()}
+    mapped, regular = c._mapped, c._regular
+    assert mapped.keys() <= regular.keys()
+    return {
+        key: (row.tolist(), mapped[key][0] if key in mapped else None, key in mapped)
+        for key, row in regular.items()
+    }
