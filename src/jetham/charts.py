@@ -52,7 +52,7 @@ import numpy as np
 
 from . import expr
 from .errors import ChartInverseError, DimensionError, JethamError, RegularityError
-from .expr import Expr, Point, Program, Var, check_vars, compose, diff, esum, pvar
+from .expr import Expr, Point, PointSet, Program, Var, check_vars, compose, diff, esum, pvar
 
 __all__ = [
     "CoordChange",
@@ -202,10 +202,16 @@ class TransitionData:
     One object is shared by every caller at the same (change, point): its
     arrays are read-only views of one float64 row, ``row``, that holds
     (dt~/dt, dt/dt~, jac, jac_inv, dp~/dt, dp~/dx) flat, and its two time
-    factors are floats.  ``report.stack`` of several makes one array of
-    their rows (``of_rows``), which gives every field a leading points axis,
-    as the laws read them.  Transition data built field by field have no
-    row, and cannot be stacked.
+    factors are floats.
+
+    A change's pass over a point set keeps its rows as one stacked
+    ``TransitionData`` (``of_rows``), whose fields have the points first,
+    as the laws read them.  The data it hands out per point are views of
+    its rows (``of_pass``), and each names its pass and its index there,
+    outside the fields, so that ``report.stack`` of one pass's points in
+    pass order is the pass's own stack (``whole_pass``), with no copy.
+    Transition data built field by field have no row, and cannot be
+    stacked.
     """
 
     dt_tilde_dt: float
@@ -215,12 +221,42 @@ class TransitionData:
     dp_tilde_dt: np.ndarray
     dp_tilde_dx: np.ndarray
     row: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # not fields: a per-point view's pass and its row's index there
+    _pass = None
+    _index = -1
 
     @classmethod
     def of_rows(cls, rows: np.ndarray, n: int) -> "TransitionData":
         """The transition data of rows (points, 2 + 3n^2 + n), one row per
         point: every field is a view of rows, with the points first."""
         return cls(rows[:, 0], rows[:, 1], *_array_views(rows, n), rows)
+
+    def of_pass(self) -> list["TransitionData"]:
+        """Per row of this stacked pass, the transition data at its point:
+        views of the row, naming this pass and the row's index."""
+        times = self.dt_tilde_dt.tolist(), self.dt_dt_tilde.tolist()
+        views = zip(*times, self.jac, self.jac_inv, self.dp_tilde_dt, self.dp_tilde_dx, self.row)
+        data = []
+        for index, (dt, dt_inv, jac, jac_inv, dp_dt, dp_dx, row) in enumerate(views):
+            # the fields __init__ sets, stored without its frozen-field setattr calls
+            td = object.__new__(TransitionData)
+            vars(td).update(dt_tilde_dt=dt, dt_dt_tilde=dt_inv, jac=jac, jac_inv=jac_inv,
+                            dp_tilde_dt=dp_dt, dp_tilde_dx=dp_dx, row=row,
+                            _pass=self, _index=index)
+            data.append(td)
+        return data
+
+    @staticmethod
+    def whole_pass(column: Sequence["TransitionData"]) -> "TransitionData | None":
+        """The stacked pass whose rows column is, each once and in pass
+        order, or None."""
+        whole = column[0]._pass
+        if whole is None or len(column) != len(whole.row):
+            return None
+        for index, td in enumerate(column):
+            if td._pass is not whole or td._index != index:
+                return None
+        return whole
 
 
 def _array_views(rows: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
@@ -272,7 +308,8 @@ def map_points(c: CoordChange, points: Sequence[Point]) -> list[Point]:
             todo.setdefault(q.key, q)
     if todo:
         try:
-            _fill(c, list(todo.values()))
+            # a set of new, distinct points keeps its array
+            _fill(c, PointSet.of(points) if len(todo) == len(points) else PointSet(todo.values()))
         except JethamError:
             if len(points) == 1:
                 raise
@@ -280,11 +317,14 @@ def map_points(c: CoordChange, points: Sequence[Point]) -> list[Point]:
     return [mapped[q.key][0] for q in points]
 
 
-def _fill(c: CoordChange, todo: list[Point]) -> None:
+def _fill(c: CoordChange, todo: PointSet) -> None:
     """``map_points`` over distinct points c has not mapped: raises the
     first failing point's error at the first stage that fails, keeping
-    nothing, or keeps the pass at every point (its data one row of one
-    array), and the inverse's regularity values at the images."""
+    nothing, or keeps the pass at every point, and the inverse's
+    regularity values at the images.  The pass's images are one
+    ``PointSet``, built from the forward table's array, and its transition
+    data one stacked ``TransitionData`` of one C-ordered array, whose views
+    the memo keeps per point."""
     inverse, n = c.inverse(), c.n
 
     def check(ok: np.ndarray, error_at) -> None:
@@ -311,7 +351,7 @@ def _fill(c: CoordChange, todo: list[Point]) -> None:
     )
 
     table = _rows(c._forward_program, todo)
-    images = [Point.from_flat(v, n) for v in table[:, : 2 * n + 1].tolist()]
+    images = PointSet.of_rows(np.ascontiguousarray(table[:, : 2 * n + 1]), n)
     inv, at_images = _regular_rows(inverse, images)
 
     # user-supplied inverses are cross-checked, not trusted, as floats would
@@ -334,35 +374,35 @@ def _fill(c: CoordChange, todo: list[Point]) -> None:
             lambda k: ChartInverseError(f"x_inv is not the inverse of x_fwd at x={todo[k].x}"),
         )
 
-    # every check passed: keep the pass at every point
-    # in C order, not a run_points table's: matmul may round strided views otherwise
+    # every check passed: keep the pass at every point, its rows in C order
     parts = fwd[:, :1], inv[:, :1], fwd[:, 1:], inv[:, 1:], table[:, 2 * n + 1 :]
     rows = np.ascontiguousarray(np.concatenate(parts, axis=1))
     rows.flags.writeable = False
-    times = rows[:, 0].tolist(), rows[:, 1].tolist()
-    data = [TransitionData(*fields) for fields in zip(*times, *_array_views(rows, n), rows)]
+    data = TransitionData.of_rows(rows, n).of_pass()
     c._mapped.update(zip([q.key for q in todo], zip(images, data)))
     c._regular.update(fresh)
     inverse._regular.update(at_images)
 
 
-def _regular_rows(c: CoordChange, points: list[Point]) -> tuple[np.ndarray, dict]:
+def _regular_rows(c: CoordChange, points: PointSet) -> tuple[np.ndarray, dict]:
     """c's regularity values at the points, one row per point, from c's memo
     or one ``_rows`` call over the other distinct points, with those rows."""
     known = c._regular
     new = {q.key: q for q in points if q.key not in known}
-    table = _rows(c._regularity_program, list(new.values()))
+    runs = points if len(new) == len(points) else PointSet(new.values())  # keeps an array
+    table = _rows(c._regularity_program, runs)
     ran = dict(zip(new, table))
     if len(table) < len(points):
         table = np.array([ran[q.key] if q.key in ran else known[q.key] for q in points])
     return table, ran
 
 
-def _rows(program: Program, points: list[Point]) -> np.ndarray:
-    """program's values at the points, a (points, roots) float64 array: one
-    ``Program.run_points`` pass over at least ``BATCH_POINTS`` points, or
-    else, where there are fewer or the pass gives None, one ``run`` per
-    point, in order, so that the first point whose run raises raises."""
+def _rows(program: Program, points: PointSet) -> np.ndarray:
+    """program's values at the points, a C-ordered (points, roots) float64
+    array: one ``Program.run_points`` pass over at least ``BATCH_POINTS``
+    points, or else, where there are fewer or the pass gives None, one
+    ``run`` per point, in order, so that the first point whose run raises
+    raises."""
     if len(points) >= expr.BATCH_POINTS and (table := program.run_points(points)) is not None:
         return table
     return np.array([program.run(q) for q in points], dtype=float)

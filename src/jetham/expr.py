@@ -48,7 +48,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -64,6 +64,7 @@ from .errors import (
 __all__ = [
     "Var",
     "Point",
+    "PointSet",
     "Expr",
     "Const",
     "Coord",
@@ -175,6 +176,58 @@ class Point:
         if v.index >= len(axis):
             raise DimensionError(f"variable {v.name} out of range for n={self.n}")
         return axis[v.index]
+
+
+class PointSet(tuple):
+    """Points in order, and their coordinates as one array: a tuple of
+    ``Point``s whose ``coords`` is a read-only, C-ordered (points, 2n+1)
+    float64 array, row k holding point k's ``flat()`` values, and whose
+    ``key`` is the points' keys joined, the bytes of that array.  Both are
+    built once per set, from the points' keys (``coords`` is None for
+    points of mixed dimension), or come with the points from ``of_rows``.
+    A ``Program.run_points`` pass reads the array alone, and a table of
+    values at the set is keyed by ``key``."""
+
+    @classmethod
+    def of(cls, points: Iterable[Point]) -> "PointSet":
+        """points itself where it is a PointSet, so its array is kept."""
+        return points if isinstance(points, cls) else cls(points)
+
+    @classmethod
+    def of_rows(cls, coords: np.ndarray, n: int) -> "PointSet":
+        """The points whose coordinates are the rows of coords, a C-ordered
+        (points, 2n+1) float64 array, which the set keeps read-only.  Each
+        point and its key are built from its row, without ``Point``'s
+        checks: a row of floats of one width needs none."""
+        coords.flags.writeable = False
+        data, width, points = coords.tobytes(), 8 * (2 * n + 1), []
+        for start, values in zip(range(0, len(data), width), coords.tolist()):
+            q = object.__new__(Point)
+            vars(q).update(t=values[0], x=tuple(values[1 : n + 1]), p=tuple(values[n + 1 :]),
+                           key=data[start : start + width])
+            points.append(q)
+        points = cls(points)
+        vars(points).update(coords=coords, key=data)
+        return points
+
+    @cached_property
+    def key(self) -> bytes:
+        return b"".join(q.key for q in self)
+
+    def flat(self) -> tuple[tuple[float, ...], ...]:
+        """Each point's ``flat()`` tuple, in order: one tuple, the same on
+        every call."""
+        return self._flat
+
+    @cached_property
+    def _flat(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(q.flat() for q in self)
+
+    @cached_property
+    def coords(self) -> np.ndarray | None:
+        if len(set(map(len, map(operator.attrgetter("x"), self)))) != 1:
+            return None  # mixed dimensions, or no point
+        return np.frombuffer(self.key, dtype=float).reshape(len(self), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -1025,27 +1078,26 @@ class Program:
             self._raise_non_finite(v)
         return [v[i] for i in self._roots]
 
-    def run_points(self, points: Sequence[Point]) -> np.ndarray | None:
-        """Values of the roots at each of points, as a (points, roots)
-        float64 array whose row k is ``run(points[k])`` bit for bit; or
-        None where ``run`` would raise at any of the points, whose caller
+    def run_points(self, points: PointSet) -> np.ndarray | None:
+        """Values of the roots at each of points, as a C-ordered (points,
+        roots) float64 array whose row k is ``run(points[k])`` bit for bit;
+        or None where ``run`` would raise at any of the points, whose caller
         then runs them one by one for the error.  Raises and warns nothing.
 
-        The instructions are walked once.  ``+ - * /`` and negation are one
+        It reads the set's ``coords`` array, and no ``Point``.  The
+        instructions are walked once.  ``+ - * /`` and negation are one
         float64 array operation over the points, which rounds as the float
         operation does; a power, exp, log, sin or cos makes run's own call
         per point, on floats, so that the C library rounds every value as
         it does in ``run``.  Points of mixed dimension take the None path
         too.
         """
-        flat = [q.flat() for q in points]
-        if len(set(map(len, flat))) != 1:
+        coords = points.coords
+        if coords is None:
             return None
-        count, width = len(flat), len(flat[0])
+        count, width = coords.shape
         n = width // 2
-        # row k holds coordinate k of every point, in Point.flat order
-        columns = np.fromiter(chain.from_iterable(flat), float, count * width)
-        columns = columns.reshape(count, width).T
+        columns = coords.T  # row k holds coordinate k of every point
         v = np.empty((len(self._template), count))
         v[:] = np.array(self._template)[:, None]
         rows = list(v)  # one view per slot
@@ -1088,7 +1140,7 @@ class Program:
                     return None
             if not np.isfinite(v).all():
                 return None
-        return v[self._roots].T
+        return v[self._roots].T.copy()  # C order: matmul may round strided views otherwise
 
     def _raise_non_finite(self, v: list[float]):
         # a finite sum can overflow; only a non-finite slot is an error
@@ -1144,37 +1196,44 @@ def evaluate_together(reads: Iterable[tuple[Components, Sequence[Point]]]) -> li
     axis in the shape of its comps, as new arrays.
 
     Each read is a slice of its program's table at that point set, built
-    once: one run per distinct point (0.0 and -0.0 are two points), kept
-    while the program lives.  A table of at least ``BATCH_POINTS`` distinct
-    points is built in one ``Program.run_points`` pass.  The programs
-    still without values, because their point sets are smaller or a pass
-    gave None, run in step, point by point and, at each point, in read
-    order, so the error raised is the one a point-by-point read of the
-    objects meets first.  A table whose runs raised is not kept.
+    once and kept while the program lives, keyed by the set (``PointSet``):
+    one C-ordered (points, roots) array, with one run per distinct point
+    (0.0 and -0.0 are two points).  A table of at least ``BATCH_POINTS``
+    distinct points is one ``Program.run_points`` pass over them, which
+    reads the set's array.  The programs still without values, because
+    their point sets are smaller or a pass gave None, run in step, point by
+    point and, at each point, in read order, so the error raised is the one
+    a point-by-point read of the objects meets first.  No table is kept
+    where a run raised.
     """
-    reads = [(obj, tuple(points)) for obj, points in reads]
+    reads = [(obj, PointSet.of(points)) for obj, points in reads]
     spans, builds = [], {}
     for obj, points in reads:
         program, tables, start, stop = obj._span
-        key = b"".join(q.key for q in points)
-        spans.append((tables, key, start, stop))
-        if key not in tables:
+        spans.append((tables, points.key, start, stop))
+        if points.key not in tables:
             # a table to build: its program's root values by point key
-            builds.setdefault((id(tables), key), (program, points, tables, key, {}))
-    builds = list(builds.values())
-    for program, points, _, _, values in builds:
+            builds.setdefault((id(tables), points.key), (program, points, tables, {}))
+    builds, passes = list(builds.values()), {}
+    for k, (program, points, _, _) in enumerate(builds):
         distinct = {q.key: q for q in points}
         if len(distinct) >= BATCH_POINTS:
-            table = program.run_points(list(distinct.values()))
+            whole = len(distinct) == len(points)
+            table = program.run_points(points if whole else PointSet(distinct.values()))
             if table is not None:
-                values.update(zip(distinct, table))
+                if not whole:  # a row per point, repeated points included
+                    row = {key: i for i, key in enumerate(distinct)}
+                    table = table[[row[q.key] for q in points]]
+                passes[k] = table
     for i in range(max((len(points) for _, points, *_ in builds), default=0)):
-        for program, points, _, _, values in builds:
-            if i < len(points) and points[i].key not in values:
+        for k, (program, points, _, values) in enumerate(builds):
+            if k not in passes and i < len(points) and points[i].key not in values:
                 values[points[i].key] = program.run(points[i])
-    for program, points, tables, key, values in builds:
-        table = np.array([values[q.key] for q in points], dtype=float)
-        tables[key] = table.reshape(len(points), len(program._roots))
+    for k, (program, points, tables, values) in enumerate(builds):
+        if k not in passes:
+            table = np.array([values[q.key] for q in points], dtype=float)
+            passes[k] = table.reshape(len(points), len(program._roots))
+        tables[points.key] = passes[k]
     return [
         np.array(tables[key][:, start:stop]).reshape(len(points), *obj.comps.shape)
         for (obj, points), (tables, key, start, stop) in zip(reads, spans)

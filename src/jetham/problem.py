@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .charts import CoordChange
 from .errors import DomainError, JethamError, ProblemFormatError
-from .expr import Expr, Point, Program, parse
+from .expr import Expr, Point, PointSet, Program, parse
 from .metrics import MAX_DIM, SpaceMetric, TimeMetric, space_metric_det
 from .report import residual, worst_residual
 
@@ -54,7 +54,7 @@ class Problem:
     space_metric: SpaceMetric
     hamiltonian: Expr | None
     charts: tuple[ChartSpec, ...]
-    points: tuple[Point, ...]
+    points: tuple[Point, ...]  # a PointSet, as loaded
     tolerance: float
 
 
@@ -106,7 +106,7 @@ def _at_most_max_points(count: int, where: str) -> None:
         raise ProblemFormatError(f"{where}: at most {MAX_POINTS} points allowed, got {count}")
 
 
-def _points_from(doc, n: int) -> tuple[Point, ...]:
+def _points_from(doc, n: int) -> PointSet:
     if not isinstance(doc, dict):
         raise ProblemFormatError("sample: expected an object")
     if "points" in doc:
@@ -130,7 +130,7 @@ def _points_from(doc, n: int) -> tuple[Point, ...]:
             pts.append(Point.from_flat(row, n))
         if not pts:
             raise ProblemFormatError("sample.points: at least one point required")
-        return tuple(pts)
+        return PointSet(pts)
 
     extra = set(doc) - {"seed", "count", "box"}
     if extra:
@@ -149,7 +149,7 @@ def _points_from(doc, n: int) -> tuple[Point, ...]:
     p = _axis_intervals(box["p"], n, "sample.box.p") if "p" in box else (DEFAULT_P_RANGE,) * n
     rng = random.Random(doc["seed"])
     # arguments evaluate left to right: t, then each x^i, then each p_i
-    return tuple(
+    return PointSet(
         Point(
             rng.uniform(*t),
             tuple(rng.uniform(lo, hi) for lo, hi in x),

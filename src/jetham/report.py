@@ -25,7 +25,7 @@ import numpy as np
 
 from .charts import TransitionData
 from .errors import JethamError
-from .expr import evaluate_together
+from .expr import PointSet, evaluate_together
 
 __all__ = [
     "residual",
@@ -78,10 +78,16 @@ def worst_residuals(got: np.ndarray, want: np.ndarray) -> np.ndarray:
 
 def stack(values: Sequence):
     """One value per point on a leading points axis, as one array: of
-    ``TransitionData``, the array of their rows, whose views are its
-    fields; of anything else, the values themselves."""
+    ``TransitionData``, the stacked data of their rows, whose views are its
+    fields; of anything else, the values themselves.  Where the transition
+    data are exactly one pass's rows, in pass order, that is the pass's own
+    stacked data, and nothing is copied; otherwise (a repeated point, rows
+    of several passes) their rows are copied into a new array."""
     first = values[0]
     if isinstance(first, TransitionData):
+        whole = TransitionData.whole_pass(values)
+        if whole is not None:
+            return whole
         if any(td.row is None for td in values):
             raise ValueError("transition data built field by field have no row to stack")
         return TransitionData.of_rows(np.array([td.row for td in values]), first.jac.shape[-1])
@@ -217,7 +223,7 @@ def check_points(
     arithmetic that overflows gives inf or NaN silently, as float
     arithmetic does: the residual it leads to fails the check.
     """
-    points = tuple(points)
+    points = PointSet.of(points)
     if not points:
         return Report(())
 
@@ -243,7 +249,7 @@ def check_points(
             f"a law gave residuals of shape {residuals.shape[::-1]}, "
             f"not {len(check_ids)} checks at {len(points)} points"
         )
-    block = CheckBlock(tuple(check_ids), chart, tuple(q.flat() for q in points), residuals,
+    block = CheckBlock(tuple(check_ids), chart, points.flat(), residuals,
                        residuals <= tol)
     return Report((block,))
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .charts import CoordChange, induced_point, map_points, transition
 from .errors import DimensionError
-from .expr import Components, Point, const, pvar, symmetric
+from .expr import Components, Point, PointSet, const, pvar, symmetric
 from .metrics import SpaceMetric, TimeMetric, christoffel_time
 from .report import Report, check_points, worst_residuals
 
@@ -75,6 +75,7 @@ def _verify_semispray_law(
     """One semispray law; inhomogeneous(td, p) gets stacks, points first."""
     if G_old.comps.shape != (c.n, c.n) or G_new.comps.shape != (c.n, c.n):
         raise DimensionError("semispray and change dimensions differ")
+    points = PointSet.of(points)
     map_points(c, points)
 
     def visit(q):
@@ -85,7 +86,8 @@ def _verify_semispray_law(
     def law(td, old, new):
         J = td.jac_inv
         homogeneous = td.dt_tilde_dt[:, None, None] * (J.mT @ old @ J)
-        p = np.array([q.p for q in points])
+        # the momenta, a C-ordered copy: matmul may round strided views otherwise
+        p = points.coords[:, c.n + 1 :].copy()
         return (worst_residuals(2.0 * new, 2.0 * homogeneous - inhomogeneous(td, p)),)
 
     return check_points(

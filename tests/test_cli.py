@@ -14,6 +14,7 @@ import sys
 import tempfile
 import time
 import weakref
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -26,11 +27,14 @@ import jetham.charts
 import jetham.cli
 import jetham.dtensor
 import jetham.expr
+import jetham.frames
 import jetham.metrics
 import jetham.nlconn
-from jetham.charts import induced_point, transition
+import jetham.report
+import jetham.spray
+from jetham.charts import TransitionData, induced_point, transition
 from jetham.cli import SUITES, cmd_canonical, cmd_christoffel, cmd_verify, main
-from jetham.expr import Components, Point, parse
+from jetham.expr import Components, Point, PointSet, parse
 from jetham.metrics import christoffel_time
 from jetham.nlconn import NonlinearConnection
 from jetham.problem import load_problem, problem_from_dict
@@ -765,6 +769,77 @@ class TestNoRecordsBuilt:
         assert not report.passed and len(report.records) == 440 and built == []
         failures = report.failures()
         assert failures and built == list(failures)
+
+
+def counted_chart_calls(monkeypatch) -> Counter:
+    """Later calls of ``charts.transition`` and ``charts.induced_point``,
+    under every name an engine module binds them to, as ``bench/tracer.py``
+    counts them: the law modules import both by name, and ``transition``
+    calls ``induced_point`` in its own module."""
+    calls = Counter()
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "jetham" and m]
+    for name in ("transition", "induced_point"):
+        original = getattr(jetham.charts, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+        for law_module in (jetham.dtensor, jetham.spray, jetham.nlconn, jetham.frames):
+            assert getattr(law_module, name) is counted
+    return calls
+
+
+class TestPassArrays:
+    """Every law reads its chart change's pass as one array, while each law
+    still makes every per-point chart call that the benchmark's call pins
+    count."""
+
+    def test_law_chart_calls_are_pinned(self, monkeypatch):
+        # 14 transition and 23 induced_point calls per (chart, point): the
+        # 560 and 920 of bench/test_bench.py's example pins
+        problem = load_problem(EXAMPLE)
+        calls = counted_chart_calls(monkeypatch)
+        assert cmd_verify(problem).passed
+        pairs = len(problem.charts) * len(problem.points)
+        assert calls == {"transition": 14 * pairs, "induced_point": 23 * pairs}
+        assert calls == {"transition": 560, "induced_point": 920}
+
+    @pytest.mark.parametrize(
+        "workload, law_stacks", [("points_n2", 322), ("deep_n4", 182), ("hamiltonian_n2", 364)]
+    )
+    def test_law_stacks_are_their_passes(self, monkeypatch, workload, law_stacks):
+        # over one seed-1 period, each law's stack of transition data is its
+        # pass's own array, and each run_points pass reads a set's array alone
+        workloads = bench_module("workloads")
+        stacks, stack = [], jetham.report.stack
+
+        def recorded(values):
+            stacked = stack(values)
+            if isinstance(values[0], TransitionData):
+                stacks.append(all(td.row.base is stacked.row for td in values))
+            return stacked
+
+        run_points = jetham.expr.Program.run_points
+
+        class ArrayOnly:  # a point set's array, and no Point to read
+            def __init__(self, coords):
+                self.coords = coords
+
+        def array_only(self, points):
+            assert type(points) is PointSet and points.coords is not None
+            return run_points(self, ArrayOnly(points.coords))
+
+        monkeypatch.setattr(jetham.report, "stack", recorded)
+        monkeypatch.setattr(jetham.expr.Program, "run_points", array_only)
+        for index in range(workloads.WORKLOADS[workload].period):
+            c = workloads.case(workload, 1, index)
+            cmd_verify(problem_from_dict(c.doc), corrupt_connection=c.corrupt_connection)
+        assert len(stacks) == law_stacks and all(stacks)
 
 
 def repeated_points_doc() -> dict:

@@ -39,6 +39,7 @@ from jetham.expr import (
     Mul,
     Neg,
     Point,
+    PointSet,
     Pow,
     Program,
     Sin,
@@ -731,7 +732,7 @@ class TestRunPoints:
         event("a run raises" if first_error else "no run raises")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = program.run_points(points)
+            got = program.run_points(PointSet(points))
         assert caught == []
         if first_error is not None:
             assert got is None
@@ -755,9 +756,9 @@ class TestRunPoints:
     def test_points_of_another_dimension(self):
         program = Program([parse("x2 + t", 2)])
         wide, narrow = Point.make(1.0, [1.0, 2.0], [0.0, 0.0]), Point.make(1.0, [1.0], [0.0])
-        assert program.run_points([wide, wide]).tolist() == [[3.0], [3.0]]
-        assert program.run_points([wide, narrow]) is None
-        assert program.run_points([narrow, narrow]) is None
+        assert program.run_points(PointSet([wide, wide])).tolist() == [[3.0], [3.0]]
+        assert program.run_points(PointSet([wide, narrow])) is None
+        assert program.run_points(PointSet([narrow, narrow])) is None
         with pytest.raises(DimensionError):
             program.run(narrow)
 
@@ -765,7 +766,7 @@ class TestRunPoints:
         # a point holds floats, so -x1 at x1 = 0 is -0.0 on both paths
         program = Program([Neg(xvar(0))])
         assert _bits(program.run(Point(1, (0,), (0,)))) == _bits([-0.0])
-        assert _bits(program.run_points([Point(1, (0,), (0,))])[0]) == _bits([-0.0])
+        assert _bits(program.run_points(PointSet([Point(1, (0,), (0,))]))[0]) == _bits([-0.0])
 
     def test_an_int_point_and_its_float_read_the_same_values(self):
         # their keys are equal, so the table built at the int point serves
@@ -780,8 +781,10 @@ class TestRunPoints:
         points = [q_of(x=(1.9,)), q_of(x=(0.5,))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert Program([e]).run_points(points) is None
-            assert Program([e]).run_points(points[1:]).tolist() == [Program([e]).run(points[1])]
+            assert Program([e]).run_points(PointSet(points)) is None
+            assert Program([e]).run_points(PointSet(points[1:])).tolist() == [
+                Program([e]).run(points[1])
+            ]
 
 
 class TestIdentitySlots:

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     charts_for,
@@ -30,14 +32,15 @@ from helpers import (
     sampled_points,
 )
 import jetham.expr
+import jetham.report
 from jetham import cli
-from jetham.charts import CoordChange, induced_point, map_points, transition
+from jetham.charts import CoordChange, TransitionData, induced_point, map_points, transition
 from jetham.dtensor import DTensor, IndexKind, verify_dtensor
 from jetham.errors import ChartInverseError, DomainError, JethamError, RegularityError
-from jetham.expr import Components, Point, const, parse, tvar
+from jetham.expr import Components, Point, PointSet, const, parse, tvar
 from jetham.frames import _verify_blocks
 from jetham.nlconn import NonlinearConnection, verify_connection_law
-from jetham.problem import ChartSpec, Problem, load_problem
+from jetham.problem import ChartSpec, Problem, load_problem, problem_from_dict
 from jetham.report import report_to_json
 from jetham.spray import verify_spatial_law, verify_temporal_law
 
@@ -129,6 +132,65 @@ def test_chart_suites(n, count):
     charts = tuple(ChartSpec(name, c) for name, c in charts_for(n).items())
     problem = Problem(n, h, g, None, charts, _box_points(n, count), 1e-9)
     _assert_laws_match(problem)
+
+
+_EXAMPLE_DOC = json.loads((PROBLEMS / "example.json").read_text())
+
+
+@st.composite
+def example_point_sets(draw):
+    """1-20 points in the example's sample box: repeated points, pairs that
+    differ only in the sign of a zero momentum, int-valued coordinates."""
+    pool = []
+    for _ in range(draw(st.integers(1, 8))):
+        t, x1, x2 = (draw(st.one_of(st.integers(1, 2), st.floats(0.5, 2.0))) for _ in range(3))
+        p = [draw(st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0))) for _ in range(2)]
+        pool.append(Point.make(t, [x1, x2], p))
+        pool.append(Point.make(t, [x1, x2], [-0.0 if v == 0 else v for v in p]))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+
+
+def _example_verdict(points, batch: int):
+    """The example's verdict at points, with ``BATCH_POINTS`` = batch, and
+    each (stacked, column) of transition data its laws stacked."""
+    stacks, stack = [], jetham.report.stack
+
+    def recorded(values):
+        stacked = stack(values)
+        if isinstance(values[0], TransitionData):
+            stacks.append((stacked, values))
+        return stacked
+
+    problem = replace(problem_from_dict(_EXAMPLE_DOC), points=PointSet(points))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jetham.expr, "BATCH_POINTS", batch)
+        patch.setattr(jetham.report, "stack", recorded)
+        report = cli.cmd_verify(problem)
+    return report, stacks
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=example_point_sets(), batch=st.sampled_from([1, jetham.expr.BATCH_POINTS]))
+def test_point_sets_read_as_arrays_match_the_point_by_point_path(points, batch):
+    # each law's block and each stacked transition data, bit for bit, and
+    # at distinct points each law's stack is its pass's array itself
+    distinct = len({q.key for q in points}) == len(points)
+    event("distinct points" if distinct else "a repeated point")
+    verdicts = [_example_verdict(points, b) for b in (batch, len(points) + 1)]
+    (report, stacks), (want_report, want_stacks) = verdicts
+    assert [_block_bits(b) for b in report.blocks] == [_block_bits(b) for b in want_report.blocks]
+    assert len(stacks) == len(want_stacks) == 14 * len(_EXAMPLE_DOC["charts"])
+    for (stacked, column), (want, _) in zip(stacks, want_stacks):
+        assert stacked.row.shape == want.row.shape and stacked.row.tobytes() == want.row.tobytes()
+        if distinct:
+            assert all(np.shares_memory(stacked.row, td.row) for td in column)
+
+
+def _block_bits(block) -> tuple:
+    return (
+        block.check_ids, block.chart, [Point.from_flat(q, 2).key for q in block.points],
+        block.residuals.tobytes(), block.passes.tobytes(),
+    )
 
 
 def test_an_overflowing_law_fails_its_record_and_writes_null():
